@@ -5,7 +5,7 @@ three coarse blobs and a 4x4 lattice of micro-clusters, then prints the
 per-cell metrics. Lowering tau1 forces flatter, wider maps; lowering
 tau2 drills deeper. The full table lands in --out-dir/sweep.csv.
 
-    python3 scripts/sweep_demo.py --out-dir /tmp/sweep_run --threads 4
+    python3 scripts/sweep_demo.py --out-dir /tmp/sweep_run
 """
 
 import argparse
@@ -20,7 +20,6 @@ def parse_args():
     p.add_argument("--out-dir", type=Path, default=Path("sweep_run"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--taus", type=float, nargs="+", default=[0.2, 0.1, 0.05])
-    p.add_argument("--threads", type=int, default=1)
     return p.parse_args()
 
 
@@ -28,8 +27,7 @@ def main():
     args = parse_args()
     m = tiered_blobs(seed=args.seed)
     params = GhsomParams(lam=10, rng_seed=args.seed)
-    grid = sweep(m, params, args.taus, args.taus, labels=m.labels,
-                 threads=args.threads)
+    grid = sweep(m, params, args.taus, args.taus, labels=m.labels)
 
     header = f"{'tau1':>6} {'tau2':>6} {'leaves':>7} {'depth':>6} {'units':>6} {'CH':>10} {'ARI':>7}"
     print(header)

@@ -112,7 +112,6 @@ OPTIONS: list[Option] = [
     Option("labels_column", "--labels-column", "opt_str", None, "name of the label column in the input CSV"),
     Option("out_dir", "--out-dir", "str", "out", "output directory"),
     Option("seed", "--seed", "int", 0, "seed for every random stream"),
-    Option("threads", "--threads", "int", 1, "worker threads for sibling maps / sweep cells"),
     Option("transpose", "--transpose", "bool", False, "transpose the matrix before anything else"),
     Option("log_normalize", "--log-normalize", "bool", False, "row-sum normalize, scale, then log1p"),
     Option("scale_factor", "--scale-factor", "float", 10_000.0, "scale factor for --log-normalize"),
@@ -139,17 +138,6 @@ OPTIONS: list[Option] = [
     Option("spread", "--spread", "float", 0.05, "within-cluster spread for gen-synthetic blobs"),
     Option("separation", "--separation", "float", 5.0, "center separation for gen-synthetic blobs"),
 ]
-
-COMMANDS = (
-    "cluster",
-    "sweep",
-    "sai",
-    "render-feature-map",
-    "render-distribution-map",
-    "pipeline-crispr",
-    "gen-synthetic",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -282,7 +270,7 @@ def cmd_cluster(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     m = _stage("load", lambda: _load_input(cfg))
     m = _stage("preprocess", lambda: _preprocess(cfg, m))
-    tree = _stage("cluster", lambda: run_ghsom(m, _params(cfg), threads=cfg["threads"]))
+    tree = _stage("cluster", lambda: run_ghsom(m, _params(cfg)))
     partition = leaf_partition(tree)
 
     def write():
@@ -307,7 +295,7 @@ def cmd_sweep(cfg: dict) -> int:
     grid = _stage(
         "sweep",
         lambda: sweep(m, _params(cfg), cfg["tau1_list"], cfg["tau2_list"],
-                      labels=m.labels, threads=cfg["threads"]),
+                      labels=m.labels),
     )
 
     def write():
@@ -387,7 +375,7 @@ def cmd_pipeline_crispr(cfg: dict) -> int:
     m2 = _stage("transpose", second_matrix)
     stage_dir = out_dir / f"stage2_{cfg['pick']}"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    tree2 = _stage("cluster", lambda: run_ghsom(m2, _params(cfg), threads=cfg["threads"]))
+    tree2 = _stage("cluster", lambda: run_ghsom(m2, _params(cfg)))
     partition2 = leaf_partition(tree2)
 
     def run_sai():
@@ -463,28 +451,24 @@ def cmd_gen_synthetic(cfg: dict) -> int:
     return 0
 
 
+COMMANDS: dict[str, Callable[[dict], int]] = {
+    "cluster": cmd_cluster,
+    "sweep": cmd_sweep,
+    "sai": cmd_sai,
+    "render-feature-map": lambda cfg: _cmd_render(cfg, "feature"),
+    "render-distribution-map": lambda cfg: _cmd_render(cfg, "distribution"),
+    "pipeline-crispr": cmd_pipeline_crispr,
+    "gen-synthetic": cmd_gen_synthetic,
+}
+
+
 def main(argv: list[str] | None = None, env: Mapping[str, str] | None = None) -> int:
     env = os.environ if env is None else env
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args, env)
-        command = cfg["command"]
-        if command == "cluster":
-            return cmd_cluster(cfg)
-        if command == "sweep":
-            return cmd_sweep(cfg)
-        if command == "sai":
-            return cmd_sai(cfg)
-        if command == "render-feature-map":
-            return _cmd_render(cfg, "feature")
-        if command == "render-distribution-map":
-            return _cmd_render(cfg, "distribution")
-        if command == "pipeline-crispr":
-            return cmd_pipeline_crispr(cfg)
-        if command == "gen-synthetic":
-            return cmd_gen_synthetic(cfg)
-        raise ValueError(f"unknown command {command!r}")
+        return COMMANDS[cfg["command"]](cfg)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import comb
 from typing import Sequence
@@ -151,11 +150,10 @@ def _sweep_cell(
     tau1: float,
     tau2: float,
     labels: Sequence | None,
-    threads: int,
 ) -> SweepCell:
     cell = SweepCell(tau1=tau1, tau2=tau2)
     try:
-        tree = run_ghsom(m, replace(params, tau1=tau1, tau2=tau2), threads=threads)
+        tree = run_ghsom(m, replace(params, tau1=tau1, tau2=tau2))
         part = leaf_partition(tree)
         cell.leaf_count = len(part.cluster_names())
         cell.depth = tree.depth()
@@ -184,24 +182,21 @@ def sweep(
 
     All cells share ``params_base`` (including the seed), so each cell is
     individually reproducible. A failing cell records its error message
-    and the sweep continues.
+    and the sweep continues. Cells run one after another on the calling
+    thread. ``threads`` is ignored: a thread pool over cells only slowed
+    sweeps down under the interpreter lock. The keyword stays because
+    existing callers, among them the benchmark in ``bench/``, still pass
+    it.
     """
     if not tau1_values or not tau2_values:
         raise ValueError("tau1_values and tau2_values must be non-empty")
     t1s = sorted({float(v) for v in tau1_values}, reverse=True)
     t2s = sorted({float(v) for v in tau2_values}, reverse=True)
-    pairs = [(t1, t2) for t1 in t1s for t2 in t2s]
-
-    def work(pair):
-        t1, t2 = pair
-        return _sweep_cell(m, params_base, t1, t2, labels, threads=1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
-    cells = {(c.tau1, c.tau2): c for c in results}
+    cells = {
+        (t1, t2): _sweep_cell(m, params_base, t1, t2, labels)
+        for t1 in t1s
+        for t2 in t2s
+    }
     return SweepGrid(tau1_values=t1s, tau2_values=t2s, cells=cells)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +89,8 @@ class GhsomParams:
             raise ValueError("max_depth must be >= 1")
         if self.depth_reference not in ("global", "parent"):
             raise ValueError("depth_reference must be 'global' or 'parent'")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass
@@ -408,39 +409,28 @@ def expand_hierarchy(
     som: SomMap,
     data: np.ndarray,
     params: GhsomParams,
-    executor: ThreadPoolExecutor | None = None,
 ) -> GhsomTree:
     """Spawn and fit child maps for every unit still above the depth
     threshold, then recurse.
 
     A unit expands when its mqe is at least ``tau2`` times the reference
     error (layer-0 by default), it holds at least 4 samples, and the
-    depth budget allows. Sibling subtrees touch disjoint samples and may
-    be fitted concurrently; the RNG streams are path-derived, so the
-    result does not depend on scheduling.
+    depth budget allows. Children are fitted depth-first in row-major
+    unit order; their RNG streams are derived from their paths, not from
+    that order.
     """
     if som.depth >= params.max_depth:
         return tree
     reference = tree.mqe0 if params.depth_reference == "global" else som.parent_mqe
     threshold = params.tau2 * reference
 
-    pending = []
     for unit in som.iter_units():
         if unit.mqe >= threshold and unit.mqe > 0 and len(unit.assigned) >= 4:
             path = som.unit_path(unit.row, unit.col)
             child = _init_map(path, unit.mqe, som.depth + 1, unit.assigned, data, params)
             som.children[(unit.row, unit.col)] = child
-            pending.append(child)
-
-    def fit_subtree(child: SomMap) -> None:
-        _fit_map(child, data, params)
-        expand_hierarchy(tree, child, data, params)
-
-    if executor is not None and len(pending) > 1:
-        list(executor.map(fit_subtree, pending))
-    else:
-        for child in pending:
-            fit_subtree(child)
+            _fit_map(child, data, params)
+            expand_hierarchy(tree, child, data, params)
     return tree
 
 
@@ -454,7 +444,10 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
     params : GhsomParams
         Growth thresholds and training schedule.
     threads : int
-        Worker threads for fitting sibling subtrees of the root map.
+        Ignored. Every map is fitted on the calling thread: a thread pool
+        over sibling subtrees only slowed fits down under the interpreter
+        lock. The keyword stays because existing callers, among them the
+        benchmark in ``bench/``, still pass it.
 
     Returns
     -------
@@ -475,11 +468,7 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
         attribute_names=list(m.attribute_names),
     )
     _fit_map(root, data, params)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            expand_hierarchy(tree, root, data, params, executor)
-    else:
-        expand_hierarchy(tree, root, data, params)
+    expand_hierarchy(tree, root, data, params)
     _check_refinement(tree)
     return tree
 
@@ -524,37 +513,20 @@ def leaf_partition(tree: GhsomTree) -> LeafPartition:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(x: float) -> str:
-    """17-significant-digit literal; round-trips any float64."""
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
-def _json_value(obj) -> str:
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_json_value(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}:{_json_value(v)}" for k, v in obj.items())
-        return "{" + ",".join(items) + "}"
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps_stable(obj) -> str:
-    """Serialize to JSON with insertion-ordered keys and 17-digit reals."""
-    return _json_value(obj)
+    """Serialize to compact JSON with insertion-ordered keys.
+
+    Floats are written as Python's shortest repr, which reparses to the
+    same float64; NaN and infinities as ``NaN`` / ``Infinity``. numpy
+    arrays and scalars become lists and plain numbers.
+    """
+    return json.dumps(obj, separators=(",", ":"), default=_json_default)
 
 
 def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import DataMatrix
-from .ghsom import GhsomTree, LeafPartition, SomMap, _fmt
+from .ghsom import GhsomTree, LeafPartition, SomMap
 from .sai import identify_significant
 
 log = logging.getLogger(__name__)
@@ -374,7 +374,7 @@ def render_feature_map(
         parts.append(
             f'<rect x="{_n(node["x"])}" y="{_n(node["y"])}" '
             f'width="{_n(node["width"])}" height="{_n(node["height"])}" '
-            f'fill="{color}" fill-opacity="{_fmt(opacity)}" '
+            f'fill="{color}" fill-opacity="{_n(opacity)}" '
             f'stroke="#222222" stroke-width="{_n(stroke)}"/>'
         )
     for node in nodes:
@@ -474,7 +474,7 @@ def render_distribution_map(
     for n in nodes:
         parts.append(
             f'<circle cx="{_n(n["cx"])}" cy="{_n(n["cy"])}" r="{_n(n["radius"])}" '
-            f'fill="{n["color"]}" fill-opacity="{_fmt(n["opacity"])}" '
+            f'fill="{n["color"]}" fill-opacity="{_n(n["opacity"])}" '
             f'stroke="#222222" stroke-width="0.8">'
             f"<title>{_esc(n['path'])}</title></circle>"
         )

@@ -6,7 +6,7 @@ import pytest
 from ghsomkit.cli import main
 
 OPTION_KEYS = {
-    "input", "labels_column", "out_dir", "seed", "threads", "transpose",
+    "input", "labels_column", "out_dir", "seed", "transpose",
     "log_normalize", "scale_factor", "top_k_variable", "zscore", "tau1",
     "tau2", "lam", "alpha0", "sigma0", "max_depth", "k", "feature",
     "attribute", "target_cluster", "drill_depth", "tau1_list", "tau2_list",
@@ -122,6 +122,19 @@ def test_config_replay_reproduces_bitwise(tmp_path, dataset, clustered):
                 "--out-dir", str(out2)]) == 0
     for name in ("tree.json", "partition.csv"):
         assert (out2 / name).read_bytes() == (clustered / name).read_bytes(), name
+
+
+def test_config_with_removed_threads_key_replays(tmp_path, clustered):
+    # configs written before --threads was removed still hold the key
+    cfg = json.loads((clustered / "config.cluster.json").read_text())
+    cfg["threads"] = 4
+    old_config = tmp_path / "old_config.json"
+    old_config.write_text(json.dumps(cfg))
+    out2 = tmp_path / "replay_old"
+    assert run(["cluster", "--config", str(old_config), "--out-dir", str(out2)]) == 0
+    for name in ("tree.json", "partition.csv"):
+        assert (out2 / name).read_bytes() == (clustered / name).read_bytes(), name
+    assert "threads" not in json.loads((out2 / "config.cluster.json").read_text())
 
 
 def test_sai_command(clustered, capsys):

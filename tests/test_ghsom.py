@@ -57,6 +57,7 @@ def _fresh_map(weights, sample_indices=()):
         dict(alpha0=1.5),
         dict(sigma0=0.0),
         dict(depth_reference="bogus"),
+        dict(rng_seed=-1),
     ],
 )
 def test_params_rejected(kwargs):
@@ -325,12 +326,38 @@ def test_tree_json_roundtrip_bitwise(blob_tree):
 
 
 def test_tree_json_is_plain_json(blob_tree):
-    doc = json.loads(tree_to_json(blob_tree))
+    text = tree_to_json(blob_tree)
+    doc = json.loads(text)
     assert doc["format"] == "ghsom-tree/1"
     assert set(doc) >= {"format", "params", "sample_ids", "attribute_names", "w0", "mqe0", "root"}
     assert doc["root"]["rows"] >= 2 and doc["root"]["cols"] >= 2
-    # 17-significant-digit reals reparse to the exact float
     assert doc["mqe0"] == blob_tree.mqe0
+    assert text == json.dumps(doc, separators=(",", ":"))
+
+
+def _dumps_17g(obj) -> str:
+    """JSON with every float as a 17-significant-digit literal, the
+    spelling of tree documents written by earlier releases."""
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, list):
+        return "[" + ",".join(_dumps_17g(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dumps_17g(v)}" for k, v in obj.items()) + "}"
+    return json.dumps(obj)
+
+
+def test_tree_json_with_17_digit_floats_loads_bitwise(blob_tree):
+    text = tree_to_json(blob_tree)
+    old_text = _dumps_17g(json.loads(text))
+    assert old_text != text
+    back = tree_from_json(old_text)
+    for a, b in zip(blob_tree.iter_maps(), back.iter_maps(), strict=True):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.unit_mqe.tobytes() == b.unit_mqe.tobytes()
+    assert back.w0.tobytes() == blob_tree.w0.tobytes()
+    assert back.mqe0 == blob_tree.mqe0
+    assert tree_to_json(back) == text
 
 
 @settings(max_examples=15, deadline=None)
