@@ -11,6 +11,7 @@ from .ghsom import (
     compute_layer0,
     find_cluster,
     leaf_partition,
+    prune,
     run_ghsom,
     tree_from_json,
     tree_to_json,
@@ -67,6 +68,7 @@ __all__ = [
     "nested_blobs",
     "planted_attributes",
     "preprocess",
+    "prune",
     "render_distribution_map",
     "render_feature_map",
     "run_ghsom",

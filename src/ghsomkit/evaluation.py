@@ -2,9 +2,10 @@
 
 Internal quality uses the Calinski-Harabasz ratio of between- to
 within-cluster dispersion; external quality (when reference labels
-exist) uses the Adjusted Rand Index. ``sweep`` runs the clustering once
-per (tau1, tau2) cell and collects both scores plus tree shape, which is
-how the thresholds get picked in practice.
+exist) uses the Adjusted Rand Index. ``sweep`` scores every (tau1, tau2)
+cell with both plus tree shape, which is how the thresholds get picked in
+practice. It fits one tree per tau1 and derives that row's tau2 cells by
+pruning, because tau2 only decides which units get a child map.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataMatrix
-from .ghsom import GhsomParams, LeafPartition, dumps_stable, leaf_partition, run_ghsom
+from .ghsom import (
+    GhsomParams,
+    GhsomTree,
+    LeafPartition,
+    dumps_stable,
+    leaf_partition,
+    prune,
+    run_ghsom,
+)
 
 log = logging.getLogger(__name__)
 
@@ -144,16 +153,18 @@ class SweepGrid:
         return best
 
 
-def _sweep_cell(
+def _fail(cell: SweepCell, exc: Exception) -> None:
+    log.warning("sweep cell (tau1=%g, tau2=%g) failed: %s", cell.tau1, cell.tau2, exc)
+    cell.error = str(exc)
+
+
+def _score_cell(
+    cell: SweepCell,
+    tree: GhsomTree,
     m: DataMatrix,
-    params: GhsomParams,
-    tau1: float,
-    tau2: float,
     labels: Sequence | None,
-) -> SweepCell:
-    cell = SweepCell(tau1=tau1, tau2=tau2)
+) -> None:
     try:
-        tree = run_ghsom(m, replace(params, tau1=tau1, tau2=tau2))
         part = leaf_partition(tree)
         cell.leaf_count = len(part.cluster_names())
         cell.depth = tree.depth()
@@ -165,9 +176,7 @@ def _sweep_cell(
         if labels is not None:
             cell.ari = ari(part, labels)
     except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
-        log.warning("sweep cell (tau1=%g, tau2=%g) failed: %s", tau1, tau2, exc)
-        cell.error = str(exc)
-    return cell
+        _fail(cell, exc)
 
 
 def sweep(
@@ -178,25 +187,45 @@ def sweep(
     labels: Sequence | None = None,
     threads: int = 1,
 ) -> SweepGrid:
-    """Run the clusterer over every (tau1, tau2) pair and score each cell.
+    """Score every (tau1, tau2) pair, fitting once per tau1.
 
-    All cells share ``params_base`` (including the seed), so each cell is
-    individually reproducible. A failing cell records its error message
-    and the sweep continues. Cells run one after another on the calling
-    thread. ``threads`` is ignored: a thread pool over cells only slowed
-    sweeps down under the interpreter lock. The keyword stays because
-    existing callers, among them the benchmark in ``bench/``, still pass
-    it.
+    All cells share ``params_base`` (including the seed), so each cell
+    holds what a direct ``run_ghsom`` at its thresholds would give. Each
+    tau1 row is fitted once, at its smallest valid tau2, and every cell
+    of the row is scored on that tree pruned to the cell's tau2 (see
+    ``ghsom.prune``). A cell with invalid parameters records its
+    validation error; a row whose fit raises records that error on each
+    of its valid cells; a cell whose scoring raises records its own
+    error. The sweep continues past each of these. ``threads`` is
+    ignored: a thread pool over cells only slowed sweeps down under the
+    interpreter lock. The keyword stays because existing callers, among
+    them the benchmark in ``bench/``, still pass it.
     """
     if not tau1_values or not tau2_values:
         raise ValueError("tau1_values and tau2_values must be non-empty")
     t1s = sorted({float(v) for v in tau1_values}, reverse=True)
     t2s = sorted({float(v) for v in tau2_values}, reverse=True)
-    cells = {
-        (t1, t2): _sweep_cell(m, params_base, t1, t2, labels)
-        for t1 in t1s
-        for t2 in t2s
-    }
+    cells = {}
+    for t1 in t1s:
+        row = []
+        for t2 in t2s:
+            cell = cells[(t1, t2)] = SweepCell(tau1=t1, tau2=t2)
+            try:
+                replace(params_base, tau1=t1, tau2=t2).validate()
+            except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
+                _fail(cell, exc)
+            else:
+                row.append(cell)
+        if not row:
+            continue
+        try:
+            deep = run_ghsom(m, replace(params_base, tau1=t1, tau2=row[-1].tau2))
+        except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
+            for cell in row:
+                _fail(cell, exc)
+            continue
+        for cell in row:
+            _score_cell(cell, prune(deep, cell.tau2), m, labels)
     return SweepGrid(tau1_values=t1s, tau2_values=t2s, cells=cells)
 
 

@@ -15,9 +15,10 @@ e.g. ``0x0-2x1``.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -140,21 +141,34 @@ class SomMap:
             return 0.0
         return float(self.unit_mqe[occupied].sum() / u)
 
-    def unit(self, row: int, col: int) -> Unit:
-        mask = (self.bmu_rows == row) & (self.bmu_cols == col)
+    def _unit(self, row: int, col: int, assigned: np.ndarray) -> Unit:
         return Unit(
             row=row,
             col=col,
             weight=self.weights[row, col],
-            assigned=self.sample_indices[mask],
+            assigned=assigned,
             mqe=float(self.unit_mqe[row, col]),
             child=self.children.get((row, col)),
         )
 
+    def unit(self, row: int, col: int) -> Unit:
+        mask = (self.bmu_rows == row) & (self.bmu_cols == col)
+        return self._unit(row, col, self.sample_indices[mask])
+
     def iter_units(self):
-        for row in range(self.rows):
-            for col in range(self.cols):
-                yield self.unit(row, col)
+        """Yield every unit in row-major order.
+
+        The members of all units come from one stable sort of the routed
+        samples by flat unit index, so each unit's ``assigned`` keeps the
+        order of ``sample_indices``, as a per-unit mask would.
+        """
+        flat = self.bmu_rows * self.cols + self.bmu_cols
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=self.rows * self.cols)
+        members = np.split(self.sample_indices[order], np.cumsum(counts)[:-1])
+        for u, assigned in enumerate(members):
+            row, col = divmod(u, self.cols)
+            yield self._unit(row, col, assigned)
 
     def unit_path(self, row: int, col: int) -> str:
         name = f"{col}x{row}"
@@ -297,24 +311,35 @@ def train_map(
     dim = x_local.shape[1]
     n_units = som.rows * som.cols
     weights = som.weights.reshape(n_units, dim)
-    grid_d2 = _grid_sq_distances(som.rows, som.cols)
+    grid_d2 = _grid_sq_distances(som.rows, som.cols).astype(np.float64)
     sigma0 = params.sigma0 if params.sigma0 is not None else max(som.rows, som.cols) / 2
     rng = _rng(params.rng_seed, som.path, 1 + epoch_base)
 
+    # per-sample scratch buffers, written in place by every update
+    diff = np.empty((n_units, dim))
+    sq = np.empty((n_units, dim))
+    d = np.empty(n_units)
+    h = np.empty(n_units)
+    h_col = h[:, None]
+
     total = params.lam * n
-    t = 0
-    for _ in range(params.lam):
+    for epoch in range(params.lam):
         order = rng.permutation(n)
-        for i in order:
-            frac = 1.0 - t / total
-            alpha = params.alpha0 * frac
-            sigma = max(SIGMA_FLOOR, sigma0 * frac)
-            x = x_local[i]
-            diff = x - weights
-            c = int(np.argmin((diff * diff).sum(axis=1)))
-            h = np.exp(grid_d2[c] * (-0.5 / (sigma * sigma)))
-            weights += (alpha * h)[:, None] * diff
-            t += 1
+        # the schedule of this epoch's n steps, t = epoch * n + step; one
+        # epoch at a time keeps the buffers at n floats, not lam * n
+        frac = 1.0 - np.arange(epoch * n, (epoch + 1) * n) / total
+        alphas = (params.alpha0 * frac).tolist()
+        sigma = np.maximum(SIGMA_FLOOR, sigma0 * frac)
+        coefs = (-0.5 / (sigma * sigma)).tolist()
+        for i, alpha, coef in zip(order.tolist(), alphas, coefs):
+            np.subtract(x_local[i], weights, out=diff)
+            np.multiply(diff, diff, out=sq)
+            np.add.reduce(sq, axis=1, out=d)
+            np.multiply(grid_d2[d.argmin()], coef, out=h)
+            np.exp(h, out=h)
+            np.multiply(h, alpha, out=h)
+            np.multiply(diff, h_col, out=diff)
+            np.add(weights, diff, out=weights)
 
     som.weights = weights.reshape(som.rows, som.cols, dim)
     _assign(som, data)
@@ -404,6 +429,12 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
         insertions += 1
 
 
+def _expansion_threshold(tree: GhsomTree, som: SomMap, params: GhsomParams) -> float:
+    """The error at or above which a unit of ``som`` gets a child map."""
+    reference = tree.mqe0 if params.depth_reference == "global" else som.parent_mqe
+    return params.tau2 * reference
+
+
 def expand_hierarchy(
     tree: GhsomTree,
     som: SomMap,
@@ -421,8 +452,7 @@ def expand_hierarchy(
     """
     if som.depth >= params.max_depth:
         return tree
-    reference = tree.mqe0 if params.depth_reference == "global" else som.parent_mqe
-    threshold = params.tau2 * reference
+    threshold = _expansion_threshold(tree, som, params)
 
     for unit in som.iter_units():
         if unit.mqe >= threshold and unit.mqe > 0 and len(unit.assigned) >= 4:
@@ -471,6 +501,41 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
     expand_hierarchy(tree, root, data, params)
     _check_refinement(tree)
     return tree
+
+
+def prune(tree: GhsomTree, tau2: float) -> GhsomTree:
+    """The tree ``run_ghsom`` fits at a larger ``tau2``, from one fitted
+    at a smaller one with the same other parameters.
+
+    ``tau2`` only decides which units get a child map, and a child map's
+    fit reads neither ``tau2`` nor its siblings: its random streams come
+    from (seed, path). So the larger-``tau2`` tree is this one without
+    the child maps whose unit falls below the new threshold, compared
+    exactly as ``expand_hierarchy`` compares it. The result shares the
+    weight, assignment and error arrays of ``tree``.
+    """
+    params = replace(tree.params, tau2=tau2)
+    params.validate()
+    if tau2 < tree.params.tau2:
+        raise ValueError(
+            f"prune can only raise tau2: {tau2} < fitted tau2 {tree.params.tau2}"
+        )
+
+    return replace(tree, root=_pruned(tree, tree.root, params), params=params)
+
+
+def _pruned(tree: GhsomTree, som: SomMap, params: GhsomParams) -> SomMap:
+    # a module-level function, not a closure: a recursive closure is a
+    # reference cycle that would keep ``tree`` alive until the cyclic
+    # collector runs
+    threshold = _expansion_threshold(tree, som, params)
+    out = copy.copy(som)
+    out.children = {
+        key: _pruned(tree, child, params)
+        for key, child in som.children.items()
+        if som.unit_mqe[key] >= threshold
+    }
+    return out
 
 
 def _check_refinement(tree: GhsomTree) -> None:

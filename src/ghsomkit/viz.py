@@ -302,6 +302,19 @@ class _FeatureComputer:
 # ---------------------------------------------------------------------------
 # renderers
 
+EMPTY_PATHS_SHOWN = 5
+
+
+def _warn_empty(what: str, paths: list[str]) -> None:
+    """One warning for all the empty units a render drops: a capped map
+    can hold hundreds, and a line each would bury every other warning."""
+    if paths:
+        shown = ", ".join(paths[:EMPTY_PATHS_SHOWN])
+        more = ", ..." if len(paths) > EMPTY_PATHS_SHOWN else ""
+        log.warning("%s: dropping empty clusters, %d in all: %s%s",
+                    what, len(paths), shown, more)
+
+
 def render_feature_map(
     tree: GhsomTree,
     partition: LeafPartition,
@@ -319,13 +332,14 @@ def render_feature_map(
     feature = _FeatureComputer(partition, m, spec)
     plot = (float(MARGIN), float(MARGIN), float(PLOT_SIZE), float(PLOT_SIZE))
     nodes: list[dict] = []
+    empty: list[str] = []
 
     def place(som: SomMap, rect, depth: int):
         units = []
         for unit in som.iter_units():
             path = som.unit_path(unit.row, unit.col)
             if len(unit.assigned) == 0:
-                log.warning("feature map: dropping empty cluster %s", path)
+                empty.append(path)
                 continue
             units.append((unit, path))
         units.sort(key=lambda up: (-len(up[0].assigned), up[1]))
@@ -350,6 +364,7 @@ def render_feature_map(
                 place(unit.child, r, depth + 1)
 
     place(tree.root, plot, 1)
+    _warn_empty("feature map", empty)
 
     width = MARGIN + PLOT_SIZE + MARGIN + LEGEND_WIDTH + MARGIN
     height = MARGIN + PLOT_SIZE + MARGIN
@@ -423,10 +438,11 @@ def render_distribution_map(
     sizes = partition.sizes()
 
     nodes: list[dict] = []
+    empty: list[str] = []
     for coord in coords:
         count = sizes.get(coord.cluster, 0)
         if count == 0:
-            log.warning("distribution map: dropping empty cluster %s", coord.cluster)
+            empty.append(coord.cluster)
             continue
         indices = partition.members(coord.cluster)
         node = {
@@ -443,6 +459,7 @@ def render_distribution_map(
             node["value"] = feature.value(indices)
             node["opacity"] = 1.0
         nodes.append(node)
+    _warn_empty("distribution map", empty)
 
     max_count = max((n["count"] for n in nodes), default=1)
     r_max = 0.07 * PLOT_SIZE

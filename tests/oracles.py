@@ -133,3 +133,51 @@ def label_vectors_up_to(n, max_parts):
 
     extend([0], 1)
     return out
+
+
+def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=None):
+    """Reference online SOM trainer: one growth cycle, then assignment.
+
+    The per-sample loop the package trained with before its in-place
+    buffers and per-epoch schedule: ``lam`` epochs over a seeded
+    permutation, ``w += alpha(t) * h(t) * (x - w)`` with a Gaussian
+    neighborhood, alpha and sigma decaying linearly over the cycle and
+    sigma floored at 0.5. The random stream is derived the way the
+    package derives it, from (seed, stream, path). Returns the trained
+    (rows, cols, dim) weights and the (rows, cols) per-unit mean
+    quantization errors of the samples' best-matching units.
+    """
+    import numpy as np
+    from scipy.spatial.distance import cdist
+
+    rows, cols, dim = weights.shape
+    n = len(x_local)
+    w = weights.reshape(rows * cols, dim).copy()
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    grid_d2 = (r[:, None] - r[None, :]) ** 2 + (c[:, None] - c[None, :]) ** 2
+    if sigma0 is None:
+        sigma0 = max(rows, cols) / 2
+    entropy = [int(seed), int(stream), *path.encode("utf-8")]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+
+    total = lam * n
+    t = 0
+    for _ in range(lam):
+        order = rng.permutation(n)
+        for i in order:
+            frac = 1.0 - t / total
+            alpha = alpha0 * frac
+            sigma = max(0.5, sigma0 * frac)
+            x = x_local[i]
+            diff = x - w
+            best = int(np.argmin((diff * diff).sum(axis=1)))
+            h = np.exp(grid_d2[best] * (-0.5 / (sigma * sigma)))
+            w += (alpha * h)[:, None] * diff
+            t += 1
+
+    d = cdist(x_local, w)
+    best = d.argmin(axis=1)
+    unit_mqe = np.zeros(rows * cols)
+    for u in np.unique(best):
+        unit_mqe[u] = d[best == u, u].mean()
+    return w.reshape(rows, cols, dim), unit_mqe.reshape(rows, cols)

@@ -1,6 +1,7 @@
 import csv
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from ghsomkit import (
     ari,
     ch_index,
     gaussian_blobs,
+    leaf_partition,
+    run_ghsom,
     sweep,
 )
-from ghsomkit.evaluation import save_sweep_summary, sweep_summary, sweep_to_csv
+from ghsomkit.evaluation import SweepCell, save_sweep_summary, sweep_summary, sweep_to_csv
 from oracles import ari_contingency, ari_pair_counting, ch_naive
 
 
@@ -218,6 +221,46 @@ def test_sweep_isolates_failing_cells(sweep_inputs, monkeypatch):
     summary = sweep_summary(grid)
     assert summary["n_failed"] == 1
     assert summary["best_by_ch"]["tau1"] == 0.3
+
+
+def test_sweep_invalid_tau2_fails_only_its_cells(sweep_inputs):
+    m, params = sweep_inputs
+    grid = sweep(m, params, [0.3, 0.1], [0.0, 0.2], labels=m.labels)
+    for t1 in (0.3, 0.1):
+        bad = grid.cell(t1, 0.0)
+        assert bad.error == "tau2 must be in (0, 1]"
+        assert bad.leaf_count is None and bad.ch is None
+        tree = run_ghsom(m, replace(params, tau1=t1, tau2=0.2))
+        part = leaf_partition(tree)
+        assert grid.cell(t1, 0.2) == SweepCell(
+            tau1=t1,
+            tau2=0.2,
+            ch=ch_index(part, m),
+            ari=ari(part, m.labels),
+            leaf_count=len(part.cluster_names()),
+            depth=tree.depth(),
+            total_units=tree.total_units(),
+        )
+
+
+def test_sweep_fits_once_per_tau1(sweep_inputs, monkeypatch):
+    m, params = sweep_inputs
+    import ghsomkit.evaluation as ev
+
+    real = ev.run_ghsom
+    fitted = []
+
+    def counting(matrix, p, threads=1):
+        fitted.append((p.tau1, p.tau2))
+        if p.tau1 == 0.1:
+            raise RuntimeError("boom")
+        return real(matrix, p, threads=threads)
+
+    monkeypatch.setattr(ev, "run_ghsom", counting)
+    grid = sweep(m, params, [0.3, 0.1], [0.5, 0.2, 0.1], labels=m.labels)
+    assert fitted == [(0.3, 0.1), (0.1, 0.1)]
+    assert [grid.cell(0.1, t2).error for t2 in (0.5, 0.2, 0.1)] == ["boom"] * 3
+    assert all(grid.cell(0.3, t2).error is None for t2 in (0.5, 0.2, 0.1))
 
 
 def test_sweep_rejects_empty_axes(sweep_inputs):

@@ -1,5 +1,8 @@
+import gc
 import json
 import logging
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from ghsomkit import (
     gaussian_blobs,
     leaf_partition,
     nested_blobs,
+    prune,
     run_ghsom,
     tree_from_json,
     tree_to_json,
@@ -24,6 +28,7 @@ from ghsomkit.ghsom import (
     grow_horizontal,
     train_map,
 )
+from oracles import train_map_online
 
 
 def _random_matrix(n, dim, seed):
@@ -147,6 +152,50 @@ def test_train_deterministic():
     assert runs[0] == runs[1]
 
 
+def _capped_noise_map():
+    """Root map of pure noise grown to the unit cap (>= 4 units/sample)."""
+    m = _random_matrix(8, 2, seed=6)
+    tree = run_ghsom(m, GhsomParams(tau1=1e-9, tau2=0.99, lam=2, rng_seed=0))
+    assert tree.root.rows * tree.root.cols >= 4 * 8
+    return tree.root, m
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["square", "wide", "capped_noise", "alpha_zero", "sigma0_epoch_base", "subset"],
+)
+def test_train_matches_online_oracle_bitwise(case):
+    rng = np.random.default_rng(12)
+    m = _random_matrix(40, 3, seed=8)
+    weights = rng.normal(size=(2, 2, 3))
+    indices = np.arange(40)
+    params = GhsomParams(lam=6, rng_seed=4)
+    epoch_base = 0
+    path = ""
+    if case == "wide":
+        weights = rng.normal(size=(3, 5, 3))
+    elif case == "capped_noise":
+        root, m = _capped_noise_map()
+        weights, indices = root.weights.copy(), root.sample_indices
+    elif case == "alpha_zero":
+        params = GhsomParams(lam=3, alpha0=0.0, rng_seed=4)
+    elif case == "sigma0_epoch_base":
+        params = GhsomParams(lam=5, alpha0=0.9, sigma0=1.3, rng_seed=4)
+        epoch_base, path = 10, "1x0"
+    elif case == "subset":
+        indices = np.arange(3, 40, 3)
+        path = "0x1-2x0"
+    want_w, want_mqe = train_map_online(
+        weights, m.values[indices], params.rng_seed, path, 1 + epoch_base,
+        params.lam, params.alpha0, params.sigma0,
+    )
+    rows, cols = weights.shape[:2]
+    som = SomMap(rows, cols, weights.copy(), 1.0, 1, path, indices)
+    train_map(som, m.values, params, epoch_base)
+    assert som.weights.tobytes() == want_w.tobytes()
+    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+
+
 # ---------------------------------------------------------------- growth
 
 
@@ -261,6 +310,25 @@ def test_find_cluster_internal_unit_unions_leaves(nested_tree):
         np.testing.assert_array_equal(got, expect)
 
 
+def test_iter_units_members_match_mask_scan(blob_tree):
+    capped, _ = _capped_noise_map()
+    trees = [blob_tree, tree_from_json(tree_to_json(blob_tree))]
+    maps = [som for tree in trees for som in tree.iter_maps()] + [capped]
+    empty = 0
+    for som in maps:
+        units = list(som.iter_units())
+        assert [(u.row, u.col) for u in units] == [
+            (r, c) for r in range(som.rows) for c in range(som.cols)
+        ]
+        for u in units:
+            mask = (som.bmu_rows == u.row) & (som.bmu_cols == u.col)
+            want = som.sample_indices[mask]
+            assert u.assigned.dtype == want.dtype
+            np.testing.assert_array_equal(u.assigned, want)
+            empty += len(want) == 0
+    assert empty > 0, "the capped map must have empty units"
+
+
 def test_find_cluster_unknown_lists_valid(blob_tree):
     with pytest.raises(KeyError, match="valid clusters"):
         find_cluster(blob_tree, "9x9-bogus")
@@ -311,6 +379,53 @@ def test_empty_units_do_not_enter_map_mqe():
     som.bmu_cols = np.array([0, 1])
     som.unit_mqe = np.array([[2.0, 4.0], [99.0, 99.0]])  # bottom units unoccupied
     assert som.mqe == 3.0
+
+
+# ---------------------------------------------------------------- pruning
+
+
+@pytest.mark.parametrize("depth_reference", ["global", "parent"])
+@pytest.mark.parametrize("max_depth", [10, 2])
+@pytest.mark.parametrize("tau1", [0.6, 0.3])
+def test_prune_equals_direct_fit_bytewise(nested_matrix, depth_reference, max_depth, tau1):
+    base = GhsomParams(tau1=tau1, lam=5, rng_seed=2, max_depth=max_depth,
+                       depth_reference=depth_reference)
+    deep = run_ghsom(nested_matrix, replace(base, tau2=0.05))
+    deep_text = tree_to_json(deep)
+    removed = 0
+    for tau2 in (0.05, 0.1, 0.2, 0.5):
+        direct = run_ghsom(nested_matrix, replace(base, tau2=tau2))
+        pruned = prune(deep, tau2)
+        assert tree_to_json(pruned) == tree_to_json(direct)
+        assert pruned.params == direct.params
+        removed = max(removed, len(list(deep.iter_maps())) - len(list(pruned.iter_maps())))
+    assert tree_to_json(deep) == deep_text, "prune must not change its input"
+    assert removed > 0, "some tau2 must remove child maps"
+
+
+@pytest.mark.parametrize("tau2", [0.0, -0.1, 1.5])
+def test_prune_rejects_tau2_out_of_range(blob_tree, tau2):
+    with pytest.raises(ValueError, match=r"tau2 must be in \(0, 1\]"):
+        prune(blob_tree, tau2)
+
+
+def test_prune_leaves_no_reference_cycle(blob_tree):
+    # a sweep prunes one deep tree per tau1 row; a cycle through the
+    # result would keep every row's deep tree alive until a collection
+    gc.disable()
+    try:
+        tree = tree_from_json(tree_to_json(blob_tree))
+        ref = weakref.ref(tree)
+        pruned = prune(tree, 0.5)
+        del tree, pruned
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_prune_rejects_tau2_below_fitted(blob_tree):
+    with pytest.raises(ValueError, match="can only raise tau2"):
+        prune(blob_tree, blob_tree.params.tau2 / 2)
 
 
 # ---------------------------------------------------------------- serialization

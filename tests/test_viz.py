@@ -308,7 +308,9 @@ def test_renders_are_valid_xml(worked):
         ET.fromstring(svg_d)
 
 
-def _tree_with_empty_unit():
+def _tree_with_empty_unit(rows=2, cols=2):
+    """Nine samples on the first three units of a rows x cols root map;
+    every other unit is empty."""
     rng = np.random.default_rng(0)
     n = 9
     values = rng.normal(size=(n, 2))
@@ -319,10 +321,10 @@ def _tree_with_empty_unit():
         labels=["u"] * n,
         label_name="lab",
     )
-    som = SomMap(2, 2, rng.normal(size=(2, 2, 2)), 1.0, 1, "", np.arange(n))
+    som = SomMap(rows, cols, rng.normal(size=(rows, cols, 2)), 1.0, 1, "", np.arange(n))
     som.bmu_rows = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1], dtype=np.intp)
     som.bmu_cols = np.array([0, 0, 0, 1, 1, 1, 0, 0, 0], dtype=np.intp)
-    som.unit_mqe = np.zeros((2, 2))
+    som.unit_mqe = np.zeros((rows, cols))
     tree = GhsomTree(
         w0=values.mean(axis=0),
         mqe0=1.0,
@@ -345,6 +347,23 @@ def test_empty_units_dropped_with_warning(caplog):
     assert len(geom_f["nodes"]) == 3
     assert len(geom_d["nodes"]) == 3
     assert sum("dropping empty cluster" in r.message for r in caplog.records) == 2
+
+
+def test_many_empty_units_one_warning_per_render(caplog):
+    import logging
+
+    tree, m = _tree_with_empty_unit(rows=4, cols=5)  # 17 empty units
+    part = leaf_partition(tree)
+    for render in (render_feature_map, render_distribution_map):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ghsomkit.viz"):
+            _, geom = render(tree, part, m, FeatureSpec(kind="mean"))
+        assert len(geom["nodes"]) == 3
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "dropping empty cluster" in message
+        assert "17 in all" in message
+        assert message.endswith(", ...")
 
 
 # ---------------------------------------------------------------- distribution map
