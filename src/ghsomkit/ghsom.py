@@ -21,8 +21,8 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from . import _kernel
 from .data import DataMatrix
 
 log = logging.getLogger(__name__)
@@ -34,6 +34,9 @@ SIGMA_FLOOR = 0.5
 # keep the quantization error above any threshold forever)
 MAX_UNITS_PER_SAMPLE = 4
 MAX_INSERTIONS = 64
+# training steps per kernel call are sized so that a call's table of
+# neighbourhood weights holds about this many floats
+TABLE_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -270,23 +273,24 @@ def best_matching_unit(som: SomMap, x: np.ndarray) -> tuple[int, int]:
     return divmod(best, som.cols)
 
 
-def _grid_sq_distances(rows: int, cols: int) -> np.ndarray:
-    """(units, units) matrix of squared grid distances, row-major."""
-    r, c = np.divmod(np.arange(rows * cols), cols)
-    return (r[:, None] - r[None, :]) ** 2 + (c[:, None] - c[None, :]) ** 2
-
-
 def _assign(som: SomMap, data: np.ndarray) -> None:
-    """Recompute BMU assignments and per-unit mqe for the routed samples."""
-    x = data[som.sample_indices]
-    flat = som.weights.reshape(-1, som.weights.shape[-1])
-    d = cdist(x, flat)
-    best = d.argmin(axis=1)
+    """Recompute BMU assignments and per-unit mqe for the routed samples.
+
+    A unit's mqe is the mean of its samples' distances taken in routed
+    order; one stable sort by unit gathers them for every unit.
+    """
+    n_units = som.rows * som.cols
+    x = np.ascontiguousarray(data[som.sample_indices], dtype=np.float64)
+    flat = np.ascontiguousarray(som.weights.reshape(n_units, -1), dtype=np.float64)
+    d, best = _kernel.nearest(x, flat)
     som.bmu_rows, som.bmu_cols = np.divmod(best.astype(np.intp), som.cols)
-    som.unit_mqe = np.zeros((som.rows, som.cols))
-    for u in np.unique(best):
-        row, col = divmod(int(u), som.cols)
-        som.unit_mqe[row, col] = d[best == u, u].mean()
+    counts = np.bincount(best, minlength=n_units)
+    ends = np.cumsum(counts)
+    d_by_unit = d[np.argsort(best, kind="stable")]
+    unit_mqe = np.zeros(n_units)
+    for u in np.flatnonzero(counts):
+        unit_mqe[u] = d_by_unit[ends[u] - counts[u]:ends[u]].mean()
+    som.unit_mqe = unit_mqe.reshape(som.rows, som.cols)
 
 
 def train_map(
@@ -303,43 +307,40 @@ def train_map(
     grid distance. Both the learning rate and the neighborhood radius
     decay linearly over the cycle; the radius is floored at 0.5.
     Assignments and per-unit errors are recomputed afterwards.
+
+    The permutations, the schedule and the neighborhood's ``exp`` run
+    in numpy, as a table of ``alpha(t) * h`` per step and distinct
+    squared grid distance. The compiled kernel applies the per-sample
+    updates with the float operations of numpy's ``w + (x - w) * h`` in
+    the same order, so the weights match a per-sample numpy loop bit for
+    bit.
     """
     n = len(som.sample_indices)
     if n == 0:
         raise ValueError("train_map needs at least one routed sample")
-    x_local = data[som.sample_indices]
+    x_local = np.ascontiguousarray(data[som.sample_indices], dtype=np.float64)
     dim = x_local.shape[1]
-    n_units = som.rows * som.cols
-    weights = som.weights.reshape(n_units, dim)
-    grid_d2 = _grid_sq_distances(som.rows, som.cols).astype(np.float64)
+    weights = np.ascontiguousarray(som.weights, dtype=np.float64).reshape(-1, dim)
     sigma0 = params.sigma0 if params.sigma0 is not None else max(som.rows, som.cols) / 2
     rng = _rng(params.rng_seed, som.path, 1 + epoch_base)
+    order = np.concatenate([rng.permutation(n) for _ in range(params.lam)])
 
-    # per-sample scratch buffers, written in place by every update
-    diff = np.empty((n_units, dim))
-    sq = np.empty((n_units, dim))
-    d = np.empty(n_units)
-    h = np.empty(n_units)
-    h_col = h[:, None]
+    # every squared grid distance on the map, and its column in the table
+    distinct = np.unique(np.add.outer(np.arange(som.rows) ** 2, np.arange(som.cols) ** 2))
+    slot = np.zeros(distinct[-1] + 1, dtype=np.int64)
+    slot[distinct] = np.arange(len(distinct))
+    distinct = distinct.astype(np.float64)
 
     total = params.lam * n
-    for epoch in range(params.lam):
-        order = rng.permutation(n)
-        # the schedule of this epoch's n steps, t = epoch * n + step; one
-        # epoch at a time keeps the buffers at n floats, not lam * n
-        frac = 1.0 - np.arange(epoch * n, (epoch + 1) * n) / total
-        alphas = (params.alpha0 * frac).tolist()
+    block = max(1, TABLE_FLOATS // len(distinct))
+    for start in range(0, total, block):
+        t = np.arange(start, min(start + block, total))
+        frac = 1.0 - t / total
+        alpha = params.alpha0 * frac
         sigma = np.maximum(SIGMA_FLOOR, sigma0 * frac)
-        coefs = (-0.5 / (sigma * sigma)).tolist()
-        for i, alpha, coef in zip(order.tolist(), alphas, coefs):
-            np.subtract(x_local[i], weights, out=diff)
-            np.multiply(diff, diff, out=sq)
-            np.add.reduce(sq, axis=1, out=d)
-            np.multiply(grid_d2[d.argmin()], coef, out=h)
-            np.exp(h, out=h)
-            np.multiply(h, alpha, out=h)
-            np.multiply(diff, h_col, out=diff)
-            np.add(weights, diff, out=weights)
+        coef = -0.5 / (sigma * sigma)
+        table = np.exp(np.multiply.outer(coef, distinct)) * alpha[:, None]
+        _kernel.train_steps(weights, som.cols, x_local, order[start:start + len(t)], table, slot)
 
     som.weights = weights.reshape(som.rows, som.cols, dim)
     _assign(som, data)

@@ -315,6 +315,43 @@ def _warn_empty(what: str, paths: list[str]) -> None:
                     what, len(paths), shown, more)
 
 
+def _place(som: SomMap, rect, depth: int, drill_depth: int | None,
+           feature: _FeatureComputer, nodes: list[dict], empty: list[str]) -> None:
+    """Lay out the occupied units of ``som`` in ``rect``, appending a node
+    per unit to ``nodes`` and the path of each empty unit to ``empty``,
+    and recurse into the child maps that are drilled into."""
+    # a module-level function, not a closure: a recursive closure is a
+    # reference cycle that would keep ``feature`` alive until the cyclic
+    # collector runs
+    units = []
+    for unit in som.iter_units():
+        path = som.unit_path(unit.row, unit.col)
+        if len(unit.assigned) == 0:
+            empty.append(path)
+            continue
+        units.append((unit, path))
+    units.sort(key=lambda up: (-len(up[0].assigned), up[1]))
+    rects = squarify([float(len(u.assigned)) for u, _ in units], rect)
+    for (unit, path), r in zip(units, rects):
+        drill = unit.child is not None and (drill_depth is None or depth < drill_depth)
+        node = {
+            "path": path,
+            "depth": depth,
+            "x": r[0], "y": r[1], "width": r[2], "height": r[3],
+            "count": len(unit.assigned),
+            "leaf": not drill,
+        }
+        if feature.spec.kind == "label":
+            label, purity = feature.majority(unit.assigned)
+            node["label"] = label
+            node["purity"] = purity
+        else:
+            node["value"] = feature.value(unit.assigned)
+        nodes.append(node)
+        if drill:
+            _place(unit.child, r, depth + 1, drill_depth, feature, nodes, empty)
+
+
 def render_feature_map(
     tree: GhsomTree,
     partition: LeafPartition,
@@ -334,36 +371,7 @@ def render_feature_map(
     nodes: list[dict] = []
     empty: list[str] = []
 
-    def place(som: SomMap, rect, depth: int):
-        units = []
-        for unit in som.iter_units():
-            path = som.unit_path(unit.row, unit.col)
-            if len(unit.assigned) == 0:
-                empty.append(path)
-                continue
-            units.append((unit, path))
-        units.sort(key=lambda up: (-len(up[0].assigned), up[1]))
-        rects = squarify([float(len(u.assigned)) for u, _ in units], rect)
-        for (unit, path), r in zip(units, rects):
-            drill = unit.child is not None and (drill_depth is None or depth < drill_depth)
-            node = {
-                "path": path,
-                "depth": depth,
-                "x": r[0], "y": r[1], "width": r[2], "height": r[3],
-                "count": len(unit.assigned),
-                "leaf": not drill,
-            }
-            if spec.kind == "label":
-                label, purity = feature.majority(unit.assigned)
-                node["label"] = label
-                node["purity"] = purity
-            else:
-                node["value"] = feature.value(unit.assigned)
-            nodes.append(node)
-            if drill:
-                place(unit.child, r, depth + 1)
-
-    place(tree.root, plot, 1)
+    _place(tree.root, plot, 1, drill_depth, feature, nodes, empty)
     _warn_empty("feature map", empty)
 
     width = MARGIN + PLOT_SIZE + MARGIN + LEGEND_WIDTH + MARGIN

@@ -1,13 +1,20 @@
+import ctypes
 import gc
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from ghsomkit import (
     DataMatrix,
@@ -22,7 +29,9 @@ from ghsomkit import (
     tree_from_json,
     tree_to_json,
 )
+from ghsomkit import _kernel
 from ghsomkit.ghsom import (
+    TABLE_FLOATS,
     SomMap,
     best_matching_unit,
     grow_horizontal,
@@ -194,6 +203,112 @@ def test_train_matches_online_oracle_bitwise(case):
     train_map(som, m.values, params, epoch_base)
     assert som.weights.tobytes() == want_w.tobytes()
     assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim, rows, cols, n, lam",
+    [
+        # 58 distinct grid distances: the cycle spans three kernel calls
+        (3, 9, 11, 60, 40),
+        # rows of 130 floats take the recursive branch of the pairwise sum
+        (130, 3, 4, 30, 4),
+    ],
+)
+def test_train_matches_online_oracle_bitwise_across_dims(dim, rows, cols, n, lam):
+    rng = np.random.default_rng(dim)
+    m = _random_matrix(n, dim, seed=dim)
+    weights = rng.normal(size=(rows, cols, dim))
+    params = GhsomParams(lam=lam, rng_seed=2)
+    if dim == 3:
+        distinct = np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))
+        assert lam * n > 2 * (TABLE_FLOATS // len(distinct))
+    want_w, want_mqe = train_map_online(
+        weights, m.values, params.rng_seed, "", 1, params.lam, params.alpha0,
+    )
+    som = SomMap(rows, cols, weights.copy(), 1.0, 1, "", np.arange(n))
+    train_map(som, m.values, params)
+    assert som.weights.tobytes() == want_w.tobytes()
+    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+
+
+@pytest.mark.parametrize("dim", [*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 1000])
+def test_kernel_bmu_follows_numpy_pairwise_sum(dim):
+    # every unit holds the same coordinates in another order, so the
+    # squared distances to x = 0 are equal up to summation rounding, and
+    # only numpy's summation order picks numpy's best-matching unit
+    rng = np.random.default_rng(dim)
+    units = 16
+    x = np.zeros((1, dim))
+    table = np.zeros((1, units))  # h = 1 at the BMU, 0 elsewhere
+    table[0, 0] = 1.0
+    slot = np.zeros((units - 1) ** 2 + 1, dtype=np.int64)
+    slot[np.arange(units) ** 2] = np.arange(units)
+    picks = set()
+    for _ in range(20):
+        a = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, size=dim)
+        w = np.stack([rng.permutation(a) for _ in range(units)])
+        diff = x - w
+        want = int(np.add.reduce(diff * diff, axis=1).argmin())
+        _kernel.train_steps(w, units, x, np.zeros(1, dtype=np.int64), table, slot)
+        moved = np.flatnonzero((w == 0.0).all(axis=1))
+        assert moved.tolist() == [want]
+        picks.add(want)
+    if dim >= 3:
+        assert len(picks) > 1  # the sums did differ in their rounding
+
+
+@pytest.mark.parametrize("dim", [*range(1, 18), 127, 128, 129, 2000])
+def test_kernel_nearest_matches_cdist_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    w = rng.normal(size=(7, dim))
+    w[4] = w[1]  # a duplicated unit: samples near it must pick index 1
+    x = np.concatenate([rng.normal(size=(25, dim)), w[[1, 4, 0]], w[[1, 2]] + 1e-3])
+    d = cdist(x, w)
+    dist, index = _kernel.nearest(x, w)
+    assert index.tolist() == d.argmin(axis=1).tolist()
+    assert dist.tobytes() == d[np.arange(len(x)), index].tobytes()
+    assert 4 not in index.tolist()
+
+
+def test_kernel_nearest_nan_and_ties_follow_argmin():
+    w = np.array([[0.0], [np.nan], [0.0], [np.nan]])
+    x = np.array([[0.0], [1.0]])
+    d = cdist(x, w)
+    dist, index = _kernel.nearest(x, w)
+    assert index.tolist() == d.argmin(axis=1).tolist() == [1, 1]
+    assert np.isnan(dist).all()
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package's only scipy use was cdist; importing scipy.spatial
+    # cost every import of ghsomkit about half a second
+    path = [str(Path(_kernel.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, ghsomkit; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+    assert done.stdout.strip() == "False"
+
+
+def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = _kernel.build()
+    assert path.parent == tmp_path / "ghsomkit"
+    assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    lib = ctypes.CDLL(str(path))
+    assert lib.train_steps and lib.nearest
+    built = path.stat().st_mtime_ns
+    assert _kernel.build() == path
+    assert path.stat().st_mtime_ns == built
+
+
+def test_kernel_build_failure_raises_import_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-fno-such-flag"))
+    with pytest.raises(ImportError, match="-fno-such-flag"):
+        _kernel.build()
+    assert list((tmp_path / "ghsomkit").iterdir()) == []
 
 
 # ---------------------------------------------------------------- growth

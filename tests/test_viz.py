@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from ghsomkit import (
     render_feature_map,
     squarify,
 )
+from ghsomkit import viz
 from ghsomkit.ghsom import SomMap
 from ghsomkit.viz import MARGIN, PLOT_SIZE
 from helpers import WORKED_LEAF_LABELS, majority_and_purity, worked_example_tree
@@ -221,6 +224,29 @@ def test_feature_map_byte_identical(worked):
     svg2, geom2 = render_feature_map(tree, part, m, spec)
     assert svg1 == svg2
     assert geom1 == geom2
+
+
+@pytest.mark.parametrize("render", [render_feature_map, render_distribution_map])
+def test_render_leaves_no_reference_cycle(worked, monkeypatch, render):
+    # a cycle through the render's feature computer would keep the data
+    # matrix and partition it holds alive until a collection
+    made = []
+
+    class Recorded(viz._FeatureComputer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(viz, "_FeatureComputer", Recorded)
+    tree, m = worked
+    part = leaf_partition(tree)
+    gc.disable()
+    try:
+        render(tree, part, m, FeatureSpec(kind="mean"))
+        assert len(made) == 1
+        assert made[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_feature_map_label_purity_exact(worked):
