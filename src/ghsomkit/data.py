@@ -5,6 +5,13 @@ column holds sample ids, every other column (except an optional label
 column) holds real-valued attribute measurements. ``save_csv`` mirrors
 ``load_csv`` exactly, so a load/save round trip preserves every cell
 bit-for-bit.
+
+``load_csv`` parses an unquoted, rectangular file of finite numbers (LF
+or CRLF line ends) in one ``np.loadtxt`` pass over the attribute columns.
+Every other file (quoted fields, blank lines, spellings only ``float()``
+accepts, non-finite or malformed cells) goes through the per-cell
+``csv`` parser. Both give the same matrix bit for bit, and only the
+per-cell parser raises, so error messages do not depend on the path.
 """
 
 from __future__ import annotations
@@ -110,6 +117,20 @@ def load_csv(
 ) -> DataMatrix:
     """Load a sample x attribute CSV.
 
+    A plain file is parsed in one vectorized pass: ids and labels are cut
+    from each line, and ``np.loadtxt`` parses the attribute columns with
+    the same correctly rounded conversion ``float()`` uses. That pass is
+    taken only when its result is exactly what the per-cell ``csv`` parser
+    returns: valid UTF-8 with no quote, NUL or ASCII separator
+    (0x1C-0x1F) character, no carriage return outside a CRLF line end, no
+    field longer than ``csv.field_size_limit()``, every row as wide as the
+    header, unique ids and attribute names, an existing label column, and
+    every cell a finite number that ``np.loadtxt`` accepts. Any other
+    input (quoted fields, lone carriage returns, blank lines, ``1_0`` or
+    non-ASCII digits, NaN, a malformed row) goes through the per-cell
+    parser, which alone produces the errors, so messages and their
+    precedence do not depend on the path.
+
     Parameters
     ----------
     path : str or Path
@@ -125,6 +146,88 @@ def load_csv(
     DataMatrix
         Rows in file order, label column split out of ``values``.
     """
+    m = _load_numeric_block(path, has_labels, label_column)
+    if m is None:
+        m = _load_cells(path, has_labels, label_column)
+    return m
+
+
+# characters the csv module treats specially (quotes, NUL), and the ASCII
+# separators np.loadtxt strips as whitespace where float() fails
+_CELLWISE_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
+    """``load_csv`` in one ``np.loadtxt`` pass, or None outside the inputs
+    where that pass is exactly the per-cell parser."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if any(c in text for c in _CELLWISE_CHARS):
+        return None
+    # csv ends a record at "\r\n" as at "\n" (save_csv writes "\r\n"); a
+    # lone "\r" is left to the per-cell parser
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    # without quotes, a csv record is one line split at its commas
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(lines) < 2 or any(
+        len(line) > limit and max(map(len, line.split(","))) > limit for line in lines
+    ):
+        return None
+    header = lines[0].split(",")
+    columns = header[1:]
+    body = lines[1:]
+    if not columns or any(line.count(",") != len(columns) for line in body):
+        return None
+
+    label_idx = None
+    if has_labels or label_column is not None:
+        if label_column is None:
+            label_column = columns[-1]
+        if label_column not in columns:
+            return None
+        label_idx = columns.index(label_column)
+    usecols = [i + 1 for i in range(len(columns)) if i != label_idx]
+    attribute_names = [header[i] for i in usecols]
+    if not usecols or len(set(attribute_names)) != len(attribute_names):
+        return None
+
+    sample_ids = [line.partition(",")[0] for line in body]
+    if len(set(sample_ids)) != len(sample_ids):
+        return None
+    labels = None
+    if label_idx == len(columns) - 1:
+        labels = [line.rpartition(",")[2] for line in body]
+    elif label_idx is not None:
+        labels = [line.split(",")[label_idx + 1] for line in body]
+    try:
+        values = np.loadtxt(body, delimiter=",", usecols=usecols, comments=None,
+                            dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(body), len(usecols)) or not np.isfinite(values).all():
+        return None
+    return DataMatrix(
+        values=values,
+        sample_ids=sample_ids,
+        attribute_names=attribute_names,
+        labels=labels,
+        label_name=label_column,
+    )
+
+
+def _load_cells(path, has_labels, label_column) -> DataMatrix:
+    """``load_csv`` by ``csv.reader`` and one ``float()`` per cell: the
+    exact fallback, and the only source of ``load_csv``'s errors."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -203,11 +306,13 @@ def save_csv(m: DataMatrix, path) -> None:
         if m.labels is not None:
             header.append(m.label_name or "label")
         writer.writerow(header)
-        for i, sid in enumerate(m.sample_ids):
-            row = [sid] + [repr(float(v)) for v in m.values[i]]
-            if m.labels is not None:
-                row.append(m.labels[i])
-            writer.writerow(row)
+        # csv writes a float as its repr, the shortest round-tripping text
+        if m.labels is None:
+            for sid, row in zip(m.sample_ids, m.values):
+                writer.writerow([sid, *row.tolist()])
+        else:
+            for sid, row, label in zip(m.sample_ids, m.values, m.labels):
+                writer.writerow([sid, *row.tolist(), label])
 
 
 def transpose(m: DataMatrix) -> DataMatrix:

@@ -144,20 +144,6 @@ class SomMap:
             return 0.0
         return float(self.unit_mqe[occupied].sum() / u)
 
-    def _unit(self, row: int, col: int, assigned: np.ndarray) -> Unit:
-        return Unit(
-            row=row,
-            col=col,
-            weight=self.weights[row, col],
-            assigned=assigned,
-            mqe=float(self.unit_mqe[row, col]),
-            child=self.children.get((row, col)),
-        )
-
-    def unit(self, row: int, col: int) -> Unit:
-        mask = (self.bmu_rows == row) & (self.bmu_cols == col)
-        return self._unit(row, col, self.sample_indices[mask])
-
     def iter_units(self):
         """Yield every unit in row-major order.
 
@@ -171,7 +157,14 @@ class SomMap:
         members = np.split(self.sample_indices[order], np.cumsum(counts)[:-1])
         for u, assigned in enumerate(members):
             row, col = divmod(u, self.cols)
-            yield self._unit(row, col, assigned)
+            yield Unit(
+                row=row,
+                col=col,
+                weight=self.weights[row, col],
+                assigned=assigned,
+                mqe=float(self.unit_mqe[row, col]),
+                child=self.children.get((row, col)),
+            )
 
     def unit_path(self, row: int, col: int) -> str:
         name = f"{col}x{row}"
@@ -260,17 +253,6 @@ def compute_layer0(m: DataMatrix) -> tuple[np.ndarray, float]:
     w0 = m.values.mean(axis=0)
     mqe0 = float(np.linalg.norm(m.values - w0, axis=1).mean())
     return w0, mqe0
-
-
-def best_matching_unit(som: SomMap, x: np.ndarray) -> tuple[int, int]:
-    """Grid position (row, col) of the unit nearest ``x``.
-
-    Ties break to the smallest (row, col) in row-major order.
-    """
-    flat = som.weights.reshape(-1, som.weights.shape[-1])
-    d2 = ((flat - x) ** 2).sum(axis=1)
-    best = int(np.argmin(d2))
-    return divmod(best, som.cols)
 
 
 def _assign(som: SomMap, data: np.ndarray) -> None:

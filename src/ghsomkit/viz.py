@@ -96,30 +96,36 @@ class FeatureSpec:
 def leaf_coordinates(tree: GhsomTree) -> list[LeafCoordinate]:
     """Exact unit-square centers for every leaf unit, in tree order."""
     out: list[LeafCoordinate] = []
-
-    def walk(som: SomMap, x_acc: Fraction, y_acc: Fraction, w_prev: Fraction, h_prev: Fraction):
-        w_i = w_prev / som.cols
-        h_i = h_prev / som.rows
-        for row in range(som.rows):
-            for col in range(som.cols):
-                x = x_acc + w_i * col
-                y = y_acc + h_i * row
-                child = som.children.get((row, col))
-                if child is None:
-                    out.append(
-                        LeafCoordinate(
-                            cluster=som.unit_path(row, col),
-                            px=x + w_i / 2,
-                            py=y + h_i / 2,
-                            w_l=w_i,
-                            h_l=h_i,
-                        )
-                    )
-                else:
-                    walk(child, x, y, w_i, h_i)
-
-    walk(tree.root, Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+    _walk_leaves(tree.root, Fraction(0), Fraction(0), Fraction(1), Fraction(1), out)
     return out
+
+
+def _walk_leaves(som: SomMap, x_acc: Fraction, y_acc: Fraction, w_prev: Fraction,
+                 h_prev: Fraction, out: list[LeafCoordinate]) -> None:
+    """Append to ``out`` the coordinate of every leaf unit under ``som``,
+    whose map fills the ``w_prev`` x ``h_prev`` cell at (x_acc, y_acc)."""
+    # a module-level function, not a closure: a recursive closure is a
+    # reference cycle that would keep ``out`` alive until the cyclic
+    # collector runs
+    w_i = w_prev / som.cols
+    h_i = h_prev / som.rows
+    for row in range(som.rows):
+        for col in range(som.cols):
+            x = x_acc + w_i * col
+            y = y_acc + h_i * row
+            child = som.children.get((row, col))
+            if child is None:
+                out.append(
+                    LeafCoordinate(
+                        cluster=som.unit_path(row, col),
+                        px=x + w_i / 2,
+                        py=y + h_i / 2,
+                        w_l=w_i,
+                        h_l=h_i,
+                    )
+                )
+            else:
+                _walk_leaves(child, x, y, w_i, h_i, out)
 
 
 # ---------------------------------------------------------------------------

@@ -181,3 +181,94 @@ def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=N
     for u in np.unique(best):
         unit_mqe[u] = d[best == u, u].mean()
     return w.reshape(rows, cols, dim), unit_mqe.reshape(rows, cols)
+
+
+def best_matching_unit(som, x):
+    """Grid position (row, col) of the unit nearest ``x``.
+
+    Ties break to the smallest (row, col) in row-major order.
+    """
+    import numpy as np
+
+    flat = som.weights.reshape(-1, som.weights.shape[-1])
+    d2 = ((flat - x) ** 2).sum(axis=1)
+    best = int(np.argmin(d2))
+    return divmod(best, som.cols)
+
+
+def load_csv_cells(path, has_labels=False, label_column=None):
+    """Reference CSV loader: ``csv.reader`` and one ``float()`` per cell.
+
+    The loader the package used before it parsed the number block with
+    ``np.loadtxt``, kept verbatim, errors and their order included.
+    """
+    import csv
+
+    import numpy as np
+
+    from ghsomkit import DataMatrix
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        if len(header) < 2:
+            raise ValueError(f"{path}: need at least one attribute column")
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    columns = header[1:]
+    if has_labels or label_column is not None:
+        if label_column is None:
+            label_column = columns[-1]
+        if label_column not in columns:
+            raise ValueError(f"{path}: no column named '{label_column}'")
+        label_idx = columns.index(label_column)
+    else:
+        label_idx = None
+
+    attribute_names = [c for i, c in enumerate(columns) if i != label_idx]
+    sample_ids = []
+    labels = [] if label_idx is not None else None
+    values = np.empty((len(rows), len(attribute_names)), dtype=np.float64)
+
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {r + 1} has {len(row)} fields, expected {len(header)}"
+            )
+        sample_ids.append(row[0])
+        j = 0
+        for i, cell in enumerate(row[1:]):
+            if i == label_idx:
+                labels.append(cell)
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: cannot parse '{cell}' as a number at "
+                    f"(row {r + 1}, col {columns[i]})"
+                ) from None
+            if math.isnan(v) or math.isinf(v):
+                raise ValueError(
+                    f"{path}: non-finite value at (row {r + 1}, col {columns[i]})"
+                )
+            values[r, j] = v
+            j += 1
+
+    if len(set(sample_ids)) != len(sample_ids):
+        seen = set()
+        dup = next(s for s in sample_ids if s in seen or seen.add(s))
+        raise ValueError(f"{path}: duplicate sample id '{dup}'")
+
+    return DataMatrix(
+        values=values,
+        sample_ids=sample_ids,
+        attribute_names=attribute_names,
+        labels=labels,
+        label_name=label_column if labels is not None else None,
+    )

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ghsomkit import data
 from ghsomkit.cli import main
 
 OPTION_KEYS = {
@@ -135,6 +136,33 @@ def test_config_with_removed_threads_key_replays(tmp_path, clustered):
     for name in ("tree.json", "partition.csv"):
         assert (out2 / name).read_bytes() == (clustered / name).read_bytes(), name
     assert "threads" not in json.loads((out2 / "config.cluster.json").read_text())
+
+
+@pytest.mark.parametrize("terminator,quoting", [
+    ("\n", csv.QUOTE_MINIMAL),  # LF instead of save_csv's CRLF
+    ("\r\n", csv.QUOTE_ALL),  # quoted ids and cells
+], ids=["lf", "crlf-quoted"])
+def test_cluster_same_outputs_from_rewritten_input(tmp_path, dataset, clustered,
+                                                   terminator, quoting):
+    # the generated file takes load_csv's vectorized pass and the quoted
+    # rewrite its per-cell fallback; the fit must not tell them apart
+    with open(dataset, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rewritten = tmp_path / "rewritten.csv"
+    with open(rewritten, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator=terminator, quoting=quoting).writerows(rows)
+    assert rewritten.read_bytes() != dataset.read_bytes()
+    assert data._load_numeric_block(dataset, True, "blob") is not None
+    vectorized = data._load_numeric_block(rewritten, True, "blob") is not None
+    assert vectorized == (quoting == csv.QUOTE_MINIMAL)
+    out2 = tmp_path / "from_rewritten"
+    assert run([
+        "cluster", "--input", str(rewritten), "--labels-column", "blob",
+        "--out-dir", str(out2), "--seed", "5", "--lambda", "10",
+        "--tau1", "0.15", "--tau2", "0.15",
+    ]) == 0
+    for name in ("tree.json", "partition.csv", "matrix.csv"):
+        assert (out2 / name).read_bytes() == (clustered / name).read_bytes(), name
 
 
 def test_sai_command(clustered, capsys):

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ghsomkit import DataMatrix, PreprocessSpec, load_csv, preprocess, save_csv, transpose
+from ghsomkit import data
+from oracles import load_csv_cells
 
 
 def _matrix(values, labels=None):
@@ -204,3 +207,163 @@ def test_preprocess_spec_validation():
         PreprocessSpec(scale_factor=0.0)
     with pytest.raises(ValueError, match="top_k_variable"):
         PreprocessSpec(top_k_variable=0)
+
+
+# ------------------------------------------------------- loader parity
+# load_csv parses the number block with np.loadtxt when that is exact and
+# falls back to the per-cell parser otherwise; either way it must return
+# what the per-cell reference returns, or raise its error verbatim.
+
+PLAIN = "id,f0,f1,kind\n a,1.5,-2, x y \nb ,0.1,3e-5,y\n"
+
+# (case id, file contents, load_csv keywords, vectorized pass expected)
+PARITY_CASES = [
+    ("plain", PLAIN, {"has_labels": True}, True),
+    ("no-trailing-newline", PLAIN.rstrip("\n"), {"has_labels": True}, True),
+    ("unlabelled", "id,f0,f1\na,1,2\nb,3,4\n", {}, True),
+    ("blank-line-mid-file", "id,f0,f1\na,1,2\n\nb,3,4\n", {}, False),
+    ("blank-line-at-end", "id,f0\na,1\n\n", {}, False),
+    ("extra-field", "id,f0,kind\na,1,x\nb,2,y,z\n", {"has_labels": True}, False),
+    ("missing-field", "id,f0,f1\na,1,2\nb,3\n", {}, False),
+    ("quoted-id-with-comma", 'id,f0\n"a,b",1\nc,2\n', {}, False),
+    ("quoted-label", 'id,f0,kind\na,1,"x ""y"""\nb,2,z\n', {"has_labels": True}, False),
+    ("crlf", "id,f0,kind\r\na,1,x\r\nb,2,y\r\n", {"has_labels": True}, True),
+    ("crlf-and-lf", "id,f0,kind\r\na,1,x\nb,2,y\r\n", {"has_labels": True}, True),
+    ("crlf-blank-line", "id,f0\r\na,1\r\n\r\nb,2\r\n", {}, False),
+    ("lone-cr", "id,f0\ra,1\rb,2\r", {}, False),
+    ("cr-mid-line", "id,f0\na,1\r2\n", {}, False),
+    ("cr-at-end", "id,f0\r\na,1\r", {}, False),
+    ("hash-id", "id,f0\n#a,1\nb,2\n", {}, True),
+    ("hash-cell", "id,f0\na,1\nb,#2\n", {}, False),
+    ("one-row", "id,f0,f1,f2\na,1,2,3\n", {}, True),
+    ("one-column", "id,f0\na,1\nb,2\nc,3\n", {}, True),
+    ("one-row-one-column", "id,f0,kind\na,7,x\n", {"has_labels": True}, True),
+    ("no-attribute-column", "id,kind\na,x\nb,y\n", {"has_labels": True}, False),
+    ("underscore-digits", "id,f0\na,1_0\nb,2\n", {}, False),
+    ("non-ascii-digits", "id,f0\na,１２\nb,٣\n", {}, False),
+    ("ascii-separator-padding", "id,f0\na,1\x1c\nb,2\n", {}, False),
+    ("padded", "id,f0,f1\na, 1 ,\t2\nb, 3,4 \n", {}, True),
+    ("nan", "id,f0\na,1\nb,nan\n", {}, False),
+    ("inf", "id,f0\na,-inf\n", {}, False),
+    ("overflow", "id,f0\na,1e400\n", {}, False),
+    ("underflow-to-negative-zero", "id,f0,f1\na,-1e-400,1e-400\n", {}, True),
+    ("subnormal-and-long-mantissa",
+     "id,f0,f1\na,4.9e-324,0." + "0" * 400 + "1234567890123456789012345\n", {}, True),
+    ("label-mid-table", "id,f0,kind,f1\na,1,x,2\nb,3,y,4\n", {"label_column": "kind"}, True),
+    ("label-first", "id,kind,f0\na,x,1\nb,y,2\n", {"label_column": "kind"}, True),
+    ("bom", "\ufeffid,f0,kind\na,1,x\nb,2,y\n", {"has_labels": True}, True),
+    ("duplicate-id", "id,f0\na,1\nb,2\na,3\n", {}, False),
+    ("duplicate-attribute-name", "id,f0,f0\na,1,2\n", {}, False),
+    ("missing-label-column", "id,f0\na,1\n", {"label_column": "kind"}, False),
+    ("empty-cell", "id,f0,f1\na,,1\n", {}, False),
+    ("empty-file", "", {}, False),
+    ("header-only", "id,f0\n", {}, False),
+    ("no-attribute-header", "id\na\n", {}, False),
+    # several faults: the per-cell parser's order decides the message
+    ("ragged-row-before-bad-cell", "id,f0\na,1,2\nb,zebra\n", {}, False),
+    ("bad-cell-before-ragged-row", "id,f0\na,zebra\nb,1,2\n", {}, False),
+    ("non-finite-before-duplicate-id", "id,f0\na,1\na,inf\n", {}, False),
+    ("bad-cell-before-non-finite", "id,f0,f1\na,nan,zebra\n", {}, False),
+]
+
+
+def _vectorized(path, has_labels=False, label_column=None):
+    return data._load_numeric_block(path, has_labels, label_column) is not None
+
+
+def _assert_same_as_cells(path, **kwargs):
+    try:
+        want = load_csv_cells(path, **kwargs)
+    except Exception as exc:  # the reference's error, whatever its type
+        with pytest.raises(type(exc)) as got:
+            load_csv(path, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = load_csv(path, **kwargs)
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.flags.c_contiguous
+    assert got.sample_ids == want.sample_ids
+    assert got.attribute_names == want.attribute_names
+    assert got.labels == want.labels
+    assert got.label_name == want.label_name
+
+
+@pytest.mark.parametrize(
+    "text,kwargs,vectorized",
+    [case[1:] for case in PARITY_CASES],
+    ids=[case[0] for case in PARITY_CASES],
+)
+def test_load_matches_per_cell_reference(tmp_path, text, kwargs, vectorized):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode("utf-8"))
+    _assert_same_as_cells(p, **kwargs)
+    assert _vectorized(p, **kwargs) == vectorized
+
+
+def test_load_invalid_utf8_matches_per_cell_reference(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"id,f0\na,1\n\xff\xfe,2\n")
+    _assert_same_as_cells(p)
+    assert not _vectorized(p)
+
+
+def test_load_field_size_limit_matches_per_cell_reference(tmp_path):
+    # csv refuses a field longer than field_size_limit(); a long line of
+    # short fields is fine and stays on the vectorized pass
+    p_long_id = tmp_path / "long_id.csv"
+    p_long_id.write_text("id,f0\n" + "a" * 60 + ",1\nb,2\n")
+    p_long_line = tmp_path / "long_line.csv"
+    p_long_line.write_text("id," + ",".join(f"f{j}" for j in range(40)) + "\n"
+                           + "a," + ",".join(["1.25"] * 40) + "\n")
+    old = csv.field_size_limit(50)
+    try:
+        _assert_same_as_cells(p_long_id)
+        _assert_same_as_cells(p_long_line)
+        assert not _vectorized(p_long_id)
+        assert _vectorized(p_long_line)
+    finally:
+        csv.field_size_limit(old)
+
+
+_AWKWARD_TEXT = st.text(alphabet=st.sampled_from('ab1 ,"#\n\r\té'), max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 6))
+    a = draw(st.integers(1, 5))
+    values = draw(hnp.arrays(
+        np.float64, (n, a),
+        elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+    ))
+    spell = draw(st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, "{:.6g}".format]))
+    ids = st.from_regex(r"s[0-9]{1,3}", fullmatch=True)
+    labels = st.sampled_from(["x", "y"])
+    terminator = "\n"
+    if draw(st.booleans()):  # quoted fields or CRLF: the per-cell path
+        ids = st.one_of(ids, _AWKWARD_TEXT)
+        labels = st.one_of(labels, _AWKWARD_TEXT)
+        terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    ids = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(labels, min_size=n, max_size=n))
+    label_at = draw(st.integers(0, a))
+    return values, spell, ids, labels, label_at, terminator
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_load_matches_per_cell_reference_property(table):
+    values, spell, ids, labels, label_at, terminator = table
+    header = [f"f{j}" for j in range(values.shape[1])]
+    header.insert(label_at, "kind")
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator=terminator)
+            writer.writerow(["id", *header])
+            for sid, row, label in zip(ids, values.tolist(), labels):
+                cells = [spell(v) for v in row]
+                cells.insert(label_at, label)
+                writer.writerow([sid, *cells])
+        _assert_same_as_cells(p, label_column="kind")

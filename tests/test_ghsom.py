@@ -33,11 +33,10 @@ from ghsomkit import _kernel
 from ghsomkit.ghsom import (
     TABLE_FLOATS,
     SomMap,
-    best_matching_unit,
     grow_horizontal,
     train_map,
 )
-from oracles import train_map_online
+from oracles import best_matching_unit, train_map_online
 
 
 def _random_matrix(n, dim, seed):

@@ -249,6 +249,20 @@ def test_render_leaves_no_reference_cycle(worked, monkeypatch, render):
         gc.enable()
 
 
+def test_leaf_coordinates_leave_no_reference_cycle(worked):
+    # a recursive closure would keep the returned list alive until a
+    # collection, after the caller has dropped it
+    tree, _ = worked
+    gc.disable()
+    try:
+        coords = leaf_coordinates(tree)
+        first = weakref.ref(coords[0])
+        del coords
+        assert first() is None
+    finally:
+        gc.enable()
+
+
 def test_feature_map_label_purity_exact(worked):
     tree, m = worked
     part = leaf_partition(tree)
