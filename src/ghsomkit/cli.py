@@ -85,7 +85,7 @@ def _parse_floats(text: str) -> list[float]:
 class Option:
     dest: str
     flag: str
-    kind: str  # str | opt_str | int | opt_int | float | opt_float | bool | floats
+    kind: str  # str | int | float | bool | floats; a None value stays None
     default: Any
     help: str
 
@@ -100,37 +100,37 @@ class Option:
             return raw if isinstance(raw, bool) else _parse_bool(str(raw))
         if self.kind == "floats":
             return [float(v) for v in raw] if isinstance(raw, list) else _parse_floats(raw)
-        if self.kind in ("int", "opt_int"):
+        if self.kind == "int":
             return int(raw)
-        if self.kind in ("float", "opt_float"):
+        if self.kind == "float":
             return float(raw)
         return str(raw)
 
 
 OPTIONS: list[Option] = [
-    Option("input", "--input", "opt_str", None, "input CSV (header row, first column = sample id)"),
-    Option("labels_column", "--labels-column", "opt_str", None, "name of the label column in the input CSV"),
+    Option("input", "--input", "str", None, "input CSV (header row, first column = sample id)"),
+    Option("labels_column", "--labels-column", "str", None, "name of the label column in the input CSV"),
     Option("out_dir", "--out-dir", "str", "out", "output directory"),
     Option("seed", "--seed", "int", 0, "seed for every random stream"),
     Option("transpose", "--transpose", "bool", False, "transpose the matrix before anything else"),
     Option("log_normalize", "--log-normalize", "bool", False, "row-sum normalize, scale, then log1p"),
     Option("scale_factor", "--scale-factor", "float", 10_000.0, "scale factor for --log-normalize"),
-    Option("top_k_variable", "--top-k-variable", "opt_int", None, "keep only the k highest-variance attributes"),
+    Option("top_k_variable", "--top-k-variable", "int", None, "keep only the k highest-variance attributes"),
     Option("zscore", "--zscore", "bool", False, "z-score each attribute (zero-variance ones become 0)"),
     Option("tau1", "--tau1", "float", 0.1, "horizontal growth threshold in (0,1]"),
     Option("tau2", "--tau2", "float", 0.1, "hierarchical expansion threshold in (0,1]"),
     Option("lam", "--lambda", "int", 100, "training epochs per growth check"),
     Option("alpha0", "--alpha0", "float", 0.5, "initial learning rate in (0,1]"),
-    Option("sigma0", "--sigma0", "opt_float", None, "initial neighborhood radius (default: half the larger grid side)"),
+    Option("sigma0", "--sigma0", "float", None, "initial neighborhood radius (default: half the larger grid side)"),
     Option("max_depth", "--max-depth", "int", 10, "maximum hierarchy depth"),
-    Option("k", "--k", "opt_int", None, "how many attributes to rank (default: min(10, n_attributes))"),
+    Option("k", "--k", "int", None, "how many attributes to rank (default: min(10, n_attributes))"),
     Option("feature", "--feature", "str", "mean", "feature kind: mean|median|attribute|significance|label"),
-    Option("attribute", "--attribute", "opt_str", None, "attribute name for --feature attribute"),
-    Option("target_cluster", "--target-cluster", "opt_str", None, "target cluster for sai / --feature significance"),
-    Option("drill_depth", "--drill-depth", "opt_int", None, "treemap nesting limit"),
+    Option("attribute", "--attribute", "str", None, "attribute name for --feature attribute"),
+    Option("target_cluster", "--target-cluster", "str", None, "target cluster for sai / --feature significance"),
+    Option("drill_depth", "--drill-depth", "int", None, "treemap nesting limit"),
     Option("tau1_list", "--tau1-list", "floats", [0.2, 0.1, 0.05], "comma-separated tau1 sweep values"),
     Option("tau2_list", "--tau2-list", "floats", [0.2, 0.1, 0.05], "comma-separated tau2 sweep values"),
-    Option("pick", "--pick", "opt_str", None, "cluster whose members seed the second pipeline pass"),
+    Option("pick", "--pick", "str", None, "cluster whose members seed the second pipeline pass"),
     Option("gen_kind", "--gen-kind", "str", "blobs", "synthetic dataset family: blobs|planted|blocks"),
     Option("n_clusters", "--n-clusters", "int", 4, "clusters/groups for gen-synthetic"),
     Option("per_cluster", "--per-cluster", "int", 50, "samples per cluster for gen-synthetic"),

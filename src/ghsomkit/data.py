@@ -197,32 +197,27 @@ def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
             return None
         label_idx = columns.index(label_column)
     usecols = [i + 1 for i in range(len(columns)) if i != label_idx]
-    attribute_names = [header[i] for i in usecols]
-    if not usecols or len(set(attribute_names)) != len(attribute_names):
-        return None
-
-    sample_ids = [line.partition(",")[0] for line in body]
-    if len(set(sample_ids)) != len(sample_ids):
+    if not usecols:
         return None
     labels = None
     if label_idx == len(columns) - 1:
         labels = [line.rpartition(",")[2] for line in body]
     elif label_idx is not None:
         labels = [line.split(",")[label_idx + 1] for line in body]
+    # DataMatrix rejects duplicate ids and names, a shape that does not
+    # match them and non-finite values: each sends the file to the
+    # per-cell parser, which words the error
     try:
-        values = np.loadtxt(body, delimiter=",", usecols=usecols, comments=None,
-                            dtype=np.float64, ndmin=2)
+        return DataMatrix(
+            values=np.loadtxt(body, delimiter=",", usecols=usecols, comments=None,
+                              dtype=np.float64, ndmin=2),
+            sample_ids=[line.partition(",")[0] for line in body],
+            attribute_names=[header[i] for i in usecols],
+            labels=labels,
+            label_name=label_column,
+        )
     except ValueError:
         return None
-    if values.shape != (len(body), len(usecols)) or not np.isfinite(values).all():
-        return None
-    return DataMatrix(
-        values=values,
-        sample_ids=sample_ids,
-        attribute_names=attribute_names,
-        labels=labels,
-        label_name=label_column,
-    )
 
 
 def _load_cells(path, has_labels, label_column) -> DataMatrix:

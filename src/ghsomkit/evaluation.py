@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import comb
 from typing import Sequence
 
@@ -259,15 +259,9 @@ def sweep_summary(grid: SweepGrid) -> dict:
     def cell_dict(c: SweepCell | None):
         if c is None:
             return None
-        return {
-            "tau1": c.tau1,
-            "tau2": c.tau2,
-            "ch": c.ch,
-            "ari": c.ari,
-            "leaf_count": c.leaf_count,
-            "depth": c.depth,
-            "total_units": c.total_units,
-        }
+        d = asdict(c)
+        del d["error"]
+        return d
 
     return {
         "tau1_values": grid.tau1_values,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class Unit:
     assigned: np.ndarray  # global sample indices
     mqe: float
     child: "SomMap | None"
-
-    @property
-    def name(self) -> str:
-        return f"{self.col}x{self.row}"
 
 
 class SomMap:
@@ -602,19 +598,9 @@ def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:
 
 
 def tree_to_dict(tree: GhsomTree) -> dict:
-    p = tree.params
     return {
         "format": "ghsom-tree/1",
-        "params": {
-            "tau1": p.tau1,
-            "tau2": p.tau2,
-            "lam": p.lam,
-            "alpha0": p.alpha0,
-            "sigma0": p.sigma0,
-            "max_depth": p.max_depth,
-            "rng_seed": p.rng_seed,
-            "depth_reference": p.depth_reference,
-        },
+        "params": asdict(tree.params),
         "sample_ids": tree.sample_ids,
         "attribute_names": tree.attribute_names,
         "w0": tree.w0,

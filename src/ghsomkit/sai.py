@@ -10,12 +10,17 @@ target cluster's mean,
 Attributes with large ``diff = sigma_b - sigma_i`` are coherent inside
 the cluster yet displaced from everywhere else; the top-k ranking of
 diff is the cluster's significant-attribute list.
+
+``sigma_between`` reads the ranking's own spreads (``_spreads``), and
+``significance_difference_feature`` the ranking's own top-k list through
+``significance_distance``, which the feature map draws as well.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,11 +43,22 @@ def _check_aligned(partition: LeafPartition, m: DataMatrix) -> None:
         raise ValueError("partition and data matrix list different sample ids")
 
 
-def _cluster_means(partition: LeafPartition, m: DataMatrix) -> dict[str, np.ndarray]:
-    return {
-        c: m.values[partition.members(c)].mean(axis=0)
-        for c in partition.cluster_names()
-    }
+def _spreads(
+    partition: LeafPartition, m: DataMatrix, cluster: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma_i, sigma_b)`` of ``cluster``, one entry per attribute."""
+    _check_aligned(partition, m)
+    names = partition.cluster_names()
+    if cluster not in names:
+        raise KeyError(f"unknown cluster '{cluster}'")
+    if len(names) < 2:
+        raise ValueError("significant-attribute ranking needs at least 2 clusters")
+    sigma_i = m.values[partition.members(cluster)].std(axis=0)
+    means = np.vstack([m.values[partition.members(c)].mean(axis=0) for c in names])
+    # the self term is zero, so summing over all clusters equals the
+    # sum over the others; only the normalizer excludes the target
+    sq = ((means - means[names.index(cluster)]) ** 2).sum(axis=0)
+    return sigma_i, np.sqrt(sq / (len(names) - 1))
 
 
 def sigma_within(
@@ -63,21 +79,8 @@ def sigma_between(
     Sums squared differences between the target cluster's mean and every
     other cluster's mean, normalized by the number of other clusters.
     """
-    _check_aligned(partition, m)
-    g = m.attribute_index(attribute)
-    names = partition.cluster_names()
-    if cluster not in names:
-        raise KeyError(f"unknown cluster '{cluster}'")
-    if len(names) < 2:
-        raise ValueError("sigma_between needs at least 2 clusters")
-    m_target = float(m.values[partition.members(cluster), g].mean())
-    acc = 0.0
-    for other in names:
-        if other == cluster:
-            continue
-        m_other = float(m.values[partition.members(other), g].mean())
-        acc += (m_target - m_other) ** 2
-    return float(np.sqrt(acc / (len(names) - 1)))
+    _, sigma_b = _spreads(partition, m, cluster)
+    return float(sigma_b[m.attribute_index(attribute)])
 
 
 def identify_significant(
@@ -93,29 +96,13 @@ def identify_significant(
     ranks start at 1. Explicit ``k`` above the attribute count is an
     error.
     """
-    _check_aligned(partition, m)
-    names = partition.cluster_names()
-    if cluster not in names:
-        raise KeyError(f"unknown cluster '{cluster}'")
-    if len(names) < 2:
-        raise ValueError("significant-attribute ranking needs at least 2 clusters")
+    sigma_i, sigma_b = _spreads(partition, m, cluster)
     if k is None:
         k = min(10, m.n_attributes)
     if not 1 <= k <= m.n_attributes:
         raise ValueError(f"k must be in [1, {m.n_attributes}], got {k}")
 
-    rows = partition.members(cluster)
-    sigma_i = m.values[rows].std(axis=0)
-
-    by_cluster = _cluster_means(partition, m)
-    means = np.vstack([by_cluster[c] for c in names])
-    target = names.index(cluster)
-    # the self term is zero, so summing over all clusters equals the
-    # sum over the others; only the normalizer excludes the target
-    sq = ((means - means[target]) ** 2).sum(axis=0)
-    sigma_b = np.sqrt(sq / (len(names) - 1))
     diff = sigma_b - sigma_i
-
     order = sorted(range(m.n_attributes), key=lambda g: (-diff[g], m.attribute_names[g]))
     return [
         AttributeScore(
@@ -130,27 +117,36 @@ def identify_significant(
     ]
 
 
+def significance_distance(
+    partition: LeafPartition,
+    m: DataMatrix,
+    target_cluster: str,
+    k: int | None = None,
+) -> Callable[[np.ndarray], float]:
+    """Distance to the target cluster over its significant attributes.
+
+    Returns a function of sample indices: the Euclidean distance between
+    those samples' mean vector and the target cluster's, restricted to
+    the target's top-k attributes. Both means take the same route, so
+    the target's own members are at distance exactly 0.
+    """
+    scores = identify_significant(partition, m, target_cluster, k)
+    cols = np.array([m.attribute_index(s.attribute) for s in scores], dtype=np.intp)
+    # m.values[rows][:, cols], not np.ix_: another memory layout sums in
+    # another order and would cost the target its exact zero
+    target = m.values[partition.members(target_cluster)][:, cols].mean(axis=0)
+    return lambda rows: float(np.linalg.norm(m.values[rows][:, cols].mean(axis=0) - target))
+
+
 def significance_difference_feature(
     partition: LeafPartition,
     m: DataMatrix,
     target_cluster: str,
     k: int | None = None,
 ) -> dict[str, float]:
-    """Distance of every cluster to the target over its significant attributes.
-
-    Computes the target cluster's top-k attribute list, then for each
-    leaf cluster returns the Euclidean distance between its mean vector
-    and the target's, restricted to those attributes. The target itself
-    maps to 0.
-    """
-    scores = identify_significant(partition, m, target_cluster, k)
-    cols = np.array([m.attribute_index(s.attribute) for s in scores], dtype=np.intp)
-    means = _cluster_means(partition, m)
-    t = means[target_cluster][cols]
-    return {
-        c: float(np.linalg.norm(means[c][cols] - t))
-        for c in partition.cluster_names()
-    }
+    """``significance_distance`` of every leaf cluster; the target maps to 0."""
+    distance = significance_distance(partition, m, target_cluster, k)
+    return {c: distance(partition.members(c)) for c in partition.cluster_names()}
 
 
 def save_scores_csv(scores: list[AttributeScore], path) -> None:

@@ -25,20 +25,25 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .data import DataMatrix
 from .ghsom import GhsomTree, LeafPartition, SomMap
-from .sai import identify_significant
+from .sai import significance_distance
 
 log = logging.getLogger(__name__)
 
 PLOT_SIZE = 600
 MARGIN = 10
 LEGEND_WIDTH = 170
+CANVAS_WIDTH = MARGIN + PLOT_SIZE + MARGIN + LEGEND_WIDTH + MARGIN
+CANVAS_HEIGHT = MARGIN + PLOT_SIZE + MARGIN
+LEGEND_X = MARGIN + PLOT_SIZE + MARGIN
+# x, y, width, height of the drawing area on the canvas
+PLOT = (float(MARGIN), float(MARGIN), float(PLOT_SIZE), float(PLOT_SIZE))
 
 # categorical palette (10 distinct hues, assigned to sorted labels)
 PALETTE = [
@@ -215,47 +220,56 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _svg_open(width: float, height: float) -> list[str]:
+def _svg_open() -> list[str]:
+    w, h = _n(CANVAS_WIDTH), _n(CANVAS_HEIGHT)
     return [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_n(width)}" height="{_n(height)}" '
-        f'viewBox="0 0 {_n(width)} {_n(height)}">',
-        f'<rect x="0" y="0" width="{_n(width)}" height="{_n(height)}" fill="#ffffff"/>',
+        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
     ]
 
 
-def _continuous_legend(parts: list[str], x: float, y: float, h: float,
-                       vmin: float, vmax: float, spec: FeatureSpec, title: str):
-    parts.append(
+def _paint(nodes: list[dict], spec: FeatureSpec) -> tuple[list[str], list[str]]:
+    """Fill color of each node, and the SVG lines of the matching legend.
+
+    Label specs give each majority label a palette color, in sorted
+    label order; continuous specs map each node's value linearly onto
+    low_color..high_color over the [min, max] of the values.
+    """
+    x, y, h = LEGEND_X, 40.0, 200.0
+    if spec.kind == "label":
+        labels = sorted({n["label"] for n in nodes})
+        color_of = {l: PALETTE[i % len(PALETTE)] for i, l in enumerate(labels)}
+        legend = [f'<text x="{_n(x)}" y="{_n(y - 8)}" font-size="12" '
+                  'font-family="sans-serif">majority label</text>']
+        for i, (label, color) in enumerate(color_of.items()):
+            cy = y + 18 * i
+            legend.append(f'<rect x="{_n(x)}" y="{_n(cy)}" width="12" height="12" '
+                          f'fill="{color}" stroke="#333333" stroke-width="0.5"/>')
+            legend.append(f'<text x="{_n(x + 18)}" y="{_n(cy + 10)}" font-size="11" '
+                          f'font-family="sans-serif">{_esc(label)}</text>')
+        return [color_of[n["label"]] for n in nodes], legend
+
+    values = [n["value"] for n in nodes]
+    vmin, vmax = (min(values), max(values)) if values else (0.0, 0.0)
+    span = vmax - vmin
+    colors = [_lerp_color(spec.low_color, spec.high_color,
+                          0.5 if span == 0 else (v - vmin) / span) for v in values]
+    legend = [
         '<defs><linearGradient id="scale" x1="0" y1="1" x2="0" y2="0">'
         f'<stop offset="0" stop-color="{spec.low_color}"/>'
         f'<stop offset="1" stop-color="{spec.high_color}"/>'
-        "</linearGradient></defs>"
-    )
-    parts.append(f'<text x="{_n(x)}" y="{_n(y - 8)}" font-size="12" '
-                 f'font-family="sans-serif">{_esc(title)}</text>')
-    parts.append(f'<rect x="{_n(x)}" y="{_n(y)}" width="18" height="{_n(h)}" '
-                 'fill="url(#scale)" stroke="#333333" stroke-width="0.5"/>')
-    parts.append(f'<text x="{_n(x + 24)}" y="{_n(y + 10)}" font-size="11" '
-                 f'font-family="sans-serif">{_fmt_tick(vmax)}</text>')
-    parts.append(f'<text x="{_n(x + 24)}" y="{_n(y + h)}" font-size="11" '
-                 f'font-family="sans-serif">{_fmt_tick(vmin)}</text>')
-
-
-def _categorical_legend(parts: list[str], x: float, y: float,
-                        color_of: dict[str, str], title: str):
-    parts.append(f'<text x="{_n(x)}" y="{_n(y - 8)}" font-size="12" '
-                 f'font-family="sans-serif">{_esc(title)}</text>')
-    for i, (label, color) in enumerate(color_of.items()):
-        cy = y + 18 * i
-        parts.append(f'<rect x="{_n(x)}" y="{_n(cy)}" width="12" height="12" '
-                     f'fill="{color}" stroke="#333333" stroke-width="0.5"/>')
-        parts.append(f'<text x="{_n(x + 18)}" y="{_n(cy + 10)}" font-size="11" '
-                     f'font-family="sans-serif">{_esc(label)}</text>')
-
-
-def _fmt_tick(v: float) -> str:
-    return f"{v:.4g}"
+        "</linearGradient></defs>",
+        f'<text x="{_n(x)}" y="{_n(y - 8)}" font-size="12" '
+        f'font-family="sans-serif">{_esc(_feature_title(spec))}</text>',
+        f'<rect x="{_n(x)}" y="{_n(y)}" width="18" height="{_n(h)}" '
+        'fill="url(#scale)" stroke="#333333" stroke-width="0.5"/>',
+        f'<text x="{_n(x + 24)}" y="{_n(y + 10)}" font-size="11" '
+        f'font-family="sans-serif">{vmax:.4g}</text>',
+        f'<text x="{_n(x + 24)}" y="{_n(y + h)}" font-size="11" '
+        f'font-family="sans-serif">{vmin:.4g}</text>',
+    ]
+    return colors, legend
 
 
 # ---------------------------------------------------------------------------
@@ -264,28 +278,25 @@ def _fmt_tick(v: float) -> str:
 class _FeatureComputer:
     """Per-cluster feature values for one render pass."""
 
-    def __init__(self, partition: LeafPartition, m: DataMatrix, spec: FeatureSpec):
+    def __init__(self, tree: GhsomTree, partition: LeafPartition, m: DataMatrix,
+                 spec: FeatureSpec):
         spec.validate()
+        if not m.sample_ids == tree.sample_ids == partition.sample_ids:
+            raise ValueError("tree, partition and data matrix list different sample ids")
         self.m = m
         self.spec = spec
-        self.partition = partition
         if spec.kind == "attribute":
             self.col = m.attribute_index(spec.attribute)
         elif spec.kind == "significance":
-            scores = identify_significant(partition, m, spec.target_cluster, spec.k)
-            cols = [m.attribute_index(s.attribute) for s in scores]
-            self.cols = np.array(cols, dtype=np.intp)
-            target_rows = partition.members(spec.target_cluster)
-            # same indexing route as value(): np.ix_ yields a different
-            # memory layout, hence different summation rounding, and the
-            # target cluster would then miss exact zero
-            self.target_mean = m.values[target_rows][:, self.cols].mean(axis=0)
+            self.distance = significance_distance(partition, m, spec.target_cluster, spec.k)
         elif spec.kind == "label":
             if m.labels is None:
                 raise ValueError("feature kind 'label' requires labels on the data matrix")
             self.labels = np.array(m.labels, dtype=object)
 
     def value(self, indices: np.ndarray) -> float:
+        if self.spec.kind == "significance":
+            return self.distance(indices)
         sub = self.m.values[indices]
         if self.spec.kind == "mean":
             return float(sub.mean())
@@ -293,8 +304,6 @@ class _FeatureComputer:
             return float(np.median(sub))
         if self.spec.kind == "attribute":
             return float(sub[:, self.col].mean())
-        if self.spec.kind == "significance":
-            return float(np.linalg.norm(sub[:, self.cols].mean(axis=0) - self.target_mean))
         raise AssertionError(self.spec.kind)
 
     def majority(self, indices: np.ndarray) -> tuple[str, float]:
@@ -372,38 +381,20 @@ def render_feature_map(
     """
     if drill_depth is not None and drill_depth < 1:
         raise ValueError("drill_depth must be >= 1")
-    feature = _FeatureComputer(partition, m, spec)
-    plot = (float(MARGIN), float(MARGIN), float(PLOT_SIZE), float(PLOT_SIZE))
+    feature = _FeatureComputer(tree, partition, m, spec)
     nodes: list[dict] = []
     empty: list[str] = []
-
-    _place(tree.root, plot, 1, drill_depth, feature, nodes, empty)
+    _place(tree.root, PLOT, 1, drill_depth, feature, nodes, empty)
     _warn_empty("feature map", empty)
 
-    width = MARGIN + PLOT_SIZE + MARGIN + LEGEND_WIDTH + MARGIN
-    height = MARGIN + PLOT_SIZE + MARGIN
-    parts = _svg_open(width, height)
-
-    if spec.kind == "label":
-        labels = sorted({n["label"] for n in nodes})
-        color_of = {l: PALETTE[i % len(PALETTE)] for i, l in enumerate(labels)}
-        fills = [(color_of[n["label"]], n["purity"]) for n in nodes]
-    else:
-        values = [n["value"] for n in nodes]
-        vmin, vmax = (min(values), max(values)) if values else (0.0, 0.0)
-        span = vmax - vmin
-        fills = [
-            (_lerp_color(spec.low_color, spec.high_color,
-                         0.5 if span == 0 else (n["value"] - vmin) / span), 1.0)
-            for n in nodes
-        ]
-
-    for node, (color, opacity) in zip(nodes, fills):
+    colors, legend = _paint(nodes, spec)
+    parts = _svg_open()
+    for node, color in zip(nodes, colors):
         stroke = max(0.5, 3.0 - node["depth"])
         parts.append(
             f'<rect x="{_n(node["x"])}" y="{_n(node["y"])}" '
             f'width="{_n(node["width"])}" height="{_n(node["height"])}" '
-            f'fill="{color}" fill-opacity="{_n(opacity)}" '
+            f'fill="{color}" fill-opacity="{_n(node.get("purity", 1.0))}" '
             f'stroke="#222222" stroke-width="{_n(stroke)}"/>'
         )
     for node in nodes:
@@ -415,23 +406,9 @@ def render_feature_map(
                 'font-family="sans-serif" text-anchor="middle" '
                 f'fill="#111111">{_esc(node["path"])}</text>'
             )
-
-    legend_x = MARGIN + PLOT_SIZE + MARGIN
-    if spec.kind == "label":
-        _categorical_legend(parts, legend_x, 40.0, color_of, "majority label")
-    else:
-        _continuous_legend(parts, legend_x, 40.0, 200.0, vmin, vmax, spec,
-                           _feature_title(spec))
+    parts += legend
     parts.append("</svg>")
-
-    geometry = {
-        "map": "feature",
-        "feature": _spec_dict(spec),
-        "canvas": {"width": width, "height": height},
-        "plot": {"x": plot[0], "y": plot[1], "width": plot[2], "height": plot[3]},
-        "drill_depth": drill_depth,
-        "nodes": nodes,
-    }
+    geometry = _geometry("feature", spec, drill_depth=drill_depth, nodes=nodes)
     return "\n".join(parts) + "\n", geometry
 
 
@@ -447,13 +424,11 @@ def render_distribution_map(
     with opacity = purity; continuous specs use the two-pole scale.
     Returns (svg, geometry) like render_feature_map.
     """
-    feature = _FeatureComputer(partition, m, spec)
-    coords = leaf_coordinates(tree)
+    feature = _FeatureComputer(tree, partition, m, spec)
     sizes = partition.sizes()
-
     nodes: list[dict] = []
     empty: list[str] = []
-    for coord in coords:
+    for coord in leaf_coordinates(tree):
         count = sizes.get(coord.cluster, 0)
         if count == 0:
             empty.append(coord.cluster)
@@ -475,29 +450,16 @@ def render_distribution_map(
         nodes.append(node)
     _warn_empty("distribution map", empty)
 
+    colors, legend = _paint(nodes, spec)
     max_count = max((n["count"] for n in nodes), default=1)
     r_max = 0.07 * PLOT_SIZE
-    for n in nodes:
+    for n, color in zip(nodes, colors):
         n["cx"] = MARGIN + n["px"] * PLOT_SIZE
         n["cy"] = MARGIN + n["py"] * PLOT_SIZE
         n["radius"] = r_max * float(np.sqrt(n["count"] / max_count))
+        n["color"] = color
 
-    if spec.kind == "label":
-        labels = sorted({n["label"] for n in nodes})
-        color_of = {l: PALETTE[i % len(PALETTE)] for i, l in enumerate(labels)}
-        for n in nodes:
-            n["color"] = color_of[n["label"]]
-    else:
-        values = [n["value"] for n in nodes]
-        vmin, vmax = (min(values), max(values)) if values else (0.0, 0.0)
-        span = vmax - vmin
-        for n in nodes:
-            t = 0.5 if span == 0 else (n["value"] - vmin) / span
-            n["color"] = _lerp_color(spec.low_color, spec.high_color, t)
-
-    width = MARGIN + PLOT_SIZE + MARGIN + LEGEND_WIDTH + MARGIN
-    height = MARGIN + PLOT_SIZE + MARGIN
-    parts = _svg_open(width, height)
+    parts = _svg_open()
     parts.append(
         f'<rect x="{_n(MARGIN)}" y="{_n(MARGIN)}" width="{_n(PLOT_SIZE)}" '
         f'height="{_n(PLOT_SIZE)}" fill="none" stroke="#999999" stroke-width="1"/>'
@@ -509,24 +471,21 @@ def render_distribution_map(
             f'stroke="#222222" stroke-width="0.8">'
             f"<title>{_esc(n['path'])}</title></circle>"
         )
-
-    legend_x = MARGIN + PLOT_SIZE + MARGIN
-    if spec.kind == "label":
-        _categorical_legend(parts, legend_x, 40.0, color_of, "majority label")
-    else:
-        _continuous_legend(parts, legend_x, 40.0, 200.0, vmin, vmax, spec,
-                           _feature_title(spec))
+    parts += legend
     parts.append("</svg>")
+    return "\n".join(parts) + "\n", _geometry("distribution", spec, nodes=nodes)
 
-    geometry = {
-        "map": "distribution",
-        "feature": _spec_dict(spec),
-        "canvas": {"width": width, "height": height},
-        "plot": {"x": float(MARGIN), "y": float(MARGIN),
-                 "width": float(PLOT_SIZE), "height": float(PLOT_SIZE)},
-        "nodes": nodes,
+
+def _geometry(which: str, spec: FeatureSpec, **rest) -> dict:
+    """The fields every map's geometry starts with, then ``rest``."""
+    x, y, w, h = PLOT
+    return {
+        "map": which,
+        "feature": asdict(spec),
+        "canvas": {"width": CANVAS_WIDTH, "height": CANVAS_HEIGHT},
+        "plot": {"x": x, "y": y, "width": w, "height": h},
+        **rest,
     }
-    return "\n".join(parts) + "\n", geometry
 
 
 def _feature_title(spec: FeatureSpec) -> str:
@@ -535,14 +494,3 @@ def _feature_title(spec: FeatureSpec) -> str:
     if spec.kind == "significance":
         return f"distance to {spec.target_cluster}"
     return spec.kind
-
-
-def _spec_dict(spec: FeatureSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "attribute": spec.attribute,
-        "target_cluster": spec.target_cluster,
-        "k": spec.k,
-        "low_color": spec.low_color,
-        "high_color": spec.high_color,
-    }

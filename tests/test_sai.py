@@ -71,6 +71,15 @@ def test_sigma_oracle_equivalence(seed):
             assert s.diff == pytest.approx(want_b - want_i, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_sigma_between_is_the_rankings_sigma_b(seed):
+    # one computation: exact equality, not approx
+    m, part = _random_clustered(seed)
+    for c in part.cluster_names():
+        for s in identify_significant(part, m, c, k=m.n_attributes):
+            assert sigma_between(part, m, c, s.attribute) == s.sigma_b
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.1, 10.0), st.integers(0, 4))
 def test_scale_equivariance(s, col):

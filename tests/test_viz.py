@@ -19,6 +19,7 @@ from ghsomkit import (
     leaf_partition,
     render_distribution_map,
     render_feature_map,
+    significance_difference_feature,
     squarify,
 )
 from ghsomkit import viz
@@ -302,6 +303,32 @@ def test_feature_map_value_kinds(worked):
     assert target["value"] == 0.0
     others = [x["value"] for x in geom["nodes"] if x["path"] != "1x0" and x["leaf"]]
     assert all(v > 0 for v in others)
+
+
+def test_feature_map_significance_is_the_sai_feature(worked):
+    # one computation: exact equality on every leaf, the target's 0 included
+    tree, m = worked
+    part = leaf_partition(tree)
+    spec = FeatureSpec(kind="significance", target_cluster="0x0-0x1", k=2)
+    _, geom = render_feature_map(tree, part, m, spec)
+    want = significance_difference_feature(part, m, "0x0-0x1", k=2)
+    leaves = {n["path"]: n["value"] for n in geom["nodes"] if n["leaf"]}
+    assert leaves.keys() == want.keys()
+    for path, value in leaves.items():
+        assert value == want[path]
+    assert want["0x0-0x1"] == 0.0
+
+
+@pytest.mark.parametrize("render", [render_feature_map, render_distribution_map])
+def test_render_rejects_misaligned_matrix(worked, render):
+    # the same ids in reverse order: indexing by the tree's sample
+    # indices would silently read other samples' values
+    tree, m = worked
+    part = leaf_partition(tree)
+    reversed_m = DataMatrix(m.values[::-1], m.sample_ids[::-1], m.attribute_names,
+                            labels=m.labels[::-1], label_name=m.label_name)
+    with pytest.raises(ValueError, match="different sample ids"):
+        render(tree, part, reversed_m, FeatureSpec(kind="mean"))
 
 
 def test_feature_map_drill_depth_one_stops_at_root_grid(worked):
