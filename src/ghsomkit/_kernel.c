@@ -1,10 +1,14 @@
-/* Compiled inner loops of ghsomkit's SOM training and BMU assignment.
+/* Compiled inner loops of ghsomkit: SOM training, BMU assignment and the
+   CSV number block.
 
-   Each function performs the float operations of the numpy expressions it
-   stands for, in the same order, so its results are the same bits.  That
-   holds only when built without -ffast-math and with -ffp-contract=off: a
-   fused multiply-add rounds once where numpy rounds twice. */
+   Each SOM function performs the float operations of the numpy
+   expressions it stands for, in the same order, so its results are the
+   same bits.  That holds only when built without -ffast-math and with
+   -ffp-contract=off: a fused multiply-add rounds once where numpy rounds
+   twice.  parse_block converts each number to the double float() returns,
+   the correctly rounded one. */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -129,4 +133,182 @@ int nearest(const double *x, int64_t n, const double *w, int64_t units,
     }
     free(d);
     return 0;
+}
+
+/* Clinger's fast path (PLDI 1990): a decimal m * 10^k with m < 2^53 and
+   |k| <= 22 is one correctly rounded multiplication or division of two
+   exact doubles, 10^22 being the largest power of ten a double holds.  It
+   needs every operation rounded to double, which FLT_EVAL_METHOD 0
+   promises; elsewhere every number goes to strtod. */
+#if defined(FLT_EVAL_METHOD) && FLT_EVAL_METHOD == 0
+#define FAST_PATH 1
+#else
+#define FAST_PATH 0
+#endif
+
+/* exponent digits stop accumulating at this magnitude, so a number whose
+   exponent reaches it goes to strtod: its k would be wrong */
+#define EXP_CAP 1000000
+
+static const double exact_pow10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/* Length in bytes of the padding character at p, or 0: the characters
+   float() strips from a number (str.isspace() without the ASCII
+   separators 0x1c-0x1f, which it rejects), in UTF-8, less CR and LF. */
+static int space_len(const char *p)
+{
+    const unsigned char *u = (const unsigned char *)p;
+    if (u[0] == ' ' || u[0] == '\t' || u[0] == '\v' || u[0] == '\f')
+        return 1;
+    if (u[0] == 0xc2)  /* U+0085, U+00A0 */
+        return u[1] == 0x85 || u[1] == 0xa0 ? 2 : 0;
+    if (u[0] == 0xe1)  /* U+1680 */
+        return u[1] == 0x9a && u[2] == 0x80 ? 3 : 0;
+    if (u[0] == 0xe2 && u[1] == 0x80)  /* U+2000..U+200A, U+2028, U+2029, U+202F */
+        return (u[2] >= 0x80 && u[2] <= 0x8a) || u[2] == 0xa8 || u[2] == 0xa9 ||
+               u[2] == 0xaf ? 3 : 0;
+    if (u[0] == 0xe2)  /* U+205F */
+        return u[1] == 0x81 && u[2] == 0x9f ? 3 : 0;
+    if (u[0] == 0xe3)  /* U+3000 */
+        return u[1] == 0x80 && u[2] == 0x80 ? 3 : 0;
+    return 0;
+}
+
+static const char *skip_spaces(const char *p)
+{
+    if ((unsigned char)*p > ' ' && (unsigned char)*p < 0x80)  /* the common case */
+        return p;
+    for (int n; (n = space_len(p)) > 0;)
+        p += n;
+    return p;
+}
+
+/* A byte an id or label field may hold: csv gives none of these a
+   special meaning, and float() strips none of them. */
+static int is_text(unsigned char c)
+{
+    return c != ',' && c != '\r' && c != '\n' && c != '"' && c != 0 &&
+           !(c >= 0x1c && c <= 0x1f);
+}
+
+/* Parses the number field at *pp, which must match
+       ws* [+-]? (d+ (. d*)? | . d+) ([eE] [+-]? d+)? ws*
+   with ws any space_len character, and stores float()'s value of it in
+   *out; *pp moves past the field.  Returns 0, or -1 when the field is outside that grammar, strtod does
+   not read exactly the validated text (a non-C LC_NUMERIC), or the value
+   is not finite. */
+static int parse_number(const char **pp, double *out)
+{
+    const char *p = skip_spaces(*pp);
+    const char *start = p;
+    int negative = *p == '-';
+    if (*p == '+' || *p == '-')
+        p++;
+    /* m: the significant digits, from the first nonzero one (it wraps
+       past 19 of them, but is read only for at most 15); nd counts them,
+       frac the digits after the point */
+    uint64_t m = 0;
+    int64_t nd = 0, frac = 0;
+    const char *first = p;
+    while (*p == '0')
+        p++;
+    for (; is_digit(*p); p++, nd++)
+        m = m * 10 + (uint64_t)(*p - '0');
+    int64_t digits = p - first;
+    if (*p == '.') {
+        const char *point = ++p;
+        if (nd == 0)
+            while (*p == '0')
+                p++;
+        for (; is_digit(*p); p++, nd++)
+            m = m * 10 + (uint64_t)(*p - '0');
+        frac = p - point;
+        digits += frac;
+    }
+    if (digits == 0)
+        return -1;
+    int64_t exp10 = 0;
+    if (*p == 'e' || *p == 'E') {
+        p++;
+        int exp_negative = *p == '-';
+        if (*p == '+' || *p == '-')
+            p++;
+        if (!is_digit(*p))
+            return -1;
+        for (; is_digit(*p); p++)
+            if (exp10 < EXP_CAP)
+                exp10 = exp10 * 10 + (*p - '0');
+        if (exp_negative)
+            exp10 = -exp10;
+    }
+    const char *end = p;
+    *pp = skip_spaces(p);
+
+    int64_t k = exp10 - frac;
+    double v;
+    if (nd == 0) {
+        v = negative ? -0.0 : 0.0;
+    } else if (FAST_PATH && nd <= 15 && exp10 < EXP_CAP && k >= -22 && k <= 22) {
+        v = k < 0 ? (double)m / exact_pow10[-k] : (double)m * exact_pow10[k];
+        if (negative)
+            v = -v;
+    } else {
+        char *stop;
+        v = strtod(start, &stop);
+        if (stop != end)
+            return -1;
+    }
+    if (!isfinite(v))
+        return -1;
+    *out = v;
+    return 0;
+}
+
+/* Parses the body of a CSV file: `rows` records from buf + pos to buf +
+   len, where buf[len] must be 0.  A record is `fields` comma-separated
+   fields ending in "\n", "\r\n" or, for the last one, the end of the
+   buffer; no field may be longer than `limit` bytes.  Field 0 is the id
+   and field `label` (-1: none) the label: each may hold any byte is_text
+   accepts, and their [start, end) offsets in buf go to row r of the
+   (rows, 4) spans (label ones unset without a label).  Every other field is
+   a number (parse_number), stored in order in row r of the (rows, fields
+   - 1 - has_label) values.  Returns 0, or -1 when the body is anything
+   else: a lone "\r", a blank line, a ragged row, a quote or NUL, a
+   number float() would read otherwise or not at all. */
+int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
+                int64_t fields, int64_t label, int64_t limit,
+                double *values, int64_t *spans)
+{
+    const char *p = buf + pos, *stop = buf + len;
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t *span = spans + 4 * r;
+        for (int64_t f = 0; f < fields; f++) {
+            const char *start = p;
+            if (f == 0 || f == label) {
+                while (is_text((unsigned char)*p))
+                    p++;
+                int64_t *s = f == 0 ? span : span + 2;
+                s[0] = start - buf;
+                s[1] = p - buf;
+            } else if (parse_number(&p, values++)) {
+                return -1;
+            }
+            if (p - start > limit)
+                return -1;
+            if (f + 1 < fields && *p++ != ',')
+                return -1;
+        }
+        if (*p == '\n')
+            p += 1;
+        else if (*p == '\r' && p[1] == '\n')
+            p += 2;
+        else if (p != stop)
+            return -1;
+    }
+    return p == stop ? 0 : -1;
 }

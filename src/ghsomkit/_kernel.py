@@ -1,4 +1,19 @@
-"""Loader of the compiled SOM kernel in ``_kernel.c``.
+"""Loader of the compiled kernel in ``_kernel.c``: SOM training, BMU
+assignment and the CSV number block.
+
+``parse_block`` reads the body of a CSV file in place and both validates
+and parses it in one pass. It accepts records of a fixed number of
+comma-separated fields ending in ``\n`` or ``\r\n``; an id and an
+optional label field holding no quote, CR, LF, NUL or ASCII separator
+(0x1C-0x1F); and number fields in the spellings ``float()`` accepts
+without underscores, non-ASCII digits, ``inf`` or ``nan``, padded only
+with the whitespace ``float()`` strips (space, tab, vertical tab, form
+feed and the Unicode spaces, but not the separators 0x1C-0x1F). Numbers
+with at most 15 significant digits and a decimal exponent in [-22, 22]
+take Clinger's exact fast path, the rest the C library's ``strtod``;
+both give the correctly rounded double ``float()`` gives. Anything else,
+a field over the field size limit or a non-finite value makes it return
+False, and the caller falls back to the ``csv`` module.
 
 The library is built with ``cc`` on first use and cached under
 ``$XDG_CACHE_HOME/ghsomkit`` (default ``~/.cache/ghsomkit``), named by
@@ -65,6 +80,8 @@ def library() -> ctypes.CDLL:
     lib.train_steps.restype = ctypes.c_int
     lib.nearest.argtypes = [_F64, _N, _F64, _N, _N, _F64, _I64]
     lib.nearest.restype = ctypes.c_int
+    lib.parse_block.argtypes = [ctypes.c_char_p, _N, _N, _N, _N, _N, _N, _F64, _I64]
+    lib.parse_block.restype = ctypes.c_int
     return lib
 
 
@@ -100,3 +117,24 @@ def nearest(x, w) -> tuple[np.ndarray, np.ndarray]:
     if library().nearest(x, len(x), w, len(w), w.shape[1], dist, index):
         raise MemoryError("nearest: out of memory")
     return dist, index
+
+
+def parse_block(data: bytes, pos, fields, label, limit, values, spans) -> bool:
+    """Parse the CSV records of ``data[pos:]`` in place, without copying.
+
+    Each record has ``fields`` fields: field 0 is the id and field
+    ``label`` (-1: none) the label, whose ``[start, end)`` byte offsets
+    go to the ``(rows, 4)`` int64 ``spans`` (label ones unset without a
+    label); every other field is a number, stored in order in the
+    ``(rows, number fields)`` float64 ``values``. No field may be longer
+    than ``limit`` bytes. Returns False when the body is not exactly
+    ``len(values)`` records of that grammar.
+    """
+    if not isinstance(data, bytes):  # a bytes object ends in a NUL byte
+        raise TypeError("parse_block: data must be bytes")
+    rows = len(values)
+    if (values.shape != (rows, fields - 1 - (label >= 0)) or spans.shape != (rows, 4)
+            or not 0 <= pos <= len(data) or not (label == -1 or 0 < label < fields)):
+        raise ValueError("parse_block: inconsistent arguments")
+    return library().parse_block(data, len(data), pos, rows, fields, label, limit,
+                                 values, spans) == 0

@@ -39,7 +39,7 @@ from .ghsom import (
     tree_from_json,
     tree_to_json,
 )
-from .sai import identify_significant, save_scores_csv
+from .sai import identify_significant, identify_significant_each, save_scores_csv
 from .synthetic import block_matrix, gaussian_blobs, planted_attributes
 from .viz import FeatureSpec, render_distribution_map, render_feature_map
 
@@ -379,13 +379,9 @@ def cmd_pipeline_crispr(cfg: dict) -> int:
     partition2 = leaf_partition(tree2)
 
     def run_sai():
-        leaves = partition2.cluster_names()
-        if len(leaves) < 2:
+        if len(partition2.cluster_names()) < 2:
             return []
-        scores = []
-        for leaf in leaves:
-            scores.extend(identify_significant(partition2, m2, leaf, cfg["k"]))
-        return scores
+        return identify_significant_each(partition2, m2, k=cfg["k"])
 
     scores = _stage("sai", run_sai)
     spec = FeatureSpec(kind="mean")

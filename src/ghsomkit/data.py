@@ -6,21 +6,27 @@ column) holds real-valued attribute measurements. ``save_csv`` mirrors
 ``load_csv`` exactly, so a load/save round trip preserves every cell
 bit-for-bit.
 
-``load_csv`` parses an unquoted, rectangular file of finite numbers (LF
-or CRLF line ends) in one ``np.loadtxt`` pass over the attribute columns.
-Every other file (quoted fields, blank lines, spellings only ``float()``
-accepts, non-finite or malformed cells) goes through the per-cell
-``csv`` parser. Both give the same matrix bit for bit, and only the
-per-cell parser raises, so error messages do not depend on the path.
+``load_csv`` reads an unquoted, rectangular file of finite numbers (LF
+or CRLF line ends) with one compiled pass over its bytes
+(``_kernel.parse_block``), which validates every record and converts
+every number to the correctly rounded double ``float()`` returns. Every
+other file (quoted fields, blank lines, lone carriage returns, spellings
+such as ``1_0`` or ``inf``, non-finite or malformed cells, invalid
+UTF-8) goes through the per-cell ``csv`` parser. Both give the same
+matrix bit for bit, and only the per-cell parser raises, so error
+messages do not depend on the path.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from . import _kernel
 
 
 @dataclass
@@ -117,15 +123,18 @@ def load_csv(
 ) -> DataMatrix:
     """Load a sample x attribute CSV.
 
-    A plain file is parsed in one vectorized pass: ids and labels are cut
-    from each line, and ``np.loadtxt`` parses the attribute columns with
-    the same correctly rounded conversion ``float()`` uses. That pass is
-    taken only when its result is exactly what the per-cell ``csv`` parser
-    returns: valid UTF-8 with no quote, NUL or ASCII separator
-    (0x1C-0x1F) character, no carriage return outside a CRLF line end, no
-    field longer than ``csv.field_size_limit()``, every row as wide as the
-    header, unique ids and attribute names, an existing label column, and
-    every cell a finite number that ``np.loadtxt`` accepts. Any other
+    A plain file is parsed by one compiled pass over its bytes: only the
+    header is decoded in Python, and the pass both validates every record
+    and converts every number to the double ``float()`` returns (exactly
+    for at most 15 significant digits and a decimal exponent within
+    +-22, by the C library's correctly rounded ``strtod`` otherwise). It
+    accepts records of as many fields as the header, ending in LF or
+    CRLF; ids and labels holding no quote, CR, LF, NUL or ASCII separator
+    (0x1C-0x1F) and valid UTF-8; number fields of the form
+    ``[+-]digits[.digits][e[+-]digits]`` (``1.`` and ``.5`` included),
+    padded at most with the whitespace ``float()`` strips; no field
+    longer than ``csv.field_size_limit()`` bytes; finite values; unique
+    ids and attribute names; and an existing label column. Any other
     input (quoted fields, lone carriage returns, blank lines, ``1_0`` or
     non-ASCII digits, NaN, a malformed row) goes through the per-cell
     parser, which alone produces the errors, so messages and their
@@ -152,41 +161,28 @@ def load_csv(
     return m
 
 
-# characters the csv module treats specially (quotes, NUL), and the ASCII
-# separators np.loadtxt strips as whitespace where float() fails
-_CELLWISE_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+# a header field holding one of these is the per-cell parser's: csv
+# quotes, a CR outside a CRLF line end, NUL and the ASCII separators
+_HEADER_SPECIAL = re.compile('["\r\0\x1c-\x1f]')
 
 
 def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
-    """``load_csv`` in one ``np.loadtxt`` pass, or None outside the inputs
-    where that pass is exactly the per-cell parser."""
+    """``load_csv`` by one compiled pass over the file's bytes, or None
+    outside the inputs where that pass is exactly the per-cell parser."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    body = raw.find(b"\n") + 1
+    if not body:
+        return None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+        text = raw[:body].decode("utf-8").removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError:
         return None
-    if any(c in text for c in _CELLWISE_CHARS):
-        return None
-    # csv ends a record at "\r\n" as at "\n" (save_csv writes "\r\n"); a
-    # lone "\r" is left to the per-cell parser
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    # without quotes, a csv record is one line split at its commas
-    lines = text.split("\n")
-    del text
-    if lines[-1] == "":
-        lines.pop()
     limit = csv.field_size_limit()
-    if len(lines) < 2 or any(
-        len(line) > limit and max(map(len, line.split(","))) > limit for line in lines
-    ):
-        return None
-    header = lines[0].split(",")
+    header = text.split(",")
     columns = header[1:]
-    body = lines[1:]
-    if not columns or any(line.count(",") != len(columns) for line in body):
+    if (not columns or _HEADER_SPECIAL.search(text)
+            or any(len(name) > limit for name in header)):
         return None
 
     label_idx = None
@@ -196,27 +192,29 @@ def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
         if label_column not in columns:
             return None
         label_idx = columns.index(label_column)
-    usecols = [i + 1 for i in range(len(columns)) if i != label_idx]
-    if not usecols:
+    names = [name for i, name in enumerate(columns) if i != label_idx]
+    # one record per line end, and one more if the last line has none
+    rows = raw.count(b"\n", body) + (not raw.endswith(b"\n"))
+    if not names or not rows:
         return None
-    labels = None
-    if label_idx == len(columns) - 1:
-        labels = [line.rpartition(",")[2] for line in body]
-    elif label_idx is not None:
-        labels = [line.split(",")[label_idx + 1] for line in body]
-    # DataMatrix rejects duplicate ids and names, a shape that does not
-    # match them and non-finite values: each sends the file to the
-    # per-cell parser, which words the error
+    values = np.empty((rows, len(names)))
+    spans = np.empty((rows, 4), dtype=np.int64)
+    label = -1 if label_idx is None else label_idx + 1
+    if not _kernel.parse_block(raw, body, len(header), label, limit, values, spans):
+        return None
+    # DataMatrix rejects duplicate ids and names: either sends the file,
+    # like ids or labels that are not UTF-8, to the per-cell parser,
+    # which words the error
     try:
         return DataMatrix(
-            values=np.loadtxt(body, delimiter=",", usecols=usecols, comments=None,
-                              dtype=np.float64, ndmin=2),
-            sample_ids=[line.partition(",")[0] for line in body],
-            attribute_names=[header[i] for i in usecols],
-            labels=labels,
+            values=values,
+            sample_ids=[raw[a:b].decode("utf-8") for a, b in spans[:, :2].tolist()],
+            attribute_names=names,
+            labels=(None if label_idx is None else
+                    [raw[a:b].decode("utf-8") for a, b in spans[:, 2:].tolist()]),
             label_name=label_column,
         )
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError included
         return None
 
 

@@ -11,8 +11,10 @@ Attributes with large ``diff = sigma_b - sigma_i`` are coherent inside
 the cluster yet displaced from everywhere else; the top-k ranking of
 diff is the cluster's significant-attribute list.
 
-``sigma_between`` reads the ranking's own spreads (``_spreads``), and
-``significance_difference_feature`` the ranking's own top-k list through
+``identify_significant_each`` ranks many clusters from one computation
+of every cluster's mean, and ``identify_significant`` is its one-cluster
+case. ``sigma_between`` reads the ranking's own spreads (``_spreads``),
+and ``significance_difference_feature`` the ranking's own top-k list through
 ``significance_distance``, which the feature map draws as well.
 """
 
@@ -43,22 +45,32 @@ def _check_aligned(partition: LeafPartition, m: DataMatrix) -> None:
         raise ValueError("partition and data matrix list different sample ids")
 
 
-def _spreads(
-    partition: LeafPartition, m: DataMatrix, cluster: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(sigma_i, sigma_b)`` of ``cluster``, one entry per attribute."""
+def _cluster_means(
+    partition: LeafPartition, m: DataMatrix, clusters: list[str]
+) -> tuple[dict[str, int], np.ndarray]:
+    """The mean vector of every cluster of the partition, and each
+    cluster's row in them, once ``clusters`` are checked to be rankable."""
     _check_aligned(partition, m)
     names = partition.cluster_names()
-    if cluster not in names:
-        raise KeyError(f"unknown cluster '{cluster}'")
+    row = {c: i for i, c in enumerate(names)}
+    for cluster in clusters:
+        if cluster not in row:
+            raise KeyError(f"unknown cluster '{cluster}'")
     if len(names) < 2:
         raise ValueError("significant-attribute ranking needs at least 2 clusters")
+    return row, np.vstack([m.values[partition.members(c)].mean(axis=0) for c in names])
+
+
+def _spreads(
+    partition: LeafPartition, m: DataMatrix, means: np.ndarray, i: int, cluster: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma_i, sigma_b)`` of ``cluster``, row ``i`` of ``means``, one
+    entry per attribute."""
     sigma_i = m.values[partition.members(cluster)].std(axis=0)
-    means = np.vstack([m.values[partition.members(c)].mean(axis=0) for c in names])
     # the self term is zero, so summing over all clusters equals the
     # sum over the others; only the normalizer excludes the target
-    sq = ((means - means[names.index(cluster)]) ** 2).sum(axis=0)
-    return sigma_i, np.sqrt(sq / (len(names) - 1))
+    sq = ((means - means[i]) ** 2).sum(axis=0)
+    return sigma_i, np.sqrt(sq / (len(means) - 1))
 
 
 def sigma_within(
@@ -79,7 +91,8 @@ def sigma_between(
     Sums squared differences between the target cluster's mean and every
     other cluster's mean, normalized by the number of other clusters.
     """
-    _, sigma_b = _spreads(partition, m, cluster)
+    row, means = _cluster_means(partition, m, [cluster])
+    _, sigma_b = _spreads(partition, m, means, row[cluster], cluster)
     return float(sigma_b[m.attribute_index(attribute)])
 
 
@@ -96,25 +109,43 @@ def identify_significant(
     ranks start at 1. Explicit ``k`` above the attribute count is an
     error.
     """
-    sigma_i, sigma_b = _spreads(partition, m, cluster)
+    return identify_significant_each(partition, m, [cluster], k)
+
+
+def identify_significant_each(
+    partition: LeafPartition,
+    m: DataMatrix,
+    clusters: list[str] | None = None,
+    k: int | None = None,
+) -> list[AttributeScore]:
+    """``identify_significant`` of each of ``clusters`` (default: every
+    leaf, in name order), concatenated, with every cluster's mean
+    computed once rather than once per ranked cluster."""
+    if clusters is None:
+        clusters = partition.cluster_names()
+    row, means = _cluster_means(partition, m, clusters)
     if k is None:
         k = min(10, m.n_attributes)
     if not 1 <= k <= m.n_attributes:
         raise ValueError(f"k must be in [1, {m.n_attributes}], got {k}")
 
-    diff = sigma_b - sigma_i
-    order = sorted(range(m.n_attributes), key=lambda g: (-diff[g], m.attribute_names[g]))
-    return [
-        AttributeScore(
-            cluster=cluster,
-            attribute=m.attribute_names[g],
-            sigma_i=float(sigma_i[g]),
-            sigma_b=float(sigma_b[g]),
-            diff=float(diff[g]),
-            rank=rank,
+    scores = []
+    for cluster in clusters:
+        sigma_i, sigma_b = _spreads(partition, m, means, row[cluster], cluster)
+        diff = sigma_b - sigma_i
+        order = sorted(range(m.n_attributes), key=lambda g: (-diff[g], m.attribute_names[g]))
+        scores.extend(
+            AttributeScore(
+                cluster=cluster,
+                attribute=m.attribute_names[g],
+                sigma_i=float(sigma_i[g]),
+                sigma_b=float(sigma_b[g]),
+                diff=float(diff[g]),
+                rank=rank,
+            )
+            for rank, g in enumerate(order[:k], start=1)
         )
-        for rank, g in enumerate(order[:k], start=1)
-    ]
+    return scores
 
 
 def significance_distance(

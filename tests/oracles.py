@@ -199,8 +199,8 @@ def best_matching_unit(som, x):
 def load_csv_cells(path, has_labels=False, label_column=None):
     """Reference CSV loader: ``csv.reader`` and one ``float()`` per cell.
 
-    The loader the package used before it parsed the number block with
-    ``np.loadtxt``, kept verbatim, errors and their order included.
+    The loader the package used before it parsed plain files in one
+    vectorized pass, kept verbatim, errors and their order included.
     """
     import csv
 
@@ -272,3 +272,26 @@ def load_csv_cells(path, has_labels=False, label_column=None):
         labels=labels,
         label_name=label_column if labels is not None else None,
     )
+
+
+def identify_significant_alone(partition, m, cluster, k):
+    """Reference ranking of one cluster that computes every cluster's
+    mean again for each call, as the package did before it ranked many
+    clusters from one set of means; the same float operations, so the
+    same bits."""
+    import numpy as np
+
+    from ghsomkit.sai import AttributeScore
+
+    names = partition.cluster_names()
+    sigma_i = m.values[partition.members(cluster)].std(axis=0)
+    means = np.vstack([m.values[partition.members(c)].mean(axis=0) for c in names])
+    sq = ((means - means[names.index(cluster)]) ** 2).sum(axis=0)
+    sigma_b = np.sqrt(sq / (len(names) - 1))
+    diff = sigma_b - sigma_i
+    order = sorted(range(m.n_attributes), key=lambda g: (-diff[g], m.attribute_names[g]))
+    return [
+        AttributeScore(cluster, m.attribute_names[g], float(sigma_i[g]), float(sigma_b[g]),
+                       float(diff[g]), rank)
+        for rank, g in enumerate(order[:k], start=1)
+    ]

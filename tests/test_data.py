@@ -1,15 +1,16 @@
 import csv
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ghsomkit import DataMatrix, PreprocessSpec, load_csv, preprocess, save_csv, transpose
-from ghsomkit import data
+from ghsomkit import _kernel, data
 from oracles import load_csv_cells
 
 
@@ -210,13 +211,15 @@ def test_preprocess_spec_validation():
 
 
 # ------------------------------------------------------- loader parity
-# load_csv parses the number block with np.loadtxt when that is exact and
+# load_csv parses the file in one compiled pass when that is exact and
 # falls back to the per-cell parser otherwise; either way it must return
 # what the per-cell reference returns, or raise its error verbatim.
 
 PLAIN = "id,f0,f1,kind\n a,1.5,-2, x y \nb ,0.1,3e-5,y\n"
+_LIMIT = csv.field_size_limit()
 
-# (case id, file contents, load_csv keywords, vectorized pass expected)
+# (case id, file contents as text or bytes, load_csv keywords, vectorized
+# pass expected)
 PARITY_CASES = [
     ("plain", PLAIN, {"has_labels": True}, True),
     ("no-trailing-newline", PLAIN.rstrip("\n"), {"has_labels": True}, True),
@@ -264,6 +267,20 @@ PARITY_CASES = [
     ("bad-cell-before-ragged-row", "id,f0\na,zebra\nb,1,2\n", {}, False),
     ("non-finite-before-duplicate-id", "id,f0\na,1\na,inf\n", {}, False),
     ("bad-cell-before-non-finite", "id,f0,f1\na,nan,zebra\n", {}, False),
+    ("vt-ff-padding", "id,f0,f1\na,\v1\f,\f 2\v\nb,\v\v3,4\f\f\n", {}, True),
+    ("utf8-id-and-label", "id,f0,kind\nü€,1,ñandú 日本\nb,2,y\n", {"has_labels": True}, True),
+    ("invalid-utf8-label", b"id,f0,kind\na,1,x\xff\xfey\nb,2,z\n", {"has_labels": True}, False),
+    ("invalid-utf8-after-number", b"id,f0\na,1\xe2\x80\x31\n", {}, False),
+    ("zero-width-space-padding", "id,f0\na,1\u200b\n", {}, False),
+    ("crlf-label-mid-table", "id,f0,kind,f1\r\na,1,x,2\r\nb,3,y,4\r\n",
+     {"label_column": "kind"}, True),
+    ("ascii-separator-in-label", "id,f0,kind\na,1,x\x1dy\nb,2,z\n", {"has_labels": True}, False),
+    ("quoted-header", 'id,"f,0",f1\na,1,2,3\n', {}, False),
+    ("cr-in-header", "id,f\r0\na,1\n", {}, False),
+    ("number-at-field-size-limit",
+     "id,f0\na,0." + "0" * (_LIMIT - 3) + "1\nb,2\n", {}, True),
+    ("number-over-field-size-limit",
+     "id,f0\na,0." + "0" * (_LIMIT - 2) + "1\nb,2\n", {}, False),
 ]
 
 
@@ -296,7 +313,7 @@ def _assert_same_as_cells(path, **kwargs):
 )
 def test_load_matches_per_cell_reference(tmp_path, text, kwargs, vectorized):
     p = tmp_path / "m.csv"
-    p.write_bytes(text.encode("utf-8"))
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     _assert_same_as_cells(p, **kwargs)
     assert _vectorized(p, **kwargs) == vectorized
 
@@ -313,6 +330,8 @@ def test_load_field_size_limit_matches_per_cell_reference(tmp_path):
     # short fields is fine and stays on the vectorized pass
     p_long_id = tmp_path / "long_id.csv"
     p_long_id.write_text("id,f0\n" + "a" * 60 + ",1\nb,2\n")
+    p_long_name = tmp_path / "long_name.csv"
+    p_long_name.write_text("id,f" + "0" * 60 + "\na,1\n")
     p_long_line = tmp_path / "long_line.csv"
     p_long_line.write_text("id," + ",".join(f"f{j}" for j in range(40)) + "\n"
                            + "a," + ",".join(["1.25"] * 40) + "\n")
@@ -320,7 +339,9 @@ def test_load_field_size_limit_matches_per_cell_reference(tmp_path):
     try:
         _assert_same_as_cells(p_long_id)
         _assert_same_as_cells(p_long_line)
+        _assert_same_as_cells(p_long_name)
         assert not _vectorized(p_long_id)
+        assert not _vectorized(p_long_name)
         assert _vectorized(p_long_line)
     finally:
         csv.field_size_limit(old)
@@ -367,3 +388,136 @@ def test_load_matches_per_cell_reference_property(table):
                 cells.insert(label_at, label)
                 writer.writerow([sid, *cells])
         _assert_same_as_cells(p, label_column="kind")
+
+
+# ------------------------------------------------ numbers against float()
+# the compiled pass converts each number itself (Clinger's fast path for
+# at most 15 significant digits and |exponent| <= 22, strtod otherwise):
+# every spelling it accepts must give the bits float() gives
+
+# the padding float() strips, ASCII and Unicode, less CR and LF
+_PADDING = " \t\v\f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+
+
+@st.composite
+def _number_spellings(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False, width=64))
+    spell = draw(st.sampled_from(
+        [repr, "{:e}".format] + [f"{{:.{p}g}}".format for p in range(1, 18)]))
+    text = spell(x)
+    sign, digits = ("-", text[1:]) if text.startswith("-") else ("", text)
+    if not sign:
+        sign = draw(st.sampled_from(["", "+"]))
+    mantissa, e, exponent = digits.partition("e")
+    if mantissa.startswith("0.") and draw(st.booleans()):
+        mantissa = mantissa[1:]  # .5
+    elif "." not in mantissa and draw(st.booleans()):
+        mantissa += "."  # 1.
+    zeros = "0" * draw(st.integers(0, 3))
+    pad = st.text(alphabet=_PADDING, max_size=2)
+    return draw(pad) + sign + zeros + mantissa + e + exponent + draw(pad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_number_spellings(), min_size=1, max_size=8))
+def test_load_numbers_match_float_property(cells):
+    want = [float(c) for c in cells]
+    assume(all(math.isfinite(v) for v in want))  # %.1g of a huge float can round to inf
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.csv"
+        header = ",".join(f"f{j}" for j in range(len(cells)))
+        p.write_bytes(f"id,{header}\na,{','.join(cells)}\n".encode("utf-8"))
+        got = load_csv(p)
+        assert _vectorized(p)
+    assert got.values.tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize("cell,vectorized", [
+    ("123456789012345e7", True),  # 15 digits: Clinger's fast path
+    ("1234567890123456e7", True),  # 16 digits: strtod
+    ("123456789012345e-22", True),
+    ("123456789012345e-23", True),
+    ("1e22", True),
+    ("1e23", True),
+    ("9007199254740993", True),  # 2^53 + 1 rounds to even
+    ("9007199254740993e1", True),  # 16 digits above 2^53: (double)m would round twice
+    ("2.2250738585072011e-308", True),  # just below the smallest normal
+    ("4.9e-324", True),
+    ("2.4703282292062328e-324", True),  # just above half the smallest subnormal
+    ("-0", True),
+    ("-0.0e-999999999999", True),
+    ("0e999999999999", True),
+    ("1." + "0" * 30, True),
+    ("0." + "0" * 30 + "1", True),
+    ("1e309", False),  # overflows: the per-cell parser reports it
+    ("1e-999999999999", True),
+    ("1e", False),
+    ("e5", False),
+    (".", False),
+    ("-", False),
+    ("1.2.3", False),
+    ("0x10", False),
+    ("1 2", False),
+    ("+-1", False),
+])
+def test_load_number_edges_match_float(tmp_path, cell, vectorized):
+    p = tmp_path / "m.csv"
+    p.write_text(f"id,f0,f1\na,{cell},1\n")
+    _assert_same_as_cells(p)
+    assert _vectorized(p) == vectorized
+    if vectorized:
+        assert load_csv(p).values[0, 0].tobytes() == np.float64(float(cell)).tobytes()
+
+
+@pytest.mark.parametrize("exponent,vectorized", [
+    ("1000010", True),  # 1e5
+    ("10000010", False),  # past the exponent digits the pass keeps: inf
+])
+def test_load_long_fraction_with_long_exponent(tmp_path, exponent, vectorized):
+    # a million fraction digits against a long exponent, read only with
+    # the field size limit raised
+    cell = "0." + "0" * 1_000_004 + "1e" + exponent
+    p = tmp_path / "m.csv"
+    p.write_text(f"id,f0\na,{cell}\n")
+    old = csv.field_size_limit(10 ** 7)
+    try:
+        _assert_same_as_cells(p)
+        assert _vectorized(p) == vectorized
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_load_padding_is_what_float_strips(tmp_path):
+    # every character str.isspace() calls a space, near those float()
+    # strips, takes the compiled pass exactly when float() strips it
+    probe = [*range(0x09, 0x21), *range(0x7f, 0xa2), *range(0x167f, 0x1682),
+             0x180e, *range(0x1fff, 0x2031), *range(0x205e, 0x2061),
+             *range(0x2fff, 0x3002), 0xfeff]
+    p = tmp_path / "m.csv"
+    for code in probe:
+        c = chr(code)
+        if c in "\r\n,":
+            continue
+        p.write_text(f"id,f0\na,{c}1.5{c}\n", encoding="utf-8", newline="")
+        _assert_same_as_cells(p)
+        try:
+            float(f"{c}1.5{c}")
+        except ValueError:
+            assert not _vectorized(p), hex(code)
+        else:
+            assert _vectorized(p), hex(code)
+
+
+def test_parse_block_arguments_and_record_count():
+    values, spans = np.empty((1, 1)), np.empty((1, 4), dtype=np.int64)
+    with pytest.raises(TypeError):
+        _kernel.parse_block(bytearray(b"a,1\n"), 0, 2, -1, 100, values, spans)
+    with pytest.raises(ValueError):
+        _kernel.parse_block(b"a,1\n", 0, 3, -1, 100, values, spans)
+    with pytest.raises(ValueError):
+        _kernel.parse_block(b"a,1\n", 5, 2, -1, 100, values, spans)
+    assert _kernel.parse_block(b"a,1\n", 0, 2, -1, 100, values, spans)
+    assert values.tolist() == [[1.0]] and spans[0, :2].tolist() == [0, 1]
+    # a non-finite value, and records left over after len(values) rows
+    assert not _kernel.parse_block(b"a,1e309\n", 0, 2, -1, 100, values, spans)
+    assert not _kernel.parse_block(b"a,1\nb,2\n", 0, 2, -1, 100, values, spans)

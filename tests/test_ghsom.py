@@ -289,6 +289,25 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
+    # the library is built and loaded on first use, not on import
+    path = [str(Path(_kernel.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "XDG_CACHE_HOME": str(tmp_path)}
+    code = "import ghsomkit; print(ghsomkit._kernel.library.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+    assert done.stdout.strip() == "0"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_source_compiles_warning_clean(tmp_path):
+    cmd = ["cc", str(_kernel.SOURCE), "-o", str(tmp_path / "k.so"), *_kernel.FLAGS,
+           "-Wall", "-Wextra", "-Werror"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     path = _kernel.build()
@@ -296,7 +315,7 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
-    assert lib.train_steps and lib.nearest
+    assert lib.train_steps and lib.nearest and lib.parse_block
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
     assert path.stat().st_mtime_ns == built

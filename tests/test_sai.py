@@ -16,7 +16,8 @@ from ghsomkit import (
     sigma_within,
     significance_difference_feature,
 )
-from oracles import sigma_between_naive, sigma_within_naive
+from ghsomkit.sai import identify_significant_each
+from oracles import identify_significant_alone, sigma_between_naive, sigma_within_naive
 
 
 def _labeled_matrix(values, clusters, attr_names=None):
@@ -182,6 +183,42 @@ def test_errors():
     other = DataMatrix(np.ones((2, 1)), ["x0", "x1"], ["f0"])
     with pytest.raises(ValueError, match="different sample ids"):
         sigma_within(part, other, "A", "f0")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_identify_significant_each_matches_one_cluster_at_a_time(seed):
+    # same float operations as ranking each cluster on its own: exact
+    m, part = _random_clustered(seed, n=80, a=12, n_clusters=9)
+    names = part.cluster_names()
+    want = [s for c in names for s in identify_significant_alone(part, m, c, 5)]
+    assert identify_significant_each(part, m, k=5) == want
+    picked = [names[3], names[0], names[3]]
+    assert identify_significant_each(part, m, picked, k=5) == [
+        s for c in picked for s in identify_significant_alone(part, m, c, 5)]
+    assert identify_significant(part, m, names[2], 5) == identify_significant_alone(
+        part, m, names[2], 5)
+
+
+def test_identify_significant_each_reads_each_cluster_twice(monkeypatch):
+    # once for the means, once for sigma_i: linear in the leaf count
+    m, part = _random_clustered(seed=1, n=120, a=4, n_clusters=30)
+    calls = []
+    members = LeafPartition.members
+    monkeypatch.setattr(LeafPartition, "members",
+                        lambda self, c: calls.append(c) or members(self, c))
+    identify_significant_each(part, m)
+    assert sorted(calls) == sorted(part.cluster_names() * 2)
+
+
+def test_identify_significant_each_errors():
+    m, part = _labeled_matrix([[1.0], [2.0]], "AB")
+    with pytest.raises(KeyError, match="unknown cluster 'Z'"):
+        identify_significant_each(part, m, ["A", "Z"])
+    with pytest.raises(ValueError, match="k must be in"):
+        identify_significant_each(part, m, k=2)
+    single = LeafPartition(["s0", "s1"], ["A", "A"])
+    with pytest.raises(ValueError, match="at least 2 clusters"):
+        identify_significant_each(single, m)
 
 
 def test_significance_feature_values():
