@@ -12,36 +12,81 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-/* Sum of a[i] * a[i] for i < n, in the order of numpy's pairwise
-   summation (DOUBLE_pairwise_sum): a plain loop below 8 terms, 8
-   accumulators up to 128 terms, and above that the two halves, split at
-   a multiple of 8, summed recursively. */
-static double pairwise_sumsq(const double *a, int64_t n)
+/* The training pass works on 8 doubles at a time through GCC vector
+   extensions.  Every lane rounds each operation as the scalar code does,
+   so the vector width changes no bit; loads and stores go through memcpy,
+   which needs no alignment.  On x86-64 the training functions are built
+   for AVX-512F, AVX2 and the baseline, and the loader picks the widest
+   the CPU supports; that dispatch (an ifunc) needs glibc. */
+#define LANES 8
+typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
+#define LOAD(v, p) memcpy(&(v), (p), sizeof(vec))
+#define STORE(p, v) memcpy((p), &(v), sizeof(vec))
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+
+/* numpy's pairwise summation (DOUBLE_pairwise_sum) sums up to this many
+   terms with 8 accumulators, and splits longer runs in two */
+#define PW_BLOCKSIZE 128
+
+/* One unit's run of n <= PW_BLOCKSIZE weights w, in one pass: when
+   `update`, first w = w + diff * h; then diff = x - w, and the return
+   value is the sum of diff * diff in numpy's pairwise order: a plain loop
+   from -0.0 below 8 terms, otherwise 8 accumulators (the lanes of one
+   vector) combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+   scalar tail. */
+static inline __attribute__((always_inline)) double
+fused_run(double *w, double *diff, const double *x, double h, int64_t n, int update)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i] * a[i];
-        return res;
+    double res = -0.0;
+    int64_t k = 0;
+    if (n >= LANES) {
+        vec wv, dv, xv, acc;
+        for (; k < n - n % LANES; k += LANES) {
+            LOAD(wv, w + k);
+            LOAD(xv, x + k);
+            if (update) {
+                LOAD(dv, diff + k);
+                wv = wv + dv * h;
+                STORE(w + k, wv);
+            }
+            dv = xv - wv;
+            STORE(diff + k, dv);
+            if (k == 0)
+                acc = dv * dv;
+            else
+                acc = acc + dv * dv;
+        }
+        res = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+              ((acc[4] + acc[5]) + (acc[6] + acc[7]));
     }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j] * a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j] * a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
-                     ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i] * a[i];
-        return res;
+    for (; k < n; k++) {
+        if (update)
+            w[k] = w[k] + diff[k] * h;
+        double t = x[k] - w[k];
+        diff[k] = t;
+        res += t * t;
     }
+    return res;
+}
+
+/* fused_run over any n: above PW_BLOCKSIZE terms the two halves, split at
+   a multiple of 8, are summed recursively, as numpy does. */
+CLONES static double fused_row(double *w, double *diff, const double *x, double h,
+                               int64_t n, int update)
+{
+    if (n <= PW_BLOCKSIZE)
+        return update ? fused_run(w, diff, x, h, n, 1) : fused_run(w, diff, x, h, n, 0);
     int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sumsq(a, n2) + pairwise_sumsq(a + n2, n - n2);
+    n2 -= n2 % LANES;
+    double left = fused_row(w, diff, x, h, n2, update);
+    return left + fused_row(w + n2, diff + n2, x + n2, h, n - n2, update);
 }
 
 /* Index of the first minimum of d[0..n), or of the first NaN if there
@@ -62,43 +107,45 @@ static int64_t first_argmin(const double *d, int64_t n)
    Step s presents sample x[order[s]] of the (., dim) samples x:
 
        diff = x - w;  d = (diff * diff).sum(axis=1);  b = argmin(d)
-       w = w + diff * table[s, slot[g(b, u)]]     for every unit u
+       w = w + diff * (table[slot[g(b, u)], s] * alpha[s])   for every unit u
 
    where g(b, u) is the squared grid distance between units b and u, and
-   row s of the (steps, width) table holds the step's neighbourhood
-   weights by distinct grid distance.  Returns 0, or -1 when out of
-   memory. */
-int train_steps(double *w, int64_t rows, int64_t cols, int64_t dim,
-                const double *x, const int64_t *order, int64_t steps,
-                const double *table, int64_t width, const int64_t *slot)
+   column s of the (width, steps) table holds the step's neighbourhood
+   kernel by distinct grid distance.  One pass over the weights per step
+   applies the update and at once computes the next step's diff and d.
+   Returns 0, or -1 when out of memory. */
+CLONES int train_steps(double *w, int64_t rows, int64_t cols, int64_t dim,
+                       const double *x, const int64_t *order, int64_t steps,
+                       const double *table, int64_t width, const int64_t *slot,
+                       const double *alpha)
 {
+    if (steps == 0)
+        return 0;
     int64_t units = rows * cols;
-    double *diff = malloc(sizeof(double) * (size_t)(units * dim + units));
+    double *diff = malloc(sizeof(double) * (size_t)(units * dim + units + width));
     if (diff == NULL)
         return -1;
     double *d = diff + units * dim;
+    double *h = d + units;
 
+    const double *xs = x + order[0] * dim;
+    for (int64_t u = 0; u < units; u++) {
+        /* the reduction adds the pairwise sum to its initial 0.0 */
+        d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, 0.0, dim, 0);
+    }
     for (int64_t s = 0; s < steps; s++) {
-        const double *xs = x + order[s] * dim;
-        for (int64_t u = 0; u < units; u++) {
-            const double *wu = w + u * dim;
-            double *du = diff + u * dim;
-            for (int64_t k = 0; k < dim; k++)
-                du[k] = xs[k] - wu[k];
-            /* the reduction adds the pairwise sum to its initial 0.0 */
-            d[u] = 0.0 + pairwise_sumsq(du, dim);
-        }
         int64_t b = first_argmin(d, units);
-        const double *h = table + s * width;
+        for (int64_t j = 0; j < width; j++)
+            h[j] = table[j * steps + s] * alpha[s];
+        /* the last step's diff is never read: it is taken against its own
+           sample rather than one past the end of order */
+        xs = x + order[s + 1 < steps ? s + 1 : s] * dim;
         int64_t br = b / cols, bc = b % cols;
         for (int64_t r = 0; r < rows; r++) {
             for (int64_t c = 0; c < cols; c++) {
                 int64_t u = r * cols + c;
                 double hu = h[slot[(r - br) * (r - br) + (c - bc) * (c - bc)]];
-                double *wu = w + u * dim;
-                const double *du = diff + u * dim;
-                for (int64_t k = 0; k < dim; k++)
-                    wu[k] = wu[k] + du[k] * hu;
+                d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, hu, dim, 1);
             }
         }
     }

@@ -1,6 +1,17 @@
 """Loader of the compiled kernel in ``_kernel.c``: SOM training, BMU
 assignment and the CSV number block.
 
+``train_steps`` makes one pass over the weights per training step: it
+applies the step's update to each unit and at once computes that unit's
+difference to the next step's sample and its squared distance, 8 doubles
+at a time, summed in numpy's pairwise order. The neighbourhood kernel
+comes as a ``(width, steps)`` table, one column per step, that the
+kernel scales by the step's learning rate. On x86-64 with glibc the
+training functions are compiled for AVX-512F, AVX2 and the baseline
+(``target_clones``), and the loader picks the widest the CPU supports;
+every variant rounds each operation the same way, so the weights are the
+same bits on every CPU.
+
 ``parse_block`` reads the body of a CSV file in place and both validates
 and parses it in one pass. It accepts records of a fixed number of
 comma-separated fields ending in ``\n`` or ``\r\n``; an id and an
@@ -75,8 +86,14 @@ def build() -> Path:
 @functools.cache
 def library() -> ctypes.CDLL:
     """The loaded kernel library, built on the first call."""
-    lib = ctypes.CDLL(str(build()))
-    lib.train_steps.argtypes = [_F64, _N, _N, _N, _F64, _I64, _N, _F64, _N, _I64]
+    return load(build())
+
+
+def load(path) -> ctypes.CDLL:
+    """The library at ``path``, compiled from ``_kernel.c``, with its
+    functions' argument types declared."""
+    lib = ctypes.CDLL(str(path))
+    lib.train_steps.argtypes = [_F64, _N, _N, _N, _F64, _I64, _N, _F64, _N, _I64, _F64]
     lib.train_steps.restype = ctypes.c_int
     lib.nearest.argtypes = [_F64, _N, _F64, _N, _N, _F64, _I64]
     lib.nearest.restype = ctypes.c_int
@@ -85,25 +102,28 @@ def library() -> ctypes.CDLL:
     return lib
 
 
-def train_steps(weights, cols, x, order, table, slot) -> None:
+def train_steps(weights, cols, x, order, table, slot, alpha) -> None:
     """Apply one online update per entry of ``order`` to the
     ``(units, dim)`` weights of a map with ``cols`` columns, in place.
 
     Step ``s`` presents sample ``x[order[s]]`` and scales the step of
-    every unit ``u`` by ``table[s, slot[g]]``, where ``g`` is the squared
-    grid distance from the step's best-matching unit to ``u``.
+    every unit ``u`` by ``table[slot[g], s] * alpha[s]``, where ``g`` is
+    the squared grid distance from the step's best-matching unit to
+    ``u``; ``table`` has one column per step.
     """
     units, dim = weights.shape
     rows = units // cols
-    if (rows * cols != units or x.shape[1] != dim or len(table) != len(order)
+    steps = len(order)
+    if (rows * cols != units or x.shape[1] != dim or table.ndim != 2
+            or table.shape[1] != steps or alpha.shape != (steps,)
             or len(slot) < (rows - 1) ** 2 + (cols - 1) ** 2 + 1):
         raise ValueError("train_steps: inconsistent array shapes")
-    if len(order) and not (0 <= order.min() and order.max() < len(x)):
+    if steps and not (0 <= order.min() and order.max() < len(x)):
         raise ValueError("train_steps: sample index out of range")
-    if not (0 <= slot.min() and slot.max() < table.shape[1]):
+    if not (0 <= slot.min() and slot.max() < len(table)):
         raise ValueError("train_steps: table slot out of range")
-    if library().train_steps(weights, rows, cols, dim, x, order, len(order),
-                             table, table.shape[1], slot):
+    if library().train_steps(weights, rows, cols, dim, x, order, steps,
+                             table, len(table), slot, alpha):
         raise MemoryError("train_steps: out of memory")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -139,7 +140,11 @@ OPTIONS: list[Option] = [
     Option("separation", "--separation", "float", 5.0, "center separation for gen-synthetic blobs"),
 ]
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` does
+    not change it, and building it takes a few hundred ``add_argument``
+    calls."""
     parser = argparse.ArgumentParser(
         prog="ghsomkit",
         description="hierarchical SOM clustering, attribute ranking, and SVG maps",

@@ -251,14 +251,15 @@ def compute_layer0(m: DataMatrix) -> tuple[np.ndarray, float]:
     return w0, mqe0
 
 
-def _assign(som: SomMap, data: np.ndarray) -> None:
-    """Recompute BMU assignments and per-unit mqe for the routed samples.
+def _assign(som: SomMap, x: np.ndarray) -> None:
+    """Recompute BMU assignments and per-unit mqe for the routed samples
+    ``x``, the rows ``sample_indices`` of the data as a C-contiguous
+    float64 array.
 
     A unit's mqe is the mean of its samples' distances taken in routed
     order; one stable sort by unit gathers them for every unit.
     """
     n_units = som.rows * som.cols
-    x = np.ascontiguousarray(data[som.sample_indices], dtype=np.float64)
     flat = np.ascontiguousarray(som.weights.reshape(n_units, -1), dtype=np.float64)
     d, best = _kernel.nearest(x, flat)
     som.bmu_rows, som.bmu_cols = np.divmod(best.astype(np.intp), som.cols)
@@ -287,11 +288,15 @@ def train_map(
     Assignments and per-unit errors are recomputed afterwards.
 
     The permutations, the schedule and the neighborhood's ``exp`` run
-    in numpy, as a table of ``alpha(t) * h`` per step and distinct
-    squared grid distance. The compiled kernel applies the per-sample
-    updates with the float operations of numpy's ``w + (x - w) * h`` in
-    the same order, so the weights match a per-sample numpy loop bit for
-    bit.
+    in numpy. The kernel table has one row per distinct squared grid
+    distance and one column per step, so each numpy pass runs along a
+    row of many steps rather than along a short row of distances; numpy
+    computes the ``exp``, because its vectorized ``exp`` and the C
+    library's differ in the last bit. The compiled kernel multiplies a
+    step's column by its learning rate and applies the per-sample
+    updates in one pass over the weights per step, with the float
+    operations of numpy's ``w + (x - w) * (h * alpha)`` in the same
+    order, so the weights match a per-sample numpy loop bit for bit.
     """
     n = len(som.sample_indices)
     if n == 0:
@@ -303,7 +308,7 @@ def train_map(
     rng = _rng(params.rng_seed, som.path, 1 + epoch_base)
     order = np.concatenate([rng.permutation(n) for _ in range(params.lam)])
 
-    # every squared grid distance on the map, and its column in the table
+    # every squared grid distance on the map, and its row in the table
     distinct = np.unique(np.add.outer(np.arange(som.rows) ** 2, np.arange(som.cols) ** 2))
     slot = np.zeros(distinct[-1] + 1, dtype=np.int64)
     slot[distinct] = np.arange(len(distinct))
@@ -317,11 +322,13 @@ def train_map(
         alpha = params.alpha0 * frac
         sigma = np.maximum(SIGMA_FLOOR, sigma0 * frac)
         coef = -0.5 / (sigma * sigma)
-        table = np.exp(np.multiply.outer(coef, distinct)) * alpha[:, None]
-        _kernel.train_steps(weights, som.cols, x_local, order[start:start + len(t)], table, slot)
+        table = np.multiply(distinct[:, None], coef)
+        np.exp(table, out=table)
+        _kernel.train_steps(weights, som.cols, x_local, order[start:start + len(t)],
+                            table, slot, alpha)
 
     som.weights = weights.reshape(som.rows, som.cols, dim)
-    _assign(som, data)
+    _assign(som, x_local)
     return som
 
 

@@ -129,15 +129,21 @@ def identify_significant_each(
     if not 1 <= k <= m.n_attributes:
         raise ValueError(f"k must be in [1, {m.n_attributes}], got {k}")
 
+    # each attribute's place in name order: Python's string order, which
+    # a numpy string sort does not keep (it ignores trailing NULs)
+    names = m.attribute_names
+    name_rank = np.empty(len(names), dtype=np.intp)
+    name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     scores = []
     for cluster in clusters:
         sigma_i, sigma_b = _spreads(partition, m, means, row[cluster], cluster)
         diff = sigma_b - sigma_i
-        order = sorted(range(m.n_attributes), key=lambda g: (-diff[g], m.attribute_names[g]))
+        # descending diff, ties (-0.0 == 0.0 among them) by name
+        order = np.lexsort((name_rank, -diff))
         scores.extend(
             AttributeScore(
                 cluster=cluster,
-                attribute=m.attribute_names[g],
+                attribute=names[g],
                 sigma_i=float(sigma_i[g]),
                 sigma_b=float(sigma_b[g]),
                 diff=float(diff[g]),

@@ -1,10 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
 
 from ghsomkit import data
-from ghsomkit.cli import main
+from ghsomkit.cli import COMMANDS, build_parser, main
 
 OPTION_KEYS = {
     "input", "labels_column", "out_dir", "seed", "transpose",
@@ -109,6 +111,46 @@ def test_env_overrides_default_flag_overrides_env(tmp_path, dataset):
     cfg2 = json.loads((out2 / "config.cluster.json").read_text())
     assert cfg2["tau1"] == 0.3
     assert cfg2["lam"] == 7
+
+
+def _help(command):
+    with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit):
+        main([command, "--help"], env={})
+    return out.getvalue()
+
+
+def test_help_of_every_command_is_that_of_a_fresh_parser(tmp_path, dataset):
+    # the parser is built once per process and reused by every main()
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    want = {}
+    for command in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit):
+            fresh.parse_args([command, "--help"])
+        want[command] = out.getvalue()
+        assert want[command].startswith(f"usage: ghsomkit {command} ")
+        assert "--tau1 V" in want[command]
+    assert {command: _help(command) for command in COMMANDS} == want
+    assert run(["cluster", "--input", str(dataset), "--labels-column", "blob",
+                "--out-dir", str(tmp_path / "o"), "--zscore", "--tau1", "0.3"]) == 0
+    assert {command: _help(command) for command in COMMANDS} == want
+
+
+def test_two_main_calls_in_one_process_keep_their_own_flags(tmp_path, dataset):
+    out1, out2 = tmp_path / "one", tmp_path / "two"
+    assert run(["cluster", "--input", str(dataset), "--labels-column", "blob",
+                "--out-dir", str(out1), "--seed", "5", "--tau1", "0.3", "--zscore"]) == 0
+    assert run(["sai", "--out-dir", str(out1), "--target-cluster", _first_leaf(out1),
+                "--k", "2"]) == 0
+    assert run(["cluster", "--input", str(dataset), "--labels-column", "blob",
+                "--out-dir", str(out2), "--seed", "6"]) == 0
+    first = json.loads((out1 / "config.cluster.json").read_text())
+    sai = json.loads((out1 / "config.sai.json").read_text())
+    second = json.loads((out2 / "config.cluster.json").read_text())
+    assert (first["tau1"], first["zscore"], first["seed"], first["k"]) == (0.3, True, 5, None)
+    assert (sai["tau1"], sai["zscore"], sai["seed"], sai["k"]) == (0.1, False, 0, 2)
+    assert (sai["input"], sai["target_cluster"]) == (None, _first_leaf(out1))
+    assert (second["tau1"], second["zscore"], second["seed"], second["k"]) == (0.1, False, 6, None)
 
 
 def test_bad_env_value_is_reported(tmp_path, dataset, capsys):

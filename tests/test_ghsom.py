@@ -3,6 +3,7 @@ import gc
 import json
 import logging
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -204,23 +205,11 @@ def test_train_matches_online_oracle_bitwise(case):
     assert som.unit_mqe.tobytes() == want_mqe.tobytes()
 
 
-@pytest.mark.parametrize(
-    "dim, rows, cols, n, lam",
-    [
-        # 58 distinct grid distances: the cycle spans three kernel calls
-        (3, 9, 11, 60, 40),
-        # rows of 130 floats take the recursive branch of the pairwise sum
-        (130, 3, 4, 30, 4),
-    ],
-)
-def test_train_matches_online_oracle_bitwise_across_dims(dim, rows, cols, n, lam):
+def _train_matches_online_oracle(dim, rows, cols, n, lam):
     rng = np.random.default_rng(dim)
     m = _random_matrix(n, dim, seed=dim)
     weights = rng.normal(size=(rows, cols, dim))
     params = GhsomParams(lam=lam, rng_seed=2)
-    if dim == 3:
-        distinct = np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))
-        assert lam * n > 2 * (TABLE_FLOATS // len(distinct))
     want_w, want_mqe = train_map_online(
         weights, m.values, params.rng_seed, "", 1, params.lam, params.alpha0,
     )
@@ -228,6 +217,65 @@ def test_train_matches_online_oracle_bitwise_across_dims(dim, rows, cols, n, lam
     train_map(som, m.values, params)
     assert som.weights.tobytes() == want_w.tobytes()
     assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+
+
+ACROSS_DIMS = [
+    # 58 distinct grid distances: the cycle spans three kernel calls
+    (3, 9, 11, 60, 40),
+    # the dims the benchmark trains: one full vector, two and a tail,
+    # and 300 floats split twice by the pairwise sum
+    (8, 2, 3, 30, 6),
+    (20, 3, 3, 24, 5),
+    (300, 2, 3, 20, 3),
+    # 14 distinct grid distances on a map of full vectors
+    (16, 4, 5, 40, 4),
+    # rows of 130 floats take the recursive branch of the pairwise sum
+    (130, 3, 4, 30, 4),
+]
+
+
+@pytest.mark.parametrize("dim, rows, cols, n, lam", ACROSS_DIMS)
+def test_train_matches_online_oracle_bitwise_across_dims(dim, rows, cols, n, lam):
+    if dim == 3:
+        distinct = np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))
+        assert lam * n > 2 * (TABLE_FLOATS // len(distinct))
+    _train_matches_online_oracle(dim, rows, cols, n, lam)
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+CLONES = 'target_clones("avx512f", "avx2", "default")'
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the training functions are cloned on x86-64 only")
+@pytest.mark.parametrize("target", ["default", "avx2", "avx512f"])
+def test_every_clone_matches_online_oracle_bitwise(target, tmp_path, monkeypatch):
+    # the loaded library runs only the clone this CPU picks, so build
+    # copies of the source that hold one target each
+    if target != "default" and target not in _cpu_flags():
+        pytest.skip(f"this CPU lacks {target}")
+    source = _kernel.SOURCE.read_text()
+    assert source.count(CLONES) == 1
+    copy = tmp_path / "k.c"
+    copy.write_text(source.replace(CLONES, f'target("{target}")'))
+    lib_path = tmp_path / "k.so"
+    cmd = ["cc", str(copy), "-o", str(lib_path), *_kernel.FLAGS]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lib = _kernel.load(lib_path)
+    monkeypatch.setattr(_kernel, "library", lambda: lib)
+    for dim, rows, cols, n, lam in [(3, 3, 4, 20, 4), *ACROSS_DIMS[1:]]:
+        _train_matches_online_oracle(dim, rows, cols, n, lam)
 
 
 @pytest.mark.parametrize("dim", [*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 1000])
@@ -238,8 +286,9 @@ def test_kernel_bmu_follows_numpy_pairwise_sum(dim):
     rng = np.random.default_rng(dim)
     units = 16
     x = np.zeros((1, dim))
-    table = np.zeros((1, units))  # h = 1 at the BMU, 0 elsewhere
+    table = np.zeros((units, 1))  # h = 1 at the BMU, 0 elsewhere
     table[0, 0] = 1.0
+    alpha = np.array([1.0])
     slot = np.zeros((units - 1) ** 2 + 1, dtype=np.int64)
     slot[np.arange(units) ** 2] = np.arange(units)
     picks = set()
@@ -248,7 +297,7 @@ def test_kernel_bmu_follows_numpy_pairwise_sum(dim):
         w = np.stack([rng.permutation(a) for _ in range(units)])
         diff = x - w
         want = int(np.add.reduce(diff * diff, axis=1).argmin())
-        _kernel.train_steps(w, units, x, np.zeros(1, dtype=np.int64), table, slot)
+        _kernel.train_steps(w, units, x, np.zeros(1, dtype=np.int64), table, slot, alpha)
         moved = np.flatnonzero((w == 0.0).all(axis=1))
         assert moved.tolist() == [want]
         picks.add(want)

@@ -199,6 +199,26 @@ def test_identify_significant_each_matches_one_cluster_at_a_time(seed):
         part, m, names[2], 5)
 
 
+def test_identify_significant_each_ties_match_oracle_exactly():
+    # duplicated columns tie on diff, constant ones tie at diff 0.0 (whose
+    # keys are -0.0); every tie goes to Python's name order, in which "b"
+    # comes before "b\x00" (a numpy string sort would call them equal)
+    base = np.random.default_rng(3).normal(size=(40, 3))
+    values = np.column_stack([base, base[:, 1], base[:, 0], np.full(40, 2.0), np.zeros(40)])
+    names = ["m", "b\x00", "c", "b", "a", "z", "y"]
+    m, part = _labeled_matrix(values, [f"c{i % 5}" for i in range(40)], names)
+    for c in part.cluster_names():
+        got = identify_significant_each(part, m, [c], k=7)
+        assert repr(got) == repr(identify_significant_alone(part, m, c, 7))
+        attrs = [s.attribute for s in got]
+        assert attrs.index("a") < attrs.index("m") and attrs.index("b") < attrs.index("b\x00")
+        assert [s.attribute for s in got if s.diff == 0.0] == ["y", "z"]
+        assert attrs.index("z") == attrs.index("y") + 1
+    scores = identify_significant_each(part, m, k=7)
+    assert scores == [s for c in part.cluster_names()
+                      for s in identify_significant_alone(part, m, c, 7)]
+
+
 def test_identify_significant_each_reads_each_cluster_twice(monkeypatch):
     # once for the means, once for sigma_i: linear in the leaf count
     m, part = _random_clustered(seed=1, n=120, a=4, n_clusters=30)
