@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from math import comb
 from typing import Sequence
@@ -83,22 +84,10 @@ def adjusted_rand_index(pred: Sequence, truth: Sequence) -> float:
     n = len(pred)
     if n < 2:
         raise ValueError("ARI needs at least 2 samples")
-    pred_codes = {}
-    truth_codes = {}
-    table: dict[tuple[int, int], int] = {}
-    for p, t in zip(pred, truth):
-        i = pred_codes.setdefault(p, len(pred_codes))
-        j = truth_codes.setdefault(t, len(truth_codes))
-        table[(i, j)] = table.get((i, j), 0) + 1
-    a = np.zeros(len(pred_codes), dtype=np.int64)
-    b = np.zeros(len(truth_codes), dtype=np.int64)
-    sum_ij = 0
-    for (i, j), cnt in table.items():
-        a[i] += cnt
-        b[j] += cnt
-        sum_ij += comb(cnt, 2)
-    sum_a = sum(comb(int(x), 2) for x in a)
-    sum_b = sum(comb(int(x), 2) for x in b)
+    sum_ij, sum_a, sum_b = (
+        sum(comb(c, 2) for c in Counter(labels).values())
+        for labels in (zip(pred, truth), pred, truth)
+    )
     expected = sum_a * sum_b / comb(n, 2)
     maximum = (sum_a + sum_b) / 2
     if maximum == expected:

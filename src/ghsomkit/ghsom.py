@@ -143,14 +143,12 @@ class SomMap:
     def iter_units(self):
         """Yield every unit in row-major order.
 
-        The members of all units come from one stable sort of the routed
-        samples by flat unit index, so each unit's ``assigned`` keeps the
-        order of ``sample_indices``, as a per-unit mask would.
+        ``_split`` groups the routed samples by flat unit index, so each
+        unit's ``assigned`` keeps the order of ``sample_indices``, as a
+        per-unit mask would.
         """
         flat = self.bmu_rows * self.cols + self.bmu_cols
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.rows * self.cols)
-        members = np.split(self.sample_indices[order], np.cumsum(counts)[:-1])
+        members = _split(self.sample_indices, flat, self.rows * self.cols)
         for u, assigned in enumerate(members):
             row, col = divmod(u, self.cols)
             yield Unit(
@@ -238,6 +236,14 @@ def _rng(seed: int, path: str, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _split(values: np.ndarray, units: np.ndarray, n_units: int) -> list[np.ndarray]:
+    """``values`` grouped by flat unit index ``units`` into ``n_units``
+    arrays, each in the order of ``values`` (one stable sort for all)."""
+    order = np.argsort(units, kind="stable")
+    counts = np.bincount(units, minlength=n_units)
+    return np.split(values[order], np.cumsum(counts)[:-1])
+
+
 def compute_layer0(m: DataMatrix) -> tuple[np.ndarray, float]:
     """Layer-0 statistics: data mean and its mean quantization error.
 
@@ -257,19 +263,14 @@ def _assign(som: SomMap, x: np.ndarray) -> None:
     float64 array.
 
     A unit's mqe is the mean of its samples' distances taken in routed
-    order; one stable sort by unit gathers them for every unit.
+    order, as ``_split`` groups them; an empty unit's is 0.
     """
     n_units = som.rows * som.cols
     flat = np.ascontiguousarray(som.weights.reshape(n_units, -1), dtype=np.float64)
     d, best = _kernel.nearest(x, flat)
     som.bmu_rows, som.bmu_cols = np.divmod(best.astype(np.intp), som.cols)
-    counts = np.bincount(best, minlength=n_units)
-    ends = np.cumsum(counts)
-    d_by_unit = d[np.argsort(best, kind="stable")]
-    unit_mqe = np.zeros(n_units)
-    for u in np.flatnonzero(counts):
-        unit_mqe[u] = d_by_unit[ends[u] - counts[u]:ends[u]].mean()
-    som.unit_mqe = unit_mqe.reshape(som.rows, som.cols)
+    unit_mqe = [g.mean() if len(g) else 0.0 for g in _split(d, best, n_units)]
+    som.unit_mqe = np.array(unit_mqe).reshape(som.rows, som.cols)
 
 
 def train_map(
@@ -306,7 +307,8 @@ def train_map(
     weights = np.ascontiguousarray(som.weights, dtype=np.float64).reshape(-1, dim)
     sigma0 = params.sigma0 if params.sigma0 is not None else max(som.rows, som.cols) / 2
     rng = _rng(params.rng_seed, som.path, 1 + epoch_base)
-    order = np.concatenate([rng.permutation(n) for _ in range(params.lam)])
+    # the same draws as one ``rng.permutation(n)`` per epoch
+    order = rng.permuted(np.tile(np.arange(n), (params.lam, 1)), axis=1).ravel()
 
     # every squared grid distance on the map, and its row in the table
     distinct = np.unique(np.add.outer(np.arange(som.rows) ** 2, np.arange(som.cols) ** 2))
@@ -622,31 +624,21 @@ def tree_to_json(tree: GhsomTree) -> str:
 
 def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> SomMap:
     rows, cols = d["rows"], d["cols"]
-    dim = len(d["units"][0]["weight"])
-    weights = np.zeros((rows, cols, dim))
-    per_unit = {}
-    for u in d["units"]:
-        weights[u["row"], u["col"]] = u["weight"]
-        per_unit[(u["row"], u["col"])] = u
-
-    indices = []
-    bmu_rows = []
-    bmu_cols = []
-    for (row, col), u in sorted(per_unit.items()):
-        for sid in u["assigned"]:
-            indices.append(id_index[sid])
-            bmu_rows.append(row)
-            bmu_cols.append(col)
-
-    som = SomMap(rows, cols, weights, d["parent_mqe"], depth, path, indices)
-    som.bmu_rows = np.array(bmu_rows, dtype=np.intp)
-    som.bmu_cols = np.array(bmu_cols, dtype=np.intp)
-    for (row, col), u in per_unit.items():
-        som.unit_mqe[row, col] = u["mqe"]
+    units = sorted(d["units"], key=lambda u: (u["row"], u["col"]))
+    cells = [(u["row"], u["col"]) for u in units]
+    if cells != [divmod(k, cols) for k in range(rows * cols)]:
+        raise ValueError(f"map {path or '<root>'}: units do not tile its {rows}x{cols} grid")
+    weights = np.array([u["weight"] for u in units], dtype=np.float64)
+    members = [id_index[sid] for u in units for sid in u["assigned"]]
+    som = SomMap(rows, cols, weights.reshape(rows, cols, -1), d["parent_mqe"], depth, path,
+                 members)
+    counts = [len(u["assigned"]) for u in units]
+    som.bmu_rows, som.bmu_cols = np.divmod(np.repeat(np.arange(rows * cols), counts), cols)
+    som.unit_mqe = np.array([u["mqe"] for u in units], dtype=np.float64).reshape(rows, cols)
+    for (row, col), u in zip(cells, units):
         if u["child"] is not None:
-            child_path = som.unit_path(row, col)
             som.children[(row, col)] = _map_from_dict(
-                u["child"], child_path, depth + 1, id_index
+                u["child"], som.unit_path(row, col), depth + 1, id_index
             )
     return som
 
@@ -669,4 +661,10 @@ def tree_from_dict(d: dict) -> GhsomTree:
 
 
 def tree_from_json(text: str) -> GhsomTree:
+    """Load a tree written by ``tree_to_json``.
+
+    Every map's units must tile its grid: one unit for each ``(row, col)``
+    with ``0 <= row < rows`` and ``0 <= col < cols``, in any order.
+    Otherwise a ``ValueError`` names the map.
+    """
     return tree_from_dict(json.loads(text))

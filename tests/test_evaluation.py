@@ -134,6 +134,20 @@ def test_ari_bounded_and_one_iff_identical_partition(a, data):
         pytest.fail(f"ARI 1.0 for different partitions: {a} vs {b}")
 
 
+def test_ari_groups_any_hashable_labels_by_equality():
+    # True == 1 == 1.0 and False == 0 share a group, as in a dict
+    pred = [1, True, 1.0, "a", "a", None, None, (1, "b"), (1, "b"), 0, False, "b"]
+    truth = ["x", "x", "y", "y", "y", None, "x", (2,), (2,), 3, 3, "x"]
+    got = adjusted_rand_index(pred, truth)
+    assert got == pytest.approx(ari_pair_counting(pred, truth), abs=1e-12)
+
+    def codes(xs):
+        seen = {}
+        return [seen.setdefault(x, len(seen)) for x in xs]
+
+    assert got == adjusted_rand_index(codes(pred), codes(truth))
+
+
 def test_ari_degenerate_returns_zero_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="ghsomkit.evaluation"):
         # singletons vs singletons: no within-pairs on either side

@@ -149,6 +149,12 @@ def test_train_recomputes_assignment_and_errors():
             assert unit.mqe == 0.0
     for k, g in enumerate(som.sample_indices):
         assert (som.bmu_rows[k], som.bmu_cols[k]) == best_matching_unit(som, m.values[g])
+    # to the bit: the mean of the kernel's distances of a unit's members,
+    # summed in routed order
+    d, best = _kernel.nearest(m.values[som.sample_indices], som.weights.reshape(6, 3))
+    for u, unit in enumerate(som.iter_units()):
+        mine = d[best == u]
+        assert unit.mqe == (np.mean(mine) if len(mine) else 0.0)
 
 
 def test_train_deterministic():
@@ -630,6 +636,44 @@ def test_tree_json_is_plain_json(blob_tree):
     assert doc["root"]["rows"] >= 2 and doc["root"]["cols"] >= 2
     assert doc["mqe0"] == blob_tree.mqe0
     assert text == json.dumps(doc, separators=(",", ":"))
+
+
+def test_tree_json_roundtrip_non_square_maps(nested_tree):
+    # rows != cols, so a transposed reshape of weights or errors would show
+    assert nested_tree.root.rows != nested_tree.root.cols
+    text = tree_to_json(nested_tree)
+    back = tree_from_json(text)
+    assert tree_to_json(back) == text
+    for a, b in zip(nested_tree.iter_maps(), back.iter_maps(), strict=True):
+        assert (b.path, b.rows, b.cols, sorted(b.children)) == (
+            a.path, a.rows, a.cols, sorted(a.children)
+        )
+        assert b.weights.shape == a.weights.shape
+        assert b.weights.tobytes() == a.weights.tobytes()
+        assert b.unit_mqe.tobytes() == a.unit_mqe.tobytes()
+        for ua, ub in zip(a.iter_units(), b.iter_units(), strict=True):
+            assert ub.assigned.tolist() == ua.assigned.tolist()
+
+
+@pytest.mark.parametrize("where", ["root", "child"])
+@pytest.mark.parametrize("fault", ["missing", "duplicated", "row -1", "col past the edge"])
+def test_tree_json_rejects_units_that_do_not_tile_the_grid(nested_tree, fault, where):
+    doc = json.loads(tree_to_json(nested_tree))
+    som, name = doc["root"], "<root>"
+    if where == "child":
+        unit = next(u for u in som["units"] if u["child"] is not None)
+        som, name = unit["child"], f"{unit['col']}x{unit['row']}"
+    units = som["units"]
+    if fault == "missing":
+        del units[-1]
+    elif fault == "duplicated":
+        units.append(json.loads(json.dumps(units[0])))
+    elif fault == "row -1":
+        units[0]["row"] = -1
+    else:
+        units[-1]["col"] = som["cols"]
+    with pytest.raises(ValueError, match=f"map {re.escape(name)}: units do not tile"):
+        tree_from_json(json.dumps(doc))
 
 
 def _dumps_17g(obj) -> str:
