@@ -103,67 +103,53 @@ static int64_t first_argmin(const double *d, int64_t n)
     return b;
 }
 
-/* Online SOM updates of the (rows * cols, dim) weights w, in place.
-   Step s presents sample x[order[s]] of the (., dim) samples x:
-
-       diff = x - w;  d = (diff * diff).sum(axis=1);  b = argmin(d)
-       w = w + diff * (table[slot[g(b, u)], s] * alpha[s])   for every unit u
-
-   where g(b, u) is the squared grid distance between units b and u, and
-   column s of the (width, steps) table holds the step's neighbourhood
-   kernel by distinct grid distance.  One pass over the weights per step
-   applies the update and at once computes the next step's diff and d.
-   Returns 0, or -1 when out of memory. */
-CLONES int train_steps(double *w, int64_t rows, int64_t cols, int64_t dim,
-                       const double *x, const int64_t *order, int64_t steps,
-                       const double *table, int64_t width, const int64_t *slot,
-                       const double *alpha)
+/* numpy's pairwise sum of the n values a (DOUBLE_pairwise_sum): a plain
+   loop from -0.0 below 8 terms, 8 accumulators up to PW_BLOCKSIZE, and
+   above that the two halves, split at a multiple of 8, summed
+   recursively. */
+static double pairwise_sum(const double *a, int64_t n)
 {
-    if (steps == 0)
-        return 0;
-    int64_t units = rows * cols;
-    double *diff = malloc(sizeof(double) * (size_t)(units * dim + units + width));
-    if (diff == NULL)
-        return -1;
-    double *d = diff + units * dim;
-    double *h = d + units;
-
-    const double *xs = x + order[0] * dim;
-    for (int64_t u = 0; u < units; u++) {
-        /* the reduction adds the pairwise sum to its initial 0.0 */
-        d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, 0.0, dim, 0);
+    if (n < LANES) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
     }
-    for (int64_t s = 0; s < steps; s++) {
-        int64_t b = first_argmin(d, units);
-        for (int64_t j = 0; j < width; j++)
-            h[j] = table[j * steps + s] * alpha[s];
-        /* the last step's diff is never read: it is taken against its own
-           sample rather than one past the end of order */
-        xs = x + order[s + 1 < steps ? s + 1 : s] * dim;
-        int64_t br = b / cols, bc = b % cols;
-        for (int64_t r = 0; r < rows; r++) {
-            for (int64_t c = 0; c < cols; c++) {
-                int64_t u = r * cols + c;
-                double hu = h[slot[(r - br) * (r - br) + (c - bc) * (c - bc)]];
-                d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, hu, dim, 1);
-            }
-        }
+    if (n <= PW_BLOCKSIZE) {
+        double r[LANES];
+        memcpy(r, a, sizeof(r));
+        int64_t i = LANES;
+        for (; i < n - n % LANES; i += LANES)
+            for (int j = 0; j < LANES; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
     }
-    free(diff);
-    return 0;
+    int64_t n2 = n / 2;
+    n2 -= n2 % LANES;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* For each of the n samples x (n, dim): the Euclidean distance to its
-   nearest row of w (units, dim) and that row's index.  A distance is the
-   sqrt of the index-order sum of squared differences, as scipy's cdist
-   computes it, and the nearest row is np.argmin's pick among them.
+/* Assigns each of the n samples x (n, dim) to its nearest row of w
+   (units, dim): dist[i] is the Euclidean distance, the sqrt of the
+   index-order sum of squared differences as scipy's cdist computes it,
+   and index[i] np.argmin's pick among the distances.  Then unit_mqe[u] is
+   the mean of unit u's distances in sample order as np.mean gives it,
+   (0.0 + pairwise sum) / count, or 0 for a unit without samples.
    Returns 0, or -1 when out of memory. */
-int nearest(const double *x, int64_t n, const double *w, int64_t units,
-            int64_t dim, double *dist, int64_t *index)
+static int assign(const double *x, int64_t n, const double *w, int64_t units,
+                  int64_t dim, double *dist, int64_t *index, double *unit_mqe)
 {
-    double *d = malloc(sizeof(double) * (size_t)units);
-    if (d == NULL)
+    double *d = malloc(sizeof(double) * (size_t)(units + n));
+    int64_t *end = calloc((size_t)units + 1, sizeof(int64_t));
+    if (d == NULL || end == NULL) {
+        free(d);
+        free(end);
         return -1;
+    }
+    double *grouped = d + units;
     for (int64_t i = 0; i < n; i++) {
         const double *xi = x + i * dim;
         for (int64_t u = 0; u < units; u++) {
@@ -177,9 +163,85 @@ int nearest(const double *x, int64_t n, const double *w, int64_t units,
         }
         index[i] = first_argmin(d, units);
         dist[i] = d[index[i]];
+        end[index[i] + 1]++;
+    }
+    /* a stable counting sort of the distances by unit: end[u] starts as
+       the first slot of unit u and ends one past its last */
+    for (int64_t u = 0; u < units; u++)
+        end[u + 1] += end[u];
+    for (int64_t i = 0; i < n; i++)
+        grouped[end[index[i]]++] = dist[i];
+    for (int64_t u = 0, start = 0; u < units; start = end[u++]) {
+        int64_t count = end[u] - start;
+        unit_mqe[u] = count ? (0.0 + pairwise_sum(grouped + start, count)) / (double)count
+                            : 0.0;
     }
     free(d);
+    free(end);
     return 0;
+}
+
+/* Online SOM updates of the (rows * cols, dim) weights w, in place.
+   Step s presents sample x[order[s]] of the (n, dim) samples x:
+
+       diff = x - w;  d = (diff * diff).sum(axis=1);  b = argmin(d)
+       w = w + diff * (table[slot[g(b, u)], s] * alpha[s])   for every unit u
+
+   where g(b, u) is the squared grid distance between units b and u, and
+   column s of the (width, steps) table holds the step's neighbourhood
+   kernel by distinct grid distance.  One pass over the weights per step
+   applies the update and at once computes the next step's diff and d.
+
+   When dist is not NULL, the trained map then assigns every sample and
+   scores every unit (assign) into dist, index and unit_mqe, so the last
+   block of a growth cycle is one call.  Every entry of order must be in
+   [0, n) and each of the nslot entries of slot in [0, width); they are
+   checked before w is touched.  Returns 0; -1 when out of memory, -2 for
+   a sample index and -3 for a table slot out of range. */
+CLONES int train_steps(double *w, int64_t rows, int64_t cols, int64_t dim,
+                       const double *x, int64_t n, const int64_t *order, int64_t steps,
+                       const double *table, int64_t width, const int64_t *slot,
+                       int64_t nslot, const double *alpha, double *dist,
+                       int64_t *index, double *unit_mqe)
+{
+    for (int64_t s = 0; s < steps; s++)
+        if (order[s] < 0 || order[s] >= n)
+            return -2;
+    for (int64_t g = 0; g < nslot; g++)
+        if (slot[g] < 0 || slot[g] >= width)
+            return -3;
+    int64_t units = rows * cols;
+    if (steps > 0) {
+        double *diff = malloc(sizeof(double) * (size_t)(units * dim + units + width));
+        if (diff == NULL)
+            return -1;
+        double *d = diff + units * dim;
+        double *h = d + units;
+
+        const double *xs = x + order[0] * dim;
+        for (int64_t u = 0; u < units; u++) {
+            /* the reduction adds the pairwise sum to its initial 0.0 */
+            d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, 0.0, dim, 0);
+        }
+        for (int64_t s = 0; s < steps; s++) {
+            int64_t b = first_argmin(d, units);
+            for (int64_t j = 0; j < width; j++)
+                h[j] = table[j * steps + s] * alpha[s];
+            /* the last step's diff is never read: it is taken against its
+               own sample rather than one past the end of order */
+            xs = x + order[s + 1 < steps ? s + 1 : s] * dim;
+            int64_t br = b / cols, bc = b % cols;
+            for (int64_t r = 0; r < rows; r++) {
+                for (int64_t c = 0; c < cols; c++) {
+                    int64_t u = r * cols + c;
+                    double hu = h[slot[(r - br) * (r - br) + (c - bc) * (c - bc)]];
+                    d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, hu, dim, 1);
+                }
+            }
+        }
+        free(diff);
+    }
+    return dist == NULL ? 0 : assign(x, n, w, units, dim, dist, index, unit_mqe);
 }
 
 /* Clinger's fast path (PLDI 1990): a decimal m * 10^k with m < 2^53 and

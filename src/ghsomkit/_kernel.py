@@ -12,6 +12,15 @@ training functions are compiled for AVX-512F, AVX2 and the baseline
 every variant rounds each operation the same way, so the weights are the
 same bits on every CPU.
 
+A growth cycle ends in one call: asked to ``assign``, ``train_steps``
+goes on from the last training step to put every sample on its nearest
+unit and to compute each unit's mean quantization error, summed as
+``np.mean`` sums (numpy's pairwise sum of the unit's distances in sample
+order, added to 0.0, divided by the count). A small map's cycle is a
+single call. The wrapper passes raw data addresses and itself checks
+each array's dtype, C order, writeability and shape; the kernel checks
+every sample and table index before it touches the weights.
+
 ``parse_block`` reads the body of a CSV file in place and both validates
 and parses it in one pass. It accepts records of a fixed number of
 comma-separated fields ending in ``\n`` or ``\r\n``; an id and an
@@ -52,6 +61,8 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _N = ctypes.c_int64
+_P = ctypes.c_void_p
+_DOUBLE, _INT = np.dtype(np.float64), np.dtype(np.int64)
 
 
 def build() -> Path:
@@ -93,16 +104,35 @@ def load(path) -> ctypes.CDLL:
     """The library at ``path``, compiled from ``_kernel.c``, with its
     functions' argument types declared."""
     lib = ctypes.CDLL(str(path))
-    lib.train_steps.argtypes = [_F64, _N, _N, _N, _F64, _I64, _N, _F64, _N, _I64, _F64]
+    lib.train_steps.argtypes = [_P, _N, _N, _N, _P, _N, _P, _N, _P, _N, _P, _N, _P,
+                                _P, _P, _P]
     lib.train_steps.restype = ctypes.c_int
-    lib.nearest.argtypes = [_F64, _N, _F64, _N, _N, _F64, _I64]
-    lib.nearest.restype = ctypes.c_int
     lib.parse_block.argtypes = [ctypes.c_char_p, _N, _N, _N, _N, _N, _N, _F64, _I64]
     lib.parse_block.restype = ctypes.c_int
     return lib
 
 
-def train_steps(weights, cols, x, order, table, slot, alpha) -> None:
+def _address(name: str, a, dtype, ndim: int, writeable: bool = False) -> int:
+    """Address of the data of ``a``, once it is what the kernel reads: a
+    C-contiguous ``ndim``-dimensional array of ``dtype``, writeable if
+    asked. The kernel gets raw addresses because converting ndpointer
+    arguments cost most of a call on a small map."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
+            and a.flags.c_contiguous and (a.flags.writeable or not writeable)):
+        mode = "writeable " if writeable else ""
+        raise TypeError(f"train_steps: {name} must be a {mode}C-contiguous "
+                        f"{ndim}-d {dtype} array")
+    return a.ctypes.data
+
+
+_STEP_ERRORS = {
+    -1: (MemoryError, "train_steps: out of memory"),
+    -2: (ValueError, "train_steps: sample index out of range"),
+    -3: (ValueError, "train_steps: table slot out of range"),
+}
+
+
+def train_steps(weights, cols, x, order, table, slot, alpha, assign=False):
     """Apply one online update per entry of ``order`` to the
     ``(units, dim)`` weights of a map with ``cols`` columns, in place.
 
@@ -110,33 +140,40 @@ def train_steps(weights, cols, x, order, table, slot, alpha) -> None:
     every unit ``u`` by ``table[slot[g], s] * alpha[s]``, where ``g`` is
     the squared grid distance from the step's best-matching unit to
     ``u``; ``table`` has one column per step.
+
+    With ``assign``, the same call then assigns every row of ``x`` to its
+    nearest unit of the trained weights and returns ``(dist, index,
+    unit_mqe)``: each row's Euclidean distance to that unit and the
+    unit's index (the first on ties, as ``np.argmin`` picks), and each
+    unit's mean distance of its rows, taken in row order as ``np.mean``
+    takes it (0 for a unit without rows). Without it, returns None.
+
+    Every array must be C-contiguous float64 (``order`` and ``slot``
+    int64) and ``weights`` writeable, or TypeError is raised; ValueError
+    is raised for inconsistent shapes and for entries of ``order`` or
+    ``slot`` outside ``x`` or ``table``, and ``weights`` is then left as
+    it was.
     """
+    w = _address("weights", weights, _DOUBLE, 2, writeable=True)
+    xp = _address("x", x, _DOUBLE, 2)
+    op = _address("order", order, _INT, 1)
+    tp = _address("table", table, _DOUBLE, 2)
+    sp = _address("slot", slot, _INT, 1)
+    ap = _address("alpha", alpha, _DOUBLE, 1)
     units, dim = weights.shape
-    rows = units // cols
-    steps = len(order)
-    if (rows * cols != units or x.shape[1] != dim or table.ndim != 2
-            or table.shape[1] != steps or alpha.shape != (steps,)
-            or len(slot) < (rows - 1) ** 2 + (cols - 1) ** 2 + 1):
+    n, steps, width = len(x), len(order), len(table)
+    rows = units // cols if cols > 0 else 0
+    if (rows < 1 or rows * cols != units or x.shape[1] != dim or table.shape[1] != steps
+            or len(alpha) != steps or len(slot) < (rows - 1) ** 2 + (cols - 1) ** 2 + 1):
         raise ValueError("train_steps: inconsistent array shapes")
-    if steps and not (0 <= order.min() and order.max() < len(x)):
-        raise ValueError("train_steps: sample index out of range")
-    if not (0 <= slot.min() and slot.max() < len(table)):
-        raise ValueError("train_steps: table slot out of range")
-    if library().train_steps(weights, rows, cols, dim, x, order, steps,
-                             table, len(table), slot, alpha):
-        raise MemoryError("train_steps: out of memory")
-
-
-def nearest(x, w) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each row of ``x`` to its nearest row of ``w``, and
-    that row's index (the first one on ties)."""
-    if x.shape[1] != w.shape[1] or len(w) == 0:
-        raise ValueError("nearest: inconsistent array shapes")
-    dist = np.empty(len(x))
-    index = np.empty(len(x), dtype=np.int64)
-    if library().nearest(x, len(x), w, len(w), w.shape[1], dist, index):
-        raise MemoryError("nearest: out of memory")
-    return dist, index
+    out = (np.empty(n), np.empty(n, dtype=np.int64), np.empty(units)) if assign else None
+    targets = [a.ctypes.data for a in out] if assign else [None] * 3
+    code = library().train_steps(w, rows, cols, dim, xp, n, op, steps, tp, width, sp,
+                                 len(slot), ap, *targets)
+    if code:
+        error, message = _STEP_ERRORS[code]
+        raise error(message)
+    return out
 
 
 def parse_block(data: bytes, pos, fields, label, limit, values, spans) -> bool:

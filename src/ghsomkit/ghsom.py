@@ -16,6 +16,7 @@ e.g. ``0x0-2x1``.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
@@ -79,6 +80,10 @@ class GhsomParams:
     depth_reference: str = "global"
 
     def validate(self) -> None:
+        for name in ("lam", "max_depth", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.tau1 <= 1:
             raise ValueError("tau1 must be in (0, 1]")
         if not 0 < self.tau2 <= 1:
@@ -208,10 +213,12 @@ class LeafPartition:
     def __post_init__(self):
         if len(self.sample_ids) != len(self.clusters):
             raise ValueError("sample_ids and clusters must be aligned")
-        groups: dict[str, list[int]] = {}
-        for i, c in enumerate(self.clusters):
-            groups.setdefault(c, []).append(i)
-        self._index = {c: np.array(ix, dtype=np.intp) for c, ix in groups.items()}
+        # clusters numbered in order of first appearance through a dict:
+        # sorting the names with np.unique costs more than the grouping
+        codes = {c: k for k, c in enumerate(dict.fromkeys(self.clusters))}
+        n = len(self.clusters)
+        inverse = np.fromiter(map(codes.__getitem__, self.clusters), np.intp, n)
+        self._index = dict(zip(codes, _split(np.arange(n), inverse, len(codes))))
 
     def cluster_names(self) -> list[str]:
         return sorted(self._index)
@@ -239,9 +246,9 @@ def _rng(seed: int, path: str, stream: int) -> np.random.Generator:
 def _split(values: np.ndarray, units: np.ndarray, n_units: int) -> list[np.ndarray]:
     """``values`` grouped by flat unit index ``units`` into ``n_units``
     arrays, each in the order of ``values`` (one stable sort for all)."""
-    order = np.argsort(units, kind="stable")
-    counts = np.bincount(units, minlength=n_units)
-    return np.split(values[order], np.cumsum(counts)[:-1])
+    ends = np.cumsum(np.bincount(units, minlength=n_units)).tolist()
+    grouped = values[np.argsort(units, kind="stable")]
+    return [grouped[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def compute_layer0(m: DataMatrix) -> tuple[np.ndarray, float]:
@@ -257,20 +264,20 @@ def compute_layer0(m: DataMatrix) -> tuple[np.ndarray, float]:
     return w0, mqe0
 
 
-def _assign(som: SomMap, x: np.ndarray) -> None:
-    """Recompute BMU assignments and per-unit mqe for the routed samples
-    ``x``, the rows ``sample_indices`` of the data as a C-contiguous
-    float64 array.
-
-    A unit's mqe is the mean of its samples' distances taken in routed
-    order, as ``_split`` groups them; an empty unit's is 0.
-    """
-    n_units = som.rows * som.cols
-    flat = np.ascontiguousarray(som.weights.reshape(n_units, -1), dtype=np.float64)
-    d, best = _kernel.nearest(x, flat)
-    som.bmu_rows, som.bmu_cols = np.divmod(best.astype(np.intp), som.cols)
-    unit_mqe = [g.mean() if len(g) else 0.0 for g in _split(d, best, n_units)]
-    som.unit_mqe = np.array(unit_mqe).reshape(som.rows, som.cols)
+@functools.lru_cache(maxsize=32)
+def _grid_distances(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct squared grid distance on a ``rows`` x ``cols`` map,
+    ascending as floats, and the row of each squared distance in that
+    list (the kernel's ``slot``). Both arrays are read-only, and shared
+    by every map of that shape. The cache is small because each entry's
+    ``slot`` holds ``(rows-1)**2 + (cols-1)**2 + 1`` ints; its hits come
+    from sibling maps and refits, which reuse the small shapes."""
+    distinct = np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))
+    slot = np.zeros(distinct[-1] + 1, dtype=np.int64)
+    slot[distinct] = np.arange(len(distinct))
+    distinct = distinct.astype(np.float64)
+    distinct.flags.writeable = slot.flags.writeable = False
+    return distinct, slot
 
 
 def train_map(
@@ -293,11 +300,19 @@ def train_map(
     distance and one column per step, so each numpy pass runs along a
     row of many steps rather than along a short row of distances; numpy
     computes the ``exp``, because its vectorized ``exp`` and the C
-    library's differ in the last bit. The compiled kernel multiplies a
-    step's column by its learning rate and applies the per-sample
-    updates in one pass over the weights per step, with the float
-    operations of numpy's ``w + (x - w) * (h * alpha)`` in the same
-    order, so the weights match a per-sample numpy loop bit for bit.
+    library's differ in the last bit. The distinct distances and their
+    slots come from a cache keyed by the map's shape. The compiled
+    kernel multiplies a step's column by its learning rate and applies
+    the per-sample updates in one pass over the weights per step, with
+    the float operations of numpy's ``w + (x - w) * (h * alpha)`` in the
+    same order, so the weights match a per-sample numpy loop bit for bit.
+
+    The steps go to the kernel in blocks whose table holds about
+    ``TABLE_FLOATS`` floats, so a small map's cycle is a single call.
+    The call with the last block also assigns every routed sample to
+    its nearest unit and computes each unit's mqe, the mean of its
+    samples' distances in routed order as ``np.mean`` gives it (0 for an
+    empty unit).
     """
     n = len(som.sample_indices)
     if n == 0:
@@ -310,27 +325,26 @@ def train_map(
     # the same draws as one ``rng.permutation(n)`` per epoch
     order = rng.permuted(np.tile(np.arange(n), (params.lam, 1)), axis=1).ravel()
 
-    # every squared grid distance on the map, and its row in the table
-    distinct = np.unique(np.add.outer(np.arange(som.rows) ** 2, np.arange(som.cols) ** 2))
-    slot = np.zeros(distinct[-1] + 1, dtype=np.int64)
-    slot[distinct] = np.arange(len(distinct))
-    distinct = distinct.astype(np.float64)
+    distinct, slot = _grid_distances(som.rows, som.cols)
 
     total = params.lam * n
     block = max(1, TABLE_FLOATS // len(distinct))
-    for start in range(0, total, block):
-        t = np.arange(start, min(start + block, total))
-        frac = 1.0 - t / total
+    # at least one call, as the last one assigns
+    for start in range(0, max(total, 1), block):
+        stop = min(start + block, total)
+        frac = 1.0 - np.arange(start, stop) / total
         alpha = params.alpha0 * frac
         sigma = np.maximum(SIGMA_FLOOR, sigma0 * frac)
         coef = -0.5 / (sigma * sigma)
         table = np.multiply(distinct[:, None], coef)
         np.exp(table, out=table)
-        _kernel.train_steps(weights, som.cols, x_local, order[start:start + len(t)],
-                            table, slot, alpha)
+        assigned = _kernel.train_steps(weights, som.cols, x_local, order[start:stop],
+                                       table, slot, alpha, assign=stop == total)
 
+    _, best, unit_mqe = assigned
     som.weights = weights.reshape(som.rows, som.cols, dim)
-    _assign(som, x_local)
+    som.bmu_rows, som.bmu_cols = np.divmod(best.astype(np.intp, copy=False), som.cols)
+    som.unit_mqe = unit_mqe.reshape(som.rows, som.cols)
     return som
 
 
@@ -552,15 +566,25 @@ def find_cluster(tree: GhsomTree, path: str) -> np.ndarray:
 
 
 def leaf_partition(tree: GhsomTree) -> LeafPartition:
-    """Flatten the tree: every sample labeled with its leaf unit's path."""
-    clusters = [""] * len(tree.sample_ids)
-    for path, unit in tree.iter_leaf_units():
-        for i in unit.assigned:
-            clusters[i] = path
-    missing = [tree.sample_ids[i] for i, c in enumerate(clusters) if not c]
+    """Flatten the tree: every sample labeled with its leaf unit's path.
+
+    Each map labels, from its BMU arrays, the samples on its units
+    without a child map.
+    """
+    clusters = np.full(len(tree.sample_ids), "", dtype=object)
+    for som in tree.iter_maps():
+        units = som.rows * som.cols
+        paths = np.array([som.unit_path(*divmod(u, som.cols)) for u in range(units)],
+                         dtype=object)
+        leaf = np.ones(units, dtype=bool)
+        leaf[[row * som.cols + col for row, col in som.children]] = False
+        flat = som.bmu_rows * som.cols + som.bmu_cols
+        at_leaf = leaf[flat]
+        clusters[som.sample_indices[at_leaf]] = paths[flat[at_leaf]]
+    missing = [tree.sample_ids[i] for i in np.flatnonzero(clusters == "")]
     if missing:
         raise RuntimeError(f"samples not reachable at any leaf: {missing[:5]}")
-    return LeafPartition(sample_ids=list(tree.sample_ids), clusters=clusters)
+    return LeafPartition(sample_ids=list(tree.sample_ids), clusters=clusters.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ from ghsomkit import (
 from ghsomkit import _kernel
 from ghsomkit.ghsom import (
     TABLE_FLOATS,
+    LeafPartition,
     SomMap,
+    _split,
     grow_horizontal,
     train_map,
 )
@@ -47,6 +49,16 @@ def _random_matrix(n, dim, seed):
         sample_ids=[f"s{i}" for i in range(n)],
         attribute_names=[f"f{j}" for j in range(dim)],
     )
+
+
+def _nearest(x, w):
+    """The kernel's assignment of the rows of ``x`` to the rows of ``w``
+    (distances and indices), from a call that trains no step."""
+    no_steps = np.empty(0, dtype=np.int64)
+    slot = np.zeros((len(w) - 1) ** 2 + 1, dtype=np.int64)
+    dist, index, _ = _kernel.train_steps(np.array(w, dtype=float), len(w), x, no_steps,
+                                         np.empty((1, 0)), slot, np.empty(0), assign=True)
+    return dist, index
 
 
 def _fresh_map(weights, sample_indices=()):
@@ -72,11 +84,23 @@ def _fresh_map(weights, sample_indices=()):
         dict(sigma0=0.0),
         dict(depth_reference="bogus"),
         dict(rng_seed=-1),
+        dict(lam=2.5),
+        dict(max_depth=1.5),
+        dict(rng_seed=1.7),
+        dict(rng_seed=1.0),
+        dict(lam=True),
+        dict(max_depth="3"),
+        dict(rng_seed=np.float64(2.0)),
     ],
 )
 def test_params_rejected(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         GhsomParams(**kwargs).validate()
+
+
+def test_params_accept_numpy_integers():
+    GhsomParams(lam=np.int64(3), max_depth=np.int32(2), rng_seed=np.uint8(7)).validate()
 
 
 def test_params_defaults_valid():
@@ -151,7 +175,7 @@ def test_train_recomputes_assignment_and_errors():
         assert (som.bmu_rows[k], som.bmu_cols[k]) == best_matching_unit(som, m.values[g])
     # to the bit: the mean of the kernel's distances of a unit's members,
     # summed in routed order
-    d, best = _kernel.nearest(m.values[som.sample_indices], som.weights.reshape(6, 3))
+    d, best = _nearest(m.values[som.sample_indices], som.weights.reshape(6, 3))
     for u, unit in enumerate(som.iter_units()):
         mine = d[best == u]
         assert unit.mqe == (np.mean(mine) if len(mine) else 0.0)
@@ -282,6 +306,118 @@ def test_every_clone_matches_online_oracle_bitwise(target, tmp_path, monkeypatch
     monkeypatch.setattr(_kernel, "library", lambda: lib)
     for dim, rows, cols, n, lam in [(3, 3, 4, 20, 4), *ACROSS_DIMS[1:]]:
         _train_matches_online_oracle(dim, rows, cols, n, lam)
+    _unit_mqe_matches_np_mean()
+
+
+def _unit_mqe_matches_np_mean():
+    # a 2x2 map on 600 samples in four clusters, one far from every unit
+    # but (0, 0): its units hold 0, 5, 60 and 535 samples, which reach
+    # every branch of numpy's pairwise sum (none, under 8, up to 128, and
+    # the recursive split above)
+    rng = np.random.default_rng(21)
+    centres = np.array([[0.0, 0.0], [0.0, 10.0], [10.0, 0.0], [10.0, 10.0]])
+    sizes = [5, 0, 60, 535]
+    x = np.concatenate([c + rng.normal(scale=0.5, size=(k, 2)) for c, k in zip(centres, sizes)])
+    x = x[rng.permutation(len(x))]
+    weights = centres.copy()
+    weights[1] = [-40.0, 50.0]
+    weights = weights.reshape(2, 2, 2)
+    m = DataMatrix(x, [f"s{i}" for i in range(len(x))], ["f0", "f1"])
+    params = GhsomParams(lam=2, alpha0=0.001, sigma0=0.5, rng_seed=3)
+    som = SomMap(2, 2, weights.copy(), 1.0, 1, "", np.arange(len(x)))
+    train_map(som, m.values, params)
+
+    want_w, want_mqe = train_map_online(weights, x, params.rng_seed, "", 1, params.lam,
+                                        params.alpha0, params.sigma0)
+    assert som.weights.tobytes() == want_w.tobytes()
+    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+    d = cdist(x, som.weights.reshape(4, 2))
+    best = d.argmin(axis=1)
+    groups = _split(d[np.arange(len(x)), best], best, 4)
+    assert [len(g) for g in groups] == sizes
+    want = [np.mean(g) if len(g) else 0.0 for g in groups]
+    assert som.unit_mqe.reshape(4).tolist() == want
+    assert som.unit_mqe.tobytes() == np.array(want).tobytes()
+
+
+def test_train_unit_mqe_matches_np_mean_in_every_summation_branch():
+    _unit_mqe_matches_np_mean()
+
+
+def _step_args():
+    rng = np.random.default_rng(0)
+    return dict(
+        weights=rng.normal(size=(4, 3)),  # a 2x2 map: squared grid distances 0, 1, 2
+        cols=2,
+        x=rng.normal(size=(5, 3)),
+        order=np.array([0, 4, 2], dtype=np.int64),
+        table=np.full((3, 3), 0.5),
+        slot=np.array([0, 1, 2], dtype=np.int64),
+        alpha=np.full(3, 0.5),
+    )
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _strided(a):
+    return np.repeat(a, 2, axis=-1)[..., ::2]
+
+
+@pytest.mark.parametrize(
+    "name, bad, error",
+    [
+        ("weights", lambda a: a.astype(np.float32), TypeError),
+        ("weights", np.asfortranarray, TypeError),
+        ("weights", _read_only, TypeError),
+        ("weights", lambda a: a.tolist(), TypeError),
+        ("weights", lambda a: a.reshape(2, 2, 3), TypeError),
+        ("x", lambda a: a.astype(np.float32), TypeError),
+        ("x", np.asfortranarray, TypeError),
+        ("x", _strided, TypeError),
+        ("order", lambda a: a.astype(np.int32), TypeError),
+        ("order", _strided, TypeError),
+        ("table", np.asfortranarray, TypeError),
+        ("table", _strided, TypeError),
+        ("slot", lambda a: a.astype(np.uint64), TypeError),
+        ("alpha", lambda a: a.astype(np.float32), TypeError),
+        ("alpha", _strided, TypeError),
+        ("order", lambda a: a - 1, ValueError),
+        ("order", lambda a: a + 1, ValueError),
+        ("slot", lambda a: a + 1, ValueError),
+        ("slot", lambda a: a - 1, ValueError),
+        ("slot", lambda a: a[:2], ValueError),
+        ("x", lambda a: a[:, :2].copy(), ValueError),
+        ("table", lambda a: a[:, :2].copy(), ValueError),
+        ("alpha", lambda a: a[:2].copy(), ValueError),
+        ("cols", lambda c: 3, ValueError),
+        ("cols", lambda c: 0, ValueError),
+    ],
+)
+def test_train_steps_rejects_bad_arrays(name, bad, error):
+    args = _step_args()
+    before = args["weights"].copy()
+    args[name] = bad(args[name])
+    with pytest.raises(error, match=name if error is TypeError else "train_steps"):
+        _kernel.train_steps(**args, assign=True)
+    if name != "weights":
+        assert args["weights"].tobytes() == before.tobytes()
+
+
+def test_train_steps_trains_then_assigns():
+    args = _step_args()
+    trained = _step_args()
+    assert _kernel.train_steps(**trained) is None
+    dist, index, unit_mqe = _kernel.train_steps(**args, assign=True)
+    assert args["weights"].tobytes() == trained["weights"].tobytes()
+    d = cdist(args["x"], args["weights"])
+    assert index.tolist() == d.argmin(axis=1).tolist()
+    assert dist.tobytes() == d[np.arange(5), index].tobytes()
+    want = [np.mean(g) if len(g) else 0.0 for g in _split(dist, index, 4)]
+    assert unit_mqe.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("dim", [*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 1000])
@@ -318,7 +454,7 @@ def test_kernel_nearest_matches_cdist_bitwise(dim):
     w[4] = w[1]  # a duplicated unit: samples near it must pick index 1
     x = np.concatenate([rng.normal(size=(25, dim)), w[[1, 4, 0]], w[[1, 2]] + 1e-3])
     d = cdist(x, w)
-    dist, index = _kernel.nearest(x, w)
+    dist, index = _nearest(x, w)
     assert index.tolist() == d.argmin(axis=1).tolist()
     assert dist.tobytes() == d[np.arange(len(x)), index].tobytes()
     assert 4 not in index.tolist()
@@ -328,7 +464,7 @@ def test_kernel_nearest_nan_and_ties_follow_argmin():
     w = np.array([[0.0], [np.nan], [0.0], [np.nan]])
     x = np.array([[0.0], [1.0]])
     d = cdist(x, w)
-    dist, index = _kernel.nearest(x, w)
+    dist, index = _nearest(x, w)
     assert index.tolist() == d.argmin(axis=1).tolist() == [1, 1]
     assert np.isnan(dist).all()
 
@@ -370,7 +506,8 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
-    assert lib.train_steps and lib.nearest and lib.parse_block
+    assert lib.train_steps and lib.parse_block
+    assert not hasattr(lib, "nearest")  # train_steps assigns the samples itself
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
     assert path.stat().st_mtime_ns == built
@@ -481,6 +618,44 @@ def test_partition_matches_leaves(blob_matrix, blob_tree):
     for cluster in part.cluster_names():
         members = part.members(cluster)
         np.testing.assert_array_equal(np.sort(members), np.sort(find_cluster(blob_tree, cluster)))
+
+
+def test_partition_labels_each_sample_with_its_leaf_unit(nested_tree):
+    want = [None] * len(nested_tree.sample_ids)
+    for path, unit in nested_tree.iter_leaf_units():
+        for i in unit.assigned:
+            want[i] = path
+    assert any(som.children for som in nested_tree.iter_maps())
+    assert leaf_partition(nested_tree).clusters == want
+
+
+def test_partition_names_samples_no_leaf_reaches(nested_tree):
+    tree = tree_from_json(tree_to_json(nested_tree))
+    child = next(c for som in tree.iter_maps() for c in som.children.values())
+    lost = tree.sample_ids[child.sample_indices[0]]
+    child.sample_indices = child.sample_indices[1:]
+    child.bmu_rows, child.bmu_cols = child.bmu_rows[1:], child.bmu_cols[1:]
+    with pytest.raises(RuntimeError, match=f"not reachable at any leaf: \\['{lost}'\\]"):
+        leaf_partition(tree)
+
+
+@pytest.mark.parametrize("n, k, seed", [(0, 3, 0), (1, 1, 1), (40, 1, 2), (300, 7, 3),
+                                        (1000, 90, 4)])
+def test_partition_groups_like_dict_of_lists(n, k, seed):
+    rng = np.random.default_rng(seed)
+    names = [f"{rng.integers(4)}x{rng.integers(4)}-{j}x0" for j in range(k)]
+    clusters = [names[i] for i in rng.integers(0, k, n)]
+    part = LeafPartition([f"s{i}" for i in range(n)], clusters)
+    want: dict[str, list[int]] = {}
+    for i, c in enumerate(clusters):
+        want.setdefault(c, []).append(i)
+    assert part.cluster_names() == sorted(want)
+    assert list(part.sizes().items()) == [(c, len(ix)) for c, ix in want.items()]
+    for c, ix in want.items():
+        assert part.members(c).dtype == np.intp
+        assert part.members(c).tolist() == ix
+    with pytest.raises(KeyError, match="unknown cluster"):
+        part.members("no such cluster")
 
 
 def test_find_cluster_internal_unit_unions_leaves(nested_tree):
