@@ -5,7 +5,9 @@ matrix, ``cluster`` fits the hierarchy and dumps tree/partition/matrix,
 ``sweep`` grids over (tau1, tau2), ``sai`` ranks attributes for one
 cluster, ``render-feature-map`` / ``render-distribution-map`` draw SVG
 views, and ``pipeline-crispr`` re-clusters the transposed rows of a
-picked cluster (the two-pass screen workflow).
+picked cluster (the two-pass screen workflow). Each artifact has one
+writer: the pipeline runs the fit, ranking and map stages that
+``cluster``, ``sai`` and the renderers run.
 
 Every flag can be preset through the environment with the ``GHSOMKIT_``
 prefix (e.g. ``GHSOMKIT_TAU1=0.05``), and a previously written resolved
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import os
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ from .data import DataMatrix, PreprocessSpec, load_csv, preprocess, save_csv, tr
 from .evaluation import save_sweep_summary, sweep, sweep_to_csv
 from .ghsom import (
     GhsomParams,
+    GhsomTree,
+    LeafPartition,
     dumps_stable,
     find_cluster,
     leaf_partition,
@@ -40,7 +43,7 @@ from .ghsom import (
     tree_from_json,
     tree_to_json,
 )
-from .sai import identify_significant, identify_significant_each, save_scores_csv
+from .sai import AttributeScore, identify_significant, identify_significant_each, save_scores_csv
 from .synthetic import block_matrix, gaussian_blobs, planted_attributes
 from .viz import FeatureSpec, render_distribution_map, render_feature_map
 
@@ -66,17 +69,28 @@ def _stage(name: str, fn: Callable[[], Any]) -> Any:
 # ---------------------------------------------------------------------------
 # option schema
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
+def _parse_bool(raw: Any) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    t = str(raw).strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off", ""):
         return False
-    raise ValueError(f"cannot parse '{text}' as a boolean")
+    raise ValueError(f"cannot parse '{raw}' as a boolean")
 
 
-def _parse_floats(text: str) -> list[float]:
-    vals = [float(v) for v in str(text).split(",") if v.strip() != ""]
+def _parse_int(raw: Any) -> int:
+    # a config file's 2.5 or true is refused, not truncated to 2 or 1
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"cannot parse {raw!r} as an integer")
+    return int(raw)
+
+
+def _parse_floats(raw: Any) -> list[float]:
+    if isinstance(raw, list):
+        return [float(v) for v in raw]
+    vals = [float(v) for v in str(raw).split(",") if v.strip() != ""]
     if not vals:
         raise ValueError("expected a comma-separated list of numbers")
     return vals
@@ -86,7 +100,7 @@ def _parse_floats(text: str) -> list[float]:
 class Option:
     dest: str
     flag: str
-    kind: str  # str | int | float | bool | floats; a None value stays None
+    parse: Callable[[Any], Any]  # applied to every value but None
     default: Any
     help: str
 
@@ -94,50 +108,37 @@ class Option:
     def env_key(self) -> str:
         return ENV_PREFIX + self.flag.lstrip("-").replace("-", "_").upper()
 
-    def convert(self, raw: Any) -> Any:
-        if raw is None:
-            return None
-        if self.kind == "bool":
-            return raw if isinstance(raw, bool) else _parse_bool(str(raw))
-        if self.kind == "floats":
-            return [float(v) for v in raw] if isinstance(raw, list) else _parse_floats(raw)
-        if self.kind == "int":
-            return int(raw)
-        if self.kind == "float":
-            return float(raw)
-        return str(raw)
-
 
 OPTIONS: list[Option] = [
-    Option("input", "--input", "str", None, "input CSV (header row, first column = sample id)"),
-    Option("labels_column", "--labels-column", "str", None, "name of the label column in the input CSV"),
-    Option("out_dir", "--out-dir", "str", "out", "output directory"),
-    Option("seed", "--seed", "int", 0, "seed for every random stream"),
-    Option("transpose", "--transpose", "bool", False, "transpose the matrix before anything else"),
-    Option("log_normalize", "--log-normalize", "bool", False, "row-sum normalize, scale, then log1p"),
-    Option("scale_factor", "--scale-factor", "float", 10_000.0, "scale factor for --log-normalize"),
-    Option("top_k_variable", "--top-k-variable", "int", None, "keep only the k highest-variance attributes"),
-    Option("zscore", "--zscore", "bool", False, "z-score each attribute (zero-variance ones become 0)"),
-    Option("tau1", "--tau1", "float", 0.1, "horizontal growth threshold in (0,1]"),
-    Option("tau2", "--tau2", "float", 0.1, "hierarchical expansion threshold in (0,1]"),
-    Option("lam", "--lambda", "int", 100, "training epochs per growth check"),
-    Option("alpha0", "--alpha0", "float", 0.5, "initial learning rate in (0,1]"),
-    Option("sigma0", "--sigma0", "float", None, "initial neighborhood radius (default: half the larger grid side)"),
-    Option("max_depth", "--max-depth", "int", 10, "maximum hierarchy depth"),
-    Option("k", "--k", "int", None, "how many attributes to rank (default: min(10, n_attributes))"),
-    Option("feature", "--feature", "str", "mean", "feature kind: mean|median|attribute|significance|label"),
-    Option("attribute", "--attribute", "str", None, "attribute name for --feature attribute"),
-    Option("target_cluster", "--target-cluster", "str", None, "target cluster for sai / --feature significance"),
-    Option("drill_depth", "--drill-depth", "int", None, "treemap nesting limit"),
-    Option("tau1_list", "--tau1-list", "floats", [0.2, 0.1, 0.05], "comma-separated tau1 sweep values"),
-    Option("tau2_list", "--tau2-list", "floats", [0.2, 0.1, 0.05], "comma-separated tau2 sweep values"),
-    Option("pick", "--pick", "str", None, "cluster whose members seed the second pipeline pass"),
-    Option("gen_kind", "--gen-kind", "str", "blobs", "synthetic dataset family: blobs|planted|blocks"),
-    Option("n_clusters", "--n-clusters", "int", 4, "clusters/groups for gen-synthetic"),
-    Option("per_cluster", "--per-cluster", "int", 50, "samples per cluster for gen-synthetic"),
-    Option("dim", "--dim", "int", 10, "attributes for gen-synthetic"),
-    Option("spread", "--spread", "float", 0.05, "within-cluster spread for gen-synthetic blobs"),
-    Option("separation", "--separation", "float", 5.0, "center separation for gen-synthetic blobs"),
+    Option("input", "--input", str, None, "input CSV (header row, first column = sample id)"),
+    Option("labels_column", "--labels-column", str, None, "name of the label column in the input CSV"),
+    Option("out_dir", "--out-dir", str, "out", "output directory"),
+    Option("seed", "--seed", _parse_int, 0, "seed for every random stream"),
+    Option("transpose", "--transpose", _parse_bool, False, "transpose the matrix before anything else"),
+    Option("log_normalize", "--log-normalize", _parse_bool, False, "row-sum normalize, scale, then log1p"),
+    Option("scale_factor", "--scale-factor", float, 10_000.0, "scale factor for --log-normalize"),
+    Option("top_k_variable", "--top-k-variable", _parse_int, None, "keep only the k highest-variance attributes"),
+    Option("zscore", "--zscore", _parse_bool, False, "z-score each attribute (zero-variance ones become 0)"),
+    Option("tau1", "--tau1", float, 0.1, "horizontal growth threshold in (0,1]"),
+    Option("tau2", "--tau2", float, 0.1, "hierarchical expansion threshold in (0,1]"),
+    Option("lam", "--lambda", _parse_int, 100, "training epochs per growth check"),
+    Option("alpha0", "--alpha0", float, 0.5, "initial learning rate in (0,1]"),
+    Option("sigma0", "--sigma0", float, None, "initial neighborhood radius (default: half the larger grid side)"),
+    Option("max_depth", "--max-depth", _parse_int, 10, "maximum hierarchy depth"),
+    Option("k", "--k", _parse_int, None, "how many attributes to rank (default: min(10, n_attributes))"),
+    Option("feature", "--feature", str, "mean", "feature kind: mean|median|attribute|significance|label"),
+    Option("attribute", "--attribute", str, None, "attribute name for --feature attribute"),
+    Option("target_cluster", "--target-cluster", str, None, "target cluster for sai / --feature significance"),
+    Option("drill_depth", "--drill-depth", _parse_int, None, "treemap nesting limit"),
+    Option("tau1_list", "--tau1-list", _parse_floats, [0.2, 0.1, 0.05], "comma-separated tau1 sweep values"),
+    Option("tau2_list", "--tau2-list", _parse_floats, [0.2, 0.1, 0.05], "comma-separated tau2 sweep values"),
+    Option("pick", "--pick", str, None, "cluster whose members seed the second pipeline pass"),
+    Option("gen_kind", "--gen-kind", str, "blobs", "synthetic dataset family: blobs|planted|blocks"),
+    Option("n_clusters", "--n-clusters", _parse_int, 4, "clusters/groups for gen-synthetic"),
+    Option("per_cluster", "--per-cluster", _parse_int, 50, "samples per cluster for gen-synthetic"),
+    Option("dim", "--dim", _parse_int, 10, "attributes for gen-synthetic"),
+    Option("spread", "--spread", float, 0.05, "within-cluster spread for gen-synthetic blobs"),
+    Option("separation", "--separation", float, 5.0, "center separation for gen-synthetic blobs"),
 ]
 
 @functools.cache
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="resolved config JSON from a previous run")
         for opt in OPTIONS:
-            if opt.kind == "bool":
+            if opt.parse is _parse_bool:
                 p.add_argument(opt.flag, dest=opt.dest, action="store_true",
                                default=None, help=opt.help)
             else:
@@ -179,7 +180,7 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str]) -> dict:
             value = file_cfg[opt.dest]
         if value is None:
             value = opt.default
-        resolved[opt.dest] = opt.convert(value)
+        resolved[opt.dest] = None if value is None else opt.parse(value)
     return resolved
 
 
@@ -197,16 +198,15 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_config(cfg: dict, out_dir: Path) -> None:
-    _write_text(out_dir / f"config.{cfg['command']}.json", dumps_stable(cfg) + "\n")
+    path = out_dir / f"config.{cfg['command']}.json"
+    _stage("write", lambda: _write_text(path, dumps_stable(cfg) + "\n"))
 
 
-def _write_partition_csv(partition, path: Path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["sample_id", "cluster"])
-    for sid, cluster in zip(partition.sample_ids, partition.clusters):
-        w.writerow([sid, cluster])
-    _write_text(path, buf.getvalue())
+def _save_partition_csv(partition: LeafPartition, path: Path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample_id", "cluster"])
+        w.writerows(zip(partition.sample_ids, partition.clusters))
 
 
 def _load_input(cfg: dict) -> DataMatrix:
@@ -268,6 +268,49 @@ def _feature_spec(cfg: dict) -> FeatureSpec:
 
 
 # ---------------------------------------------------------------------------
+# stages: each runs one step of a command and writes that step's files
+
+def _fit(cfg: dict, m: DataMatrix, out_dir: Path) -> tuple[GhsomTree, LeafPartition]:
+    """Fit ``m``; write ``tree.json``, ``partition.csv`` and ``matrix.csv``."""
+    tree = _stage("cluster", lambda: run_ghsom(m, _params(cfg)))
+    partition = leaf_partition(tree)
+
+    def write():
+        _write_text(out_dir / "tree.json", tree_to_json(tree) + "\n")
+        _atomic_write(out_dir / "partition.csv", lambda p: _save_partition_csv(partition, p))
+        _atomic_write(out_dir / "matrix.csv", lambda p: save_csv(m, p))
+
+    _stage("write", write)
+    return tree, partition
+
+
+def _rank(path: Path, rank: Callable[[], list[AttributeScore]]) -> list[AttributeScore]:
+    """Run an attribute ranking and write its scores to ``path``."""
+    scores = _stage("sai", rank)
+    _stage("write", lambda: _atomic_write(path, lambda p: save_scores_csv(scores, p)))
+    return scores
+
+
+def _draw(which: str, out_dir: Path, tree: GhsomTree, partition: LeafPartition,
+          m: DataMatrix, spec: FeatureSpec, drill_depth: int | None) -> Path:
+    """Render the ``which`` ("feature" or "distribution") map; write
+    ``<which>_map.svg`` and the geometry behind it, ``<which>_map.json``."""
+    if which == "feature":
+        render = functools.partial(render_feature_map, drill_depth=drill_depth)
+    else:
+        render = render_distribution_map
+    svg, geometry = _stage("render", lambda: render(tree, partition, m, spec))
+    path = out_dir / f"{which}_map.svg"
+
+    def write():
+        _write_text(path, svg)
+        _write_text(path.with_suffix(".json"), dumps_stable(geometry) + "\n")
+
+    _stage("write", write)
+    return path
+
+
+# ---------------------------------------------------------------------------
 # commands
 
 def cmd_cluster(cfg: dict) -> int:
@@ -275,16 +318,8 @@ def cmd_cluster(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     m = _stage("load", lambda: _load_input(cfg))
     m = _stage("preprocess", lambda: _preprocess(cfg, m))
-    tree = _stage("cluster", lambda: run_ghsom(m, _params(cfg)))
-    partition = leaf_partition(tree)
-
-    def write():
-        _write_text(out_dir / "tree.json", tree_to_json(tree) + "\n")
-        _write_partition_csv(partition, out_dir / "partition.csv")
-        _atomic_write(out_dir / "matrix.csv", lambda p: save_csv(m, p))
-        _write_config(cfg, out_dir)
-
-    _stage("write", write)
+    tree, partition = _fit(cfg, m, out_dir)
+    _write_config(cfg, out_dir)
     print(
         f"cluster: {len(partition.cluster_names())} leaves, depth {tree.depth()}, "
         f"{tree.total_units()} units -> {out_dir}"
@@ -306,9 +341,9 @@ def cmd_sweep(cfg: dict) -> int:
     def write():
         _atomic_write(out_dir / "sweep.csv", lambda p: sweep_to_csv(grid, p))
         _atomic_write(out_dir / "sweep_summary.json", lambda p: save_sweep_summary(grid, p))
-        _write_config(cfg, out_dir)
 
     _stage("write", write)
+    _write_config(cfg, out_dir)
     failed = sum(1 for c in grid.cells.values() if c.error)
     print(f"sweep: {len(grid.cells) - failed}/{len(grid.cells)} cells ok -> {out_dir}")
     return 0 if failed < len(grid.cells) else 3
@@ -327,9 +362,8 @@ def cmd_sai(cfg: dict) -> int:
                 f"Valid leaves: {', '.join(leaves)}"
             ),
         )
-    scores = _stage("sai", lambda: identify_significant(partition, m, target, cfg["k"]))
     path = out_dir / f"sai_{target}.csv"
-    _stage("write", lambda: _atomic_write(path, lambda p: save_scores_csv(scores, p)))
+    scores = _rank(path, lambda: identify_significant(partition, m, target, cfg["k"]))
     _write_config(cfg, out_dir)
     print(f"sai: top {len(scores)} attributes of {target} -> {path}")
     return 0
@@ -338,79 +372,33 @@ def cmd_sai(cfg: dict) -> int:
 def _cmd_render(cfg: dict, which: str) -> int:
     out_dir = Path(cfg["out_dir"])
     tree, m, partition = _stage("read artifacts", lambda: _load_artifacts(out_dir))
-    spec = _feature_spec(cfg)
-    if which == "feature":
-        svg, geometry = _stage(
-            "render",
-            lambda: render_feature_map(tree, partition, m, spec,
-                                       drill_depth=cfg["drill_depth"]),
-        )
-        base = "feature_map"
-    else:
-        svg, geometry = _stage(
-            "render", lambda: render_distribution_map(tree, partition, m, spec)
-        )
-        base = "distribution_map"
-
-    def write():
-        _write_text(out_dir / f"{base}.svg", svg)
-        _write_text(out_dir / f"{base}.json", dumps_stable(geometry) + "\n")
-        _write_config(cfg, out_dir)
-
-    _stage("write", write)
-    print(f"render: {out_dir / (base + '.svg')}")
+    path = _draw(which, out_dir, tree, partition, m, _feature_spec(cfg), cfg["drill_depth"])
+    _write_config(cfg, out_dir)
+    print(f"render: {path}")
     return 0
 
 
 def cmd_pipeline_crispr(cfg: dict) -> int:
+    """Pick a cluster of a ``cluster`` run, transpose its members, then fit
+    them, rank every leaf and draw both maps into ``stage2_<pick>/``."""
     out_dir = Path(cfg["out_dir"])
     tree, m, _ = _stage("read artifacts", lambda: _load_artifacts(out_dir))
     if not cfg["pick"]:
         raise StageError("pick", ValueError("--pick is required"))
     members = _stage("pick", lambda: find_cluster(tree, cfg["pick"]))
-
-    def second_matrix():
-        sub = DataMatrix(
-            values=m.values[members],
-            sample_ids=[m.sample_ids[i] for i in members],
-            attribute_names=list(m.attribute_names),
-        )
-        return transpose(sub)
-
-    m2 = _stage("transpose", second_matrix)
+    m2 = _stage("transpose", lambda: transpose(DataMatrix(
+        m.values[members], [m.sample_ids[i] for i in members], m.attribute_names)))
     stage_dir = out_dir / f"stage2_{cfg['pick']}"
     stage_dir.mkdir(parents=True, exist_ok=True)
-    tree2 = _stage("cluster", lambda: run_ghsom(m2, _params(cfg)))
-    partition2 = leaf_partition(tree2)
-
-    def run_sai():
-        if len(partition2.cluster_names()) < 2:
-            return []
-        return identify_significant_each(partition2, m2, k=cfg["k"])
-
-    scores = _stage("sai", run_sai)
-    spec = FeatureSpec(kind="mean")
-    svg_f, geo_f = _stage(
-        "render",
-        lambda: render_feature_map(tree2, partition2, m2, spec,
-                                   drill_depth=cfg["drill_depth"]),
-    )
-    svg_d, geo_d = _stage(
-        "render", lambda: render_distribution_map(tree2, partition2, m2, spec)
-    )
-
-    def write():
-        _write_text(stage_dir / "tree.json", tree_to_json(tree2) + "\n")
-        _write_partition_csv(partition2, stage_dir / "partition.csv")
-        _atomic_write(stage_dir / "matrix.csv", lambda p: save_csv(m2, p))
-        _atomic_write(stage_dir / "sai.csv", lambda p: save_scores_csv(scores, p))
-        _write_text(stage_dir / "feature_map.svg", svg_f)
-        _write_text(stage_dir / "feature_map.json", dumps_stable(geo_f) + "\n")
-        _write_text(stage_dir / "distribution_map.svg", svg_d)
-        _write_text(stage_dir / "distribution_map.json", dumps_stable(geo_d) + "\n")
-        _write_config(cfg, out_dir)
-
-    _stage("write", write)
+    tree2, partition2 = _fit(cfg, m2, stage_dir)
+    # one leaf has no other cluster to be ranked against
+    ranked = len(partition2.cluster_names()) > 1
+    _rank(stage_dir / "sai.csv",
+          lambda: identify_significant_each(partition2, m2, k=cfg["k"]) if ranked else [])
+    for which in ("feature", "distribution"):
+        _draw(which, stage_dir, tree2, partition2, m2, FeatureSpec(kind="mean"),
+              cfg["drill_depth"])
+    _write_config(cfg, out_dir)
     print(
         f"pipeline-crispr: {cfg['pick']} ({len(members)} members) -> "
         f"{m2.n_samples}x{m2.n_attributes} second pass, "

@@ -161,6 +161,19 @@ def load_csv(
     return m
 
 
+def _split_label(path, columns, has_labels, label_column):
+    """The label column's index in ``columns`` (``None`` without one),
+    its name and the attribute names: the columns without the label."""
+    label_idx = None
+    if has_labels or label_column is not None:
+        if label_column is None:
+            label_column = columns[-1]
+        if label_column not in columns:
+            raise ValueError(f"{path}: no column named '{label_column}'")
+        label_idx = columns.index(label_column)
+    return label_idx, label_column, [c for i, c in enumerate(columns) if i != label_idx]
+
+
 # a header field holding one of these is the per-cell parser's: csv
 # quotes, a CR outside a CRLF line end, NUL and the ASCII separators
 _HEADER_SPECIAL = re.compile('["\r\0\x1c-\x1f]')
@@ -185,14 +198,10 @@ def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
             or any(len(name) > limit for name in header)):
         return None
 
-    label_idx = None
-    if has_labels or label_column is not None:
-        if label_column is None:
-            label_column = columns[-1]
-        if label_column not in columns:
-            return None
-        label_idx = columns.index(label_column)
-    names = [name for i, name in enumerate(columns) if i != label_idx]
+    try:
+        label_idx, label_column, names = _split_label(path, columns, has_labels, label_column)
+    except ValueError:
+        return None
     # one record per line end, and one more if the last line has none
     rows = raw.count(b"\n", body) + (not raw.endswith(b"\n"))
     if not names or not rows:
@@ -234,16 +243,8 @@ def _load_cells(path, has_labels, label_column) -> DataMatrix:
         raise ValueError(f"{path}: no data rows")
 
     columns = header[1:]
-    if has_labels or label_column is not None:
-        if label_column is None:
-            label_column = columns[-1]
-        if label_column not in columns:
-            raise ValueError(f"{path}: no column named '{label_column}'")
-        label_idx = columns.index(label_column)
-    else:
-        label_idx = None
-
-    attribute_names = [c for i, c in enumerate(columns) if i != label_idx]
+    label_idx, label_column, attribute_names = _split_label(
+        path, columns, has_labels, label_column)
     sample_ids: list[str] = []
     labels: list[str] | None = [] if label_idx is not None else None
     values = np.empty((len(rows), len(attribute_names)), dtype=np.float64)
@@ -283,7 +284,7 @@ def _load_cells(path, has_labels, label_column) -> DataMatrix:
         sample_ids=sample_ids,
         attribute_names=attribute_names,
         labels=labels,
-        label_name=label_column if labels is not None else None,
+        label_name=label_column,
     )
 
 

@@ -329,8 +329,8 @@ def train_map(
 
     total = params.lam * n
     block = max(1, TABLE_FLOATS // len(distinct))
-    # at least one call, as the last one assigns
-    for start in range(0, max(total, 1), block):
+    # total >= 1 (lam >= 1, n >= 1), so the last call assigns
+    for start in range(0, total, block):
         stop = min(start + block, total)
         frac = 1.0 - np.arange(start, stop) / total
         alpha = params.alpha0 * frac
@@ -368,7 +368,7 @@ def _dissimilar_neighbor(som: SomMap, row: int, col: int) -> tuple[int, int]:
     return best
 
 
-def grow_horizontal(som: SomMap, data: np.ndarray) -> SomMap:
+def grow_horizontal(som: SomMap) -> SomMap:
     """Insert one row or column between the error unit and its most
     dissimilar neighbor.
 
@@ -427,7 +427,7 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
                 params.tau1 * som.parent_mqe,
             )
             break
-        grow_horizontal(som, data)
+        grow_horizontal(som)
         insertions += 1
 
 
@@ -630,8 +630,8 @@ def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:
     }
 
 
-def tree_to_dict(tree: GhsomTree) -> dict:
-    return {
+def tree_to_json(tree: GhsomTree) -> str:
+    return dumps_stable({
         "format": "ghsom-tree/1",
         "params": asdict(tree.params),
         "sample_ids": tree.sample_ids,
@@ -639,21 +639,21 @@ def tree_to_dict(tree: GhsomTree) -> dict:
         "w0": tree.w0,
         "mqe0": tree.mqe0,
         "root": _map_to_dict(tree, tree.root),
-    }
-
-
-def tree_to_json(tree: GhsomTree) -> str:
-    return dumps_stable(tree_to_dict(tree))
+    })
 
 
 def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> SomMap:
     rows, cols = d["rows"], d["cols"]
+    name = path or "<root>"
     units = sorted(d["units"], key=lambda u: (u["row"], u["col"]))
     cells = [(u["row"], u["col"]) for u in units]
     if cells != [divmod(k, cols) for k in range(rows * cols)]:
-        raise ValueError(f"map {path or '<root>'}: units do not tile its {rows}x{cols} grid")
+        raise ValueError(f"map {name}: units do not tile its {rows}x{cols} grid")
     weights = np.array([u["weight"] for u in units], dtype=np.float64)
-    members = [id_index[sid] for u in units for sid in u["assigned"]]
+    try:
+        members = [id_index[sid] for u in units for sid in u["assigned"]]
+    except KeyError as exc:
+        raise ValueError(f"map {name}: unknown sample id {exc.args[0]!r}") from None
     som = SomMap(rows, cols, weights.reshape(rows, cols, -1), d["parent_mqe"], depth, path,
                  members)
     counts = [len(u["assigned"]) for u in units]
@@ -667,10 +667,20 @@ def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> 
     return som
 
 
-def tree_from_dict(d: dict) -> GhsomTree:
+def tree_from_json(text: str) -> GhsomTree:
+    """Load a tree written by ``tree_to_json``.
+
+    The parameters must pass ``GhsomParams.validate``. Every map's units
+    must tile its grid: one unit for each ``(row, col)`` with
+    ``0 <= row < rows`` and ``0 <= col < cols``, in any order; and each
+    unit may assign only samples the tree lists. Otherwise a
+    ``ValueError`` names the field or the map.
+    """
+    d = json.loads(text)
     if d.get("format") != "ghsom-tree/1":
         raise ValueError("not a ghsom tree document")
     params = GhsomParams(**d["params"])
+    params.validate()
     sample_ids = list(d["sample_ids"])
     id_index = {sid: i for i, sid in enumerate(sample_ids)}
     root = _map_from_dict(d["root"], "", 1, id_index)
@@ -682,13 +692,3 @@ def tree_from_dict(d: dict) -> GhsomTree:
         sample_ids=sample_ids,
         attribute_names=list(d["attribute_names"]),
     )
-
-
-def tree_from_json(text: str) -> GhsomTree:
-    """Load a tree written by ``tree_to_json``.
-
-    Every map's units must tile its grid: one unit for each ``(row, col)``
-    with ``0 <= row < rows`` and ``0 <= col < cols``, in any order.
-    Otherwise a ``ValueError`` names the map.
-    """
-    return tree_from_dict(json.loads(text))

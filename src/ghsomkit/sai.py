@@ -13,7 +13,7 @@ diff is the cluster's significant-attribute list.
 
 ``identify_significant_each`` ranks many clusters from one computation
 of every cluster's mean, and ``identify_significant`` is its one-cluster
-case. ``sigma_between`` reads the ranking's own spreads (``_spreads``),
+case. ``sigma_within`` and ``sigma_between`` give the ranking's own spreads,
 and ``significance_difference_feature`` the ranking's own top-k list through
 ``significance_distance``, which the feature map draws as well.
 """
@@ -76,11 +76,11 @@ def _spreads(
 def sigma_within(
     partition: LeafPartition, m: DataMatrix, cluster: str, attribute: str
 ) -> float:
-    """Population standard deviation of one attribute inside one cluster."""
+    """Population standard deviation of one attribute inside one cluster,
+    computed as the ranking computes ``sigma_i``."""
     _check_aligned(partition, m)
     g = m.attribute_index(attribute)
-    rows = partition.members(cluster)
-    return float(m.values[rows, g].std())
+    return float(m.values[partition.members(cluster)].std(axis=0)[g])
 
 
 def sigma_between(

@@ -7,6 +7,19 @@ import numpy as np
 from .data import DataMatrix
 
 
+def _matrix(values: np.ndarray, labels: list[str], label_name: str,
+            attribute: str = "f{}") -> DataMatrix:
+    """Samples ``s0000``, ``s0001``, ... in row order, attribute ``j``
+    named ``attribute.format(j)``."""
+    return DataMatrix(
+        values=values,
+        sample_ids=[f"s{i:04d}" for i in range(len(values))],
+        attribute_names=[attribute.format(j) for j in range(values.shape[1])],
+        labels=labels,
+        label_name=label_name,
+    )
+
+
 def gaussian_blobs(
     n_clusters: int = 4,
     per_cluster: int = 50,
@@ -37,13 +50,7 @@ def gaussian_blobs(
         ]
     )
     labels = [f"blob{k}" for k in range(n_clusters) for _ in range(per_cluster)]
-    return DataMatrix(
-        values=values,
-        sample_ids=[f"s{i:04d}" for i in range(len(values))],
-        attribute_names=[f"f{j}" for j in range(dim)],
-        labels=labels,
-        label_name="blob",
-    )
+    return _matrix(values, labels, "blob")
 
 
 def nested_blobs(
@@ -75,13 +82,7 @@ def nested_blobs(
             blocks.append(sub + rng.normal(0.0, spread, size=(per_sub, dim)))
             labels.extend([f"c{g}s{s}"] * per_sub)
     values = np.vstack(blocks)
-    return DataMatrix(
-        values=values,
-        sample_ids=[f"s{i:04d}" for i in range(len(values))],
-        attribute_names=[f"f{j}" for j in range(dim)],
-        labels=labels,
-        label_name="subblob",
-    )
+    return _matrix(values, labels, "subblob")
 
 
 def tiered_blobs(
@@ -122,13 +123,7 @@ def tiered_blobs(
             blocks.append(center + rng.normal(0.0, tight_spread, size=(per_micro, dim)))
             labels.extend(["micro"] * per_micro)
     values = np.vstack(blocks)
-    return DataMatrix(
-        values=values,
-        sample_ids=[f"s{i:04d}" for i in range(len(values))],
-        attribute_names=[f"f{j}" for j in range(dim)],
-        labels=labels,
-        label_name="tier",
-    )
+    return _matrix(values, labels, "tier")
 
 
 def planted_attributes(
@@ -153,18 +148,9 @@ def planted_attributes(
     n = n_clusters * per_cluster
     values = rng.normal(0.0, noise, size=(n, n_attributes))
     values[:per_cluster, :n_informative] += shift
-    names = [f"attr{j:03d}" for j in range(n_attributes)]
     labels = [f"c{k}" for k in range(n_clusters) for _ in range(per_cluster)]
-    return (
-        DataMatrix(
-            values=values,
-            sample_ids=[f"s{i:04d}" for i in range(n)],
-            attribute_names=names,
-            labels=labels,
-            label_name="cluster",
-        ),
-        names[:n_informative],
-    )
+    m = _matrix(values, labels, "cluster", "attr{:03d}")
+    return m, m.attribute_names[:n_informative]
 
 
 def block_matrix(
@@ -189,10 +175,4 @@ def block_matrix(
         lam[g * per_group : (g + 1) * per_group, g * block : (g + 1) * block] = base
     values = rng.poisson(lam).astype(np.float64)
     labels = [f"g{g}" for g in range(n_groups) for _ in range(per_group)]
-    return DataMatrix(
-        values=values,
-        sample_ids=[f"s{i:04d}" for i in range(len(values))],
-        attribute_names=[f"gene{j:02d}" for j in range(dim)],
-        labels=labels,
-        label_name="group",
-    )
+    return _matrix(values, labels, "group", "gene{:02d}")

@@ -181,6 +181,7 @@ def squarify(areas: list[float], rect: tuple[float, float, float, float]):
                 rects.append((cx, y, a / thickness, thickness))
                 cx += a / thickness
             y += thickness
+            h -= thickness
 
     row: list[float] = []
     for a in scaled:

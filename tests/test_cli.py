@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +162,32 @@ def test_bad_env_value_is_reported(tmp_path, dataset, capsys):
     assert "cannot parse 'maybe' as a boolean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("lam", 2.5), ("max_depth", True), ("seed", 1.5), ("k", False),
+])
+def test_config_integer_options_reject_non_integers(tmp_path, clustered, capsys, key, value):
+    cfg = json.loads((clustered / "config.cluster.json").read_text())
+    cfg[key] = value
+    config = tmp_path / "fractional.json"
+    config.write_text(json.dumps(cfg))
+    out2 = tmp_path / "rejected"
+    assert run(["cluster", "--config", str(config), "--out-dir", str(out2)]) == 2
+    assert f"cannot parse {value!r} as an integer" in capsys.readouterr().err
+    assert not out2.exists()
+
+
+def test_config_integral_float_is_an_integer(tmp_path, clustered):
+    cfg = json.loads((clustered / "config.cluster.json").read_text())
+    cfg["lam"] = float(cfg["lam"])
+    config = tmp_path / "integral.json"
+    config.write_text(json.dumps(cfg))
+    out2 = tmp_path / "integral"
+    assert run(["cluster", "--config", str(config), "--out-dir", str(out2)]) == 0
+    assert json.loads((out2 / "config.cluster.json").read_text())["lam"] == 10
+    for name in ("tree.json", "partition.csv"):
+        assert (out2 / name).read_bytes() == (clustered / name).read_bytes(), name
+
+
 def test_config_replay_reproduces_bitwise(tmp_path, dataset, clustered):
     out2 = tmp_path / "replay"
     assert run(["cluster", "--config", str(clustered / "config.cluster.json"),
@@ -292,3 +321,22 @@ def test_pipeline_requires_pick(clustered, capsys):
 
 def test_no_tmp_files_left_behind(clustered):
     assert not list(clustered.glob("*.tmp"))
+
+
+def _readme_commands():
+    """The argument lists of the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "ghsomkit"
+        assert run(argv[1:]) == 0, argv
+    for path in ("data/synthetic.csv", "run/tree.json", "run/partition.csv",
+                 "run/sai_0x0.csv", "run/feature_map.svg", "run/sweep/sweep.csv"):
+        assert (tmp_path / path).exists(), path

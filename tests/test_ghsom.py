@@ -532,7 +532,7 @@ def test_grow_inserts_column_between_error_and_neighbor():
     w[1, 1, 0] = 9.0
     som = _fresh_map(w)
     som.unit_mqe = np.array([[5.0, 0.0], [0.0, 0.0]])  # error unit (0,0)
-    grow_horizontal(som, np.zeros((0, 1)))
+    grow_horizontal(som)
     assert (som.rows, som.cols) == (2, 3)
     assert som.weights[0, 1, 0] == 5.0  # mean of 0 and 10
     assert som.weights[1, 1, 0] == 5.0  # mean of 1 and 9
@@ -548,7 +548,7 @@ def test_grow_inserts_row_when_vertical_neighbor_wins():
     w[1, 1, 0] = 2.0
     som = _fresh_map(w)
     som.unit_mqe = np.array([[5.0, 0.0], [0.0, 0.0]])
-    grow_horizontal(som, np.zeros((0, 1)))
+    grow_horizontal(som)
     assert (som.rows, som.cols) == (3, 2)
     assert som.weights[1, 0, 0] == 10.0
 
@@ -559,7 +559,7 @@ def test_grow_tie_prefers_column():
     w[1, 0] = [0.0, 3.0]  # below (0,0), distance 3
     som = _fresh_map(w)
     som.unit_mqe = np.array([[5.0, 0.0], [0.0, 0.0]])
-    grow_horizontal(som, np.zeros((0, 2)))
+    grow_horizontal(som)
     assert (som.rows, som.cols) == (2, 3)
 
 
@@ -567,7 +567,7 @@ def test_grow_error_unit_tie_row_major():
     w = np.random.default_rng(3).normal(size=(2, 2, 2))
     som = _fresh_map(w)
     som.unit_mqe = np.full((2, 2), 1.0)  # all tied: argmax picks (0,0)
-    grow_horizontal(som, np.zeros((0, 2)))
+    grow_horizontal(som)
     assert som.rows * som.cols == 6
 
 
@@ -848,6 +848,29 @@ def test_tree_json_rejects_units_that_do_not_tile_the_grid(nested_tree, fault, w
     else:
         units[-1]["col"] = som["cols"]
     with pytest.raises(ValueError, match=f"map {re.escape(name)}: units do not tile"):
+        tree_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("tau1", 5.0, "tau1 must be in (0, 1]"),
+    ("lam", -3, "lam must be >= 1"),
+])
+def test_tree_json_rejects_invalid_params(blob_tree, field, value, message):
+    doc = json.loads(tree_to_json(blob_tree))
+    doc["params"][field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tree_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where", ["root", "child"])
+def test_tree_json_rejects_unknown_sample_ids(nested_tree, where):
+    doc = json.loads(tree_to_json(nested_tree))
+    som, name = doc["root"], "<root>"
+    if where == "child":
+        unit = next(u for u in som["units"] if u["child"] is not None)
+        som, name = unit["child"], f"{unit['col']}x{unit['row']}"
+    next(u for u in som["units"] if u["assigned"])["assigned"][0] = "nope"
+    with pytest.raises(ValueError, match=f"map {re.escape(name)}: unknown sample id 'nope'"):
         tree_from_json(json.dumps(doc))
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ghsomkit import (
     DataMatrix,
     LeafPartition,
+    gaussian_blobs,
     identify_significant,
     planted_attributes,
     save_scores_csv,
@@ -79,6 +80,26 @@ def test_sigma_between_is_the_rankings_sigma_b(seed):
     for c in part.cluster_names():
         for s in identify_significant(part, m, c, k=m.n_attributes):
             assert sigma_between(part, m, c, s.attribute) == s.sigma_b
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sigma_within_is_the_rankings_sigma_i(seed):
+    m, part = _random_clustered(seed)
+    for c in part.cluster_names():
+        for s in identify_significant(part, m, c, k=m.n_attributes):
+            assert sigma_within(part, m, c, s.attribute) == s.sigma_i
+
+
+@pytest.mark.parametrize("spread,field", [(sigma_within, "sigma_i"), (sigma_between, "sigma_b")])
+def test_both_spreads_are_the_rankings_on_wide_blobs(spread, field):
+    # 160 (cluster, attribute) pairs of 300 samples each: a one-column
+    # std sums in another order than the ranking's std(axis=0) and
+    # differs from it in the last bits on most of them
+    m = gaussian_blobs(4, 300, 40, spread=0.7, seed=3)
+    part = LeafPartition(sample_ids=m.sample_ids, clusters=m.labels)
+    for c in part.cluster_names():
+        for s in identify_significant(part, m, c, k=m.n_attributes):
+            assert spread(part, m, c, s.attribute) == getattr(s, field)
 
 
 @settings(max_examples=25, deadline=None)

@@ -179,6 +179,20 @@ def test_squarify_conservation_and_proportionality(areas, w, h):
         assert r[1] + r[3] <= 7.0 + h + 1e-6
 
 
+def test_squarify_lays_rows_along_the_shorter_remaining_side():
+    # three full-width rows leave a 2x2 square at the bottom of the tall
+    # rect; its first row is a column at x = 0. Advancing y without
+    # shrinking the remaining height would lay items 3 and 4 side by
+    # side along the width at y = 4.
+    rects = squarify([6, 6, 4, 3, 2, 2, 1], (0, 0, 2, 6))
+    assert [r[1] for r in rects[:3]] == [0.0, 1.5, 3.0]
+    assert all(r[0] == 0 and r[2] == 2.0 for r in rects[:3])
+    assert rects[3][:2] == (0, 4.0)
+    assert rects[4][0] == 0
+    assert rects[4][1] == pytest.approx(rects[3][1] + rects[3][3])
+    assert rects[3][2] == rects[4][2]
+
+
 def test_squarify_single_item_fills_rect():
     (r,) = squarify([42.0], (1.0, 2.0, 8.0, 4.0))
     assert r == (1.0, 2.0, 8.0, 4.0)
