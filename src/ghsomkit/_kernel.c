@@ -1,5 +1,5 @@
-/* Compiled inner loops of ghsomkit: SOM training, BMU assignment and the
-   CSV number block.
+/* Compiled inner loops of ghsomkit: SOM training, BMU assignment, the
+   maps' random streams, row/column insertion and the CSV number block.
 
    Each SOM function performs the float operations of the numpy
    expressions it stands for, in the same order, so its results are the
@@ -181,29 +181,224 @@ static int assign(const double *x, int64_t n, const double *w, int64_t units,
     return 0;
 }
 
+/* ---- random streams ----------------------------------------------------
+
+   Each map's random streams are numpy's
+   np.random.default_rng(np.random.SeedSequence([seed, stream, *path])):
+   SeedSequence (numpy/random/bit_generator.pyx) hashes the entropy words
+   into a pool of 4 words and expands the pool into PCG64's seed, and the
+   Generator draws from PCG64's 64-bit outputs.  Everything up to the
+   draws is integer arithmetic, and a double is (u >> 11) * 2^-53, so the
+   port gives numpy's bits.  It needs unsigned __int128 (GCC and Clang on
+   64-bit targets), where numpy's PCG64 falls back to emulating it. */
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+    int has32;        /* next32 holds the upper half of the last output */
+    uint32_t next32;
+} pcg64;
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+/* SeedSequence's hash constants */
+#define POOL 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+#define XSHIFT 16
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> XSHIFT);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ (result >> XSHIFT);
+}
+
+/* PCG64's output: one LCG step, then XSL-RR of the new state */
+static uint64_t next64(pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+    uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (v >> rot) | (v << ((-rot) & 63));
+}
+
+/* the lower half of an output, then its upper half */
+static uint32_t next32(pcg64 *g)
+{
+    if (g->has32) {
+        g->has32 = 0;
+        return g->next32;
+    }
+    uint64_t v = next64(g);
+    g->has32 = 1;
+    g->next32 = (uint32_t)(v >> 32);
+    return (uint32_t)v;
+}
+
+/* A uniform draw from [0, max], by masked rejection (random_interval) */
+static uint64_t interval(pcg64 *g, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    uint64_t mask = max, value;
+    for (int shift = 1; shift < 64; shift *= 2)
+        mask |= mask >> shift;
+    if (max <= 0xffffffffu) {
+        while ((value = next32(g) & mask) > max)
+            ;
+    } else {
+        while ((value = next64(g) & mask) > max)
+            ;
+    }
+    return value;
+}
+
+/* Seeds g from the entropy [seed, stream, *path]: the seed's nseed bytes
+   and the stream, each as little-endian 32-bit words (one word for 0, no
+   leading zero word otherwise), then one word per path byte.  Returns 0,
+   or -1 when out of memory. */
+static int seed_stream(pcg64 *g, const uint8_t *seed, int64_t nseed, uint64_t stream,
+                       const uint8_t *path, int64_t npath)
+{
+    int64_t nwords = 0;
+    uint32_t *words = malloc(sizeof(uint32_t) * (size_t)((nseed + 3) / 4 + 2 + npath));
+    if (words == NULL)
+        return -1;
+    for (int64_t i = 0; i < nseed; i += 4) {
+        uint32_t word = 0;
+        for (int64_t b = i; b < i + 4 && b < nseed; b++)
+            word |= (uint32_t)seed[b] << (8 * (b - i));
+        words[nwords++] = word;
+    }
+    words[nwords++] = (uint32_t)stream;
+    if (stream >> 32)
+        words[nwords++] = (uint32_t)(stream >> 32);
+    for (int64_t i = 0; i < npath; i++)
+        words[nwords++] = path[i];
+
+    /* SeedSequence.mix_entropy */
+    uint32_t pool[POOL], hash_const = INIT_A;
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < nwords ? words[i] : 0, &hash_const);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (int64_t src = POOL; src < nwords; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(words[src], &hash_const));
+    free(words);
+
+    /* SeedSequence.generate_state(4, np.uint64) */
+    uint64_t state[4];
+    hash_const = INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        value ^= value >> XSHIFT;
+        if (i % 2)
+            state[i / 2] |= (uint64_t)value << 32;
+        else
+            state[i / 2] = value;
+    }
+
+    /* pcg64_set_seed */
+    g->state = 0;
+    g->inc = ((((u128)state[2] << 64) | state[3]) << 1) | 1;
+    g->state = g->state * PCG_MULT + g->inc;
+    g->state += ((u128)state[0] << 64) | state[1];
+    g->state = g->state * PCG_MULT + g->inc;
+    g->has32 = 0;
+    return 0;
+}
+
+/* Fills out[0 .. count) with Generator.uniform(low, high): each draw is
+   low + (high - low) * double.  Returns 0, or -1 when out of memory. */
+int uniform(double *out, int64_t count, double low, double high, const uint8_t *seed,
+            int64_t nseed, uint64_t stream, const uint8_t *path, int64_t npath)
+{
+    pcg64 g;
+    if (seed_stream(&g, seed, nseed, stream, path, npath))
+        return -1;
+    double range = high - low;
+    for (int64_t i = 0; i < count; i++)
+        out[i] = low + range * ((double)(next64(&g) >> 11) * (1.0 / 9007199254740992.0));
+    return 0;
+}
+
+/* Fills order[0 .. norder) with norder / n permutations of 0 .. n-1 as
+   Generator.permuted shuffles the rows of np.tile(np.arange(n), (lam, 1)):
+   each row a Fisher-Yates shuffle from its last entry down.  Returns 0,
+   or -1 when out of memory. */
+static int draw_permutations(int64_t *order, int64_t norder, int64_t n, const uint8_t *seed,
+                             int64_t nseed, uint64_t stream, const uint8_t *path,
+                             int64_t npath)
+{
+    pcg64 g;
+    if (seed_stream(&g, seed, nseed, stream, path, npath))
+        return -1;
+    for (int64_t *row = order; row < order + norder; row += n) {
+        for (int64_t i = 0; i < n; i++)
+            row[i] = i;
+        for (int64_t i = n - 1; i > 0; i--) {
+            int64_t j = (int64_t)interval(&g, (uint64_t)i), t = row[i];
+            row[i] = row[j];
+            row[j] = t;
+        }
+    }
+    return 0;
+}
+
+/* ---- training and growth ----------------------------------------------- */
+
 /* Online SOM updates of the (rows * cols, dim) weights w, in place.
-   Step s presents sample x[order[s]] of the (n, dim) samples x:
+   Step s (start <= s < start + steps) presents sample x[order[s]] of the
+   (n, dim) samples x:
 
        diff = x - w;  d = (diff * diff).sum(axis=1);  b = argmin(d)
-       w = w + diff * (table[slot[g(b, u)], s] * alpha[s])   for every unit u
+       w = w + diff * (table[slot[g(b, u)], s - start] * alpha[s - start])
 
-   where g(b, u) is the squared grid distance between units b and u, and
-   column s of the (width, steps) table holds the step's neighbourhood
-   kernel by distinct grid distance.  One pass over the weights per step
-   applies the update and at once computes the next step's diff and d.
+   for every unit u, where g(b, u) is the squared grid distance between
+   units b and u, and column s - start of the (width, steps) table holds
+   the step's neighbourhood kernel by distinct grid distance.  One pass
+   over the weights per step applies the update and at once computes the
+   next step's diff and d.
 
-   When dist is not NULL, the trained map then assigns every sample and
-   scores every unit (assign) into dist, index and unit_mqe, so the last
-   block of a growth cycle is one call.  Every entry of order must be in
-   [0, n) and each of the nslot entries of slot in [0, width); they are
-   checked before w is touched.  Returns 0; -1 when out of memory, -2 for
-   a sample index and -3 for a table slot out of range. */
+   When seed is not NULL, the call first fills the norder entries of
+   order with permutations of 0 .. n-1 from the stream [seed, stream,
+   *path] (draw_permutations; norder must be a multiple of n), so the
+   first block of a growth cycle draws the whole cycle's order.  When dist
+   is not NULL, the trained map then assigns every sample and scores every
+   unit (assign) into dist, index and unit_mqe, so the last block of a
+   growth cycle is one call.  Every entry of order[start .. start + steps)
+   must be in [0, n) and each of the nslot entries of slot in [0, width);
+   they are checked before w is touched.  Returns 0; -1 when out of
+   memory, -2 for a sample index and -3 for a table slot out of range. */
 CLONES int train_steps(double *w, int64_t rows, int64_t cols, int64_t dim,
-                       const double *x, int64_t n, const int64_t *order, int64_t steps,
+                       const double *x, int64_t n, int64_t *order, int64_t norder,
+                       int64_t start, int64_t steps, const uint8_t *seed, int64_t nseed,
+                       uint64_t stream, const uint8_t *path, int64_t npath,
                        const double *table, int64_t width, const int64_t *slot,
                        int64_t nslot, const double *alpha, double *dist,
                        int64_t *index, double *unit_mqe)
 {
+    if (seed != NULL && draw_permutations(order, norder, n, seed, nseed, stream, path, npath))
+        return -1;
+    order += start;
     for (int64_t s = 0; s < steps; s++)
         if (order[s] < 0 || order[s] >= n)
             return -2;
@@ -242,6 +437,73 @@ CLONES int train_steps(double *w, int64_t rows, int64_t cols, int64_t dim,
         free(diff);
     }
     return dist == NULL ? 0 : assign(x, n, w, units, dim, dist, index, unit_mqe);
+}
+
+/* Index of the first maximum of a[0..n), or of the first NaN if there
+   is one, as np.argmax picks it. */
+static int64_t first_argmax(const double *a, int64_t n)
+{
+    int64_t b = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (isnan(a[i]))
+            return i;
+        if (a[i] > a[b])
+            b = i;
+    }
+    return b;
+}
+
+/* One row or column insertion into the (rows, cols, dim) weights w.  The
+   error unit is the first with the largest of the (rows, cols)
+   unit_mqe; of its 4-neighbours, scanned right, left, below, above, the
+   first farthest from it wins, by the squared distance of their weights
+   summed in numpy's pairwise order.  The new row or column, 0.5 * (a + b)
+   of the two units' rows or columns, goes between them: out receives the
+   (rows, cols + 1, dim) weights after a column insertion or the (rows +
+   1, cols, dim) ones after a row insertion, and must hold the larger of
+   the two.  Returns 1 for a column and 2 for a row insertion, or -1 when
+   no neighbour's distance compares (NaN weights, or a 1x1 map). */
+int grow(const double *w, int64_t rows, int64_t cols, int64_t dim, const double *unit_mqe,
+         double *out)
+{
+    static const int64_t steps[4][2] = {{0, 1}, {0, -1}, {1, 0}, {-1, 0}};
+    int64_t e = first_argmax(unit_mqe, rows * cols), er = e / cols, ec = e % cols;
+    int64_t best = -1;
+    double best_d = -1.0;
+    for (int64_t k = 0; k < 4; k++) {
+        int64_t r = er + steps[k][0], c = ec + steps[k][1];
+        if (r < 0 || r >= rows || c < 0 || c >= cols)
+            continue;
+        /* out holds the row of differences until the weights go there */
+        double d = fused_row((double *)w + (r * cols + c) * dim, out, w + e * dim, 0.0, dim, 0);
+        if (d > best_d) {
+            best_d = d;
+            best = k;
+        }
+    }
+    if (best < 0)
+        return -1;
+
+    const double *src = w;
+    if (steps[best][0] == 0) {  /* a column after column lo */
+        int64_t lo = steps[best][1] < 0 ? ec - 1 : ec;
+        for (int64_t r = 0; r < rows; r++, src += cols * dim) {
+            memcpy(out, src, sizeof(double) * (size_t)((lo + 1) * dim));
+            out += (lo + 1) * dim;
+            for (int64_t k = 0; k < dim; k++)
+                *out++ = 0.5 * (src[lo * dim + k] + src[(lo + 1) * dim + k]);
+            memcpy(out, src + (lo + 1) * dim, sizeof(double) * (size_t)((cols - lo - 1) * dim));
+            out += (cols - lo - 1) * dim;
+        }
+        return 1;
+    }
+    int64_t lo = steps[best][0] < 0 ? er - 1 : er, row = cols * dim;
+    memcpy(out, w, sizeof(double) * (size_t)((lo + 1) * row));
+    out += (lo + 1) * row;
+    for (int64_t k = 0; k < row; k++)
+        out[k] = 0.5 * (w[lo * row + k] + w[(lo + 1) * row + k]);
+    memcpy(out + row, w + (lo + 1) * row, sizeof(double) * (size_t)((rows - lo - 1) * row));
+    return 2;
 }
 
 /* Clinger's fast path (PLDI 1990): a decimal m * 10^k with m < 2^53 and

@@ -87,9 +87,16 @@ def _parse_int(raw: Any) -> int:
     return int(raw)
 
 
+def _parse_float(raw: Any) -> float:
+    # a config file's true is refused, not read as 1.0
+    if isinstance(raw, bool):
+        raise ValueError(f"cannot parse {raw!r} as a number")
+    return float(raw)
+
+
 def _parse_floats(raw: Any) -> list[float]:
     if isinstance(raw, list):
-        return [float(v) for v in raw]
+        return [_parse_float(v) for v in raw]
     vals = [float(v) for v in str(raw).split(",") if v.strip() != ""]
     if not vals:
         raise ValueError("expected a comma-separated list of numbers")
@@ -116,14 +123,14 @@ OPTIONS: list[Option] = [
     Option("seed", "--seed", _parse_int, 0, "seed for every random stream"),
     Option("transpose", "--transpose", _parse_bool, False, "transpose the matrix before anything else"),
     Option("log_normalize", "--log-normalize", _parse_bool, False, "row-sum normalize, scale, then log1p"),
-    Option("scale_factor", "--scale-factor", float, 10_000.0, "scale factor for --log-normalize"),
+    Option("scale_factor", "--scale-factor", _parse_float, 10_000.0, "scale factor for --log-normalize"),
     Option("top_k_variable", "--top-k-variable", _parse_int, None, "keep only the k highest-variance attributes"),
     Option("zscore", "--zscore", _parse_bool, False, "z-score each attribute (zero-variance ones become 0)"),
-    Option("tau1", "--tau1", float, 0.1, "horizontal growth threshold in (0,1]"),
-    Option("tau2", "--tau2", float, 0.1, "hierarchical expansion threshold in (0,1]"),
+    Option("tau1", "--tau1", _parse_float, 0.1, "horizontal growth threshold in (0,1]"),
+    Option("tau2", "--tau2", _parse_float, 0.1, "hierarchical expansion threshold in (0,1]"),
     Option("lam", "--lambda", _parse_int, 100, "training epochs per growth check"),
-    Option("alpha0", "--alpha0", float, 0.5, "initial learning rate in (0,1]"),
-    Option("sigma0", "--sigma0", float, None, "initial neighborhood radius (default: half the larger grid side)"),
+    Option("alpha0", "--alpha0", _parse_float, 0.5, "initial learning rate in (0,1]"),
+    Option("sigma0", "--sigma0", _parse_float, None, "initial neighborhood radius (default: half the larger grid side)"),
     Option("max_depth", "--max-depth", _parse_int, 10, "maximum hierarchy depth"),
     Option("k", "--k", _parse_int, None, "how many attributes to rank (default: min(10, n_attributes))"),
     Option("feature", "--feature", str, "mean", "feature kind: mean|median|attribute|significance|label"),
@@ -137,8 +144,8 @@ OPTIONS: list[Option] = [
     Option("n_clusters", "--n-clusters", _parse_int, 4, "clusters/groups for gen-synthetic"),
     Option("per_cluster", "--per-cluster", _parse_int, 50, "samples per cluster for gen-synthetic"),
     Option("dim", "--dim", _parse_int, 10, "attributes for gen-synthetic"),
-    Option("spread", "--spread", float, 0.05, "within-cluster spread for gen-synthetic blobs"),
-    Option("separation", "--separation", float, 5.0, "center separation for gen-synthetic blobs"),
+    Option("spread", "--spread", _parse_float, 0.05, "within-cluster spread for gen-synthetic blobs"),
+    Option("separation", "--separation", _parse_float, 5.0, "center separation for gen-synthetic blobs"),
 ]
 
 @functools.cache
@@ -180,7 +187,10 @@ def resolve_config(args: argparse.Namespace, env: Mapping[str, str]) -> dict:
             value = file_cfg[opt.dest]
         if value is None:
             value = opt.default
-        resolved[opt.dest] = None if value is None else opt.parse(value)
+        try:
+            resolved[opt.dest] = None if value is None else opt.parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{opt.flag}: {exc}") from None
     return resolved
 
 

@@ -51,14 +51,21 @@ def ch_index(partition: LeafPartition, m: DataMatrix) -> float:
         raise ValueError(f"ch_index needs at least 2 clusters, got {k}")
     if n <= k:
         raise ValueError(f"ch_index needs more samples than clusters (n={n}, K={k})")
+    members = [partition.members(c) for c in names]
+    sizes = np.array([len(ix) for ix in members])
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0, *ends], ends))
+    # rows grouped by cluster, each cluster's rows in sample order: its
+    # sums below are the ones numpy takes of that cluster's own rows
+    grouped = m.values[np.concatenate(members)]
     center = m.values.mean(axis=0)
-    bgss = 0.0
-    wgss = 0.0
-    for c in names:
-        rows = m.values[partition.members(c)]
-        centroid = rows.mean(axis=0)
-        bgss += len(rows) * float(((centroid - center) ** 2).sum())
-        wgss += float(((rows - centroid) ** 2).sum())
+    centroids = np.array([grouped[a:b].sum(axis=0) for a, b in spans]) / sizes[:, None]
+    between = sizes * ((centroids - center) ** 2).sum(axis=1)
+    scatter = (grouped - np.repeat(centroids, sizes, axis=0)) ** 2
+    within = np.array([scatter[a:b].sum() for a, b in spans])
+    # summed in cluster order, as a running float sum adds them
+    bgss = float(np.cumsum(between)[-1])
+    wgss = float(np.cumsum(within)[-1])
     if wgss == 0.0:
         return float("inf") if bgss > 0.0 else 0.0
     return (bgss / (k - 1)) / (wgss / (n - k))

@@ -140,10 +140,10 @@ class SomMap:
         """Map MQE: mean of per-unit errors over non-empty units."""
         occupied = np.zeros((self.rows, self.cols), dtype=bool)
         occupied[self.bmu_rows, self.bmu_cols] = True
-        u = int(occupied.sum())
-        if u == 0:
+        errors = self.unit_mqe[occupied]
+        if len(errors) == 0:
             return 0.0
-        return float(self.unit_mqe[occupied].sum() / u)
+        return float(errors.sum() / len(errors))
 
     def iter_units(self):
         """Yield every unit in row-major order.
@@ -237,12 +237,6 @@ class LeafPartition:
         return len(self.sample_ids)
 
 
-def _rng(seed: int, path: str, stream: int) -> np.random.Generator:
-    # stream 0 is weight init; 1 + epoch_base addresses each growth cycle
-    entropy = [int(seed), int(stream), *path.encode("utf-8")]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 def _split(values: np.ndarray, units: np.ndarray, n_units: int) -> list[np.ndarray]:
     """``values`` grouped by flat unit index ``units`` into ``n_units``
     arrays, each in the order of ``values`` (one stable sort for all)."""
@@ -295,24 +289,26 @@ def train_map(
     decay linearly over the cycle; the radius is floored at 0.5.
     Assignments and per-unit errors are recomputed afterwards.
 
-    The permutations, the schedule and the neighborhood's ``exp`` run
-    in numpy. The kernel table has one row per distinct squared grid
-    distance and one column per step, so each numpy pass runs along a
-    row of many steps rather than along a short row of distances; numpy
-    computes the ``exp``, because its vectorized ``exp`` and the C
-    library's differ in the last bit. The distinct distances and their
-    slots come from a cache keyed by the map's shape. The compiled
-    kernel multiplies a step's column by its learning rate and applies
-    the per-sample updates in one pass over the weights per step, with
-    the float operations of numpy's ``w + (x - w) * (h * alpha)`` in the
-    same order, so the weights match a per-sample numpy loop bit for bit.
+    The schedule and the neighborhood's ``exp`` run in numpy. The kernel
+    table has one row per distinct squared grid distance and one column
+    per step, so each numpy pass runs along a row of many steps rather
+    than along a short row of distances; numpy computes the ``exp``,
+    because its vectorized ``exp`` and the C library's differ in the
+    last bit. The distinct distances and their slots come from a cache
+    keyed by the map's shape. The compiled kernel multiplies a step's
+    column by its learning rate and applies the per-sample updates in
+    one pass over the weights per step, with the float operations of
+    numpy's ``w + (x - w) * (h * alpha)`` in the same order, so the
+    weights match a per-sample numpy loop bit for bit.
 
     The steps go to the kernel in blocks whose table holds about
     ``TABLE_FLOATS`` floats, so a small map's cycle is a single call.
-    The call with the last block also assigns every routed sample to
-    its nearest unit and computes each unit's mqe, the mean of its
-    samples' distances in routed order as ``np.mean`` gives it (0 for an
-    empty unit).
+    The call with the first block draws every epoch's permutation from
+    the map's stream ``1 + epoch_base``, the draws numpy's
+    ``Generator.permutation`` makes; the call with the last block also
+    assigns every routed sample to its nearest unit and computes each
+    unit's mqe, the mean of its samples' distances in routed order as
+    ``np.mean`` gives it (0 for an empty unit).
     """
     n = len(som.sample_indices)
     if n == 0:
@@ -321,13 +317,11 @@ def train_map(
     dim = x_local.shape[1]
     weights = np.ascontiguousarray(som.weights, dtype=np.float64).reshape(-1, dim)
     sigma0 = params.sigma0 if params.sigma0 is not None else max(som.rows, som.cols) / 2
-    rng = _rng(params.rng_seed, som.path, 1 + epoch_base)
-    # the same draws as one ``rng.permutation(n)`` per epoch
-    order = rng.permuted(np.tile(np.arange(n), (params.lam, 1)), axis=1).ravel()
-
     distinct, slot = _grid_distances(som.rows, som.cols)
 
     total = params.lam * n
+    # the first call fills it with one permutation of the samples per epoch
+    order = np.empty(total, dtype=np.int64)
     block = max(1, TABLE_FLOATS // len(distinct))
     # total >= 1 (lam >= 1, n >= 1), so the last call assigns
     for start in range(0, total, block):
@@ -338,8 +332,9 @@ def train_map(
         coef = -0.5 / (sigma * sigma)
         table = np.multiply(distinct[:, None], coef)
         np.exp(table, out=table)
-        assigned = _kernel.train_steps(weights, som.cols, x_local, order[start:stop],
-                                       table, slot, alpha, assign=stop == total)
+        draw = (params.rng_seed, 1 + epoch_base, som.path) if start == 0 else None
+        assigned = _kernel.train_steps(weights, som.cols, x_local, order, table, slot, alpha,
+                                       assign=stop == total, start=start, draw=draw)
 
     _, best, unit_mqe = assigned
     som.weights = weights.reshape(som.rows, som.cols, dim)
@@ -348,50 +343,22 @@ def train_map(
     return som
 
 
-def _dissimilar_neighbor(som: SomMap, row: int, col: int) -> tuple[int, int]:
-    """4-neighbor of (row, col) whose weight is farthest from it.
-
-    Scan order (right, left, below, above) makes ties prefer a column
-    insertion, then a row insertion.
-    """
-    w = som.weights[row, col]
-    best = None
-    best_d = -1.0
-    for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        r, c = row + dr, col + dc
-        if 0 <= r < som.rows and 0 <= c < som.cols:
-            d = float(np.linalg.norm(som.weights[r, c] - w))
-            if d > best_d:
-                best_d = d
-                best = (r, c)
-    assert best is not None
-    return best
-
-
 def grow_horizontal(som: SomMap) -> SomMap:
     """Insert one row or column between the error unit and its most
     dissimilar neighbor.
 
     The error unit is the one with the highest mqe (ties to the smallest
-    (row, col)). A same-row neighbor triggers a column insertion, a
+    (row, col)). Its most dissimilar 4-neighbor is the one at the largest
+    squared weight distance, summed in numpy's pairwise order; ties prefer
+    right, left, below, above in that order, so a column insertion before
+    a row insertion. A same-row neighbor triggers a column insertion, a
     same-column neighbor a row insertion; new weights are the means of
-    the two flanking units.
+    the two flanking units. One kernel call does all of it.
     """
-    flat_err = som.unit_mqe.reshape(-1)
-    e_row, e_col = divmod(int(np.argmax(flat_err)), som.cols)
-    d_row, d_col = _dissimilar_neighbor(som, e_row, e_col)
-
-    if e_row == d_row:  # column insertion
-        lo = min(e_col, d_col)
-        new_col = 0.5 * (som.weights[:, lo, :] + som.weights[:, lo + 1, :])
-        som.weights = np.insert(som.weights, lo + 1, new_col, axis=1)
-        som.cols += 1
-    else:  # row insertion
-        lo = min(e_row, d_row)
-        new_row = 0.5 * (som.weights[lo, :, :] + som.weights[lo + 1, :, :])
-        som.weights = np.insert(som.weights, lo + 1, new_row, axis=0)
-        som.rows += 1
-
+    weights = np.ascontiguousarray(som.weights, dtype=np.float64)
+    unit_mqe = np.ascontiguousarray(som.unit_mqe, dtype=np.float64)
+    som.weights = _kernel.grow(weights, unit_mqe)
+    som.rows, som.cols = som.weights.shape[:2]
     som.unit_mqe = np.zeros((som.rows, som.cols))
     return som
 
@@ -402,9 +369,9 @@ def _init_map(path, parent_mqe, depth, sample_indices, data, params) -> SomMap:
     x = data[sample_indices]
     mean = x.mean(axis=0)
     std = x.std(axis=0)
-    rng = _rng(params.rng_seed, path, 0)
-    noise = rng.uniform(-INIT_NOISE, INIT_NOISE, size=(2, 2, x.shape[1]))
-    weights = mean + noise * std
+    # stream 0 of the map; training cycles use streams 1 + epoch_base
+    noise = _kernel.uniform(4 * x.shape[1], -INIT_NOISE, INIT_NOISE, params.rng_seed, 0, path)
+    weights = mean + noise.reshape(2, 2, -1) * std
     return SomMap(2, 2, weights, parent_mqe, depth, path, sample_indices)
 
 
@@ -455,14 +422,21 @@ def expand_hierarchy(
     if som.depth >= params.max_depth:
         return tree
     threshold = _expansion_threshold(tree, som, params)
+    units = som.rows * som.cols
+    flat = som.bmu_rows * som.cols + som.bmu_cols
+    mqe = som.unit_mqe.reshape(-1)
+    expand = (mqe >= threshold) & (mqe > 0) & (np.bincount(flat, minlength=units) >= 4)
+    if not expand.any():
+        return tree
 
-    for unit in som.iter_units():
-        if unit.mqe >= threshold and unit.mqe > 0 and len(unit.assigned) >= 4:
-            path = som.unit_path(unit.row, unit.col)
-            child = _init_map(path, unit.mqe, som.depth + 1, unit.assigned, data, params)
-            som.children[(unit.row, unit.col)] = child
-            _fit_map(child, data, params)
-            expand_hierarchy(tree, child, data, params)
+    members = _split(som.sample_indices, flat, units)
+    for u in np.flatnonzero(expand).tolist():
+        row, col = divmod(u, som.cols)
+        child = _init_map(som.unit_path(row, col), float(mqe[u]), som.depth + 1, members[u],
+                          data, params)
+        som.children[(row, col)] = child
+        _fit_map(child, data, params)
+        expand_hierarchy(tree, child, data, params)
     return tree
 
 

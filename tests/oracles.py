@@ -295,3 +295,50 @@ def identify_significant_alone(partition, m, cluster, k):
                        float(diff[g]), rank)
         for rank, g in enumerate(order[:k], start=1)
     ]
+
+
+def ch_index_loop(partition, m):
+    """Calinski-Harabasz index by a per-cluster loop of numpy calls: the
+    package's computation before it grouped the rows of every cluster
+    at once, kept verbatim, so the grouped one must give the same bits."""
+    names = partition.cluster_names()
+    k = len(names)
+    n = m.n_samples
+    center = m.values.mean(axis=0)
+    bgss = 0.0
+    wgss = 0.0
+    for c in names:
+        rows = m.values[partition.members(c)]
+        centroid = rows.mean(axis=0)
+        bgss += len(rows) * float(((centroid - center) ** 2).sum())
+        wgss += float(((rows - centroid) ** 2).sum())
+    if wgss == 0.0:
+        return float("inf") if bgss > 0.0 else 0.0
+    return (bgss / (k - 1)) / (wgss / (n - k))
+
+
+def grow_numpy(weights, unit_mqe):
+    """Row or column insertion as the package made it before the kernel
+    did: the error unit by ``np.argmax``, its most dissimilar 4-neighbor
+    by ``np.linalg.norm`` (scanned right, left, below, above; the first
+    farthest wins), and ``np.insert`` of the mean row or column. Returns
+    the new ``(rows, cols, dim)`` weights."""
+    import numpy as np
+
+    rows, cols = unit_mqe.shape
+    e_row, e_col = divmod(int(np.argmax(unit_mqe.reshape(-1))), cols)
+    best, best_d = None, -1.0
+    for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        r, c = e_row + dr, e_col + dc
+        if 0 <= r < rows and 0 <= c < cols:
+            d = float(np.linalg.norm(weights[r, c] - weights[e_row, e_col]))
+            if d > best_d:
+                best_d, best = d, (r, c)
+    d_row, d_col = best
+    if e_row == d_row:
+        lo = min(e_col, d_col)
+        new_col = 0.5 * (weights[:, lo, :] + weights[:, lo + 1, :])
+        return np.insert(weights, lo + 1, new_col, axis=1)
+    lo = min(e_row, d_row)
+    new_row = 0.5 * (weights[lo, :, :] + weights[lo + 1, :, :])
+    return np.insert(weights, lo + 1, new_row, axis=0)

@@ -176,6 +176,25 @@ def test_config_integer_options_reject_non_integers(tmp_path, clustered, capsys,
     assert not out2.exists()
 
 
+@pytest.mark.parametrize("command,key,value,flag,bad", [
+    ("cluster", "tau1", True, "--tau1", True),
+    ("cluster", "alpha0", False, "--alpha0", False),
+    ("sweep", "tau1_list", [True], "--tau1-list", True),
+    ("sweep", "tau2_list", [0.2, False], "--tau2-list", False),
+])
+def test_config_float_options_reject_booleans(tmp_path, clustered, capsys, command, key,
+                                              value, flag, bad):
+    # true in a config file used to fit (or sweep) at 1.0 and record 1.0
+    cfg = json.loads((clustered / "config.cluster.json").read_text())
+    cfg[key] = value
+    config = tmp_path / "boolean.json"
+    config.write_text(json.dumps(cfg))
+    out2 = tmp_path / "rejected"
+    assert run([command, "--config", str(config), "--out-dir", str(out2)]) == 2
+    assert f"{flag}: cannot parse {bad!r} as a number" in capsys.readouterr().err
+    assert not out2.exists()
+
+
 def test_config_integral_float_is_an_integer(tmp_path, clustered):
     cfg = json.loads((clustered / "config.cluster.json").read_text())
     cfg["lam"] = float(cfg["lam"])

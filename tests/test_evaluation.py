@@ -21,7 +21,7 @@ from ghsomkit import (
     sweep,
 )
 from ghsomkit.evaluation import SweepCell, save_sweep_summary, sweep_summary, sweep_to_csv
-from oracles import ari_contingency, ari_pair_counting, ch_naive
+from oracles import ari_contingency, ari_pair_counting, ch_index_loop, ch_naive
 
 
 def _part(values, clusters):
@@ -73,6 +73,44 @@ def test_ch_zero_within_scatter_is_inf():
 def test_ch_all_identical_is_zero():
     part, m = _part([[3.0]] * 5, "AABBC")
     assert ch_index(part, m) == 0.0
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 17])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_ch_matches_per_cluster_loop_bitwise(dim, layout):
+    # clusters of 1 to 300 rows in shuffled order, on an offset and
+    # unevenly scaled matrix, so every sum rounds; numpy sums a cluster's
+    # rows one way for one attribute (pairwise) and another for several
+    rng = np.random.default_rng(dim)
+    sizes = [1, 2, 7, 8, 9, 16, 17, 40, 129, 300]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    values = rng.normal(size=(len(labels), dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+    values = np.asarray(values + 100.0 * rng.normal(size=dim), order=layout)
+    part, m = _part(values, [f"c{label}" for label in labels])
+    assert _bits(ch_index(part, m)) == _bits(ch_index_loop(part, m))
+
+
+@pytest.mark.parametrize("values, clusters", [
+    ([[0.0], [0.0], [5.0], [5.0], [9.0]], "AABBC"),  # inf, with a singleton
+    ([[3.0]] * 5, "AABBC"),  # 0.0
+    ([[1.0, 2.0], [1.0, 2.0], [-4.0, 0.5], [7.0, 7.0]], "AABC"),  # two singletons
+    ([[0.5, -1.0], [2.0, 3.0], [0.5, -1.0], [4.0, 1.0], [2.5, 0.0]], "ABACB"),
+])
+def test_ch_matches_per_cluster_loop_on_degenerate_partitions(values, clusters):
+    part, m = _part(values, clusters)
+    assert _bits(ch_index(part, m)) == _bits(ch_index_loop(part, m))
+
+
+def test_ch_matches_per_cluster_loop_on_fitted_partitions(blob_tree, blob_matrix,
+                                                         nested_tree, nested_matrix):
+    for tree, m in [(blob_tree, blob_matrix), (nested_tree, nested_matrix)]:
+        part = leaf_partition(tree)
+        assert len(part.cluster_names()) > 2
+        assert _bits(ch_index(part, m)) == _bits(ch_index_loop(part, m))
 
 
 def test_ch_errors():

@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import hashlib
 import json
 import logging
 import os
@@ -33,13 +34,15 @@ from ghsomkit import (
 from ghsomkit import _kernel
 from ghsomkit.ghsom import (
     TABLE_FLOATS,
+    GhsomTree,
     LeafPartition,
     SomMap,
     _split,
+    expand_hierarchy,
     grow_horizontal,
     train_map,
 )
-from oracles import best_matching_unit, train_map_online
+from oracles import best_matching_unit, grow_numpy, train_map_online
 
 
 def _random_matrix(n, dim, seed):
@@ -521,6 +524,77 @@ def test_kernel_build_failure_raises_import_error(tmp_path, monkeypatch):
     assert list((tmp_path / "ghsomkit").iterdir()) == []
 
 
+# ---------------------------------------------------------------- random streams
+
+
+def _numpy_stream(seed, stream, path):
+    return np.random.default_rng(np.random.SeedSequence([seed, stream, *path.encode()]))
+
+
+# 2**32 and above take two and three entropy words
+STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5]
+STREAM_PATHS = ["", "0x1-2x0"]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("path", STREAM_PATHS)
+@pytest.mark.parametrize("stream", [0, 1, 41, 2**32 + 3])
+def test_kernel_uniform_is_numpys_uniform(seed, path, stream):
+    want = _numpy_stream(seed, stream, path).uniform(-0.01, 0.01, size=37)
+    got = _kernel.uniform(37, -0.01, 0.01, seed, stream, path)
+    assert got.tobytes() == want.tobytes()
+
+
+def _kernel_permutations(n, lam, draw):
+    """The order a training call with no steps draws for ``lam`` epochs
+    of ``n`` samples."""
+    order = np.empty(lam * n, dtype=np.int64)
+    _kernel.train_steps(np.zeros((1, 1)), 1, np.zeros((n, 1)), order, np.empty((1, 0)),
+                        np.zeros(1, dtype=np.int64), np.empty(0), draw=draw)
+    return order
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("path", STREAM_PATHS)
+@pytest.mark.parametrize("n, lam", [(1, 3), (2, 5), (7, 4), (300, 2), (70_000, 1)])
+def test_kernel_permutations_are_numpys_permuted(seed, path, n, lam):
+    want = _numpy_stream(seed, 11, path).permuted(np.tile(np.arange(n), (lam, 1)), axis=1)
+    assert _kernel_permutations(n, lam, (seed, 11, path)).tolist() == want.ravel().tolist()
+
+
+def test_train_streams_match_numpy_across_blocks():
+    # 58 distinct grid distances: the first of three kernel calls draws
+    # the whole cycle's order, on the stream of a big seed and a nested path
+    rng = np.random.default_rng(5)
+    m = _random_matrix(60, 3, seed=5)
+    weights = rng.normal(size=(9, 11, 3))
+    params = GhsomParams(lam=40, rng_seed=2**64 + 5)
+    assert params.lam * 60 > 2 * (TABLE_FLOATS // 58)
+    path, epoch_base = "1x0-0x2", 80
+    want_w, want_mqe = train_map_online(weights, m.values, params.rng_seed, path,
+                                        1 + epoch_base, params.lam, params.alpha0)
+    som = SomMap(9, 11, weights.copy(), 1.0, 2, path, np.arange(60))
+    train_map(som, m.values, params, epoch_base)
+    assert som.weights.tobytes() == want_w.tobytes()
+    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+
+
+def test_train_steps_draw_checks_the_order_buffer():
+    args = _step_args()
+    with pytest.raises(TypeError, match="order"):
+        _kernel.train_steps(**{**args, "order": _read_only(np.zeros(5, dtype=np.int64))},
+                            draw=(0, 1, ""))
+    with pytest.raises(ValueError, match="train_steps"):  # not whole permutations of 5
+        _kernel.train_steps(**{**args, "order": np.zeros(7, dtype=np.int64)}, draw=(0, 1, ""))
+    before = args["weights"].copy()
+    order = np.zeros(10, dtype=np.int64)
+    _kernel.train_steps(**{**args, "order": order}, draw=(0, 1, ""), start=7)
+    assert sorted(order[:5]) == sorted(order[5:]) == list(range(5))
+    # steps 7, 8, 9 of the drawn order, as a call that reads them gives
+    _kernel.train_steps(**{**args, "weights": before, "order": order[7:].copy()})
+    assert args["weights"].tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------- growth
 
 
@@ -569,6 +643,80 @@ def test_grow_error_unit_tie_row_major():
     som.unit_mqe = np.full((2, 2), 1.0)  # all tied: argmax picks (0,0)
     grow_horizontal(som)
     assert som.rows * som.cols == 6
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_grow_matches_numpy_insertion_bitwise(seed):
+    # every unit of a random map in turn as the error unit: corners,
+    # edges and the interior, with a column or a row insertion; the last
+    # unit ties with it, and the first of the two is the error unit
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(v) for v in rng.integers(2, 6, size=2))
+    dim = int(rng.choice([1, 2, 3, 8, 9, 130]))
+    weights = rng.normal(size=(rows, cols, dim))
+    axes = set()
+    for e in range(rows * cols):
+        unit_mqe = rng.uniform(size=(rows, cols))
+        unit_mqe.flat[e] = unit_mqe.flat[-1] = 2.0
+        want = grow_numpy(weights, unit_mqe)
+        som = _fresh_map(weights)
+        som.unit_mqe = unit_mqe
+        grow_horizontal(som)
+        assert som.weights.tobytes() == want.tobytes()
+        assert (som.rows, som.cols) == want.shape[:2]
+        assert som.unit_mqe.tolist() == np.zeros(want.shape[:2]).tolist()
+        axes.add(som.rows - rows)
+    assert axes == {0, 1}
+
+
+@pytest.mark.parametrize("dim", [3, 9, 17, 130])
+def test_grow_neighbor_distance_is_numpy_pairwise_sum(dim):
+    # the right and the lower neighbour of (0, 0) hold the same values in
+    # another order, so their squared distances agree up to rounding, and
+    # only numpy's pairwise order of summing picks the neighbour
+    rng = np.random.default_rng(dim)
+    picks = set()
+    for _ in range(40):
+        a = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, size=dim)
+        w = np.zeros((2, 2, dim))
+        w[0, 1], w[1, 0] = a, rng.permutation(a)
+        right, below = (np.add.reduce(v * v) for v in (w[0, 1], w[1, 0]))
+        som = _fresh_map(w)
+        som.unit_mqe = np.array([[1.0, 0.0], [0.0, 0.0]])
+        grow_horizontal(som)
+        want = (3, 2) if below > right else (2, 3)  # a tie keeps the column
+        assert (som.rows, som.cols) == want
+        picks.add(want)
+    assert len(picks) == 2
+
+
+def test_grow_rejects_nan_weights():
+    som = _fresh_map(np.full((2, 2, 2), np.nan))
+    som.unit_mqe = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="grow"):
+        grow_horizontal(som)
+
+
+def test_expand_refines_units_at_threshold_with_four_samples_in_row_major_order():
+    m = _random_matrix(16, 2, seed=3)
+    routed = np.array([9, 2, 14, 5, 0, 11, 7, 3, 12, 1, 8, 6, 15, 4])
+    som = SomMap(2, 3, np.zeros((2, 3, 2)), 1.0, 1, "", routed)
+    # units in row-major order hold 4, 3, 0, 1, 5 and 1 samples
+    flat = np.array([0, 1, 4, 0, 1, 3, 4, 0, 4, 1, 4, 0, 4, 5])
+    som.bmu_rows, som.bmu_cols = np.divmod(flat, 3)
+    # at or above tau2 * mqe0 = 0.25: units 0, 1, 3, 4 (unit 1 too few
+    # samples, unit 3 one sample); unit 5 has samples but error 0.0
+    som.unit_mqe = np.array([[0.25, 0.9, 0.0], [0.5, 0.3, 0.0]])
+    params = GhsomParams(tau2=0.25, lam=2, max_depth=2)
+    tree = GhsomTree(np.zeros(2), 1.0, som, params, [f"s{i}" for i in range(16)], ["f0", "f1"])
+    expand_hierarchy(tree, som, m.values, params)
+    assert list(som.children) == [(0, 0), (1, 1)]
+    first, second = som.children[(0, 0)], som.children[(1, 1)]
+    assert first.sample_indices.tolist() == [9, 5, 3, 6]  # in routed order
+    assert second.sample_indices.tolist() == [14, 7, 12, 8, 15]
+    assert (first.path, first.depth, first.parent_mqe) == ("0x0", 2, 0.25)
+    assert (second.path, second.parent_mqe) == ("1x1", 0.3)
+    assert type(first.parent_mqe) is float
 
 
 # ---------------------------------------------------------------- full runs
@@ -742,6 +890,33 @@ def test_empty_units_do_not_enter_map_mqe():
     som.bmu_cols = np.array([0, 1])
     som.unit_mqe = np.array([[2.0, 4.0], [99.0, 99.0]])  # bottom units unoccupied
     assert som.mqe == 3.0
+
+
+# SHA-256 of ``tree_to_json`` of three fits, recorded before the random
+# streams and the row/column insertion moved into the kernel: a root-only
+# fit that grows (on a seed of two entropy words), a nested fit, and the
+# growth-capped noise map
+GOLDEN_TREES = {
+    "root_only": "723a6be1fbfc38150182b4714b01bc7d0732c8cdbaa9b336929d1f29d7d9aec6",
+    "nested": "504145cc22a07ccd1d84050ae7acdd035cc848da6609cb5f1397c176e78b1336",
+    "capped_noise": "55e00125907745397e36011cbec53387c313cea307916fe4cefe53ec308d8ae5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TREES))
+def test_fitted_trees_match_golden_digests(case, blob_matrix, nested_matrix):
+    if case == "root_only":
+        tree = run_ghsom(blob_matrix, GhsomParams(tau1=0.06, tau2=0.15, lam=10, max_depth=1,
+                                                  rng_seed=2**32 + 1))
+        assert (tree.root.rows, tree.root.cols, tree.depth()) == (2, 3, 1)
+    elif case == "nested":
+        tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, rng_seed=0))
+        assert tree.depth() == 2
+    else:
+        tree = run_ghsom(_capped_noise_map()[1],
+                         GhsomParams(tau1=1e-9, tau2=0.99, lam=2, rng_seed=0))
+    digest = hashlib.sha256(tree_to_json(tree).encode()).hexdigest()
+    assert digest == GOLDEN_TREES[case]
 
 
 # ---------------------------------------------------------------- pruning
