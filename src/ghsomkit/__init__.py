@@ -7,7 +7,6 @@ from .ghsom import (
     GhsomTree,
     LeafPartition,
     SomMap,
-    Unit,
     compute_layer0,
     find_cluster,
     leaf_partition,
@@ -53,7 +52,6 @@ __all__ = [
     "PreprocessSpec",
     "SomMap",
     "SweepGrid",
-    "Unit",
     "adjusted_rand_index",
     "ari",
     "block_matrix",

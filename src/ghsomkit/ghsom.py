@@ -102,24 +102,14 @@ class GhsomParams:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-@dataclass
-class Unit:
-    """View of one grid unit: weight, position, assignment and error."""
-
-    row: int
-    col: int
-    weight: np.ndarray
-    assigned: np.ndarray  # global sample indices
-    mqe: float
-    child: "SomMap | None"
-
-
 class SomMap:
     """One SOM grid in the hierarchy.
 
     Holds the weight grid, the samples routed to it, their unit
     assignments, per-unit quantization errors and any child maps keyed
-    by ``(row, col)``.
+    by ``(row, col)``. The unit at ``(row, col)`` is entry
+    ``row * cols + col`` of ``members()``, and its cluster name is
+    ``unit_path(row, col)``.
     """
 
     def __init__(self, rows, cols, weights, parent_mqe, depth, path, sample_indices):
@@ -145,25 +135,11 @@ class SomMap:
             return 0.0
         return float(errors.sum() / len(errors))
 
-    def iter_units(self):
-        """Yield every unit in row-major order.
-
-        ``_split`` groups the routed samples by flat unit index, so each
-        unit's ``assigned`` keeps the order of ``sample_indices``, as a
-        per-unit mask would.
-        """
-        flat = self.bmu_rows * self.cols + self.bmu_cols
-        members = _split(self.sample_indices, flat, self.rows * self.cols)
-        for u, assigned in enumerate(members):
-            row, col = divmod(u, self.cols)
-            yield Unit(
-                row=row,
-                col=col,
-                weight=self.weights[row, col],
-                assigned=assigned,
-                mqe=float(self.unit_mqe[row, col]),
-                child=self.children.get((row, col)),
-            )
+    def members(self) -> list[np.ndarray]:
+        """The routed samples of every unit, in row-major unit order, each
+        array in the order of ``sample_indices``."""
+        return _split(self.sample_indices, self.bmu_rows * self.cols + self.bmu_cols,
+                      self.rows * self.cols)
 
     def unit_path(self, row: int, col: int) -> str:
         name = f"{col}x{row}"
@@ -187,13 +163,6 @@ class GhsomTree:
             som = stack.pop()
             yield som
             stack.extend(som.children[key] for key in sorted(som.children))
-
-    def iter_leaf_units(self):
-        """Yield (path, Unit) for every unit without a child map."""
-        for som in self.iter_maps():
-            for unit in som.iter_units():
-                if unit.child is None:
-                    yield som.unit_path(unit.row, unit.col), unit
 
     def total_units(self) -> int:
         return sum(som.rows * som.cols for som in self.iter_maps())
@@ -429,7 +398,7 @@ def expand_hierarchy(
     if not expand.any():
         return tree
 
-    members = _split(som.sample_indices, flat, units)
+    members = som.members()
     for u in np.flatnonzero(expand).tolist():
         row, col = divmod(u, som.cols)
         child = _init_map(som.unit_path(row, col), float(mqe[u]), som.depth + 1, members[u],
@@ -529,13 +498,22 @@ def find_cluster(tree: GhsomTree, path: str) -> np.ndarray:
     """Global sample indices of a named cluster, leaf or internal.
 
     An internal cluster (a unit that grew a child map) owns every sample
-    routed to its subtree, i.e. the union of its descendant leaves.
+    routed to its subtree, i.e. the union of its descendant leaves. The
+    path is followed one ``{col}x{row}`` name at a time through the
+    maps' units, each name exactly as ``SomMap.unit_path`` writes it.
     """
-    for som in tree.iter_maps():
-        for unit in som.iter_units():
-            if som.unit_path(unit.row, unit.col) == path:
-                return unit.assigned
-    valid = [som.unit_path(u.row, u.col) for som in tree.iter_maps() for u in som.iter_units()]
+    som = tree.root
+    names = path.split("-")
+    for depth, name in enumerate(names, 1):
+        cells = {f"{c}x{r}": (r, c) for r in range(som.rows) for c in range(som.cols)}
+        cell = cells.get(name)
+        if cell is not None and depth == len(names):
+            return som.members()[cell[0] * som.cols + cell[1]]
+        som = som.children.get(cell)
+        if som is None:
+            break
+    valid = [som.unit_path(*divmod(u, som.cols))
+             for som in tree.iter_maps() for u in range(som.rows * som.cols)]
     raise KeyError(f"unknown cluster '{path}'; valid clusters: {', '.join(valid)}")
 
 
@@ -582,17 +560,17 @@ def dumps_stable(obj) -> str:
 
 def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:
     units = []
-    for unit in som.iter_units():
+    for u, assigned in enumerate(som.members()):
+        row, col = divmod(u, som.cols)
+        child = som.children.get((row, col))
         units.append(
             {
-                "row": unit.row,
-                "col": unit.col,
-                "weight": unit.weight,
-                "mqe": unit.mqe,
-                "assigned": [tree.sample_ids[i] for i in unit.assigned],
-                "child": (
-                    _map_to_dict(tree, unit.child) if unit.child is not None else None
-                ),
+                "row": row,
+                "col": col,
+                "weight": som.weights[row, col],
+                "mqe": float(som.unit_mqe[row, col]),
+                "assigned": [tree.sample_ids[i] for i in assigned],
+                "child": _map_to_dict(tree, child) if child is not None else None,
             }
         )
     return {
@@ -633,11 +611,13 @@ def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> 
     counts = [len(u["assigned"]) for u in units]
     som.bmu_rows, som.bmu_cols = np.divmod(np.repeat(np.arange(rows * cols), counts), cols)
     som.unit_mqe = np.array([u["mqe"] for u in units], dtype=np.float64).reshape(rows, cols)
-    for (row, col), u in zip(cells, units):
+    for (row, col), u, assigned in zip(cells, units, som.members()):
         if u["child"] is not None:
-            som.children[(row, col)] = _map_from_dict(
-                u["child"], som.unit_path(row, col), depth + 1, id_index
-            )
+            child = _map_from_dict(u["child"], som.unit_path(row, col), depth + 1, id_index)
+            # a loaded map lists its samples by unit, so compare as sets
+            if not np.array_equal(np.sort(child.sample_indices), np.sort(assigned)):
+                raise ValueError(f"map {child.path}: routes other samples than its unit")
+            som.children[(row, col)] = child
     return som
 
 
@@ -646,9 +626,10 @@ def tree_from_json(text: str) -> GhsomTree:
 
     The parameters must pass ``GhsomParams.validate``. Every map's units
     must tile its grid: one unit for each ``(row, col)`` with
-    ``0 <= row < rows`` and ``0 <= col < cols``, in any order; and each
-    unit may assign only samples the tree lists. Otherwise a
-    ``ValueError`` names the field or the map.
+    ``0 <= row < rows`` and ``0 <= col < cols``, in any order; each
+    unit may assign only samples the tree lists; the root must route
+    every sample exactly once, and each child map exactly the samples of
+    its unit. Otherwise a ``ValueError`` names the field or the map.
     """
     d = json.loads(text)
     if d.get("format") != "ghsom-tree/1":
@@ -658,6 +639,8 @@ def tree_from_json(text: str) -> GhsomTree:
     sample_ids = list(d["sample_ids"])
     id_index = {sid: i for i, sid in enumerate(sample_ids)}
     root = _map_from_dict(d["root"], "", 1, id_index)
+    if not np.array_equal(np.sort(root.sample_indices), np.arange(len(sample_ids))):
+        raise ValueError("map <root>: does not route every sample exactly once")
     return GhsomTree(
         w0=np.asarray(d["w0"], dtype=np.float64),
         mqe0=float(d["mqe0"]),

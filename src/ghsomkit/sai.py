@@ -172,7 +172,14 @@ def significance_distance(
     # m.values[rows][:, cols], not np.ix_: another memory layout sums in
     # another order and would cost the target its exact zero
     target = m.values[partition.members(target_cluster)][:, cols].mean(axis=0)
-    return lambda rows: float(np.linalg.norm(m.values[rows][:, cols].mean(axis=0) - target))
+
+    def distance(rows: np.ndarray) -> float:
+        # numpy's pairwise sum, not np.linalg.norm: its BLAS dot product
+        # rounds as the BLAS build and the CPU's kernel do
+        d = m.values[rows][:, cols].mean(axis=0) - target
+        return float(np.sqrt(np.add.reduce(d * d)))
+
+    return distance
 
 
 def significance_difference_feature(

@@ -340,32 +340,33 @@ def _place(som: SomMap, rect, depth: int, drill_depth: int | None,
     # reference cycle that would keep ``feature`` alive until the cyclic
     # collector runs
     units = []
-    for unit in som.iter_units():
-        path = som.unit_path(unit.row, unit.col)
-        if len(unit.assigned) == 0:
+    for u, assigned in enumerate(som.members()):
+        cell = divmod(u, som.cols)
+        path = som.unit_path(*cell)
+        if len(assigned) == 0:
             empty.append(path)
             continue
-        units.append((unit, path))
-    units.sort(key=lambda up: (-len(up[0].assigned), up[1]))
-    rects = squarify([float(len(u.assigned)) for u, _ in units], rect)
-    for (unit, path), r in zip(units, rects):
-        drill = unit.child is not None and (drill_depth is None or depth < drill_depth)
+        units.append((path, assigned, som.children.get(cell)))
+    units.sort(key=lambda unit: (-len(unit[1]), unit[0]))
+    rects = squarify([float(len(assigned)) for _, assigned, _ in units], rect)
+    for (path, assigned, child), r in zip(units, rects):
+        drill = child is not None and (drill_depth is None or depth < drill_depth)
         node = {
             "path": path,
             "depth": depth,
             "x": r[0], "y": r[1], "width": r[2], "height": r[3],
-            "count": len(unit.assigned),
+            "count": len(assigned),
             "leaf": not drill,
         }
         if feature.spec.kind == "label":
-            label, purity = feature.majority(unit.assigned)
+            label, purity = feature.majority(assigned)
             node["label"] = label
             node["purity"] = purity
         else:
-            node["value"] = feature.value(unit.assigned)
+            node["value"] = feature.value(assigned)
         nodes.append(node)
         if drill:
-            _place(unit.child, r, depth + 1, drill_depth, feature, nodes, empty)
+            _place(child, r, depth + 1, drill_depth, feature, nodes, empty)
 
 
 def render_feature_map(

@@ -342,3 +342,22 @@ def grow_numpy(weights, unit_mqe):
     lo = min(e_row, d_row)
     new_row = 0.5 * (weights[lo, :, :] + weights[lo + 1, :, :])
     return np.insert(weights, lo + 1, new_row, axis=0)
+
+
+def leaf_units(tree):
+    """``(path, members, mqe)`` of every unit without a child map, by a
+    plain loop over the units of every map."""
+    for som in tree.iter_maps():
+        for u, members in enumerate(som.members()):
+            row, col = divmod(u, som.cols)
+            if (row, col) not in som.children:
+                yield som.unit_path(row, col), members, float(som.unit_mqe[row, col])
+
+
+def leaf_labels(tree):
+    """Every sample's leaf path, written unit by unit from ``leaf_units``."""
+    labels = [None] * len(tree.sample_ids)
+    for path, members, _ in leaf_units(tree):
+        for i in members:
+            labels[i] = path
+    return labels

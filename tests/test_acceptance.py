@@ -38,6 +38,7 @@ from oracles import (
     ari_contingency,
     ch_naive,
     label_vectors_up_to,
+    leaf_units,
     sigma_between_naive,
     sigma_within_naive,
 )
@@ -130,11 +131,11 @@ def test_criterion_4_stopping_soundness():
                     f"seed {seed} map {som.path or '<root>'}: "
                     f"MQE {som.mqe:.6g} >= {params.tau1 * som.parent_mqe:.6g}"
                 )
-        for path, unit in tree.iter_leaf_units():
+        for path, members, mqe in leaf_units(tree):
             depth = path.count("-") + 1
             if not (
-                unit.mqe < params.tau2 * tree.mqe0
-                or len(unit.assigned) < 4
+                mqe < params.tau2 * tree.mqe0
+                or len(members) < 4
                 or depth >= params.max_depth
             ):
                 failures.append(f"seed {seed} leaf {path}: expansion disjunction violated")

@@ -42,7 +42,7 @@ from ghsomkit.ghsom import (
     grow_horizontal,
     train_map,
 )
-from oracles import best_matching_unit, grow_numpy, train_map_online
+from oracles import best_matching_unit, grow_numpy, leaf_labels, leaf_units, train_map_online
 
 
 def _random_matrix(n, dim, seed):
@@ -168,20 +168,22 @@ def test_train_recomputes_assignment_and_errors():
     m = _random_matrix(30, 3, seed=4)
     som = _fresh_map(np.random.default_rng(0).normal(size=(2, 3, 3)), np.arange(30))
     train_map(som, m.values, GhsomParams(lam=10, rng_seed=7))
-    for unit in som.iter_units():
-        if len(unit.assigned):
-            d = np.linalg.norm(m.values[unit.assigned] - unit.weight, axis=1)
-            assert unit.mqe == pytest.approx(d.mean(), rel=1e-12)
+    for u, members in enumerate(som.members()):
+        row, col = divmod(u, som.cols)
+        mqe = float(som.unit_mqe[row, col])
+        if len(members):
+            d = np.linalg.norm(m.values[members] - som.weights[row, col], axis=1)
+            assert mqe == pytest.approx(d.mean(), rel=1e-12)
         else:
-            assert unit.mqe == 0.0
+            assert mqe == 0.0
     for k, g in enumerate(som.sample_indices):
         assert (som.bmu_rows[k], som.bmu_cols[k]) == best_matching_unit(som, m.values[g])
     # to the bit: the mean of the kernel's distances of a unit's members,
     # summed in routed order
     d, best = _nearest(m.values[som.sample_indices], som.weights.reshape(6, 3))
-    for u, unit in enumerate(som.iter_units()):
+    for u, mqe in enumerate(som.unit_mqe.reshape(-1).tolist()):
         mine = d[best == u]
-        assert unit.mqe == (np.mean(mine) if len(mine) else 0.0)
+        assert mqe == (np.mean(mine) if len(mine) else 0.0)
 
 
 def test_train_deterministic():
@@ -731,10 +733,10 @@ def test_stopping_and_expansion_soundness(blob_matrix, blob_tree):
     params = blob_tree.params
     for som in blob_tree.iter_maps():
         assert som.mqe < params.tau1 * som.parent_mqe
-    for path, unit in blob_tree.iter_leaf_units():
+    for path, members, mqe in leaf_units(blob_tree):
         ok = (
-            unit.mqe < params.tau2 * blob_tree.mqe0
-            or len(unit.assigned) < 4
+            mqe < params.tau2 * blob_tree.mqe0
+            or len(members) < 4
             or som_depth(blob_tree, path) >= params.max_depth
         )
         assert ok, f"leaf {path} violates the expansion disjunction"
@@ -754,8 +756,8 @@ def test_assignment_oracle_recheck(blob_matrix, blob_tree):
 
 def test_every_sample_at_exactly_one_leaf(blob_matrix, blob_tree):
     seen = []
-    for _, unit in blob_tree.iter_leaf_units():
-        seen.extend(unit.assigned.tolist())
+    for _, members, _ in leaf_units(blob_tree):
+        seen.extend(members.tolist())
     assert sorted(seen) == list(range(blob_matrix.n_samples))
 
 
@@ -769,10 +771,7 @@ def test_partition_matches_leaves(blob_matrix, blob_tree):
 
 
 def test_partition_labels_each_sample_with_its_leaf_unit(nested_tree):
-    want = [None] * len(nested_tree.sample_ids)
-    for path, unit in nested_tree.iter_leaf_units():
-        for i in unit.assigned:
-            want[i] = path
+    want = leaf_labels(nested_tree)
     assert any(som.children for som in nested_tree.iter_maps())
     assert leaf_partition(nested_tree).clusters == want
 
@@ -807,11 +806,7 @@ def test_partition_groups_like_dict_of_lists(n, k, seed):
 
 
 def test_find_cluster_internal_unit_unions_leaves(nested_tree):
-    internal = [
-        nested_tree.root.unit_path(u.row, u.col)
-        for u in nested_tree.root.iter_units()
-        if u.child is not None
-    ]
+    internal = [nested_tree.root.unit_path(*cell) for cell in sorted(nested_tree.root.children)]
     assert internal, "nested data must grow a second level"
     part = leaf_partition(nested_tree)
     for path in internal:
@@ -821,23 +816,28 @@ def test_find_cluster_internal_unit_unions_leaves(nested_tree):
         np.testing.assert_array_equal(got, expect)
 
 
-def test_iter_units_members_match_mask_scan(blob_tree):
+def test_members_match_mask_scan(blob_tree):
     capped, _ = _capped_noise_map()
     trees = [blob_tree, tree_from_json(tree_to_json(blob_tree))]
     maps = [som for tree in trees for som in tree.iter_maps()] + [capped]
     empty = 0
     for som in maps:
-        units = list(som.iter_units())
-        assert [(u.row, u.col) for u in units] == [
-            (r, c) for r in range(som.rows) for c in range(som.cols)
-        ]
-        for u in units:
-            mask = (som.bmu_rows == u.row) & (som.bmu_cols == u.col)
+        members = som.members()
+        assert len(members) == som.rows * som.cols
+        for u, got in enumerate(members):
+            row, col = divmod(u, som.cols)
+            mask = (som.bmu_rows == row) & (som.bmu_cols == col)
             want = som.sample_indices[mask]
-            assert u.assigned.dtype == want.dtype
-            np.testing.assert_array_equal(u.assigned, want)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
             empty += len(want) == 0
     assert empty > 0, "the capped map must have empty units"
+
+
+@pytest.mark.parametrize("name", ["01x0", "0x00", "0x0-", "-0x0", "0X0", ""])
+def test_find_cluster_rejects_non_canonical_names(blob_tree, name):
+    with pytest.raises(KeyError, match="unknown cluster"):
+        find_cluster(blob_tree, name)
 
 
 def test_find_cluster_unknown_lists_valid(blob_tree):
@@ -1001,8 +1001,8 @@ def test_tree_json_roundtrip_non_square_maps(nested_tree):
         assert b.weights.shape == a.weights.shape
         assert b.weights.tobytes() == a.weights.tobytes()
         assert b.unit_mqe.tobytes() == a.unit_mqe.tobytes()
-        for ua, ub in zip(a.iter_units(), b.iter_units(), strict=True):
-            assert ub.assigned.tolist() == ua.assigned.tolist()
+        for ua, ub in zip(a.members(), b.members(), strict=True):
+            assert ub.tolist() == ua.tolist()
 
 
 @pytest.mark.parametrize("where", ["root", "child"])
@@ -1049,6 +1049,26 @@ def test_tree_json_rejects_unknown_sample_ids(nested_tree, where):
         tree_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("fault", ["duplicate", "wrong child", "missing"])
+def test_tree_json_rejects_inconsistent_routing(nested_tree, fault):
+    doc = json.loads(tree_to_json(nested_tree))
+    units = doc["root"]["units"]
+    leaves = [u for u in units if u["child"] is None and u["assigned"]]
+    parent = next(u for u in units if u["child"] is not None)
+    name = "<root>"
+    if fault == "duplicate":
+        leaves[1]["assigned"].append(leaves[0]["assigned"][0])
+    elif fault == "wrong child":
+        # the sample stays at its root unit and is listed in another's child
+        child_leaf = next(u for u in parent["child"]["units"] if u["child"] is None)
+        child_leaf["assigned"].append(leaves[0]["assigned"][0])
+        name = f"{parent['col']}x{parent['row']}"
+    else:
+        del leaves[0]["assigned"][0]
+    with pytest.raises(ValueError, match=f"map {re.escape(name)}: "):
+        tree_from_json(json.dumps(doc))
+
+
 def _dumps_17g(obj) -> str:
     """JSON with every float as a 17-significant-digit literal, the
     spelling of tree documents written by earlier releases."""
@@ -1086,7 +1106,7 @@ def test_property_partition_is_total(seed, n, dim):
     assert part.n_samples == n
     assert sum(part.sizes().values()) == n
     counts = {}
-    for _, unit in tree.iter_leaf_units():
-        for g in unit.assigned:
+    for _, members, _ in leaf_units(tree):
+        for g in members:
             counts[int(g)] = counts.get(int(g), 0) + 1
     assert counts == {i: 1 for i in range(n)}

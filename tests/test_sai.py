@@ -17,7 +17,7 @@ from ghsomkit import (
     sigma_within,
     significance_difference_feature,
 )
-from ghsomkit.sai import identify_significant_each
+from ghsomkit.sai import identify_significant_each, significance_distance
 from oracles import identify_significant_alone, sigma_between_naive, sigma_within_naive
 
 
@@ -271,6 +271,25 @@ def test_significance_feature_values():
     assert dist["A"] == 0.0
     assert dist["B"] == pytest.approx(5.0)
     assert dist["C"] == pytest.approx(1.0)
+
+
+def test_significance_distance_is_numpy_pairwise_sum_bitwise():
+    # np.linalg.norm's BLAS dot product rounds as the BLAS build and the
+    # CPU's kernel do; numpy's pairwise sum of squares is the same bits on
+    # every host
+    rng = np.random.default_rng(0)
+    n, a = 60, 33
+    vals = rng.normal(size=(n, a)) * 10.0 ** rng.uniform(-3, 3, size=a)
+    m, part = _labeled_matrix(vals, "ABC" * 20)
+    for k in range(3, a + 1):
+        distance = significance_distance(part, m, "A", k)
+        cols = [m.attribute_index(s.attribute) for s in identify_significant(part, m, "A", k)]
+        target = vals[part.members("A")][:, cols].mean(axis=0)
+        for _ in range(10):
+            rows = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            d = vals[rows][:, cols].mean(axis=0) - target
+            assert distance(rows) == np.sqrt(np.add.reduce(d * d))
+        assert distance(part.members("A")) == 0.0
 
 
 def test_scores_csv_roundtrip(tmp_path):
