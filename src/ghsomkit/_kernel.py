@@ -1,30 +1,42 @@
-"""Loader of the compiled kernel in ``_kernel.c``: SOM training, BMU
-assignment, random streams, row/column insertion and the CSV number
-block.
+"""Loader of the compiled kernel in ``_kernel.c``: a map fit's context
+(initial weights, schedule, SOM training, BMU assignment, stop verdict
+and row/column insertion), random streams and the CSV number block.
 
-``train_steps`` makes one pass over the weights per training step: it
-applies the step's update to each unit and at once computes that unit's
-difference to the next step's sample and its squared distance, 8 doubles
-at a time, summed in numpy's pairwise order. The neighbourhood kernel
-comes as a ``(width, steps)`` table, one column per step, that the
-kernel scales by the step's learning rate. On x86-64 with glibc the
-training functions are compiled for AVX-512F, AVX2 and the baseline
-(``target_clones``), and the loader picks the widest the CPU supports;
-every variant rounds each operation the same way, so the weights are the
-same bits on every CPU.
+Each map fit runs in one kernel context, ``Fit``. It gathers the routed
+samples once, checks each array's dtype, order and shape once, and owns
+the weights, the cycle's sample order, the table of exp arguments and
+the assignment and error buffers, each sized for the current map and
+grown in place on insertion. A growth cycle is two calls that pass only
+the context plus numpy's ``exp`` of the table in between (one more call
+and ``exp`` per further block of a large cycle): numpy keeps the
+``exp`` because its SIMD ``exp`` and the C library's differ in the last
+bit. The kernel computes everything else with numpy's float operations
+in numpy's order, so the results are the bits the numpy code gives:
 
-A growth cycle is numpy's ``exp`` of the neighbourhood table plus
-compiled calls. The first ``train_steps`` call of a cycle draws the
-cycle's sample order, one permutation per epoch; asked to ``assign``,
-the last one goes on from the last training step to put every sample on
-its nearest unit and to compute each unit's mean quantization error,
-summed as ``np.mean`` sums (numpy's pairwise sum of the unit's distances
-in sample order, added to 0.0, divided by the count). A small map's
-cycle is a single call. ``grow`` inserts the row or column that follows
-a cycle in one call. The wrappers pass raw data addresses and
-themselves check each array's dtype, C order, writeability and shape;
-the kernel checks every sample and table index before it touches the
-weights.
+- the initial weights ``x.mean(axis=0) + u * x.std(axis=0)``, with
+  numpy's column sums (rows added in order to 0.0, or one pairwise run
+  for a single column), ``_var``'s squares and divisions and ``sqrt``;
+- per block, ``frac``, ``alpha``, ``sigma``, ``coef`` and ``distinct *
+  coef``, from the distinct squared grid distances and their slots,
+  which it computes for the current shape;
+- one pass over the weights per training step, which applies the
+  step's update to each unit and at once computes that unit's
+  difference to the next step's sample and its squared distance, 8
+  doubles at a time, summed in numpy's pairwise order;
+- after the last block, each sample's nearest unit, each unit's mean
+  quantization error as ``np.mean`` gives it, the map MQE as
+  ``SomMap.mqe`` sums it, and the verdict: converged, capped or grow.
+
+On x86-64 with glibc the training functions are compiled for AVX-512F,
+AVX2 and the baseline (``target_clones``), and the loader picks the
+widest the CPU supports; every variant rounds each operation the same
+way, so the weights are the same bits on every CPU.
+
+``train_steps``, ``uniform`` and ``grow`` expose the training pass, the
+noise draw and an out-of-place insertion on caller-owned arrays. Their
+wrappers pass raw data addresses and check each array's dtype, C order,
+writeability and shape; the kernel checks every sample and table index
+before it touches the weights.
 
 The random streams are the kernel's copy of numpy's: for the entropy
 ``[seed, stream, *path.encode()]`` it hashes the words as
@@ -36,12 +48,13 @@ numpy's bits, and results no longer depend on numpy's Generator
 implementation, whose streams NEP 19 does not freeze across releases.
 The tests check the copy against numpy's Generator draw for draw.
 
-``grow`` picks the error unit as ``np.argmax`` of the unit errors and,
-of its neighbours, the one at the largest squared distance of weights
-summed in numpy's pairwise order (the training pass's sum), not the
-``np.linalg.norm`` of the difference, whose BLAS dot product rounds as
-the BLAS build does. The two choices differ only where two neighbours'
-distances agree in their last bits.
+An insertion (``Fit.grow``, ``grow``) picks the error unit as
+``np.argmax`` of the unit errors and, of its neighbours, the one at the
+largest squared distance of weights summed in numpy's pairwise order
+(the training pass's sum), not the ``np.linalg.norm`` of the
+difference, whose BLAS dot product rounds as the BLAS build does. The
+two choices differ only where two neighbours' distances agree in their
+last bits.
 
 ``parse_block`` reads the body of a CSV file in place and both validates
 and parses it in one pass. It accepts records of a fixed number of
@@ -83,6 +96,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _N = ctypes.c_int64
+_D = ctypes.c_double
 _P = ctypes.c_void_p
 _B = ctypes.c_char_p
 _DOUBLE, _INT = np.dtype(np.float64), np.dtype(np.int64)
@@ -133,8 +147,16 @@ def load(path) -> ctypes.CDLL:
     lib.uniform.argtypes = [_P, _N, ctypes.c_double, ctypes.c_double, *stream]
     lib.grow.argtypes = [_P, _N, _N, _N, _P, _P]
     lib.parse_block.argtypes = [_B, _N, _N, _N, _N, _N, _N, _F64, _I64]
-    for f in (lib.train_steps, lib.uniform, lib.grow, lib.parse_block):
+    lib.fit_open.argtypes = [_P, _P, _N, _N, _P, _N, _N, _N, _P, _D, _N, _D, ctypes.c_int,
+                             _D, _D, _D, _N, _N, _N, _B, _N, _B, _N]
+    lib.fit_store.argtypes = [_P, _P, _P, _P, _P]
+    for f in (lib.fit_begin, lib.fit_step, lib.fit_grow, lib.fit_close):
+        f.argtypes = [_P]
+    for f in (lib.train_steps, lib.uniform, lib.grow, lib.parse_block, lib.fit_open,
+              lib.fit_grow):
         f.restype = ctypes.c_int
+    lib.fit_begin.restype = lib.fit_step.restype = _N
+    lib.fit_store.restype = lib.fit_close.restype = None
     return lib
 
 
@@ -232,6 +254,133 @@ def train_steps(weights, cols, x, order, table, slot, alpha, assign=False, start
         raise error(message)
     # unit_mqe is copied out, so a map that keeps it does not keep the rest
     return (out[:n], out[n:2 * n].view(np.int64), out[2 * n:].copy()) if assign else None
+
+
+class _Head(ctypes.Structure):
+    """The fields of a fit context (``fit_t`` in ``_kernel.c``) that
+    Python reads and writes, in the kernel's order."""
+
+    _fields_ = [("rows", _N), ("cols", _N), ("verdict", _N), ("mqe", _D),
+                ("stream", ctypes.c_uint64), ("table", _P), ("table_cap", _N)]
+
+
+# a cycle's verdict, ``fit_t.verdict``
+GROW, CONVERGED, CAPPED = 0, 1, 2
+
+_FIT_ERRORS = {
+    -1: (MemoryError, "fit: out of memory"),
+    -2: (ValueError, "fit: sample index out of range"),
+    -3: (ValueError, "grow: no neighbour's distance compares"),
+}
+
+
+def _fit_error(code: int) -> Exception:
+    error, message = _FIT_ERRORS[code]
+    return error(message)
+
+
+class Fit:
+    """The kernel context of one map's fit, from its initial weights to
+    its stop.
+
+    It gathers the ``n`` samples ``data[indices]`` of a ``rows`` x
+    ``cols`` map once and owns the weights, the cycle's sample order, the
+    table of exp arguments and the last cycle's assignment and errors,
+    growing them with the map. ``weights`` are copied in; without them
+    the map starts at ``x.mean(axis=0) + u * x.std(axis=0)`` of the routed
+    samples ``x``, with ``rows * cols * dim`` draws ``u`` of ``uniform(
+    -noise, noise)`` from the map's stream 0, computed as numpy computes
+    them. A cycle (``train``) trains ``lam`` epochs with the learning rate
+    decaying from ``alpha0`` and the radius from ``sigma0`` (None: half
+    the larger side of the map) to ``sigma_floor``, in blocks whose table
+    holds about ``table_floats`` floats; then ``head.verdict`` says
+    ``CONVERGED`` when the map MQE ``head.mqe`` is below ``threshold`` or
+    0, else ``CAPPED`` when the map holds ``max_units`` units or has grown
+    ``max_insertions`` times, else ``GROW``. ``grow`` inserts a row or
+    column, ``store`` copies the fitted map out and ``close`` frees the
+    context.
+    """
+
+    def __init__(self, data, indices, rows: int, cols: int, weights, *, lam: int,
+                 alpha0: float, sigma0: float | None, sigma_floor: float, noise: float,
+                 seed: int, path: str, threshold: float, max_units: int,
+                 max_insertions: int, table_floats: int):
+        self._ctx = None
+        lib = library()
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        d = _address("data", data, _DOUBLE, 2)
+        ix = _address("indices", indices, _INT, 1)
+        w = None
+        if weights is not None:
+            weights = np.ascontiguousarray(weights, dtype=np.float64)
+            if weights.shape != (rows, cols, data.shape[1]):
+                raise ValueError("fit: the weights do not match the map and the data")
+            w = _address("weights", weights, _DOUBLE, 3)
+        self.n, self.dim = len(indices), data.shape[1]
+        if self.n < 1 or lam < 1 or rows < 1 or cols < 1:
+            raise ValueError("fit: needs a sample, an epoch and a unit")
+        seed_bytes, nseed, _, path_bytes, npath = _stream(seed, 0, path)
+        ctx = _P()
+        code = lib.fit_open(ctypes.byref(ctx), d, len(data), self.dim, ix, self.n, rows, cols,
+                            w, noise, lam, alpha0, sigma0 is not None,
+                            0.0 if sigma0 is None else sigma0, sigma_floor, threshold,
+                            max_units, max_insertions, table_floats,
+                            seed_bytes, nseed, path_bytes, npath)
+        if code:
+            raise _fit_error(code)
+        self._ctx = ctx.value
+        self._lib = lib
+        self._begin, self._step = lib.fit_begin, lib.fit_step
+        self.head = _Head.from_address(self._ctx)
+        self._table = self._table_cap = None
+
+    def train(self, stream: int) -> None:
+        """One growth cycle, its sample order drawn from stream
+        ``stream``: per block of steps the kernel schedules the table of
+        exp arguments, numpy takes their ``exp`` in place (its SIMD
+        ``exp`` and the C library's differ in the last bit), and the
+        kernel trains; after the last block it assigns and scores."""
+        head = self.head
+        head.stream = stream
+        used = self._begin(self._ctx)
+        if head.table_cap != self._table_cap:
+            # the kernel moved the table when the map grew
+            self._table_cap = head.table_cap
+            self._table = np.frombuffer((_D * self._table_cap).from_address(head.table))
+        while used > 0:
+            block = self._table[:used]
+            np.exp(block, out=block)
+            used = self._step(self._ctx)
+        if used:
+            raise _fit_error(used)
+
+    def grow(self) -> tuple[int, int]:
+        """Insert a row or column after a cycle; returns the new shape."""
+        code = self._lib.fit_grow(self._ctx)
+        if code < 0:
+            raise _fit_error(code)
+        return self.head.rows, self.head.cols
+
+    def store(self) -> tuple:
+        """The fitted map, in arrays of its own: the ``(rows, cols, dim)``
+        weights, the ``(rows, cols)`` unit errors and each routed
+        sample's unit row and column."""
+        rows, cols = self.head.rows, self.head.cols
+        out = (np.empty((rows, cols, self.dim)), np.empty((rows, cols)),
+               np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64))
+        self._lib.fit_store(self._ctx, *(ctypes.addressof(_BUFFER.from_buffer(a)) for a in out))
+        return out
+
+    def close(self) -> None:
+        """Free the context; the object is unusable afterwards."""
+        if self._ctx is not None:
+            self._table = self.head = None
+            self._lib.fit_close(self._ctx)
+            self._ctx = None
+
+    def __del__(self):
+        self.close()
 
 
 def uniform(count: int, low: float, high: float, seed: int, stream: int, path: str):

@@ -16,9 +16,9 @@ e.g. ``0x0-2x1``.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -84,6 +84,13 @@ class GhsomParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tau1", "tau2", "alpha0", "sigma0"):
+            value = getattr(self, name)
+            if name == "sigma0" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.tau1 <= 1:
             raise ValueError("tau1 must be in (0, 1]")
         if not 0 < self.tau2 <= 1:
@@ -92,8 +99,8 @@ class GhsomParams:
             raise ValueError("lam must be >= 1")
         if not 0 < self.alpha0 <= 1:
             raise ValueError("alpha0 must be in (0, 1]")
-        if self.sigma0 is not None and self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
+        if self.sigma0 is not None and not 0 < self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.depth_reference not in ("global", "parent"):
@@ -109,7 +116,9 @@ class SomMap:
     assignments, per-unit quantization errors and any child maps keyed
     by ``(row, col)``. The unit at ``(row, col)`` is entry
     ``row * cols + col`` of ``members()``, and its cluster name is
-    ``unit_path(row, col)``.
+    ``unit_path(row, col)``. While ``_fit_map`` fits the map, ``fit``
+    holds its kernel context and the map's own weights, assignments and
+    errors are set only when it stops; otherwise ``fit`` is None.
     """
 
     def __init__(self, rows, cols, weights, parent_mqe, depth, path, sample_indices):
@@ -124,6 +133,7 @@ class SomMap:
         self.bmu_cols = np.zeros(len(self.sample_indices), dtype=np.intp)
         self.unit_mqe = np.zeros((rows, cols))
         self.children: dict[tuple[int, int], SomMap] = {}
+        self.fit: _kernel.Fit | None = None
 
     @property
     def mqe(self) -> float:
@@ -227,22 +237,6 @@ def compute_layer0(m: DataMatrix) -> tuple[np.ndarray, float]:
     return w0, mqe0
 
 
-@functools.lru_cache(maxsize=32)
-def _grid_distances(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every distinct squared grid distance on a ``rows`` x ``cols`` map,
-    ascending as floats, and the row of each squared distance in that
-    list (the kernel's ``slot``). Both arrays are read-only, and shared
-    by every map of that shape. The cache is small because each entry's
-    ``slot`` holds ``(rows-1)**2 + (cols-1)**2 + 1`` ints; its hits come
-    from sibling maps and refits, which reuse the small shapes."""
-    distinct = np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))
-    slot = np.zeros(distinct[-1] + 1, dtype=np.int64)
-    slot[distinct] = np.arange(len(distinct))
-    distinct = distinct.astype(np.float64)
-    distinct.flags.writeable = slot.flags.writeable = False
-    return distinct, slot
-
-
 def train_map(
     som: SomMap,
     data: np.ndarray,
@@ -258,57 +252,40 @@ def train_map(
     decay linearly over the cycle; the radius is floored at 0.5.
     Assignments and per-unit errors are recomputed afterwards.
 
-    The schedule and the neighborhood's ``exp`` run in numpy. The kernel
-    table has one row per distinct squared grid distance and one column
-    per step, so each numpy pass runs along a row of many steps rather
-    than along a short row of distances; numpy computes the ``exp``,
-    because its vectorized ``exp`` and the C library's differ in the
-    last bit. The distinct distances and their slots come from a cache
-    keyed by the map's shape. The compiled kernel multiplies a step's
-    column by its learning rate and applies the per-sample updates in
-    one pass over the weights per step, with the float operations of
-    numpy's ``w + (x - w) * (h * alpha)`` in the same order, so the
-    weights match a per-sample numpy loop bit for bit.
+    The cycle runs in the map's kernel context (``som.fit``, see
+    ``_kernel.Fit``): the kernel draws every epoch's permutation from the
+    map's stream ``1 + epoch_base``, the draws numpy's
+    ``Generator.permutation`` makes, and computes the schedule and each
+    step's exp arguments with numpy's float operations in numpy's order.
+    The steps go in blocks whose table holds about ``TABLE_FLOATS``
+    floats, one row per distinct squared grid distance and one column per
+    step, so a small map's cycle is one block. Per block numpy takes the
+    ``exp`` of the table in place, because its vectorized ``exp`` and the
+    C library's differ in the last bit, and the kernel applies the
+    per-sample updates in one pass over the weights per step, with the
+    float operations of numpy's ``w + (x - w) * (h * alpha)`` in the same
+    order, so the weights match a per-sample numpy loop bit for bit. After
+    the last block it assigns every routed sample to its nearest unit and
+    computes each unit's mqe, the mean of its samples' distances in routed
+    order as ``np.mean`` gives it (0 for an empty unit), the map MQE as
+    ``SomMap.mqe`` gives it, and the stop verdict ``_fit_map`` reads.
 
-    The steps go to the kernel in blocks whose table holds about
-    ``TABLE_FLOATS`` floats, so a small map's cycle is a single call.
-    The call with the first block draws every epoch's permutation from
-    the map's stream ``1 + epoch_base``, the draws numpy's
-    ``Generator.permutation`` makes; the call with the last block also
-    assigns every routed sample to its nearest unit and computes each
-    unit's mqe, the mean of its samples' distances in routed order as
-    ``np.mean`` gives it (0 for an empty unit).
+    Inside ``_fit_map`` the map's arrays are set when it stops. A map
+    without a context, such as one a caller builds, gets one for this
+    cycle, and its weights, assignments and errors are set at once.
     """
-    n = len(som.sample_indices)
-    if n == 0:
+    fit = som.fit
+    if fit is not None:
+        fit.train(1 + epoch_base)
+        return som
+    if len(som.sample_indices) == 0:
         raise ValueError("train_map needs at least one routed sample")
-    x_local = np.ascontiguousarray(data[som.sample_indices], dtype=np.float64)
-    dim = x_local.shape[1]
-    weights = np.ascontiguousarray(som.weights, dtype=np.float64).reshape(-1, dim)
-    sigma0 = params.sigma0 if params.sigma0 is not None else max(som.rows, som.cols) / 2
-    distinct, slot = _grid_distances(som.rows, som.cols)
-
-    total = params.lam * n
-    # the first call fills it with one permutation of the samples per epoch
-    order = np.empty(total, dtype=np.int64)
-    block = max(1, TABLE_FLOATS // len(distinct))
-    # total >= 1 (lam >= 1, n >= 1), so the last call assigns
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        frac = 1.0 - np.arange(start, stop) / total
-        alpha = params.alpha0 * frac
-        sigma = np.maximum(SIGMA_FLOOR, sigma0 * frac)
-        coef = -0.5 / (sigma * sigma)
-        table = np.multiply(distinct[:, None], coef)
-        np.exp(table, out=table)
-        draw = (params.rng_seed, 1 + epoch_base, som.path) if start == 0 else None
-        assigned = _kernel.train_steps(weights, som.cols, x_local, order, table, slot, alpha,
-                                       assign=stop == total, start=start, draw=draw)
-
-    _, best, unit_mqe = assigned
-    som.weights = weights.reshape(som.rows, som.cols, dim)
-    som.bmu_rows, som.bmu_cols = np.divmod(best.astype(np.intp, copy=False), som.cols)
-    som.unit_mqe = unit_mqe.reshape(som.rows, som.cols)
+    fit = _open_fit(som, data, params, som.weights, math.nan)
+    try:
+        fit.train(1 + epoch_base)
+        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
+    finally:
+        fit.close()
     return som
 
 
@@ -322,8 +299,13 @@ def grow_horizontal(som: SomMap) -> SomMap:
     right, left, below, above in that order, so a column insertion before
     a row insertion. A same-row neighbor triggers a column insertion, a
     same-column neighbor a row insertion; new weights are the means of
-    the two flanking units. One kernel call does all of it.
+    the two flanking units. One kernel call does all of it: in place in
+    the map's kernel context while ``_fit_map`` fits it, else on a copy
+    of ``som.weights``.
     """
+    if som.fit is not None:
+        som.rows, som.cols = som.fit.grow()
+        return som
     weights = np.ascontiguousarray(som.weights, dtype=np.float64)
     unit_mqe = np.ascontiguousarray(som.unit_mqe, dtype=np.float64)
     som.weights = _kernel.grow(weights, unit_mqe)
@@ -332,39 +314,58 @@ def grow_horizontal(som: SomMap) -> SomMap:
     return som
 
 
+def _open_fit(som: SomMap, data, params: GhsomParams, weights, threshold: float):
+    """A kernel context for fitting ``som`` on its routed samples of
+    ``data``: from ``weights``, or from the mean and noise of the initial
+    weights when they are None, stopping below ``threshold``."""
+    return _kernel.Fit(data, som.sample_indices, som.rows, som.cols, weights,
+                       lam=params.lam, alpha0=params.alpha0, sigma0=params.sigma0,
+                       sigma_floor=SIGMA_FLOOR, noise=INIT_NOISE, seed=params.rng_seed,
+                       path=som.path, threshold=threshold,
+                       max_units=MAX_UNITS_PER_SAMPLE * len(som.sample_indices),
+                       max_insertions=MAX_INSERTIONS, table_floats=TABLE_FLOATS)
+
+
 def _init_map(path, parent_mqe, depth, sample_indices, data, params) -> SomMap:
-    """Fresh 2x2 map: weights at the routed-data mean plus small seeded
-    noise scaled by the per-attribute spread."""
-    x = data[sample_indices]
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    # stream 0 of the map; training cycles use streams 1 + epoch_base
-    noise = _kernel.uniform(4 * x.shape[1], -INIT_NOISE, INIT_NOISE, params.rng_seed, 0, path)
-    weights = mean + noise.reshape(2, 2, -1) * std
-    return SomMap(2, 2, weights, parent_mqe, depth, path, sample_indices)
+    """Fresh 2x2 map and its kernel context, which holds its initial
+    weights: the routed-data mean plus small seeded noise (stream 0 of
+    the map; training cycles use streams 1 + epoch_base) scaled by the
+    per-attribute spread, numpy's ``mean`` and ``std`` over the samples."""
+    som = SomMap(2, 2, None, parent_mqe, depth, path, sample_indices)
+    som.fit = _open_fit(som, data, params, None, params.tau1 * parent_mqe)
+    return som
 
 
 def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
     """Alternate training and row/column insertion until the map MQE
-    drops below tau1 times the error it refines."""
-    n = len(som.sample_indices)
-    insertions = 0
-    epoch_base = 0
-    while True:
-        train_map(som, data, params, epoch_base)
-        epoch_base += params.lam
-        mqe = som.mqe
-        if mqe < params.tau1 * som.parent_mqe or mqe == 0.0:
-            break
-        if som.rows * som.cols >= MAX_UNITS_PER_SAMPLE * n or insertions >= MAX_INSERTIONS:
+    drops below tau1 times the error it refines.
+
+    ``train_map`` runs each cycle and ``grow_horizontal`` each insertion
+    in the kernel context ``_init_map`` opened, and the kernel's verdict
+    after a cycle says whether the map converged, reached a growth guard
+    (the map's units or insertions) or grows on. When it stops, its
+    weights, assignments and errors are stored into ``som`` and the
+    context is closed.
+    """
+    fit = som.fit
+    try:
+        epoch_base = 0
+        while True:
+            train_map(som, data, params, epoch_base)
+            epoch_base += params.lam
+            if fit.head.verdict != _kernel.GROW:
+                break
+            grow_horizontal(som)
+        if fit.head.verdict == _kernel.CAPPED:
             log.warning(
                 "map %s: growth capped at %dx%d with MQE %.6g >= tau1*parent %.6g",
-                som.path or "<root>", som.rows, som.cols, mqe,
+                som.path or "<root>", som.rows, som.cols, fit.head.mqe,
                 params.tau1 * som.parent_mqe,
             )
-            break
-        grow_horizontal(som)
-        insertions += 1
+        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
+    finally:
+        som.fit = None
+        fit.close()
 
 
 def _expansion_threshold(tree: GhsomTree, som: SomMap, params: GhsomParams) -> float:
@@ -520,23 +521,32 @@ def find_cluster(tree: GhsomTree, path: str) -> np.ndarray:
 def leaf_partition(tree: GhsomTree) -> LeafPartition:
     """Flatten the tree: every sample labeled with its leaf unit's path.
 
-    Each map labels, from its BMU arrays, the samples on its units
-    without a child map.
+    Each map, after its parent, numbers its routed samples with their
+    units, counted over the whole tree, so a sample ends with the number
+    of its leaf unit, one without a child map. Only the units samples end
+    at are named.
     """
-    clusters = np.full(len(tree.sample_ids), "", dtype=object)
-    for som in tree.iter_maps():
-        units = som.rows * som.cols
-        paths = np.array([som.unit_path(*divmod(u, som.cols)) for u in range(units)],
-                         dtype=object)
-        leaf = np.ones(units, dtype=bool)
-        leaf[[row * som.cols + col for row, col in som.children]] = False
-        flat = som.bmu_rows * som.cols + som.bmu_cols
-        at_leaf = leaf[flat]
-        clusters[som.sample_indices[at_leaf]] = paths[flat[at_leaf]]
-    missing = [tree.sample_ids[i] for i in np.flatnonzero(clusters == "")]
+    maps = list(tree.iter_maps())
+    starts = np.cumsum([0] + [som.rows * som.cols for som in maps]).tolist()
+    units = starts[-1]
+    code = np.full(len(tree.sample_ids), units, dtype=np.intp)
+    # a sample that ends at a unit with a child map, or never routed
+    # (number ``units``), is at no leaf
+    inner = np.zeros(units + 1, dtype=bool)
+    inner[units] = True
+    for som, start in zip(maps, starts):
+        code[som.sample_indices] = som.bmu_rows * som.cols + (som.bmu_cols + start)
+        if som.children:
+            inner[[start + row * som.cols + col for row, col in som.children]] = True
+    missing = [tree.sample_ids[i] for i in np.flatnonzero(inner[code])]
     if missing:
         raise RuntimeError(f"samples not reachable at any leaf: {missing[:5]}")
-    return LeafPartition(sample_ids=list(tree.sample_ids), clusters=clusters.tolist())
+    ends = np.flatnonzero(np.bincount(code, minlength=units))
+    owner = np.searchsorted(starts, ends, side="right") - 1
+    names = np.empty(units, dtype=object)
+    names[ends] = [maps[k].unit_path(*divmod(u - starts[k], maps[k].cols))
+                   for u, k in zip(ends.tolist(), owner.tolist())]
+    return LeafPartition(sample_ids=list(tree.sample_ids), clusters=names[code].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,11 +33,17 @@ from ghsomkit import (
     tree_to_json,
 )
 from ghsomkit import _kernel
+from ghsomkit import ghsom as ghsom_module
+from ghsomkit.evaluation import sweep
 from ghsomkit.ghsom import (
+    INIT_NOISE,
+    MAX_INSERTIONS,
+    MAX_UNITS_PER_SAMPLE,
     TABLE_FLOATS,
     GhsomTree,
     LeafPartition,
     SomMap,
+    _init_map,
     _split,
     expand_hierarchy,
     grow_horizontal,
@@ -94,6 +101,14 @@ def _fresh_map(weights, sample_indices=()):
         dict(lam=True),
         dict(max_depth="3"),
         dict(rng_seed=np.float64(2.0)),
+        dict(tau1=True),
+        dict(tau2=True),
+        dict(alpha0=True),
+        dict(sigma0=True),
+        dict(tau1="0.5"),
+        dict(sigma0=float("nan")),
+        dict(sigma0=float("inf")),
+        dict(sigma0=-1.0),
     ],
 )
 def test_params_rejected(kwargs):
@@ -104,6 +119,10 @@ def test_params_rejected(kwargs):
 
 def test_params_accept_numpy_integers():
     GhsomParams(lam=np.int64(3), max_depth=np.int32(2), rng_seed=np.uint8(7)).validate()
+
+
+def test_params_accept_integer_and_numpy_floats():
+    GhsomParams(tau1=1, tau2=np.float32(0.5), alpha0=np.float64(0.25), sigma0=2).validate()
 
 
 def test_params_defaults_valid():
@@ -721,6 +740,234 @@ def test_expand_refines_units_at_threshold_with_four_samples_in_row_major_order(
     assert type(first.parent_mqe) is float
 
 
+# ---------------------------------------------------------------- fit context
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (7, 1), (300, 1), (1, 5), (9, 2), (40, 8),
+                                    (200, 20), (5, 130)])
+def test_initial_weights_are_numpys_mean_plus_scaled_noise(n, dim):
+    # one column takes numpy's pairwise sum, several its row-by-row sum;
+    # a column of -0.0 and one of equal values have a std of 0
+    rng = np.random.default_rng(n * dim)
+    data = rng.normal(size=(2 * n + 3, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+    data[:, 0] = -0.0
+    if dim > 1:
+        data[:, 1] = 2.5
+    routed = rng.permutation(len(data))[:n]
+    x = data[routed]
+    path = "1x0-0x1"
+    noise = _numpy_stream(2**32 + 9, 0, path).uniform(-INIT_NOISE, INIT_NOISE, size=4 * dim)
+    want = x.mean(axis=0) + noise.reshape(2, 2, -1) * x.std(axis=0)
+    som = _init_map(path, 1.0, 3, routed, data, GhsomParams(rng_seed=2**32 + 9))
+    weights, unit_mqe, bmu_rows, bmu_cols = som.fit.store()
+    som.fit.close()
+    assert weights.tobytes() == want.tobytes()
+    assert unit_mqe.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert bmu_rows.tolist() == bmu_cols.tolist() == [0] * n
+
+
+def _fit_cycles(data, params, parent_mqe, cycles):
+    """Train, check and grow one map's context ``cycles`` times; returns
+    each cycle's map MQE and verdict."""
+    n = len(data)
+    som = _init_map("0x1", parent_mqe, 2, np.arange(n), data, params)
+    fit = som.fit
+    weights = fit.store()[0]
+    seen = []
+    for cycle in range(cycles):
+        stream = 1 + cycle * params.lam
+        fit.train(stream)
+        want_w, want_mqe = train_map_online(weights, data, params.rng_seed, "0x1", stream,
+                                            params.lam, params.alpha0)
+        weights, unit_mqe, bmu_rows, bmu_cols = fit.store()
+        assert weights.tobytes() == want_w.tobytes()
+        assert unit_mqe.tobytes() == want_mqe.tobytes()
+        rows, cols = weights.shape[:2]
+        stored = SomMap(rows, cols, weights, parent_mqe, 2, "0x1", np.arange(n))
+        stored.unit_mqe, stored.bmu_rows, stored.bmu_cols = unit_mqe, bmu_rows, bmu_cols
+        assert fit.head.mqe == stored.mqe
+        if stored.mqe < params.tau1 * parent_mqe or stored.mqe == 0.0:
+            want = _kernel.CONVERGED
+        elif rows * cols >= MAX_UNITS_PER_SAMPLE * n or cycle >= MAX_INSERTIONS:
+            want = _kernel.CAPPED
+        else:
+            want = _kernel.GROW
+        assert fit.head.verdict == want
+        seen.append((stored.mqe, want))
+        assert fit.grow() == (fit.head.rows, fit.head.cols)
+        grown = grow_numpy(weights, unit_mqe)
+        weights = fit.store()[0]
+        assert weights.tobytes() == grown.tobytes()
+    fit.close()
+    return seen
+
+
+@pytest.mark.parametrize("dim", [1, 3, 9, 130])
+def test_fit_cycles_match_oracle_map_mqe_verdict_and_numpy_insertion(dim):
+    # a context trains, scores and grows one map cycle after cycle, its
+    # buffers growing in place: each cycle's weights and errors against
+    # the online oracle, the kernel's map MQE against SomMap.mqe, its
+    # verdict against the stopping rule, and each insertion against
+    # numpy; the second pass sets tau1 * parent error to the first
+    # pass's median MQE, so that some cycles converge
+    data = np.random.default_rng(dim).normal(size=(30, dim))
+    params = GhsomParams(lam=2, rng_seed=dim)
+    first = _fit_cycles(data, params, 1e-6, 10)
+    assert {verdict for _, verdict in first} == {_kernel.GROW}
+    median = float(np.median([mqe for mqe, _ in first]))
+    second = _fit_cycles(data, params, median / params.tau1, 10)
+    assert [mqe for mqe, _ in second] == [mqe for mqe, _ in first]
+    assert {verdict for _, verdict in second} == {_kernel.GROW, _kernel.CONVERGED}
+
+
+def test_fit_context_rejects_bad_samples_and_nan_growth():
+    data = np.zeros((5, 2))
+    params = GhsomParams(lam=2)
+    with pytest.raises(ValueError, match="sample index out of range"):
+        _init_map("", 1.0, 1, np.array([0, 5]), data, params)
+    with pytest.raises(ValueError, match="sample index out of range"):
+        _init_map("", 1.0, 1, np.array([-1, 0]), data, params)
+    with pytest.raises(ValueError, match="fit: needs"):
+        _init_map("", 1.0, 1, np.array([], dtype=np.intp), data, params)
+    data[:] = np.nan
+    som = _init_map("", 1.0, 1, np.arange(5), data, params)
+    som.fit.train(1)
+    assert som.fit.head.verdict == _kernel.GROW  # a NaN MQE neither converges nor caps
+    with pytest.raises(ValueError, match="grow: no neighbour's distance compares"):
+        som.fit.grow()
+    som.fit.close()
+
+
+def _counted_fit(monkeypatch, fit):
+    """The tree ``fit()`` gives and, per map path, its ``train_map`` and
+    ``grow_horizontal`` calls, counted through the module globals."""
+    trains, grows = Counter(), Counter()
+    train, grow = ghsom_module.train_map, ghsom_module.grow_horizontal
+
+    def counting_train(som, data, params, epoch_base=0):
+        assert epoch_base == trains[som.path] * params.lam
+        trains[som.path] += 1
+        return train(som, data, params, epoch_base)
+
+    def counting_grow(som):
+        grows[som.path] += 1
+        return grow(som)
+
+    monkeypatch.setattr(ghsom_module, "train_map", counting_train)
+    monkeypatch.setattr(ghsom_module, "grow_horizontal", counting_grow)
+    return fit(), trains, grows
+
+
+@pytest.mark.parametrize("case", ["nested", "capped_noise"])
+def test_fit_map_trains_each_cycle_and_grows_each_insertion(case, nested_matrix, monkeypatch):
+    if case == "nested":
+        m, params = nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, rng_seed=0)
+    else:
+        m, params = _capped_noise_map()[1], GhsomParams(tau1=1e-9, tau2=0.99, lam=2, rng_seed=0)
+    tree, trains, grows = _counted_fit(monkeypatch, lambda: run_ghsom(m, params))
+    maps = list(tree.iter_maps())
+    assert set(trains) == {som.path for som in maps}
+    assert sum(grows.values()) > 0
+    for som in maps:
+        assert trains[som.path] == som.rows + som.cols - 3
+        assert grows[som.path] == som.rows + som.cols - 4
+
+
+def test_fitted_tree_holds_no_fit_context_and_no_views(nested_matrix):
+    tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, rng_seed=0))
+    capped, _ = _capped_noise_map()
+    for som in [*tree.iter_maps(), capped]:
+        assert som.fit is None
+        for a in (som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols):
+            assert a.base is None and a.flags.owndata
+        assert som.weights.shape == (som.rows, som.cols, nested_matrix.n_attributes
+                                     if som is not capped else 2)
+        assert som.unit_mqe.shape == (som.rows, som.cols)
+
+
+def test_failed_fit_closes_its_context(monkeypatch):
+    # a map whose growth raises still leaves no context behind
+    m = _random_matrix(8, 2, seed=6)
+    closed = []
+    close = _kernel.Fit.close
+    monkeypatch.setattr(_kernel.Fit, "close", lambda self: (closed.append(self), close(self)))
+    monkeypatch.setattr(_kernel.Fit, "grow", lambda self: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_ghsom(m, GhsomParams(tau1=1e-9, tau2=0.99, lam=2, rng_seed=0))
+    assert len(closed) >= 1 and all(fit._ctx is None for fit in closed)
+
+
+# the fits the kernel built with AddressSanitizer and UBSan must give as
+# the normal build gives them: a growth-capped noise map, a 9x11 map
+# whose cycle spans several kernel blocks, and a sweep
+SANITIZER_FITS = """
+import hashlib, json, logging, sys
+import numpy as np
+from ghsomkit import DataMatrix, GhsomParams, GhsomTree, _kernel, nested_blobs, run_ghsom
+from ghsomkit import tree_to_json
+from ghsomkit.evaluation import sweep
+from ghsomkit.ghsom import SomMap, train_map
+if len(sys.argv) > 1:
+    lib = _kernel.load(sys.argv[1])
+    _kernel.library = lambda: lib
+logging.disable(logging.WARNING)
+
+def matrix(n, dim, seed):
+    values = np.random.default_rng(seed).normal(size=(n, dim))
+    return DataMatrix(values, [f"s{i}" for i in range(n)], [f"f{j}" for j in range(dim)])
+
+out = {}
+out["capped"] = tree_to_json(run_ghsom(matrix(8, 2, 6), GhsomParams(tau1=1e-9, tau2=0.99,
+                                                                     lam=2, rng_seed=0)))
+m = matrix(60, 3, 5)
+som = SomMap(9, 11, np.random.default_rng(5).normal(size=(9, 11, 3)), 1.0, 2, "1x0-0x2",
+             np.arange(60))
+params = GhsomParams(lam=40, rng_seed=2**64 + 5)
+train_map(som, m.values, params, 80)
+out["blocks"] = tree_to_json(GhsomTree(np.zeros(3), 1.0, som, params, m.sample_ids,
+                                       m.attribute_names))
+m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.25, seed=1)
+grid = sweep(m, GhsomParams(lam=10, rng_seed=5), (0.6, 0.45, 0.3), (0.2, 0.1, 0.05),
+             labels=m.labels)
+out["sweep"] = repr([(c.tau1, c.tau2, repr(c.ch), repr(c.ari), c.leaf_count, c.depth,
+                      c.total_units, c.error) for _, c in sorted(grid.cells.items())])
+print(json.dumps({k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}))
+"""
+
+
+def _runtime(name: str) -> str | None:
+    """The path of the compiler's sanitizer runtime ``name``, if it has one."""
+    try:
+        done = subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
+                              text=True, timeout=60)
+    except OSError:
+        return None
+    path = done.stdout.strip()
+    return path if done.returncode == 0 and os.path.isfile(path) else None
+
+
+def test_kernel_under_sanitizers_gives_the_same_fits(tmp_path):
+    runtimes = [_runtime("libasan.so"), _runtime("libubsan.so")]
+    if None in runtimes:
+        pytest.skip("the C compiler has no AddressSanitizer or UBSan runtime")
+    lib_path = tmp_path / "k.so"
+    cmd = ["cc", str(_kernel.SOURCE), "-o", str(lib_path), *_kernel.FLAGS,
+           "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    path = [str(Path(_kernel.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    runs = []
+    for argv, extra in [([], {}), ([str(lib_path)], {"LD_PRELOAD": " ".join(runtimes),
+                                                    "ASAN_OPTIONS": "detect_leaks=0"})]:
+        done = subprocess.run([sys.executable, "-c", SANITIZER_FITS, *argv], capture_output=True,
+                              text=True, timeout=600, env={**env, **extra})
+        assert done.returncode == 0, done.stderr[-4000:]
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == ["blocks", "capped", "sweep"]
+
+
 # ---------------------------------------------------------------- full runs
 
 
@@ -895,12 +1142,23 @@ def test_empty_units_do_not_enter_map_mqe():
 # SHA-256 of ``tree_to_json`` of three fits, recorded before the random
 # streams and the row/column insertion moved into the kernel: a root-only
 # fit that grows (on a seed of two entropy words), a nested fit, and the
-# growth-capped noise map
+# growth-capped noise map. Then, recorded before each map fit got one
+# kernel context: the ``repr`` of a 3x3 sweep's rows over small noisy
+# blobs whose tau2 = 0.05 cells grow a capped map, and a fit with a fixed
+# sigma0 and the parent's error as the depth reference
 GOLDEN_TREES = {
     "root_only": "723a6be1fbfc38150182b4714b01bc7d0732c8cdbaa9b336929d1f29d7d9aec6",
     "nested": "504145cc22a07ccd1d84050ae7acdd035cc848da6609cb5f1397c176e78b1336",
     "capped_noise": "55e00125907745397e36011cbec53387c313cea307916fe4cefe53ec308d8ae5",
+    "sweep_noisy": "f8483ac6d7919d5c8cf07ace1d4aca24328f6399c955ac4a0ef1e711ac3b8295",
+    "sigma0_parent": "317544a648c67461c027301051495f97ef850824a7c75f89ff1f80d19c0c55c8",
 }
+
+
+def _sweep_rows(grid):
+    return [(c.tau1, c.tau2, repr(c.ch), repr(c.ari), c.leaf_count, c.depth, c.total_units,
+             c.error)
+            for _, c in sorted(grid.cells.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_TREES))
@@ -912,10 +1170,20 @@ def test_fitted_trees_match_golden_digests(case, blob_matrix, nested_matrix):
     elif case == "nested":
         tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, rng_seed=0))
         assert tree.depth() == 2
+    elif case == "sigma0_parent":
+        tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, sigma0=1.3,
+                                                    depth_reference="parent", rng_seed=0))
+    elif case == "sweep_noisy":
+        m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.25, seed=1)
+        grid = sweep(m, GhsomParams(lam=10, rng_seed=5), (0.6, 0.45, 0.3), (0.2, 0.1, 0.05),
+                     labels=m.labels)
+        text = repr(_sweep_rows(grid))
     else:
         tree = run_ghsom(_capped_noise_map()[1],
                          GhsomParams(tau1=1e-9, tau2=0.99, lam=2, rng_seed=0))
-    digest = hashlib.sha256(tree_to_json(tree).encode()).hexdigest()
+    if case != "sweep_noisy":
+        text = tree_to_json(tree)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_TREES[case]
 
 
