@@ -1,6 +1,8 @@
 /* Compiled inner loops of ghsomkit: a map fit's context (initial weights,
    schedule, SOM training, BMU assignment, stop verdict and row/column
-   insertion), the maps' random streams and the CSV number block.
+   insertion), the maps' random streams and the CSV number block.  The
+   library exports the context's fit_open, fit_begin, fit_step, fit_grow,
+   fit_store and fit_close, and parse_block; everything else is static.
 
    Each SOM function performs the float operations of the numpy
    expressions it stands for, in the same order, so its results are the
@@ -138,10 +140,10 @@ static double pairwise_sum(const double *a, int64_t n)
    index-order sum of squared differences as scipy's cdist computes it,
    and index[i] np.argmin's pick among the distances.  Then unit_mqe[u] is
    the mean of unit u's distances in sample order as np.mean gives it,
-   (0.0 + pairwise sum) / count, or 0 for a unit without samples.  Given
-   map_mqe, it also receives the mean of the occupied units' errors as
-   SomMap.mqe takes it: their row-major array summed, (0.0 + pairwise
-   sum), divided by their count.  Returns 0, or -1 when out of memory. */
+   (0.0 + pairwise sum) / count, or 0 for a unit without samples, and
+   *map_mqe the mean of the occupied units' errors as SomMap.mqe takes it:
+   their row-major array summed, (0.0 + pairwise sum), divided by their
+   count.  Returns 0, or -1 when out of memory. */
 static int assign(const double *x, int64_t n, const double *w, int64_t units,
                   int64_t dim, double *dist, int64_t *index, double *unit_mqe,
                   double *map_mqe)
@@ -183,8 +185,7 @@ static int assign(const double *x, int64_t n, const double *w, int64_t units,
         if (count)
             d[occupied++] = unit_mqe[u];
     }
-    if (map_mqe != NULL)
-        *map_mqe = occupied ? (0.0 + pairwise_sum(d, occupied)) / (double)occupied : 0.0;
+    *map_mqe = occupied ? (0.0 + pairwise_sum(d, occupied)) / (double)occupied : 0.0;
     free(d);
     free(end);
     return 0;
@@ -373,8 +374,8 @@ static int seed_stream(pcg64 *g, const uint8_t *seed, int64_t nseed, uint64_t st
 
 /* Fills out[0 .. count) with Generator.uniform(low, high): each draw is
    low + (high - low) * double.  Returns 0, or -1 when out of memory. */
-int uniform(double *out, int64_t count, double low, double high, const uint8_t *seed,
-            int64_t nseed, uint64_t stream, const uint8_t *path, int64_t npath)
+static int uniform(double *out, int64_t count, double low, double high, const uint8_t *seed,
+                   int64_t nseed, uint64_t stream, const uint8_t *path, int64_t npath)
 {
     pcg64 g;
     if (seed_stream(&g, seed, nseed, stream, path, npath))
@@ -453,42 +454,6 @@ CLONES static void train_block(double *w, int64_t rows, int64_t cols, int64_t di
     }
 }
 
-/* train_block for steps start .. start + steps of order, with the
-   argument checks and extras of the Python wrapper.  When seed is not
-   NULL, the call first fills the norder entries of order with
-   permutations of 0 .. n-1 from the stream [seed, stream, *path]
-   (draw_permutations; norder must be a multiple of n).  When dist is not
-   NULL, the trained map then assigns every sample and scores every unit
-   (assign) into dist, index and unit_mqe.  Every entry of order[start ..
-   start + steps) must be in [0, n) and each of the nslot entries of slot
-   in [0, width); they are checked before w is touched.  Returns 0; -1
-   when out of memory, -2 for a sample index and -3 for a table slot out
-   of range. */
-int train_steps(double *w, int64_t rows, int64_t cols, int64_t dim, const double *x,
-                int64_t n, int64_t *order, int64_t norder, int64_t start, int64_t steps,
-                const uint8_t *seed, int64_t nseed, uint64_t stream, const uint8_t *path,
-                int64_t npath, const double *table, int64_t width, const int64_t *slot,
-                int64_t nslot, const double *alpha, double *dist, int64_t *index,
-                double *unit_mqe)
-{
-    if (seed != NULL && draw_permutations(order, norder, n, seed, nseed, stream, path, npath))
-        return -1;
-    order += start;
-    for (int64_t s = 0; s < steps; s++)
-        if (order[s] < 0 || order[s] >= n)
-            return -2;
-    for (int64_t g = 0; g < nslot; g++)
-        if (slot[g] < 0 || slot[g] >= width)
-            return -3;
-    int64_t units = rows * cols;
-    double *scratch = malloc(sizeof(double) * (size_t)(units * dim + units + width));
-    if (scratch == NULL)
-        return -1;
-    train_block(w, rows, cols, dim, x, order, steps, table, width, slot, alpha, scratch);
-    free(scratch);
-    return dist == NULL ? 0 : assign(x, n, w, units, dim, dist, index, unit_mqe, NULL);
-}
-
 /* Index of the first maximum of a[0..n), or of the first NaN if there
    is one, as np.argmax picks it. */
 static int64_t first_argmax(const double *a, int64_t n)
@@ -562,24 +527,6 @@ static void insert(double *w, int64_t rows, int64_t cols, int64_t dim, int axis,
     memmove(w + (lo + 2) * row, w + (lo + 1) * row, sizeof(double) * (size_t)((rows - lo - 1) * row));
     for (int64_t k = 0; k < row; k++)
         w[(lo + 1) * row + k] = 0.5 * (w[lo * row + k] + w[(lo + 2) * row + k]);
-}
-
-/* One row or column insertion (pick_insertion, insert) into a copy of the
-   (rows, cols, dim) weights w: out receives the (rows, cols + 1, dim)
-   weights after a column insertion or the (rows + 1, cols, dim) ones
-   after a row insertion, and must hold the larger of the two.  Returns 1
-   for a column and 2 for a row insertion, or -1 when no neighbour's
-   distance compares. */
-int grow(const double *w, int64_t rows, int64_t cols, int64_t dim, const double *unit_mqe,
-         double *out)
-{
-    int64_t units = rows * cols, lo;
-    memcpy(out, w, sizeof(double) * (size_t)(units * dim));
-    /* the room for the new row or column holds the differences until then */
-    int axis = pick_insertion(out, rows, cols, dim, unit_mqe, out + units * dim, &lo);
-    if (axis > 0)
-        insert(out, rows, cols, dim, axis, lo);
-    return axis;
 }
 
 /* ---- a map's fit ---------------------------------------------------------

@@ -1,8 +1,11 @@
 """Loader of the compiled kernel in ``_kernel.c``: a map fit's context
 (initial weights, schedule, SOM training, BMU assignment, stop verdict
 and row/column insertion), random streams and the CSV number block.
+Python reaches it through ``Fit`` and ``parse_block`` only: the library
+exports the context's six ``fit_*`` functions and ``parse_block``.
 
-Each map fit runs in one kernel context, ``Fit``. It gathers the routed
+Each map fit runs in one kernel context, ``Fit``, which starts the map
+from its data or, given weights, from those. It gathers the routed
 samples once, checks each array's dtype, order and shape once, and owns
 the weights, the cycle's sample order, the table of exp arguments and
 the assignment and error buffers, each sized for the current map and
@@ -32,12 +35,6 @@ AVX2 and the baseline (``target_clones``), and the loader picks the
 widest the CPU supports; every variant rounds each operation the same
 way, so the weights are the same bits on every CPU.
 
-``train_steps``, ``uniform`` and ``grow`` expose the training pass, the
-noise draw and an out-of-place insertion on caller-owned arrays. Their
-wrappers pass raw data addresses and check each array's dtype, C order,
-writeability and shape; the kernel checks every sample and table index
-before it touches the weights.
-
 The random streams are the kernel's copy of numpy's: for the entropy
 ``[seed, stream, *path.encode()]`` it hashes the words as
 ``np.random.SeedSequence`` does, seeds PCG64 from them and draws as
@@ -48,13 +45,12 @@ numpy's bits, and results no longer depend on numpy's Generator
 implementation, whose streams NEP 19 does not freeze across releases.
 The tests check the copy against numpy's Generator draw for draw.
 
-An insertion (``Fit.grow``, ``grow``) picks the error unit as
-``np.argmax`` of the unit errors and, of its neighbours, the one at the
-largest squared distance of weights summed in numpy's pairwise order
-(the training pass's sum), not the ``np.linalg.norm`` of the
-difference, whose BLAS dot product rounds as the BLAS build does. The
-two choices differ only where two neighbours' distances agree in their
-last bits.
+An insertion (``Fit.grow``) picks the error unit as ``np.argmax`` of
+the unit errors and, of its neighbours, the one at the largest squared
+distance of weights summed in numpy's pairwise order (the training
+pass's sum), not the ``np.linalg.norm`` of the difference, whose BLAS
+dot product rounds as the BLAS build does. The two choices differ only
+where two neighbours' distances agree in their last bits.
 
 ``parse_block`` reads the body of a CSV file in place and both validates
 and parses it in one pass. It accepts records of a fixed number of
@@ -141,19 +137,13 @@ def load(path) -> ctypes.CDLL:
     """The library at ``path``, compiled from ``_kernel.c``, with its
     functions' argument types declared."""
     lib = ctypes.CDLL(str(path))
-    stream = [_B, _N, ctypes.c_uint64, _B, _N]  # seed bytes, stream, path bytes
-    lib.train_steps.argtypes = [_P, _N, _N, _N, _P, _N, _P, _N, _N, _N, *stream,
-                                _P, _N, _P, _N, _P, _P, _P, _P]
-    lib.uniform.argtypes = [_P, _N, ctypes.c_double, ctypes.c_double, *stream]
-    lib.grow.argtypes = [_P, _N, _N, _N, _P, _P]
     lib.parse_block.argtypes = [_B, _N, _N, _N, _N, _N, _N, _F64, _I64]
     lib.fit_open.argtypes = [_P, _P, _N, _N, _P, _N, _N, _N, _P, _D, _N, _D, ctypes.c_int,
                              _D, _D, _D, _N, _N, _N, _B, _N, _B, _N]
     lib.fit_store.argtypes = [_P, _P, _P, _P, _P]
     for f in (lib.fit_begin, lib.fit_step, lib.fit_grow, lib.fit_close):
         f.argtypes = [_P]
-    for f in (lib.train_steps, lib.uniform, lib.grow, lib.parse_block, lib.fit_open,
-              lib.fit_grow):
+    for f in (lib.parse_block, lib.fit_open, lib.fit_grow):
         f.restype = ctypes.c_int
     lib.fit_begin.restype = lib.fit_step.restype = _N
     lib.fit_store.restype = lib.fit_close.restype = None
@@ -163,97 +153,16 @@ def load(path) -> ctypes.CDLL:
 _BUFFER = ctypes.c_char * 0
 
 
-def _address(name: str, a, dtype, ndim: int, writeable: bool = False) -> int:
+def _address(name: str, a, dtype, ndim: int) -> int:
     """Address of the data of ``a``, once it is what the kernel reads: a
-    C-contiguous ``ndim``-dimensional array of ``dtype``, writeable if
-    asked. The kernel gets raw addresses because converting ndpointer
-    arguments cost most of a call on a small map; a writeable array's
-    address comes through the buffer protocol, at half the cost of
-    ``a.ctypes.data``."""
+    C-contiguous ``ndim``-dimensional array of ``dtype``. The kernel gets
+    raw addresses because converting ndpointer arguments cost most of a
+    call on a small map; a writeable array's address comes through the
+    buffer protocol, at half the cost of ``a.ctypes.data``."""
     if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
-            and a.flags.c_contiguous and (a.flags.writeable or not writeable)):
-        mode = "writeable " if writeable else ""
-        raise TypeError(f"{name} must be a {mode}C-contiguous {ndim}-d {dtype} array")
+            and a.flags.c_contiguous):
+        raise TypeError(f"{name} must be a C-contiguous {ndim}-d {dtype} array")
     return ctypes.addressof(_BUFFER.from_buffer(a)) if a.flags.writeable else a.ctypes.data
-
-
-def _stream(seed: int, stream: int, path: str) -> tuple:
-    """The kernel's stream arguments for the entropy ``[seed, stream,
-    *path.encode()]``: the seed's little-endian bytes (one byte for 0),
-    their count, the stream, the path's UTF-8 bytes and their count."""
-    seed = int(seed)
-    seed_bytes = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "little")
-    path_bytes = path.encode("utf-8")
-    return seed_bytes, len(seed_bytes), int(stream), path_bytes, len(path_bytes)
-
-
-_STEP_ERRORS = {
-    -1: (MemoryError, "train_steps: out of memory"),
-    -2: (ValueError, "train_steps: sample index out of range"),
-    -3: (ValueError, "train_steps: table slot out of range"),
-}
-
-
-def train_steps(weights, cols, x, order, table, slot, alpha, assign=False, start=0,
-                draw=None):
-    """Apply one online update per step ``s`` in ``start .. start +
-    len(alpha)`` to the ``(units, dim)`` weights of a map with ``cols``
-    columns, in place.
-
-    Step ``s`` presents sample ``x[order[s]]`` and scales the step of
-    every unit ``u`` by ``table[slot[g], s - start] * alpha[s - start]``,
-    where ``g`` is the squared grid distance from the step's
-    best-matching unit to ``u``; ``table`` has one column per step.
-
-    With ``draw = (seed, stream, path)``, the call first fills ``order``
-    with ``len(order) // len(x)`` permutations of ``range(len(x))``, the
-    ones ``np.random.default_rng(np.random.SeedSequence([seed, stream,
-    *path.encode()])).permuted`` gives for the rows of ``np.tile(
-    np.arange(len(x)), (len(order) // len(x), 1))``; ``order`` must then
-    be writeable and a whole number of permutations long.
-
-    With ``assign``, the same call then assigns every row of ``x`` to its
-    nearest unit of the trained weights and returns ``(dist, index,
-    unit_mqe)``: each row's Euclidean distance to that unit and the
-    unit's index (the first on ties, as ``np.argmin`` picks), and each
-    unit's mean distance of its rows, taken in row order as ``np.mean``
-    takes it (0 for a unit without rows). Without it, returns None.
-
-    Every array must be C-contiguous float64 (``order`` and ``slot``
-    int64) and ``weights`` writeable, or TypeError is raised; ValueError
-    is raised for inconsistent shapes and for entries of ``order`` or
-    ``slot`` outside ``x`` or ``table``, and ``weights`` is then left as
-    it was.
-    """
-    w = _address("weights", weights, _DOUBLE, 2, writeable=True)
-    xp = _address("x", x, _DOUBLE, 2)
-    op = _address("order", order, _INT, 1, writeable=draw is not None)
-    tp = _address("table", table, _DOUBLE, 2)
-    sp = _address("slot", slot, _INT, 1)
-    ap = _address("alpha", alpha, _DOUBLE, 1)
-    units, dim = weights.shape
-    n, steps, width = len(x), len(alpha), len(table)
-    rows = units // cols if cols > 0 else 0
-    if (rows < 1 or rows * cols != units or x.shape[1] != dim or table.shape[1] != steps
-            or not 0 <= start <= len(order) - steps
-            or (draw is not None and (n == 0 or len(order) % n))
-            or len(slot) < (rows - 1) ** 2 + (cols - 1) ** 2 + 1):
-        raise ValueError("train_steps: inconsistent array shapes")
-    stream = (None, 0, 0, None, 0) if draw is None else _stream(*draw)
-    # the outputs share one buffer, so one address serves all three
-    out = np.empty(2 * n + units) if assign else None
-    if assign:
-        base = _address("out", out, _DOUBLE, 1)
-        targets = (base, base + 8 * n, base + 16 * n)
-    else:
-        targets = (None, None, None)
-    code = library().train_steps(w, rows, cols, dim, xp, n, op, len(order), start, steps,
-                                 *stream, tp, width, sp, len(slot), ap, *targets)
-    if code:
-        error, message = _STEP_ERRORS[code]
-        raise error(message)
-    # unit_mqe is copied out, so a map that keeps it does not keep the rest
-    return (out[:n], out[n:2 * n].view(np.int64), out[2 * n:].copy()) if assign else None
 
 
 class _Head(ctypes.Structure):
@@ -320,13 +229,17 @@ class Fit:
         self.n, self.dim = len(indices), data.shape[1]
         if self.n < 1 or lam < 1 or rows < 1 or cols < 1:
             raise ValueError("fit: needs a sample, an epoch and a unit")
-        seed_bytes, nseed, _, path_bytes, npath = _stream(seed, 0, path)
+        # the entropy [seed, stream, *path.encode()] of the map's streams:
+        # the seed's little-endian bytes (one byte for 0) and the path's
+        seed = int(seed)
+        seed_bytes = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "little")
+        path_bytes = path.encode("utf-8")
         ctx = _P()
         code = lib.fit_open(ctypes.byref(ctx), d, len(data), self.dim, ix, self.n, rows, cols,
                             w, noise, lam, alpha0, sigma0 is not None,
                             0.0 if sigma0 is None else sigma0, sigma_floor, threshold,
                             max_units, max_insertions, table_floats,
-                            seed_bytes, nseed, path_bytes, npath)
+                            seed_bytes, len(seed_bytes), path_bytes, len(path_bytes))
         if code:
             raise _fit_error(code)
         self._ctx = ctx.value
@@ -381,43 +294,6 @@ class Fit:
 
     def __del__(self):
         self.close()
-
-
-def uniform(count: int, low: float, high: float, seed: int, stream: int, path: str):
-    """``count`` draws of ``np.random.default_rng(np.random.SeedSequence(
-    [seed, stream, *path.encode()])).uniform(low, high, count)``, the same
-    bits, from the kernel's copy of numpy's streams."""
-    out = np.empty(count)
-    if library().uniform(_address("out", out, _DOUBLE, 1), count, low, high,
-                         *_stream(seed, stream, path)):
-        raise MemoryError("uniform: out of memory")
-    return out
-
-
-def grow(weights, unit_mqe):
-    """The ``(rows, cols, dim)`` weights with one row or column inserted
-    between the error unit and its farthest 4-neighbour.
-
-    The error unit is the first with the largest ``unit_mqe`` (as
-    ``np.argmax`` picks it). Its neighbours are scanned right, left,
-    below, above, and the first at the largest squared distance of
-    weights, summed in numpy's pairwise order, wins: a neighbour in the
-    same row gives a column, one in the same column a row. The new
-    weights are ``0.5 * (a + b)`` of the two rows or columns they go
-    between. ValueError is raised when no neighbour's distance compares
-    (NaN weights, or a 1x1 map).
-    """
-    w = _address("weights", weights, _DOUBLE, 3)
-    rows, cols, dim = weights.shape
-    e = _address("unit_mqe", unit_mqe, _DOUBLE, 2)
-    if unit_mqe.shape != (rows, cols):
-        raise ValueError("grow: unit_mqe does not match the weights")
-    out = np.empty((rows * cols + max(rows, cols)) * dim)
-    axis = library().grow(w, rows, cols, dim, e, _address("out", out, _DOUBLE, 1))
-    if axis < 0:
-        raise ValueError("grow: no neighbour's distance compares")
-    rows, cols = (rows, cols + 1) if axis == 1 else (rows + 1, cols)
-    return out[:rows * cols * dim].reshape(rows, cols, dim)
 
 
 def parse_block(data: bytes, pos, fields, label, limit, values, spans) -> bool:

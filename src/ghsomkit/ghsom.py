@@ -230,11 +230,45 @@ def compute_layer0(m: DataMatrix) -> tuple[np.ndarray, float]:
     The error is the average Euclidean distance from the mean vector to
     every sample.
     """
+    w0, mqe0, _ = _layer0(m)
+    return w0, mqe0
+
+
+def _layer0(m: DataMatrix) -> tuple[np.ndarray, float, float]:
+    """The data mean, its mean quantization error and the largest
+    distance of a sample to it."""
     if m.n_samples < 1:
         raise ValueError("empty matrix")
     w0 = m.values.mean(axis=0)
-    mqe0 = float(np.linalg.norm(m.values - w0, axis=1).mean())
-    return w0, mqe0
+    # an overflow gives an infinite distance, which _check_scale reports
+    with np.errstate(over="ignore"):
+        distances = np.linalg.norm(m.values - w0, axis=1)
+    return w0, float(distances.mean()), float(distances.max())
+
+
+def _check_scale(m: DataMatrix, mqe0: float, radius: float) -> None:
+    """Reject data at a scale where the fit's squared distances overflow
+    or underflow, rather than rescale it, which would change the fitted
+    bits of every other input.
+
+    A map compares squared distances of samples to units that may lie
+    beyond the samples' hull, so ``(4 * R) ** 2`` must be finite for the
+    largest distance ``R`` of a sample to the mean (at 1e200, or 3e153
+    in a few dimensions, no insertion finds a neighbour whose distance
+    compares). A layer-0 error of 0 while the rows differ means every
+    square underflowed (at 1e-170), and the distinct samples would all
+    end in one leaf.
+    """
+    with np.errstate(over="ignore"):
+        span = (4 * np.float64(radius)) ** 2
+    if not np.isfinite(span):
+        raise ValueError(
+            f"squared distances overflow: a sample lies {radius:.3g} from the mean, and "
+            f"(4 * {radius:.3g}) ** 2 is not a finite float; rescale the data")
+    if mqe0 == 0 and (m.values != m.values[0]).any():
+        raise ValueError(
+            "squared distances underflow: the samples differ, but every squared distance "
+            "to their mean is 0.0; rescale the data")
 
 
 def train_map(
@@ -253,39 +287,30 @@ def train_map(
     Assignments and per-unit errors are recomputed afterwards.
 
     The cycle runs in the map's kernel context (``som.fit``, see
-    ``_kernel.Fit``): the kernel draws every epoch's permutation from the
-    map's stream ``1 + epoch_base``, the draws numpy's
-    ``Generator.permutation`` makes, and computes the schedule and each
-    step's exp arguments with numpy's float operations in numpy's order.
-    The steps go in blocks whose table holds about ``TABLE_FLOATS``
-    floats, one row per distinct squared grid distance and one column per
-    step, so a small map's cycle is one block. Per block numpy takes the
-    ``exp`` of the table in place, because its vectorized ``exp`` and the
-    C library's differ in the last bit, and the kernel applies the
-    per-sample updates in one pass over the weights per step, with the
-    float operations of numpy's ``w + (x - w) * (h * alpha)`` in the same
-    order, so the weights match a per-sample numpy loop bit for bit. After
-    the last block it assigns every routed sample to its nearest unit and
-    computes each unit's mqe, the mean of its samples' distances in routed
-    order as ``np.mean`` gives it (0 for an empty unit), the map MQE as
-    ``SomMap.mqe`` gives it, and the stop verdict ``_fit_map`` reads.
+    ``_kernel.Fit``), which ``_init_map`` opened on ``data`` and
+    ``params``: the kernel draws every epoch's permutation from the map's
+    stream ``1 + epoch_base``, the draws numpy's ``Generator.permutation``
+    makes, and computes the schedule and each step's exp arguments with
+    numpy's float operations in numpy's order. The steps go in blocks
+    whose table holds about ``TABLE_FLOATS`` floats, one row per distinct
+    squared grid distance and one column per step, so a small map's
+    cycle is one block. Per block numpy takes the ``exp`` of the table in
+    place, because its vectorized ``exp`` and the C library's differ in
+    the last bit, and the kernel applies the per-sample updates in one
+    pass over the weights per step, with the float operations of numpy's
+    ``w + (x - w) * (h * alpha)`` in the same order, so the weights match
+    a per-sample numpy loop bit for bit. After the last block it assigns
+    every routed sample to its nearest unit and computes each unit's mqe,
+    the mean of its samples' distances in routed order as ``np.mean``
+    gives it (0 for an empty unit), the map MQE as ``SomMap.mqe`` gives
+    it, and the stop verdict ``_fit_map`` reads. The map's own arrays are
+    set when it stops.
 
-    Inside ``_fit_map`` the map's arrays are set when it stops. A map
-    without a context, such as one a caller builds, gets one for this
-    cycle, and its weights, assignments and errors are set at once.
+    ``_fit_map`` calls this once per cycle, with the ``data`` and
+    ``params`` the context holds, so a probe of this function (as
+    ``bench/tracing.py`` sets one) sees every cycle and its ``params``.
     """
-    fit = som.fit
-    if fit is not None:
-        fit.train(1 + epoch_base)
-        return som
-    if len(som.sample_indices) == 0:
-        raise ValueError("train_map needs at least one routed sample")
-    fit = _open_fit(som, data, params, som.weights, math.nan)
-    try:
-        fit.train(1 + epoch_base)
-        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
-    finally:
-        fit.close()
+    som.fit.train(1 + epoch_base)
     return som
 
 
@@ -299,40 +324,27 @@ def grow_horizontal(som: SomMap) -> SomMap:
     right, left, below, above in that order, so a column insertion before
     a row insertion. A same-row neighbor triggers a column insertion, a
     same-column neighbor a row insertion; new weights are the means of
-    the two flanking units. One kernel call does all of it: in place in
-    the map's kernel context while ``_fit_map`` fits it, else on a copy
-    of ``som.weights``.
+    the two flanking units. One kernel call does all of it, in place in
+    the map's kernel context, after a cycle of ``train_map``.
     """
-    if som.fit is not None:
-        som.rows, som.cols = som.fit.grow()
-        return som
-    weights = np.ascontiguousarray(som.weights, dtype=np.float64)
-    unit_mqe = np.ascontiguousarray(som.unit_mqe, dtype=np.float64)
-    som.weights = _kernel.grow(weights, unit_mqe)
-    som.rows, som.cols = som.weights.shape[:2]
-    som.unit_mqe = np.zeros((som.rows, som.cols))
+    som.rows, som.cols = som.fit.grow()
     return som
-
-
-def _open_fit(som: SomMap, data, params: GhsomParams, weights, threshold: float):
-    """A kernel context for fitting ``som`` on its routed samples of
-    ``data``: from ``weights``, or from the mean and noise of the initial
-    weights when they are None, stopping below ``threshold``."""
-    return _kernel.Fit(data, som.sample_indices, som.rows, som.cols, weights,
-                       lam=params.lam, alpha0=params.alpha0, sigma0=params.sigma0,
-                       sigma_floor=SIGMA_FLOOR, noise=INIT_NOISE, seed=params.rng_seed,
-                       path=som.path, threshold=threshold,
-                       max_units=MAX_UNITS_PER_SAMPLE * len(som.sample_indices),
-                       max_insertions=MAX_INSERTIONS, table_floats=TABLE_FLOATS)
 
 
 def _init_map(path, parent_mqe, depth, sample_indices, data, params) -> SomMap:
     """Fresh 2x2 map and its kernel context, which holds its initial
     weights: the routed-data mean plus small seeded noise (stream 0 of
     the map; training cycles use streams 1 + epoch_base) scaled by the
-    per-attribute spread, numpy's ``mean`` and ``std`` over the samples."""
+    per-attribute spread, numpy's ``mean`` and ``std`` over the samples.
+    The map grows until its MQE is below ``tau1 * parent_mqe`` or it
+    reaches a growth guard."""
     som = SomMap(2, 2, None, parent_mqe, depth, path, sample_indices)
-    som.fit = _open_fit(som, data, params, None, params.tau1 * parent_mqe)
+    som.fit = _kernel.Fit(data, som.sample_indices, 2, 2, None, lam=params.lam,
+                          alpha0=params.alpha0, sigma0=params.sigma0, sigma_floor=SIGMA_FLOOR,
+                          noise=INIT_NOISE, seed=params.rng_seed, path=path,
+                          threshold=params.tau1 * parent_mqe,
+                          max_units=MAX_UNITS_PER_SAMPLE * len(som.sample_indices),
+                          max_insertions=MAX_INSERTIONS, table_floats=TABLE_FLOATS)
     return som
 
 
@@ -391,11 +403,13 @@ def expand_hierarchy(
     """
     if som.depth >= params.max_depth:
         return tree
-    threshold = _expansion_threshold(tree, som, params)
-    units = som.rows * som.cols
-    flat = som.bmu_rows * som.cols + som.bmu_cols
     mqe = som.unit_mqe.reshape(-1)
-    expand = (mqe >= threshold) & (mqe > 0) & (np.bincount(flat, minlength=units) >= 4)
+    expand = (mqe >= _expansion_threshold(tree, som, params)) & (mqe > 0)
+    if not expand.any():
+        return tree
+    # the samples are counted only when some unit's error qualifies
+    flat = som.bmu_rows * som.cols + som.bmu_cols
+    expand &= np.bincount(flat, minlength=som.rows * som.cols) >= 4
     if not expand.any():
         return tree
 
@@ -416,7 +430,9 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
     Parameters
     ----------
     m : DataMatrix
-        Input samples (at least 4).
+        Input samples (at least 4), at a scale whose squared distances
+        neither overflow nor underflow (see ``_check_scale``); others
+        raise ValueError.
     params : GhsomParams
         Growth thresholds and training schedule.
     threads : int
@@ -433,7 +449,8 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
     if m.n_samples < 4:
         raise ValueError(f"need at least 4 samples, got {m.n_samples}")
     data = np.ascontiguousarray(m.values, dtype=np.float64)
-    w0, mqe0 = compute_layer0(m)
+    w0, mqe0, radius = _layer0(m)
+    _check_scale(m, mqe0, radius)
     root = _init_map("", mqe0, 1, np.arange(m.n_samples), data, params)
     tree = GhsomTree(
         w0=w0,

@@ -1,8 +1,10 @@
+import contextlib
 import ctypes
 import gc
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import re
@@ -39,6 +41,7 @@ from ghsomkit.ghsom import (
     INIT_NOISE,
     MAX_INSERTIONS,
     MAX_UNITS_PER_SAMPLE,
+    SIGMA_FLOOR,
     TABLE_FLOATS,
     GhsomTree,
     LeafPartition,
@@ -46,8 +49,6 @@ from ghsomkit.ghsom import (
     _init_map,
     _split,
     expand_hierarchy,
-    grow_horizontal,
-    train_map,
 )
 from oracles import best_matching_unit, grow_numpy, leaf_labels, leaf_units, train_map_online
 
@@ -61,14 +62,42 @@ def _random_matrix(n, dim, seed):
     )
 
 
+@contextlib.contextmanager
+def _fit(weights, data, params, epoch_base=0, path="", indices=None):
+    """The kernel context of a map that starts at the ``(rows, cols,
+    dim)`` ``weights`` on the samples ``data[indices]`` (all by default),
+    after one growth cycle of ``params`` on the map's stream ``1 +
+    epoch_base``, as ``train_map`` runs it; closed on exit."""
+    weights = np.asarray(weights, dtype=float)
+    indices = np.arange(len(data)) if indices is None else np.asarray(indices)
+    fit = _kernel.Fit(data, indices, *weights.shape[:2], weights, lam=params.lam,
+                      alpha0=params.alpha0, sigma0=params.sigma0, sigma_floor=SIGMA_FLOOR,
+                      noise=INIT_NOISE, seed=params.rng_seed, path=path, threshold=math.nan,
+                      max_units=MAX_UNITS_PER_SAMPLE * len(indices),
+                      max_insertions=MAX_INSERTIONS, table_floats=TABLE_FLOATS)
+    try:
+        fit.train(1 + epoch_base)
+        yield fit
+    finally:
+        fit.close()
+
+
 def _nearest(x, w):
-    """The kernel's assignment of the rows of ``x`` to the rows of ``w``
-    (distances and indices), from a call that trains no step."""
-    no_steps = np.empty(0, dtype=np.int64)
-    slot = np.zeros((len(w) - 1) ** 2 + 1, dtype=np.int64)
-    dist, index, _ = _kernel.train_steps(np.array(w, dtype=float), len(w), x, no_steps,
-                                         np.empty((1, 0)), slot, np.empty(0), assign=True)
-    return dist, index
+    """The kernel's assignment of the rows of ``x`` to the rows of ``w``:
+    each row's distance to its nearest unit and that unit's index. A
+    1 x len(w) map trains a cycle at alpha0 = 0, which leaves its
+    weights as they are, finite or NaN, and then assigns the rows; a
+    map of one row gives that row's distance as its unit's error."""
+    w = np.asarray(w, dtype=float)[None]
+    params = GhsomParams(lam=1, alpha0=0.0)
+    with _fit(w, x, params) as fit:
+        weights, _, _, index = fit.store()
+    assert weights.tobytes() == w.tobytes()
+    dist = []
+    for i, u in enumerate(index.tolist()):
+        with _fit(w, x, params, indices=[i]) as fit:
+            dist.append(fit.store()[1][0, u])
+    return np.array(dist), index
 
 
 def _fresh_map(weights, sample_indices=()):
@@ -146,6 +175,39 @@ def test_layer0_rejects_empty():
         compute_layer0(m)
 
 
+def _scaled(scale):
+    m = _random_matrix(100, 5, seed=0)
+    return replace(m, values=m.values * scale)
+
+
+@pytest.mark.parametrize("scale, fault", [(1e200, "overflow"), (3e153, "overflow"),
+                                          (1e-170, "underflow")])
+def test_run_rejects_scales_whose_squared_distances_overflow_or_underflow(scale, fault):
+    # at 1e200 and 3e153 no insertion found a neighbour whose distance
+    # compares, though at 3e153 the layer-0 error is still finite; at
+    # 1e-170 every square underflowed and 100 distinct samples made one leaf
+    m = _scaled(scale)
+    if scale == 3e153:
+        assert math.isfinite(compute_layer0(m)[1])
+    with pytest.raises(ValueError, match=f"squared distances {fault}"):
+        run_ghsom(m, GhsomParams(lam=5))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-160])
+def test_run_fits_extreme_scales_whose_squared_distances_hold(scale):
+    m = _scaled(scale)
+    tree = run_ghsom(m, GhsomParams(lam=5))
+    assert tree.mqe0 > 0 and math.isfinite(tree.mqe0)
+    assert len(set(leaf_partition(tree).clusters)) > 1
+
+
+def test_run_fits_a_constant_matrix_as_one_leaf():
+    m = DataMatrix(np.full((10, 3), 2.5), [f"s{i}" for i in range(10)], ["a", "b", "c"])
+    tree = run_ghsom(m, GhsomParams(lam=5))
+    assert tree.mqe0 == 0.0
+    assert set(leaf_partition(tree).clusters) == {"0x0"}
+
+
 # ---------------------------------------------------------------- BMU
 
 
@@ -167,26 +229,26 @@ def test_bmu_picks_nearest():
 
 def test_train_alpha_zero_is_identity():
     m = _random_matrix(10, 2, seed=2)
-    som = _fresh_map(np.arange(8, dtype=float).reshape(2, 2, 2), np.arange(10))
-    before = som.weights.copy()
-    params = GhsomParams(lam=3, alpha0=0.0)  # validate() would reject; train_map must not
-    train_map(som, m.values, params)
-    assert som.weights.tobytes() == before.tobytes()
+    before = np.arange(8, dtype=float).reshape(2, 2, 2)
+    params = GhsomParams(lam=3, alpha0=0.0)  # validate() would reject; the kernel must not
+    with _fit(before, m.values, params) as fit:
+        assert fit.store()[0].tobytes() == before.tobytes()
 
 
 def test_train_single_unit_single_sample_snaps_to_it():
     m = _random_matrix(1, 4, seed=3)
-    som = _fresh_map(np.zeros((1, 1, 4)), [0])
-    train_map(som, m.values, GhsomParams(lam=5, alpha0=1.0))
+    with _fit(np.zeros((1, 1, 4)), m.values, GhsomParams(lam=5, alpha0=1.0)) as fit:
+        weights, unit_mqe = fit.store()[:2]
     # the very first update has alpha=1, h=1: w jumps exactly onto x
-    assert som.weights[0, 0].tobytes() == m.values[0].tobytes()
-    assert som.unit_mqe[0, 0] == 0.0
+    assert weights[0, 0].tobytes() == m.values[0].tobytes()
+    assert unit_mqe[0, 0] == 0.0
 
 
 def test_train_recomputes_assignment_and_errors():
     m = _random_matrix(30, 3, seed=4)
     som = _fresh_map(np.random.default_rng(0).normal(size=(2, 3, 3)), np.arange(30))
-    train_map(som, m.values, GhsomParams(lam=10, rng_seed=7))
+    with _fit(som.weights, m.values, GhsomParams(lam=10, rng_seed=7)) as fit:
+        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
     for u, members in enumerate(som.members()):
         row, col = divmod(u, som.cols)
         mqe = float(som.unit_mqe[row, col])
@@ -209,9 +271,8 @@ def test_train_deterministic():
     m = _random_matrix(20, 2, seed=5)
     runs = []
     for _ in range(2):
-        som = _fresh_map(np.zeros((2, 2, 2)), np.arange(20))
-        train_map(som, m.values, GhsomParams(lam=8, rng_seed=9))
-        runs.append(som.weights.tobytes())
+        with _fit(np.zeros((2, 2, 2)), m.values, GhsomParams(lam=8, rng_seed=9)) as fit:
+            runs.append(fit.store()[0].tobytes())
     assert runs[0] == runs[1]
 
 
@@ -252,11 +313,10 @@ def test_train_matches_online_oracle_bitwise(case):
         weights, m.values[indices], params.rng_seed, path, 1 + epoch_base,
         params.lam, params.alpha0, params.sigma0,
     )
-    rows, cols = weights.shape[:2]
-    som = SomMap(rows, cols, weights.copy(), 1.0, 1, path, indices)
-    train_map(som, m.values, params, epoch_base)
-    assert som.weights.tobytes() == want_w.tobytes()
-    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+    with _fit(weights, m.values, params, epoch_base, path, indices) as fit:
+        got_w, got_mqe = fit.store()[:2]
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
 def _train_matches_online_oracle(dim, rows, cols, n, lam):
@@ -267,10 +327,10 @@ def _train_matches_online_oracle(dim, rows, cols, n, lam):
     want_w, want_mqe = train_map_online(
         weights, m.values, params.rng_seed, "", 1, params.lam, params.alpha0,
     )
-    som = SomMap(rows, cols, weights.copy(), 1.0, 1, "", np.arange(n))
-    train_map(som, m.values, params)
-    assert som.weights.tobytes() == want_w.tobytes()
-    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
+    with _fit(weights, m.values, params) as fit:
+        got_w, got_mqe = fit.store()[:2]
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
 ACROSS_DIMS = [
@@ -346,125 +406,47 @@ def _unit_mqe_matches_np_mean():
     weights = centres.copy()
     weights[1] = [-40.0, 50.0]
     weights = weights.reshape(2, 2, 2)
-    m = DataMatrix(x, [f"s{i}" for i in range(len(x))], ["f0", "f1"])
     params = GhsomParams(lam=2, alpha0=0.001, sigma0=0.5, rng_seed=3)
-    som = SomMap(2, 2, weights.copy(), 1.0, 1, "", np.arange(len(x)))
-    train_map(som, m.values, params)
+    with _fit(weights, x, params) as fit:
+        got_w, got_mqe = fit.store()[:2]
 
     want_w, want_mqe = train_map_online(weights, x, params.rng_seed, "", 1, params.lam,
                                         params.alpha0, params.sigma0)
-    assert som.weights.tobytes() == want_w.tobytes()
-    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
-    d = cdist(x, som.weights.reshape(4, 2))
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_mqe.tobytes() == want_mqe.tobytes()
+    d = cdist(x, got_w.reshape(4, 2))
     best = d.argmin(axis=1)
     groups = _split(d[np.arange(len(x)), best], best, 4)
     assert [len(g) for g in groups] == sizes
     want = [np.mean(g) if len(g) else 0.0 for g in groups]
-    assert som.unit_mqe.reshape(4).tolist() == want
-    assert som.unit_mqe.tobytes() == np.array(want).tobytes()
+    assert got_mqe.reshape(4).tolist() == want
+    assert got_mqe.tobytes() == np.array(want).tobytes()
 
 
 def test_train_unit_mqe_matches_np_mean_in_every_summation_branch():
     _unit_mqe_matches_np_mean()
 
 
-def _step_args():
-    rng = np.random.default_rng(0)
-    return dict(
-        weights=rng.normal(size=(4, 3)),  # a 2x2 map: squared grid distances 0, 1, 2
-        cols=2,
-        x=rng.normal(size=(5, 3)),
-        order=np.array([0, 4, 2], dtype=np.int64),
-        table=np.full((3, 3), 0.5),
-        slot=np.array([0, 1, 2], dtype=np.int64),
-        alpha=np.full(3, 0.5),
-    )
-
-
-def _read_only(a):
-    a = a.copy()
-    a.flags.writeable = False
-    return a
-
-
-def _strided(a):
-    return np.repeat(a, 2, axis=-1)[..., ::2]
-
-
-@pytest.mark.parametrize(
-    "name, bad, error",
-    [
-        ("weights", lambda a: a.astype(np.float32), TypeError),
-        ("weights", np.asfortranarray, TypeError),
-        ("weights", _read_only, TypeError),
-        ("weights", lambda a: a.tolist(), TypeError),
-        ("weights", lambda a: a.reshape(2, 2, 3), TypeError),
-        ("x", lambda a: a.astype(np.float32), TypeError),
-        ("x", np.asfortranarray, TypeError),
-        ("x", _strided, TypeError),
-        ("order", lambda a: a.astype(np.int32), TypeError),
-        ("order", _strided, TypeError),
-        ("table", np.asfortranarray, TypeError),
-        ("table", _strided, TypeError),
-        ("slot", lambda a: a.astype(np.uint64), TypeError),
-        ("alpha", lambda a: a.astype(np.float32), TypeError),
-        ("alpha", _strided, TypeError),
-        ("order", lambda a: a - 1, ValueError),
-        ("order", lambda a: a + 1, ValueError),
-        ("slot", lambda a: a + 1, ValueError),
-        ("slot", lambda a: a - 1, ValueError),
-        ("slot", lambda a: a[:2], ValueError),
-        ("x", lambda a: a[:, :2].copy(), ValueError),
-        ("table", lambda a: a[:, :2].copy(), ValueError),
-        ("alpha", lambda a: a[:2].copy(), ValueError),
-        ("cols", lambda c: 3, ValueError),
-        ("cols", lambda c: 0, ValueError),
-    ],
-)
-def test_train_steps_rejects_bad_arrays(name, bad, error):
-    args = _step_args()
-    before = args["weights"].copy()
-    args[name] = bad(args[name])
-    with pytest.raises(error, match=name if error is TypeError else "train_steps"):
-        _kernel.train_steps(**args, assign=True)
-    if name != "weights":
-        assert args["weights"].tobytes() == before.tobytes()
-
-
-def test_train_steps_trains_then_assigns():
-    args = _step_args()
-    trained = _step_args()
-    assert _kernel.train_steps(**trained) is None
-    dist, index, unit_mqe = _kernel.train_steps(**args, assign=True)
-    assert args["weights"].tobytes() == trained["weights"].tobytes()
-    d = cdist(args["x"], args["weights"])
-    assert index.tolist() == d.argmin(axis=1).tolist()
-    assert dist.tobytes() == d[np.arange(5), index].tobytes()
-    want = [np.mean(g) if len(g) else 0.0 for g in _split(dist, index, 4)]
-    assert unit_mqe.tobytes() == np.array(want).tobytes()
-
-
 @pytest.mark.parametrize("dim", [*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 1000])
 def test_kernel_bmu_follows_numpy_pairwise_sum(dim):
     # every unit holds the same coordinates in another order, so the
     # squared distances to x = 0 are equal up to summation rounding, and
-    # only numpy's summation order picks numpy's best-matching unit
+    # only numpy's summation order picks numpy's best-matching unit; one
+    # step of a 1x16 map at alpha 1 moves that unit exactly onto x, and
+    # every other unit at most exp(-2) of its way there
     rng = np.random.default_rng(dim)
     units = 16
     x = np.zeros((1, dim))
-    table = np.zeros((units, 1))  # h = 1 at the BMU, 0 elsewhere
-    table[0, 0] = 1.0
-    alpha = np.array([1.0])
-    slot = np.zeros((units - 1) ** 2 + 1, dtype=np.int64)
-    slot[np.arange(units) ** 2] = np.arange(units)
+    params = GhsomParams(lam=1, alpha0=1.0, sigma0=1e-3)
     picks = set()
     for _ in range(20):
         a = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, size=dim)
         w = np.stack([rng.permutation(a) for _ in range(units)])
         diff = x - w
         want = int(np.add.reduce(diff * diff, axis=1).argmin())
-        _kernel.train_steps(w, units, x, np.zeros(1, dtype=np.int64), table, slot, alpha)
-        moved = np.flatnonzero((w == 0.0).all(axis=1))
+        with _fit(w[None], x, params) as fit:
+            trained = fit.store()[0][0]
+        moved = np.flatnonzero((trained == 0.0).all(axis=1))
         assert moved.tolist() == [want]
         picks.add(want)
     if dim >= 3:
@@ -530,8 +512,14 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
-    assert lib.train_steps and lib.parse_block
-    assert not hasattr(lib, "nearest")  # train_steps assigns the samples itself
+    # Python reaches the kernel through the fit context and the CSV
+    # parser only; the entries that trained, drew or grew outside a
+    # context are gone
+    for name in ("fit_open", "fit_begin", "fit_step", "fit_grow", "fit_store", "fit_close",
+                 "parse_block"):
+        assert hasattr(lib, name), name
+    for name in ("train_steps", "uniform", "grow", "nearest"):
+        assert not hasattr(lib, name), name
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
     assert path.stat().st_mtime_ns == built
@@ -561,26 +549,42 @@ STREAM_PATHS = ["", "0x1-2x0"]
 @pytest.mark.parametrize("path", STREAM_PATHS)
 @pytest.mark.parametrize("stream", [0, 1, 41, 2**32 + 3])
 def test_kernel_uniform_is_numpys_uniform(seed, path, stream):
-    want = _numpy_stream(seed, stream, path).uniform(-0.01, 0.01, size=37)
-    got = _kernel.uniform(37, -0.01, 0.01, seed, stream, path)
-    assert got.tobytes() == want.tobytes()
-
-
-def _kernel_permutations(n, lam, draw):
-    """The order a training call with no steps draws for ``lam`` epochs
-    of ``n`` samples."""
-    order = np.empty(lam * n, dtype=np.int64)
-    _kernel.train_steps(np.zeros((1, 1)), 1, np.zeros((n, 1)), order, np.empty((1, 0)),
-                        np.zeros(1, dtype=np.int64), np.empty(0), draw=draw)
-    return order
+    # every column of six rows of +1 and -1 has mean 0 and std 1, so a
+    # map's initial weights are its stream 0's draws themselves; a cycle
+    # on ``stream`` then trains as the oracle does with numpy's stream
+    x = np.random.default_rng(1).permuted(np.repeat([[1.0], [-1.0]], 3, axis=0)
+                                          * np.ones((1, 10)), axis=0)
+    want = _numpy_stream(seed, 0, path).uniform(-INIT_NOISE, INIT_NOISE, size=40)
+    params = GhsomParams(lam=4, rng_seed=seed)
+    som = _init_map(path, 1.0, 1, np.arange(6), x, params)
+    try:
+        weights = som.fit.store()[0]
+        assert weights.tobytes() == want.reshape(2, 2, 10).tobytes()
+        som.fit.train(stream)
+        got_w, got_mqe = som.fit.store()[:2]
+    finally:
+        som.fit.close()
+    want_w, want_mqe = train_map_online(weights, x, seed, path, stream, params.lam,
+                                        params.alpha0)
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 @pytest.mark.parametrize("path", STREAM_PATHS)
 @pytest.mark.parametrize("n, lam", [(1, 3), (2, 5), (7, 4), (300, 2), (70_000, 1)])
 def test_kernel_permutations_are_numpys_permuted(seed, path, n, lam):
-    want = _numpy_stream(seed, 11, path).permuted(np.tile(np.arange(n), (lam, 1)), axis=1)
-    assert _kernel_permutations(n, lam, (seed, 11, path)).tolist() == want.ravel().tolist()
+    # a 1x1 map moves towards each sample in turn, so its weight after a
+    # cycle depends on every epoch's order, which the oracle draws as
+    # numpy's Generator.permutation on the same stream
+    x = np.random.default_rng(n).normal(size=(n, 1))
+    params = GhsomParams(lam=lam, rng_seed=seed)
+    with _fit(np.zeros((1, 1, 1)), x, params, epoch_base=10, path=path) as fit:
+        got_w, got_mqe = fit.store()[:2]
+    want_w, want_mqe = train_map_online(np.zeros((1, 1, 1)), x, seed, path, 11, lam,
+                                        params.alpha0)
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
 def test_train_streams_match_numpy_across_blocks():
@@ -594,29 +598,25 @@ def test_train_streams_match_numpy_across_blocks():
     path, epoch_base = "1x0-0x2", 80
     want_w, want_mqe = train_map_online(weights, m.values, params.rng_seed, path,
                                         1 + epoch_base, params.lam, params.alpha0)
-    som = SomMap(9, 11, weights.copy(), 1.0, 2, path, np.arange(60))
-    train_map(som, m.values, params, epoch_base)
-    assert som.weights.tobytes() == want_w.tobytes()
-    assert som.unit_mqe.tobytes() == want_mqe.tobytes()
-
-
-def test_train_steps_draw_checks_the_order_buffer():
-    args = _step_args()
-    with pytest.raises(TypeError, match="order"):
-        _kernel.train_steps(**{**args, "order": _read_only(np.zeros(5, dtype=np.int64))},
-                            draw=(0, 1, ""))
-    with pytest.raises(ValueError, match="train_steps"):  # not whole permutations of 5
-        _kernel.train_steps(**{**args, "order": np.zeros(7, dtype=np.int64)}, draw=(0, 1, ""))
-    before = args["weights"].copy()
-    order = np.zeros(10, dtype=np.int64)
-    _kernel.train_steps(**{**args, "order": order}, draw=(0, 1, ""), start=7)
-    assert sorted(order[:5]) == sorted(order[5:]) == list(range(5))
-    # steps 7, 8, 9 of the drawn order, as a call that reads them gives
-    _kernel.train_steps(**{**args, "weights": before, "order": order[7:].copy()})
-    assert args["weights"].tobytes() == before.tobytes()
+    with _fit(weights, m.values, params, epoch_base, path) as fit:
+        got_w, got_mqe = fit.store()[:2]
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
 # ---------------------------------------------------------------- growth
+
+
+def _grown(weights, samples):
+    """A map at ``weights`` after an alpha0 = 0 cycle on ``samples``,
+    which leaves the weights as they are, then one insertion: the
+    cycle's unit errors and the grown weights."""
+    with _fit(weights, np.asarray(samples, dtype=float), GhsomParams(lam=1, alpha0=0.0)) as fit:
+        unit_mqe = fit.store()[1]
+        shape = fit.grow()
+        grown = fit.store()[0]
+    assert grown.shape[:2] == shape
+    return unit_mqe, grown
 
 
 def test_grow_inserts_column_between_error_and_neighbor():
@@ -625,14 +625,13 @@ def test_grow_inserts_column_between_error_and_neighbor():
     w[0, 1, 0] = 10.0  # most dissimilar from (0,0)
     w[1, 0, 0] = 1.0
     w[1, 1, 0] = 9.0
-    som = _fresh_map(w)
-    som.unit_mqe = np.array([[5.0, 0.0], [0.0, 0.0]])  # error unit (0,0)
-    grow_horizontal(som)
-    assert (som.rows, som.cols) == (2, 3)
-    assert som.weights[0, 1, 0] == 5.0  # mean of 0 and 10
-    assert som.weights[1, 1, 0] == 5.0  # mean of 1 and 9
+    unit_mqe, grown = _grown(w, [[-5.0]])
+    assert unit_mqe.tolist() == [[5.0, 0.0], [0.0, 0.0]]  # error unit (0,0)
+    assert grown.shape[:2] == (2, 3)
+    assert grown[0, 1, 0] == 5.0  # mean of 0 and 10
+    assert grown[1, 1, 0] == 5.0  # mean of 1 and 9
     # flanking columns untouched
-    assert som.weights[0, 0, 0] == 0.0 and som.weights[0, 2, 0] == 10.0
+    assert grown[0, 0, 0] == 0.0 and grown[0, 2, 0] == 10.0
 
 
 def test_grow_inserts_row_when_vertical_neighbor_wins():
@@ -641,52 +640,55 @@ def test_grow_inserts_row_when_vertical_neighbor_wins():
     w[0, 1, 0] = 1.0
     w[1, 0, 0] = 20.0  # below (0,0), much farther than right
     w[1, 1, 0] = 2.0
-    som = _fresh_map(w)
-    som.unit_mqe = np.array([[5.0, 0.0], [0.0, 0.0]])
-    grow_horizontal(som)
-    assert (som.rows, som.cols) == (3, 2)
-    assert som.weights[1, 0, 0] == 10.0
+    unit_mqe, grown = _grown(w, [[-5.0]])
+    assert unit_mqe.tolist() == [[5.0, 0.0], [0.0, 0.0]]
+    assert grown.shape[:2] == (3, 2)
+    assert grown[1, 0, 0] == 10.0
 
 
 def test_grow_tie_prefers_column():
     w = np.zeros((2, 2, 2))
     w[0, 1] = [3.0, 0.0]  # right of (0,0), distance 3
     w[1, 0] = [0.0, 3.0]  # below (0,0), distance 3
-    som = _fresh_map(w)
-    som.unit_mqe = np.array([[5.0, 0.0], [0.0, 0.0]])
-    grow_horizontal(som)
-    assert (som.rows, som.cols) == (2, 3)
+    # the sample is as near (1,1) as (0,0), and goes to the first
+    unit_mqe, grown = _grown(w, [[-1.0, -1.0]])
+    assert unit_mqe.tolist() == [[math.sqrt(2.0), 0.0], [0.0, 0.0]]
+    assert grown.shape[:2] == (2, 3)
 
 
 def test_grow_error_unit_tie_row_major():
     w = np.random.default_rng(3).normal(size=(2, 2, 2))
-    som = _fresh_map(w)
-    som.unit_mqe = np.full((2, 2), 1.0)  # all tied: argmax picks (0,0)
-    grow_horizontal(som)
-    assert som.rows * som.cols == 6
+    # a sample on every unit: all errors tie at 0, and argmax picks (0,0)
+    unit_mqe, grown = _grown(w, w.reshape(4, 2))
+    assert unit_mqe.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert grown.shape[0] * grown.shape[1] == 6
+    assert grown.tobytes() == grow_numpy(w, unit_mqe).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_grow_matches_numpy_insertion_bitwise(seed):
     # every unit of a random map in turn as the error unit: corners,
-    # edges and the interior, with a column or a row insertion; the last
-    # unit ties with it, and the first of the two is the error unit
+    # edges and the interior, with a column or a row insertion. Every
+    # unit holds a sample on it, and the error unit and the last unit
+    # one more at the same offset, so the two tie and the first of them
+    # is the error unit: weights and offset are multiples of 2**-30, so
+    # each offset sample's difference to its unit is the offset itself
     rng = np.random.default_rng(seed)
     rows, cols = (int(v) for v in rng.integers(2, 6, size=2))
     dim = int(rng.choice([1, 2, 3, 8, 9, 130]))
-    weights = rng.normal(size=(rows, cols, dim))
+    weights = np.round(rng.normal(size=(rows, cols, dim)) * 2**30) / 2**30
+    flat = weights.reshape(-1, dim)
+    gap = cdist(flat, flat)[~np.eye(len(flat), dtype=bool)].min()
+    offset = 2.0 ** np.floor(np.log2(gap / (4 * math.sqrt(dim))))
     axes = set()
     for e in range(rows * cols):
-        unit_mqe = rng.uniform(size=(rows, cols))
-        unit_mqe.flat[e] = unit_mqe.flat[-1] = 2.0
+        extra = flat[sorted({e, rows * cols - 1})] + offset
+        unit_mqe, grown = _grown(weights, np.concatenate([flat, extra]))
+        assert int(np.argmax(unit_mqe)) == e
+        assert unit_mqe.flat[e] == unit_mqe.flat[-1] > 0.0
         want = grow_numpy(weights, unit_mqe)
-        som = _fresh_map(weights)
-        som.unit_mqe = unit_mqe
-        grow_horizontal(som)
-        assert som.weights.tobytes() == want.tobytes()
-        assert (som.rows, som.cols) == want.shape[:2]
-        assert som.unit_mqe.tolist() == np.zeros(want.shape[:2]).tolist()
-        axes.add(som.rows - rows)
+        assert grown.tobytes() == want.tobytes()
+        axes.add(grown.shape[0] - rows)
     assert axes == {0, 1}
 
 
@@ -702,20 +704,19 @@ def test_grow_neighbor_distance_is_numpy_pairwise_sum(dim):
         w = np.zeros((2, 2, dim))
         w[0, 1], w[1, 0] = a, rng.permutation(a)
         right, below = (np.add.reduce(v * v) for v in (w[0, 1], w[1, 0]))
-        som = _fresh_map(w)
-        som.unit_mqe = np.array([[1.0, 0.0], [0.0, 0.0]])
-        grow_horizontal(som)
+        # a sample next to (0,0) (and (1,1), which it loses to) makes
+        # (0,0) the error unit
+        unit_mqe, grown = _grown(w, np.full((1, dim), -1e-100))
+        assert int(np.argmax(unit_mqe)) == 0 and unit_mqe[0, 0] > 0.0
         want = (3, 2) if below > right else (2, 3)  # a tie keeps the column
-        assert (som.rows, som.cols) == want
+        assert grown.shape[:2] == want
         picks.add(want)
     assert len(picks) == 2
 
 
 def test_grow_rejects_nan_weights():
-    som = _fresh_map(np.full((2, 2, 2), np.nan))
-    som.unit_mqe = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="grow"):
-        grow_horizontal(som)
+        _grown(np.full((2, 2, 2), np.nan), [[0.0, 0.0]])
 
 
 def test_expand_refines_units_at_threshold_with_four_samples_in_row_major_order():
@@ -906,7 +907,7 @@ import numpy as np
 from ghsomkit import DataMatrix, GhsomParams, GhsomTree, _kernel, nested_blobs, run_ghsom
 from ghsomkit import tree_to_json
 from ghsomkit.evaluation import sweep
-from ghsomkit.ghsom import SomMap, train_map
+from ghsomkit.ghsom import INIT_NOISE, SIGMA_FLOOR, TABLE_FLOATS, SomMap
 if len(sys.argv) > 1:
     lib = _kernel.load(sys.argv[1])
     _kernel.library = lambda: lib
@@ -920,10 +921,15 @@ out = {}
 out["capped"] = tree_to_json(run_ghsom(matrix(8, 2, 6), GhsomParams(tau1=1e-9, tau2=0.99,
                                                                      lam=2, rng_seed=0)))
 m = matrix(60, 3, 5)
-som = SomMap(9, 11, np.random.default_rng(5).normal(size=(9, 11, 3)), 1.0, 2, "1x0-0x2",
-             np.arange(60))
 params = GhsomParams(lam=40, rng_seed=2**64 + 5)
-train_map(som, m.values, params, 80)
+fit = _kernel.Fit(m.values, np.arange(60), 9, 11, np.random.default_rng(5).normal(size=(9, 11, 3)),
+                  lam=params.lam, alpha0=params.alpha0, sigma0=None, sigma_floor=SIGMA_FLOOR,
+                  noise=INIT_NOISE, seed=params.rng_seed, path="1x0-0x2", threshold=0.0,
+                  max_units=240, max_insertions=64, table_floats=TABLE_FLOATS)
+fit.train(81)
+som = SomMap(9, 11, None, 1.0, 2, "1x0-0x2", np.arange(60))
+som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
+fit.close()
 out["blocks"] = tree_to_json(GhsomTree(np.zeros(3), 1.0, som, params, m.sample_ids,
                                        m.attribute_names))
 m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.25, seed=1)
