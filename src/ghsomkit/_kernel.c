@@ -1,14 +1,17 @@
 /* Compiled inner loops of ghsomkit: a map fit's context (initial weights,
-   schedule, SOM training, BMU assignment, stop verdict and row/column
-   insertion), the maps' random streams and the CSV number block.  The
-   library exports the context's fit_open, fit_begin, fit_step, fit_grow,
-   fit_store and fit_close, and parse_block; everything else is static.
+   schedule, neighbourhood exp, SOM training, BMU assignment, stop verdict
+   and row/column insertion), the maps' random streams and the CSV number
+   block.  The library exports the context's fit_open, fit_train,
+   fit_grow, fit_store and fit_close, and parse_block; everything else is
+   static.
 
    Each SOM function performs the float operations of the numpy
    expressions it stands for, in the same order, so its results are the
    same bits.  That holds only when built without -ffast-math and with
    -ffp-contract=off: a fused multiply-add rounds once where numpy rounds
-   twice.  parse_block converts each number to the double float() returns,
+   twice.  exp is a port of numpy's AVX-512 exp, whose fused operations
+   it spells out as fma() calls, so it gives that loop's bits on every
+   CPU.  parse_block converts each number to the double float() returns,
    the correctly rounded one. */
 
 #include <float.h>
@@ -20,16 +23,18 @@
 /* The training pass works on 8 doubles at a time through GCC vector
    extensions.  Every lane rounds each operation as the scalar code does,
    so the vector width changes no bit; loads and stores go through memcpy,
-   which needs no alignment.  On x86-64 the training functions are built
-   for AVX-512F, AVX2 and the baseline, and the loader picks the widest
-   the CPU supports; that dispatch (an ifunc) needs glibc. */
+   which needs no alignment.  On x86-64 the training and exp functions are
+   built for AVX-512F, x86-64-v3 (AVX2 with FMA) and the baseline, and the
+   loader picks the widest the CPU supports; that dispatch (an ifunc)
+   needs glibc.  Without FMA, as under target("avx2"), fma() is a call to
+   the C library's exact but slow one. */
 #define LANES 8
 typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
 #define LOAD(v, p) memcpy(&(v), (p), sizeof(vec))
 #define STORE(p, v) memcpy((p), &(v), sizeof(vec))
 
 #if defined(__x86_64__) && defined(__GLIBC__)
-#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define CLONES __attribute__((target_clones("avx512f", "arch=x86-64-v3", "default")))
 #else
 #define CLONES
 #endif
@@ -409,6 +414,165 @@ static int draw_permutations(int64_t *order, int64_t norder, int64_t n, const ui
     return 0;
 }
 
+/* ---- exp ---------------------------------------------------------------
+
+   numpy's float64 exp on AVX-512 is Intel SVML's __svml_exp8_ha, vendored
+   in numpy (BSD-3-Clause).  This is a port of it as numpy 2.4.6 ships it,
+   read from the disassembly of _multiarray_umath: the constants of its
+   fast path are those of __svml_dexp_ha_data_internal_avx512 at +0x100
+   to +0x380 and +0x400, and its two 16-entry tables at +0x000 and +0x080
+   are every 4th entry of _imldExpHATab; the rare path is
+   __svml_dexp_ha_cout_rare_internal, with _imldExpHATab's 64 (hi, lo)
+   pairs at +0x000 and its constants at +0x400 to +0x490.  Both are Tang's
+   table method (ACM TOMS 15(2), 1989): exp(x) = 2^k * 2^(j/N) * exp(r).
+   The fast path rounds once per fused operation, which fma() does on
+   every CPU; the rare path uses plain double operations. */
+
+/* EXP_TABLE[2i] is 2^(i/64) rounded to the nearest double, EXP_TABLE[2i + 1]
+   the rest of 2^(i/64) relative to it, rounded likewise */
+static const double EXP_TABLE[128] = {
+    0x1.0000000000000p+0, 0x0.0p+0, 0x1.02c9a3e778061p+0, -0x1.160139cd8dc5dp-56,
+    0x1.059b0d3158574p+0, 0x1.cd2523567f613p-55, 0x1.0874518759bc8p+0, 0x1.0f74e61e6c861p-57,
+    0x1.0b5586cf9890fp+0, 0x1.79aa65d837b6dp-54, 0x1.0e3ec32d3d1a2p+0, 0x1.ebe3d702f9cd1p-60,
+    0x1.11301d0125b51p+0, -0x1.556522a2fbd0ep-54, 0x1.1429aaea92de0p+0, -0x1.1c923b9d5f416p-54,
+    0x1.172b83c7d517bp+0, -0x1.01b15eaa59348p-55, 0x1.1a35beb6fcb75p+0, 0x1.b898c3f1353bfp-55,
+    0x1.1d4873168b9aap+0, 0x1.aecf73e3a2f60p-54, 0x1.2063b88628cd6p+0, 0x1.a6f4144a6c38dp-55,
+    0x1.2387a6e756238p+0, 0x1.68efde3a8a894p-54, 0x1.26b4565e27cddp+0, 0x1.0472b981fe7f2p-55,
+    0x1.29e9df51fdee1p+0, 0x1.2f7e16d09ab31p-55, 0x1.2d285a6e4030bp+0, 0x1.b3782720c0ab4p-55,
+    0x1.306fe0a31b715p+0, 0x1.34d754db0abb6p-55, 0x1.33c08b26416ffp+0, 0x1.fdd395dd3f84ap-55,
+    0x1.371a7373aa9cbp+0, -0x1.24aedcc4b5068p-54, 0x1.3a7db34e59ff7p+0, -0x1.1d1e83e9436d2p-56,
+    0x1.3dea64c123422p+0, 0x1.59f48a72a4c6dp-55, 0x1.4160a21f72e2ap+0, -0x1.8a78f4817895bp-58,
+    0x1.44e086061892dp+0, 0x1.363ed60c2ac11p-59, 0x1.486a2b5c13cd0p+0, 0x1.ecce1daa10379p-57,
+    0x1.4bfdad5362a27p+0, 0x1.690cebb7aafb0p-56, 0x1.4f9b2769d2ca7p+0, -0x1.f94340071a38ep-55,
+    0x1.5342b569d4f82p+0, -0x1.8dec6bd0f385fp-56, 0x1.56f4736b527dap+0, 0x1.3350518fdd78ep-54,
+    0x1.5ab07dd485429p+0, 0x1.063e1e21c5409p-54, 0x1.5e76f15ad2148p+0, 0x1.432e62b64c035p-54,
+    0x1.6247eb03a5585p+0, -0x1.c33c53bef4da8p-55, 0x1.6623882552225p+0, -0x1.3cedd78565858p-54,
+    0x1.6a09e667f3bcdp+0, -0x1.3b3efbf5e2228p-54, 0x1.6dfb23c651a2fp+0, -0x1.367efb86da9eep-57,
+    0x1.71f75e8ec5f74p+0, -0x1.81f647e5a3ecfp-56, 0x1.75feb564267c9p+0, -0x1.619321e55e68ap-55,
+    0x1.7a11473eb0187p+0, -0x1.b32dcb94da51dp-56, 0x1.7e2f336cf4e62p+0, 0x1.5ebe1abd66c55p-57,
+    0x1.82589994cce13p+0, -0x1.369b6f13b3734p-54, 0x1.868d99b4492edp+0, -0x1.4d450d872576ep-54,
+    0x1.8ace5422aa0dbp+0, 0x1.db72fc1f0eab4p-55, 0x1.8f1ae99157736p+0, 0x1.bf68359f35f44p-56,
+    0x1.93737b0cdc5e5p+0, -0x1.da9b88b6c1e29p-58, 0x1.97d829fde4e50p+0, -0x1.2434322f4f9aap-54,
+    0x1.9c49182a3f090p+0, 0x1.1affc2b91ce27p-56, 0x1.a0c667b5de565p+0, -0x1.7c50422622263p-55,
+    0x1.a5503b23e255dp+0, -0x1.1bbd1d3bcbb15p-54, 0x1.a9e6b5579fdbfp+0, 0x1.469846e735ab3p-55,
+    0x1.ae89f995ad3adp+0, 0x1.c1a7792cb3387p-55, 0x1.b33a2b84f15fbp+0, -0x1.5c3d956dcaebap-58,
+    0x1.b7f76f2fb5e47p+0, -0x1.8d6f438ad9334p-57, 0x1.bcc1e904bc1d2p+0, 0x1.4ffd70a5fddcdp-56,
+    0x1.c199bdd85529cp+0, 0x1.36eae30af0cb3p-56, 0x1.c67f12e57d14bp+0, 0x1.4e08fd10959acp-55,
+    0x1.cb720dcef9069p+0, 0x1.76b2c6c921968p-57, 0x1.d072d4a07897cp+0, -0x1.fad5d3ffffa6fp-55,
+    0x1.d5818dcfba487p+0, 0x1.4a385a63d07a7p-56, 0x1.da9e603db3285p+0, 0x1.e5a50d5c192acp-55,
+    0x1.dfc97337b9b5fp+0, -0x1.2d52107b43e1fp-55, 0x1.e502ee78b3ff6p+0, 0x1.4b604603a88d3p-56,
+    0x1.ea4afa2a490dap+0, -0x1.ff7128fd391f0p-55, 0x1.efa1bee615a27p+0, 0x1.ec3bc41aa2008p-55,
+    0x1.f50765b6e4540p+0, 0x1.a64a931d185eep-55, 0x1.fa7c1819e90d8p+0, 0x1.7893b4d91cd9dp-56,
+};
+
+static uint64_t bits_of(double v)
+{
+    uint64_t b;
+    memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+static double of_bits(uint64_t b)
+{
+    double v;
+    memcpy(&v, &b, sizeof(v));
+    return v;
+}
+
+/* The rare path, for |x| at or above EXP_FAST, infinities and NaNs:
+   x = (k + j/64) ln 2 + r, with 64k + j the nearest integer to
+   x * 64 / ln 2, and exp(x) = 2^k * 2^(j/64) * exp(r), exp(r) - 1 a
+   polynomial of degree 6; where the result is subnormal it is scaled by
+   2^60 first and back in two parts. */
+static double exp_rare(double x)
+{
+    uint64_t b = bits_of(x);
+    if ((b >> 52 & 0x7ff) == 0x7ff)
+        return b >> 63 && b << 12 == 0 ? 0.0 : x * x;
+    if (x > 0x1.62e42fefa39efp+9)
+        return DBL_MAX * DBL_MAX;
+    if (x < -0x1.74910d52d3051p+9)
+        return 0x1.0000000000001p-1022 * 0x1.0000000000001p-1022;
+    double u = x * 0x1.71547652b82fep+6 + 0x1.8p52, v = u - 0x1.8p52;
+    uint32_t m = (uint32_t)bits_of(u), k = m >> 6;
+    const double *t = EXP_TABLE + 2 * (m & 63);
+    double r = x - v * 0x1.62e42fefa0000p-7 - v * 0x1.cf79abc9e3b3ap-46;
+    double q = (((0x1.6c16a1c2a3ffdp-10 * r + 0x1.111123aaf20d3p-7) * r + 0x1.5555555558fccp-5) *
+                r + 0x1.55555555548f8p-3) * r + 0x1p-1;
+    q = (q * r * r + r + t[1]) * t[0];
+    if (x < -0x1.6232bdd7abcd2p+9) {
+        uint32_t e = (k + 0x43b) & 0x7ff;
+        double scale = of_bits((uint64_t)e << 52);
+        double hi_part = scale * t[0], lo_part = q * scale, s = hi_part + lo_part;
+        if (e <= 50)
+            return s * 0x1p-60;
+        double err = (hi_part - s) + lo_part, split = s * 0x1.8p32;
+        double hi = (s + split) - split;
+        return hi * 0x1p-60 + (err + (s - hi)) * 0x1p-60;
+    }
+    uint32_t e = (k + 0x3ff) & 0x7ff;
+    q += t[0];
+    if (e == 0x7ff)
+        return q * 0x1p1023 * 2.0;
+    return q * of_bits((uint64_t)e << 52);
+}
+
+/* x * log2(e) + EXP_SHIFT rounded down to a multiple of 1/16 holds k + 1023
+   and j of x = (k + j/16) ln 2 + r in its low mantissa bits */
+#define EXP_SHIFT 0x1.8000000003ff0p+48
+#define EXP_SHIFT_BITS 0x42f8000000000000u
+/* the fast path's bound on |x|, 0x1.61da04cbafe44p+9 (about 707.7) */
+#define EXP_FAST 0x1.61da04cbafe44p+9
+
+/* exp of the 8 doubles at p, in place: the fast path in every lane, with
+   its one round-toward-zero fma as a round-to-nearest one less an ulp
+   where that rounded up (the sign of the fused remainder says), then the
+   rare path in the lanes that need it.  The lane loop compiles to vector
+   code where the target has FMA. */
+static inline __attribute__((always_inline)) void exp_lanes(double *p)
+{
+    double out[LANES];
+    int64_t rare = 0;
+    for (int l = 0; l < LANES; l++) {
+        double x = p[l];
+        double y = fma(x, 0x1.71547652b82fep+0, EXP_SHIFT);
+        uint64_t yb = bits_of(y) - (fma(x, 0x1.71547652b82fep+0, EXP_SHIFT - y) < 0.0);
+        double n = of_bits(yb) - EXP_SHIFT;
+        uint64_t m = yb - EXP_SHIFT_BITS, e = m >> 4;
+        /* 2^(j/16) is EXP_TABLE's pair 4j */
+        double hi = EXP_TABLE[8 * (m & 15)], lo = EXP_TABLE[8 * (m & 15) + 1];
+        double r = fma(-n, 0x1.62e42fefa39efp-1, x);
+        r = fma(-0x1.abc9e3b39803fp-56, n, r);
+        double r2 = r * r;
+        double q = fma(r2, fma(r, 0x1.7411836940c04p-10, 0x1.1101cbbc265c0p-7),
+                       fma(r, 0x1.55557242d68fep-5, 0x1.5555553939732p-3));
+        q = fma(r2, q, fma(r, 0x1.000000000d008p-1, 0x1.fffffffffff70p-1));
+        q = fma(hi, fma(q, r, lo), hi);
+        /* q * 2^(e - 1023), e >= 0, as SVML's vscalefpd rounds it */
+        out[l] = q * of_bits(e << 52 | (uint64_t)(e == 0) << 51);
+        rare |= !(fabs(x) < EXP_FAST);
+    }
+    if (rare)
+        for (int l = 0; l < LANES; l++)
+            if (!(fabs(p[l]) < EXP_FAST))
+                out[l] = exp_rare(p[l]);
+    memcpy(p, out, sizeof(out));
+}
+
+/* a[i] = exp(a[i]) for i < n, the bits numpy's AVX-512 exp gives */
+CLONES static void exp_block(double *a, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES)
+        exp_lanes(a + i);
+    if (i < n) {
+        double tail[LANES] = {0};
+        memcpy(tail, a + i, sizeof(double) * (size_t)(n - i));
+        exp_lanes(tail);
+        memcpy(a + i, tail, sizeof(double) * (size_t)(n - i));
+    }
+}
+
 /* ---- training and growth ----------------------------------------------- */
 
 /* Online SOM updates of the (rows * cols, dim) weights w, in place.  Step
@@ -533,33 +697,32 @@ static void insert(double *w, int64_t rows, int64_t cols, int64_t dim, int axis,
 
    The state of one map's fit, from its initial weights to its stop: the
    routed samples, gathered once; the weights, grown in place by each
-   insertion; the growth cycle's sample order; the table of the pending
-   block's exp arguments; the assignment and unit errors of the last
-   cycle, and its verdict.  A growth cycle is fit_begin, then for each
-   block of steps numpy's exp of the table's first `used` entries (the
-   value fit_begin or the previous fit_step returned) and fit_step, which
-   returns 0 once the cycle is done.  Every buffer is sized for the
-   current shape and grown on insertion. */
+   insertion; the growth cycle's sample order; the block's table of
+   neighbourhood weights; the assignment and unit errors of the last
+   cycle, and its verdict.  A growth cycle is one fit_train call, an
+   insertion one fit_grow call.  Every buffer is sized for the current
+   shape and grown on insertion. */
 
 enum { GROW = 0, CONVERGED = 1, CAPPED = 2 };
 
+/* a block of training steps is sized so that its table holds about this
+   many doubles */
+#define TABLE_FLOATS (1 << 16)
+
 typedef struct {
-    /* read and written by the Python wrapper: keep its copy of this
-       layout in step */
+    /* read by the Python wrapper: keep its copy of this layout in step */
     int64_t rows, cols;      /* the current shape */
     int64_t verdict;         /* after a cycle: GROW, CONVERGED or CAPPED */
     double mqe;              /* after a cycle: the map MQE */
-    uint64_t stream;         /* stream of the next cycle's sample order */
-    double *table;           /* the pending block's exp arguments */
-    int64_t table_cap;       /* doubles table holds: it grows whenever table
-                                moves, which tells the wrapper to renew its view */
     /* private */
-    int64_t dim, n, lam, start, steps, width, insertions;
-    int64_t max_units, max_insertions, table_floats;
-    int64_t w_cap, unit_mqe_cap, scratch_cap, alpha_cap, coef_cap, distinct_cap, slot_cap;
+    int64_t dim, n, lam, width, insertions, max_units, max_insertions;
+    int64_t w_cap, unit_mqe_cap, scratch_cap, table_cap, alpha_cap, coef_cap, distinct_cap,
+        slot_cap;
     int has_sigma0;
+    int assigned;            /* index and unit_mqe hold for the current shape:
+                                cleared by an insertion, set by the next cycle */
     double alpha0, sigma0, sigma_floor, threshold;
-    double *x, *w, *unit_mqe, *scratch, *alpha, *coef, *distinct, *dist;
+    double *x, *w, *unit_mqe, *scratch, *table, *alpha, *coef, *distinct, *dist;
     int64_t *order, *index, *slot;
     uint8_t *seed, *path;
     int64_t nseed, npath;
@@ -580,11 +743,11 @@ static int reserve(void **p, int64_t *cap, int64_t need, size_t size)
     return 0;
 }
 
-/* The steps of a full block: its table holds about table_floats
-   doubles, max(1, table_floats // width). */
+/* The steps of a full block: its table holds about TABLE_FLOATS
+   doubles, max(1, TABLE_FLOATS // width). */
 static int64_t block_steps(const fit_t *f)
 {
-    int64_t steps = f->table_floats / f->width;
+    int64_t steps = TABLE_FLOATS / f->width;
     return steps > 1 ? steps : 1;
 }
 
@@ -651,7 +814,7 @@ void fit_close(fit_t *f)
    operations (column_sums).  A cycle of lam epochs decays the learning
    rate from alpha0 and the radius from sigma0 (without has_sigma0, half
    the larger side of the map) down to sigma_floor, in blocks of steps
-   whose table holds about table_floats doubles.  A cycle converges when
+   whose table holds about TABLE_FLOATS doubles.  A cycle converges when
    the map MQE is below threshold or 0, and is capped when the map holds
    max_units units or has grown max_insertions times.  Returns 0; -1 when
    out of memory and -2 for a sample index out of range. */
@@ -659,8 +822,8 @@ int fit_open(fit_t **out, const double *data, int64_t ndata, int64_t dim,
              const int64_t *indices, int64_t n, int64_t rows, int64_t cols,
              const double *weights, double noise, int64_t lam, double alpha0,
              int has_sigma0, double sigma0, double sigma_floor, double threshold,
-             int64_t max_units, int64_t max_insertions, int64_t table_floats,
-             const uint8_t *seed, int64_t nseed, const uint8_t *path, int64_t npath)
+             int64_t max_units, int64_t max_insertions, const uint8_t *seed, int64_t nseed,
+             const uint8_t *path, int64_t npath)
 {
     *out = NULL;
     for (int64_t i = 0; i < n; i++)
@@ -672,7 +835,7 @@ int fit_open(fit_t **out, const double *data, int64_t ndata, int64_t dim,
     int64_t units = rows * cols;
     *f = (fit_t){.rows = rows, .cols = cols, .dim = dim, .n = n, .lam = lam,
                  .max_units = max_units, .max_insertions = max_insertions,
-                 .table_floats = table_floats, .has_sigma0 = has_sigma0,
+                 .has_sigma0 = has_sigma0, .assigned = 1,
                  .alpha0 = alpha0, .sigma0 = sigma0, .sigma_floor = sigma_floor,
                  .threshold = threshold, .nseed = nseed, .npath = npath};
     if ((f->x = malloc(sizeof(double) * (size_t)(n * dim))) == NULL ||
@@ -718,61 +881,55 @@ int fit_open(fit_t **out, const double *data, int64_t ndata, int64_t dim,
     return 0;
 }
 
-/* Schedules the block of steps from f->start: its learning rates and,
-   in the (width, steps) table, its exp arguments, as numpy computes them
-   for a cycle of total steps:
+/* Schedules the block of steps from start: returns its steps and fills
+   its learning rates and its (width, steps) table of neighbourhood
+   weights, as numpy computes them for a cycle of total steps:
 
        frac = 1.0 - np.arange(start, start + steps) / total
        alpha = alpha0 * frac
        sigma = np.maximum(sigma_floor, sigma0 * frac)
-       table = np.multiply(distinct[:, None], -0.5 / (sigma * sigma))
+       table = exp(np.multiply(distinct[:, None], -0.5 / (sigma * sigma)))
 
-   Returns the number of table entries, width * steps. */
-static int64_t schedule(fit_t *f)
+   where exp gives numpy's AVX-512 bits (exp_block).  Row 0, at
+   distance 0, is exp(-0.0) = 1. */
+static int64_t schedule(fit_t *f, int64_t start)
 {
     int64_t total = f->lam * f->n, block = block_steps(f);
-    f->steps = total - f->start < block ? total - f->start : block;
+    int64_t steps = total - start < block ? total - start : block;
     double sigma0 = f->has_sigma0 ? f->sigma0 : (double)(f->rows > f->cols ? f->rows : f->cols) / 2;
-    for (int64_t s = 0; s < f->steps; s++) {
-        double frac = 1.0 - (double)(f->start + s) / (double)total;
+    for (int64_t s = 0; s < steps; s++) {
+        double frac = 1.0 - (double)(start + s) / (double)total;
         f->alpha[s] = f->alpha0 * frac;
         double v = sigma0 * frac;
         /* np.maximum: a NaN propagates */
         double sigma = f->sigma_floor >= v ? f->sigma_floor : v;
         f->coef[s] = -0.5 / (sigma * sigma);
+        f->table[s] = 1.0;
     }
-    for (int64_t j = 0; j < f->width; j++)
-        for (int64_t s = 0; s < f->steps; s++)
-            f->table[j * f->steps + s] = f->distinct[j] * f->coef[s];
-    return f->width * f->steps;
+    for (int64_t j = 1; j < f->width; j++)
+        for (int64_t s = 0; s < steps; s++)
+            f->table[j * steps + s] = f->distinct[j] * f->coef[s];
+    exp_block(f->table + steps, (f->width - 1) * steps);
+    return steps;
 }
 
-/* Starts a growth cycle: draws its lam permutations of the samples from
-   the stream [seed, f->stream, *path] and schedules its first block.
-   Returns the table entries to exp, or -1 when out of memory. */
-int64_t fit_begin(fit_t *f)
+/* One growth cycle: draws its lam permutations of the samples from the
+   stream [seed, stream, *path] and trains them block by block; then it
+   assigns the samples, scores the units and the map and gives the
+   verdict.  Returns 0, or -1 when out of memory. */
+int fit_train(fit_t *f, uint64_t stream)
 {
-    if (draw_permutations(f->order, f->lam * f->n, f->n, f->seed, f->nseed, f->stream,
-                          f->path, f->npath))
+    int64_t total = f->lam * f->n, units = f->rows * f->cols;
+    if (draw_permutations(f->order, total, f->n, f->seed, f->nseed, stream, f->path, f->npath))
         return -1;
-    f->start = 0;
-    return schedule(f);
-}
-
-/* Trains the scheduled block, whose table now holds the exp of its
-   arguments, and schedules the next one: returns its table entries.
-   After the last block it assigns the samples, scores the units and the
-   map and gives the verdict, and returns 0; -1 when out of memory. */
-int64_t fit_step(fit_t *f)
-{
-    train_block(f->w, f->rows, f->cols, f->dim, f->x, f->order + f->start, f->steps,
-                f->table, f->width, f->slot, f->alpha, f->scratch);
-    f->start += f->steps;
-    if (f->start < f->lam * f->n)
-        return schedule(f);
-    int64_t units = f->rows * f->cols;
+    for (int64_t start = 0, steps; start < total; start += steps) {
+        steps = schedule(f, start);
+        train_block(f->w, f->rows, f->cols, f->dim, f->x, f->order + start, steps, f->table,
+                    f->width, f->slot, f->alpha, f->scratch);
+    }
     if (assign(f->x, f->n, f->w, units, f->dim, f->dist, f->index, f->unit_mqe, &f->mqe))
         return -1;
+    f->assigned = 1;
     if (f->mqe < f->threshold || f->mqe == 0.0)
         f->verdict = CONVERGED;
     else if (units >= f->max_units || f->insertions >= f->max_insertions)
@@ -799,14 +956,19 @@ int fit_grow(fit_t *f)
     f->rows = rows;
     f->cols = cols;
     f->insertions++;
+    f->assigned = 0;
     return set_shape(f) ? -1 : axis;
 }
 
 /* Copies the fitted map out: its (rows, cols, dim) weights, (rows, cols)
-   unit errors and each sample's unit as a row and a column. */
-void fit_store(const fit_t *f, double *w, double *unit_mqe, int64_t *bmu_rows,
-               int64_t *bmu_cols)
+   unit errors and each sample's unit as a row and a column.  Returns 0,
+   or -4 after an insertion, whose map has no assignment until its next
+   cycle. */
+int fit_store(const fit_t *f, double *w, double *unit_mqe, int64_t *bmu_rows,
+              int64_t *bmu_cols)
 {
+    if (!f->assigned)
+        return -4;
     int64_t units = f->rows * f->cols;
     memcpy(w, f->w, sizeof(double) * (size_t)(units * f->dim));
     memcpy(unit_mqe, f->unit_mqe, sizeof(double) * (size_t)units);
@@ -814,6 +976,7 @@ void fit_store(const fit_t *f, double *w, double *unit_mqe, int64_t *bmu_rows,
         bmu_rows[i] = f->index[i] / f->cols;
         bmu_cols[i] = f->index[i] % f->cols;
     }
+    return 0;
 }
 
 /* Clinger's fast path (PLDI 1990): a decimal m * 10^k with m < 2^53 and

@@ -1,27 +1,30 @@
 """Loader of the compiled kernel in ``_kernel.c``: a map fit's context
-(initial weights, schedule, SOM training, BMU assignment, stop verdict
-and row/column insertion), random streams and the CSV number block.
-Python reaches it through ``Fit`` and ``parse_block`` only: the library
-exports the context's six ``fit_*`` functions and ``parse_block``.
+(initial weights, schedule, neighbourhood ``exp``, SOM training, BMU
+assignment, stop verdict and row/column insertion), random streams and
+the CSV number block. Python reaches it through ``Fit`` and
+``parse_block`` only: the library exports the context's five ``fit_*``
+functions and ``parse_block``.
 
 Each map fit runs in one kernel context, ``Fit``, which starts the map
 from its data or, given weights, from those. It gathers the routed
 samples once, checks each array's dtype, order and shape once, and owns
-the weights, the cycle's sample order, the table of exp arguments and
-the assignment and error buffers, each sized for the current map and
-grown in place on insertion. A growth cycle is two calls that pass only
-the context plus numpy's ``exp`` of the table in between (one more call
-and ``exp`` per further block of a large cycle): numpy keeps the
-``exp`` because its SIMD ``exp`` and the C library's differ in the last
-bit. The kernel computes everything else with numpy's float operations
-in numpy's order, so the results are the bits the numpy code gives:
+the weights, the cycle's sample order, the table of neighbourhood
+weights and the assignment and error buffers, each sized for the
+current map and grown in place on insertion. A growth cycle is one call
+that passes the context and the cycle's stream, an insertion one call
+that passes the context. The kernel computes with numpy's float
+operations in numpy's order, so the results are the bits the numpy code
+gives:
 
 - the initial weights ``x.mean(axis=0) + u * x.std(axis=0)``, with
   numpy's column sums (rows added in order to 0.0, or one pairwise run
   for a single column), ``_var``'s squares and divisions and ``sqrt``;
-- per block, ``frac``, ``alpha``, ``sigma``, ``coef`` and ``distinct *
-  coef``, from the distinct squared grid distances and their slots,
-  which it computes for the current shape;
+- per block of steps, ``frac``, ``alpha``, ``sigma``, ``coef`` and the
+  ``exp`` of ``distinct * coef``, from the distinct squared grid
+  distances and their slots, which it computes for the current shape.
+  Its ``exp`` is a port of the one numpy's AVX-512 loop calls (Intel
+  SVML's ``__svml_exp8_ha``), so the table holds that loop's bits on
+  every CPU, whichever ``exp`` loop numpy itself would pick there;
 - one pass over the weights per training step, which applies the
   step's update to each unit and at once computes that unit's
   difference to the next step's sample and its squared distance, 8
@@ -30,10 +33,11 @@ in numpy's order, so the results are the bits the numpy code gives:
   quantization error as ``np.mean`` gives it, the map MQE as
   ``SomMap.mqe`` sums it, and the verdict: converged, capped or grow.
 
-On x86-64 with glibc the training functions are compiled for AVX-512F,
-AVX2 and the baseline (``target_clones``), and the loader picks the
-widest the CPU supports; every variant rounds each operation the same
-way, so the weights are the same bits on every CPU.
+On x86-64 with glibc the training and ``exp`` functions are compiled for
+AVX-512F, x86-64-v3 (AVX2 with FMA) and the baseline
+(``target_clones``), and the loader picks the widest the CPU supports;
+every variant rounds each operation the same way, so the weights are the
+same bits on every CPU (the baseline's ``fma`` is the C library's).
 
 The random streams are the kernel's copy of numpy's: for the entropy
 ``[seed, stream, *path.encode()]`` it hashes the words as
@@ -85,8 +89,9 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-# no -ffast-math, no -march=native and no fused multiply-add: the kernel
-# must round every operation as the numpy code it replaces does
+# no -ffast-math, no -march=native and no fused multiply-add but the
+# source's fma() calls: the kernel must round every operation as the numpy
+# code it replaces does
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
 
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -139,14 +144,13 @@ def load(path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.parse_block.argtypes = [_B, _N, _N, _N, _N, _N, _N, _F64, _I64]
     lib.fit_open.argtypes = [_P, _P, _N, _N, _P, _N, _N, _N, _P, _D, _N, _D, ctypes.c_int,
-                             _D, _D, _D, _N, _N, _N, _B, _N, _B, _N]
+                             _D, _D, _D, _N, _N, _B, _N, _B, _N]
+    lib.fit_train.argtypes = [_P, ctypes.c_uint64]
     lib.fit_store.argtypes = [_P, _P, _P, _P, _P]
-    for f in (lib.fit_begin, lib.fit_step, lib.fit_grow, lib.fit_close):
-        f.argtypes = [_P]
-    for f in (lib.parse_block, lib.fit_open, lib.fit_grow):
+    lib.fit_grow.argtypes = lib.fit_close.argtypes = [_P]
+    for f in (lib.parse_block, lib.fit_open, lib.fit_train, lib.fit_grow, lib.fit_store):
         f.restype = ctypes.c_int
-    lib.fit_begin.restype = lib.fit_step.restype = _N
-    lib.fit_store.restype = lib.fit_close.restype = None
+    lib.fit_close.restype = None
     return lib
 
 
@@ -167,10 +171,9 @@ def _address(name: str, a, dtype, ndim: int) -> int:
 
 class _Head(ctypes.Structure):
     """The fields of a fit context (``fit_t`` in ``_kernel.c``) that
-    Python reads and writes, in the kernel's order."""
+    Python reads, in the kernel's order."""
 
-    _fields_ = [("rows", _N), ("cols", _N), ("verdict", _N), ("mqe", _D),
-                ("stream", ctypes.c_uint64), ("table", _P), ("table_cap", _N)]
+    _fields_ = [("rows", _N), ("cols", _N), ("verdict", _N), ("mqe", _D)]
 
 
 # a cycle's verdict, ``fit_t.verdict``
@@ -180,6 +183,8 @@ _FIT_ERRORS = {
     -1: (MemoryError, "fit: out of memory"),
     -2: (ValueError, "fit: sample index out of range"),
     -3: (ValueError, "grow: no neighbour's distance compares"),
+    -4: (ValueError, "store: the map has grown since its last cycle, which left it "
+                     "without an assignment; train it before storing"),
 }
 
 
@@ -194,26 +199,25 @@ class Fit:
 
     It gathers the ``n`` samples ``data[indices]`` of a ``rows`` x
     ``cols`` map once and owns the weights, the cycle's sample order, the
-    table of exp arguments and the last cycle's assignment and errors,
-    growing them with the map. ``weights`` are copied in; without them
+    table of neighbourhood weights and the last cycle's assignment and
+    errors, growing them with the map. ``weights`` are copied in; without them
     the map starts at ``x.mean(axis=0) + u * x.std(axis=0)`` of the routed
     samples ``x``, with ``rows * cols * dim`` draws ``u`` of ``uniform(
     -noise, noise)`` from the map's stream 0, computed as numpy computes
     them. A cycle (``train``) trains ``lam`` epochs with the learning rate
     decaying from ``alpha0`` and the radius from ``sigma0`` (None: half
-    the larger side of the map) to ``sigma_floor``, in blocks whose table
-    holds about ``table_floats`` floats; then ``head.verdict`` says
+    the larger side of the map) to ``sigma_floor``; then ``head.verdict`` says
     ``CONVERGED`` when the map MQE ``head.mqe`` is below ``threshold`` or
     0, else ``CAPPED`` when the map holds ``max_units`` units or has grown
     ``max_insertions`` times, else ``GROW``. ``grow`` inserts a row or
-    column, ``store`` copies the fitted map out and ``close`` frees the
-    context.
+    column, ``store`` copies the fitted map out (not between an insertion
+    and the next cycle) and ``close`` frees the context.
     """
 
     def __init__(self, data, indices, rows: int, cols: int, weights, *, lam: int,
                  alpha0: float, sigma0: float | None, sigma_floor: float, noise: float,
                  seed: int, path: str, threshold: float, max_units: int,
-                 max_insertions: int, table_floats: int):
+                 max_insertions: int):
         self._ctx = None
         lib = library()
         data = np.ascontiguousarray(data, dtype=np.float64)
@@ -238,35 +242,21 @@ class Fit:
         code = lib.fit_open(ctypes.byref(ctx), d, len(data), self.dim, ix, self.n, rows, cols,
                             w, noise, lam, alpha0, sigma0 is not None,
                             0.0 if sigma0 is None else sigma0, sigma_floor, threshold,
-                            max_units, max_insertions, table_floats,
-                            seed_bytes, len(seed_bytes), path_bytes, len(path_bytes))
+                            max_units, max_insertions, seed_bytes, len(seed_bytes),
+                            path_bytes, len(path_bytes))
         if code:
             raise _fit_error(code)
         self._ctx = ctx.value
         self._lib = lib
-        self._begin, self._step = lib.fit_begin, lib.fit_step
+        self._train = lib.fit_train
         self.head = _Head.from_address(self._ctx)
-        self._table = self._table_cap = None
 
     def train(self, stream: int) -> None:
         """One growth cycle, its sample order drawn from stream
-        ``stream``: per block of steps the kernel schedules the table of
-        exp arguments, numpy takes their ``exp`` in place (its SIMD
-        ``exp`` and the C library's differ in the last bit), and the
-        kernel trains; after the last block it assigns and scores."""
-        head = self.head
-        head.stream = stream
-        used = self._begin(self._ctx)
-        if head.table_cap != self._table_cap:
-            # the kernel moved the table when the map grew
-            self._table_cap = head.table_cap
-            self._table = np.frombuffer((_D * self._table_cap).from_address(head.table))
-        while used > 0:
-            block = self._table[:used]
-            np.exp(block, out=block)
-            used = self._step(self._ctx)
-        if used:
-            raise _fit_error(used)
+        ``stream``, in one kernel call: it trains, assigns and scores."""
+        code = self._train(self._ctx, stream)
+        if code:
+            raise _fit_error(code)
 
     def grow(self) -> tuple[int, int]:
         """Insert a row or column after a cycle; returns the new shape."""
@@ -278,17 +268,21 @@ class Fit:
     def store(self) -> tuple:
         """The fitted map, in arrays of its own: the ``(rows, cols, dim)``
         weights, the ``(rows, cols)`` unit errors and each routed
-        sample's unit row and column."""
+        sample's unit row and column. Raises ValueError after an
+        insertion, until the next cycle assigns the grown map."""
         rows, cols = self.head.rows, self.head.cols
         out = (np.empty((rows, cols, self.dim)), np.empty((rows, cols)),
                np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64))
-        self._lib.fit_store(self._ctx, *(ctypes.addressof(_BUFFER.from_buffer(a)) for a in out))
+        code = self._lib.fit_store(self._ctx,
+                                   *(ctypes.addressof(_BUFFER.from_buffer(a)) for a in out))
+        if code:
+            raise _fit_error(code)
         return out
 
     def close(self) -> None:
         """Free the context; the object is unusable afterwards."""
         if self._ctx is not None:
-            self._table = self.head = None
+            self.head = None
             self._lib.fit_close(self._ctx)
             self._ctx = None
 

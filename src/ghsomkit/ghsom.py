@@ -35,9 +35,6 @@ SIGMA_FLOOR = 0.5
 # keep the quantization error above any threshold forever)
 MAX_UNITS_PER_SAMPLE = 4
 MAX_INSERTIONS = 64
-# training steps per kernel call are sized so that a call's table of
-# neighbourhood weights holds about this many floats
-TABLE_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -288,23 +285,22 @@ def train_map(
 
     The cycle runs in the map's kernel context (``som.fit``, see
     ``_kernel.Fit``), which ``_init_map`` opened on ``data`` and
-    ``params``: the kernel draws every epoch's permutation from the map's
-    stream ``1 + epoch_base``, the draws numpy's ``Generator.permutation``
-    makes, and computes the schedule and each step's exp arguments with
-    numpy's float operations in numpy's order. The steps go in blocks
-    whose table holds about ``TABLE_FLOATS`` floats, one row per distinct
-    squared grid distance and one column per step, so a small map's
-    cycle is one block. Per block numpy takes the ``exp`` of the table in
-    place, because its vectorized ``exp`` and the C library's differ in
-    the last bit, and the kernel applies the per-sample updates in one
-    pass over the weights per step, with the float operations of numpy's
-    ``w + (x - w) * (h * alpha)`` in the same order, so the weights match
-    a per-sample numpy loop bit for bit. After the last block it assigns
-    every routed sample to its nearest unit and computes each unit's mqe,
-    the mean of its samples' distances in routed order as ``np.mean``
-    gives it (0 for an empty unit), the map MQE as ``SomMap.mqe`` gives
-    it, and the stop verdict ``_fit_map`` reads. The map's own arrays are
-    set when it stops.
+    ``params``, in one kernel call: the kernel draws every epoch's
+    permutation from the map's stream ``1 + epoch_base``, the draws
+    numpy's ``Generator.permutation`` makes, and computes the schedule
+    with numpy's float operations in numpy's order, in blocks of steps
+    whose table holds one row per distinct squared grid distance and one
+    column per step. Its ``exp`` of the table is a port of numpy's
+    AVX-512 ``exp``, so the neighbourhood weights are that loop's bits on
+    any CPU. It applies the per-sample updates in one pass over the
+    weights per step, with the float operations of numpy's ``w + (x - w)
+    * (h * alpha)`` in the same order, so the weights match a per-sample
+    numpy loop bit for bit. After the last block it assigns every routed
+    sample to its nearest unit and computes each unit's mqe, the mean of
+    its samples' distances in routed order as ``np.mean`` gives it (0 for
+    an empty unit), the map MQE as ``SomMap.mqe`` gives it, and the stop
+    verdict ``_fit_map`` reads. The map's own arrays are set when it
+    stops.
 
     ``_fit_map`` calls this once per cycle, with the ``data`` and
     ``params`` the context holds, so a probe of this function (as
@@ -344,7 +340,7 @@ def _init_map(path, parent_mqe, depth, sample_indices, data, params) -> SomMap:
                           noise=INIT_NOISE, seed=params.rng_seed, path=path,
                           threshold=params.tau1 * parent_mqe,
                           max_units=MAX_UNITS_PER_SAMPLE * len(som.sample_indices),
-                          max_insertions=MAX_INSERTIONS, table_floats=TABLE_FLOATS)
+                          max_insertions=MAX_INSERTIONS)
     return som
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from ghsomkit import GhsomParams, gaussian_blobs, run_ghsom
+from helpers import build_kernel, kernel_exp
 
 # One line per acceptance criterion, echoed after the test summary so the
 # pass/fail verdicts are visible even without -s.
@@ -16,6 +17,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def exp(tmp_path_factory):
+    """The kernel's exp, which the online oracle's neighbourhood takes, from
+    a test build of the kernel's source (``helpers.build_kernel``)."""
+    return kernel_exp(build_kernel(tmp_path_factory.mktemp("kernel")))
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,17 @@ makes leaf coordinates computable by hand, and whose per-leaf sample
 counts and labels are fixed so rendering checks have exact expectations.
 """
 
+import ctypes
+import subprocess
+from pathlib import Path
+
 import numpy as np
 
-from ghsomkit import DataMatrix, GhsomParams, GhsomTree
+from ghsomkit import DataMatrix, GhsomParams, GhsomTree, _kernel
 from ghsomkit.ghsom import SomMap
+
+# the kernel's cloned functions, ``CLONES`` in _kernel.c
+CLONES = 'target_clones("avx512f", "arch=x86-64-v3", "default")'
 
 # leaf path -> labels of the samples assigned there (count = len of list).
 # Mixtures are deliberate: "0x0-1x1" has a 2-2-1 majority tie, "0x0-0x0"
@@ -108,3 +115,35 @@ def majority_and_purity(labels):
     best = max(counts.values())
     label = min(lab for lab, c in counts.items() if c == best)
     return label, best / len(labels)
+
+
+def build_kernel(directory, target=None):
+    """A copy of ``_kernel.c`` built into ``directory`` and loaded as
+    ``_kernel.load`` loads the library, with one entry the library does not
+    export: ``test_exp(a, n)``, the kernel's static ``exp_block``. With a
+    ``target``, the cloned functions are built for that target alone, as
+    the loader would pick them on a CPU that has no wider one."""
+    source = _kernel.SOURCE.read_text()
+    assert source.count(CLONES) == 1
+    if target is not None:
+        source = source.replace(CLONES, f'target("{target}")')
+    copy = Path(directory) / "k.c"
+    copy.write_text(source + "\nvoid test_exp(double *a, int64_t n) { exp_block(a, n); }\n")
+    lib_path = Path(directory) / "k.so"
+    done = subprocess.run(["cc", str(copy), "-o", str(lib_path), *_kernel.FLAGS],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lib = _kernel.load(lib_path)
+    lib.test_exp.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    lib.test_exp.restype = None
+    return lib
+
+
+def kernel_exp(lib):
+    """The elementwise exp of ``build_kernel``'s library ``lib``, on a copy
+    of its argument as a C-contiguous float64 array."""
+    def exp(x):
+        out = np.array(x, dtype=np.float64, order="C")
+        lib.test_exp(out.ctypes.data, out.size)
+        return out
+    return exp

@@ -5,7 +5,10 @@ arithmetic where it matters, and no shared code with the implementations
 under test.
 """
 
+import functools
 import math
+import struct
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -135,7 +138,7 @@ def label_vectors_up_to(n, max_parts):
     return out
 
 
-def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=None):
+def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=None, *, exp):
     """Reference online SOM trainer: one growth cycle, then assignment.
 
     The per-sample loop the package trained with before its in-place
@@ -143,9 +146,12 @@ def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=N
     permutation, ``w += alpha(t) * h(t) * (x - w)`` with a Gaussian
     neighborhood, alpha and sigma decaying linearly over the cycle and
     sigma floored at 0.5. The random stream is derived the way the
-    package derives it, from (seed, stream, path). Returns the trained
-    (rows, cols, dim) weights and the (rows, cols) per-unit mean
-    quantization errors of the samples' best-matching units.
+    package derives it, from (seed, stream, path). ``exp`` is the
+    elementwise exp of an array: the kernel's port of numpy's AVX-512
+    ``exp``, which ``exp_svml`` checks, gives the bits the package gives
+    on any CPU. Returns the trained (rows, cols, dim) weights and the
+    (rows, cols) per-unit mean quantization errors of the samples'
+    best-matching units.
     """
     import numpy as np
     from scipy.spatial.distance import cdist
@@ -171,7 +177,7 @@ def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=N
             x = x_local[i]
             diff = x - w
             best = int(np.argmin((diff * diff).sum(axis=1)))
-            h = np.exp(grid_d2[best] * (-0.5 / (sigma * sigma)))
+            h = exp(grid_d2[best] * (-0.5 / (sigma * sigma)))
             w += (alpha * h)[:, None] * diff
             t += 1
 
@@ -181,6 +187,98 @@ def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=N
     for u in np.unique(best):
         unit_mqe[u] = d[best == u, u].mean()
     return w.reshape(rows, cols, dim), unit_mqe.reshape(rows, cols)
+
+
+@functools.cache
+def _exp_table():
+    """SVML's table: for i < 64, 2**(i/64) rounded to the nearest float and
+    its remainder relative to that float, rounded likewise."""
+    table = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for i in range(64):
+            exact = (Decimal(2).ln() * i / 64).exp()
+            hi = float(exact)
+            table.append((hi, float((exact - Decimal(hi)) / Decimal(hi))))
+    return table
+
+
+def _bits(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _fma(a, b, c):
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+_H = float.fromhex
+
+
+def exp_svml(x):
+    """numpy's AVX-512 float64 exp of the float ``x``: Intel SVML's
+    ``__svml_exp8_ha`` for |x| < 0x1.61da04cbafe44p+9, its rare path
+    ``__svml_dexp_ha_cout_rare_internal`` for the rest (infinities and
+    NaNs too).
+
+    Computed from its definition rather than from the kernel's code: each
+    fused multiply-add is the exact result rounded once,
+    ``float(Fraction(a) * b + c)``; the fast path's one fused step that
+    rounds toward zero, ``x * log2(e)`` plus a shifter whose ulp is 1/16,
+    is the floor of the exact product on the 1/16 grid; the scaling by
+    ``2**k`` is one rounding; the rare path's plain double operations are
+    Python's float operations; and the table is ``_exp_table``'s.
+    """
+    table = _exp_table()
+    if abs(x) < _H("0x1.61da04cbafe44p+9"):
+        t = Fraction(math.floor(Fraction(x) * Fraction(_H("0x1.71547652b82fep+0")) * 16), 16)
+        k = math.floor(t)
+        hi, lo = table[4 * int((t - k) * 16)]
+        n = float(t)
+        r = _fma(-n, _H("0x1.62e42fefa39efp-1"), x)
+        r = _fma(-_H("0x1.abc9e3b39803fp-56"), n, r)
+        r2 = r * r
+        q = _fma(r2, _fma(r, _H("0x1.7411836940c04p-10"), _H("0x1.1101cbbc265c0p-7")),
+                 _fma(r, _H("0x1.55557242d68fep-5"), _H("0x1.5555553939732p-3")))
+        q = _fma(r2, q, _fma(r, _H("0x1.000000000d008p-1"), _H("0x1.fffffffffff70p-1")))
+        p = _fma(hi, _fma(q, r, lo), hi)
+        return float(Fraction(p) * Fraction(2) ** k)
+    b = _bits(x)
+    if b >> 52 & 0x7FF == 0x7FF:
+        return 0.0 if b >> 63 and not b & ((1 << 52) - 1) else x * x
+    if x > _H("0x1.62e42fefa39efp+9"):
+        return math.inf
+    if x < _H("-0x1.74910d52d3051p+9"):
+        return 0.0
+    u = x * _H("0x1.71547652b82fep+6") + _H("0x1.8p52")
+    v = u - _H("0x1.8p52")
+    m = _bits(u) & 0xFFFFFFFF
+    hi, lo = table[m & 63]
+    r = x - v * _H("0x1.62e42fefa0000p-7") - v * _H("0x1.cf79abc9e3b3ap-46")
+    q = _H("0x1.6c16a1c2a3ffdp-10")
+    for c in ("0x1.111123aaf20d3p-7", "0x1.5555555558fccp-5", "0x1.55555555548f8p-3", "0x1p-1"):
+        q = q * r + _H(c)
+    q = (q * r * r + r + lo) * hi
+    if x < _H("-0x1.6232bdd7abcd2p+9"):
+        # a subnormal result: scaled by 2**60 first, then back in two parts
+        e = ((m >> 6) + 0x43B) & 0x7FF
+        scale = _float(e << 52)
+        big, small = scale * hi, q * scale
+        s = big + small
+        if e <= 50:
+            return s * 2.0**-60
+        err = (big - s) + small
+        split = s * _H("0x1.8p32")
+        head = (s + split) - split
+        return head * 2.0**-60 + (err + (s - head)) * 2.0**-60
+    e = ((m >> 6) + 0x3FF) & 0x7FF
+    q += hi
+    if e == 0x7FF:
+        return q * 2.0**1023 * 2.0
+    return q * _float(e << 52)
 
 
 def best_matching_unit(som, x):

@@ -42,7 +42,6 @@ from ghsomkit.ghsom import (
     MAX_INSERTIONS,
     MAX_UNITS_PER_SAMPLE,
     SIGMA_FLOOR,
-    TABLE_FLOATS,
     GhsomTree,
     LeafPartition,
     SomMap,
@@ -50,7 +49,19 @@ from ghsomkit.ghsom import (
     _split,
     expand_hierarchy,
 )
-from oracles import best_matching_unit, grow_numpy, leaf_labels, leaf_units, train_map_online
+from helpers import build_kernel, kernel_exp
+from oracles import (
+    best_matching_unit,
+    exp_svml,
+    grow_numpy,
+    leaf_labels,
+    leaf_units,
+    train_map_online,
+)
+
+# a block of training steps holds about this many table entries
+TABLE_FLOATS = 1 << int(re.search(r"#define TABLE_FLOATS \(1 << (\d+)\)",
+                                   _kernel.SOURCE.read_text())[1])
 
 
 def _random_matrix(n, dim, seed):
@@ -74,7 +85,7 @@ def _fit(weights, data, params, epoch_base=0, path="", indices=None):
                       alpha0=params.alpha0, sigma0=params.sigma0, sigma_floor=SIGMA_FLOOR,
                       noise=INIT_NOISE, seed=params.rng_seed, path=path, threshold=math.nan,
                       max_units=MAX_UNITS_PER_SAMPLE * len(indices),
-                      max_insertions=MAX_INSERTIONS, table_floats=TABLE_FLOATS)
+                      max_insertions=MAX_INSERTIONS)
     try:
         fit.train(1 + epoch_base)
         yield fit
@@ -288,7 +299,7 @@ def _capped_noise_map():
     "case",
     ["square", "wide", "capped_noise", "alpha_zero", "sigma0_epoch_base", "subset"],
 )
-def test_train_matches_online_oracle_bitwise(case):
+def test_train_matches_online_oracle_bitwise(case, exp):
     rng = np.random.default_rng(12)
     m = _random_matrix(40, 3, seed=8)
     weights = rng.normal(size=(2, 2, 3))
@@ -311,7 +322,7 @@ def test_train_matches_online_oracle_bitwise(case):
         path = "0x1-2x0"
     want_w, want_mqe = train_map_online(
         weights, m.values[indices], params.rng_seed, path, 1 + epoch_base,
-        params.lam, params.alpha0, params.sigma0,
+        params.lam, params.alpha0, params.sigma0, exp=exp,
     )
     with _fit(weights, m.values, params, epoch_base, path, indices) as fit:
         got_w, got_mqe = fit.store()[:2]
@@ -319,13 +330,13 @@ def test_train_matches_online_oracle_bitwise(case):
     assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
-def _train_matches_online_oracle(dim, rows, cols, n, lam):
+def _train_matches_online_oracle(dim, rows, cols, n, lam, exp):
     rng = np.random.default_rng(dim)
     m = _random_matrix(n, dim, seed=dim)
     weights = rng.normal(size=(rows, cols, dim))
     params = GhsomParams(lam=lam, rng_seed=2)
     want_w, want_mqe = train_map_online(
-        weights, m.values, params.rng_seed, "", 1, params.lam, params.alpha0,
+        weights, m.values, params.rng_seed, "", 1, params.lam, params.alpha0, exp=exp,
     )
     with _fit(weights, m.values, params) as fit:
         got_w, got_mqe = fit.store()[:2]
@@ -349,11 +360,11 @@ ACROSS_DIMS = [
 
 
 @pytest.mark.parametrize("dim, rows, cols, n, lam", ACROSS_DIMS)
-def test_train_matches_online_oracle_bitwise_across_dims(dim, rows, cols, n, lam):
+def test_train_matches_online_oracle_bitwise_across_dims(dim, rows, cols, n, lam, exp):
     if dim == 3:
         distinct = np.unique(np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2))
         assert lam * n > 2 * (TABLE_FLOATS // len(distinct))
-    _train_matches_online_oracle(dim, rows, cols, n, lam)
+    _train_matches_online_oracle(dim, rows, cols, n, lam, exp)
 
 
 def _cpu_flags() -> set[str]:
@@ -367,33 +378,88 @@ def _cpu_flags() -> set[str]:
     return set()
 
 
-CLONES = 'target_clones("avx512f", "avx2", "default")'
+# the CPU flags each clone's target needs
+CLONE_TARGETS = {
+    "default": set(),
+    "arch=x86-64-v3": {"avx2", "fma", "bmi1", "bmi2", "f16c", "movbe"},
+    "avx512f": {"avx512f"},
+}
+
+
+def _clone(target, directory):
+    """``build_kernel``'s library with the clones of ``target`` alone: the
+    loaded library runs only the clone this CPU picks."""
+    if not CLONE_TARGETS[target] <= _cpu_flags():
+        pytest.skip(f"this CPU lacks {target}")
+    return build_kernel(directory, target)
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the training functions are cloned on x86-64 only")
-@pytest.mark.parametrize("target", ["default", "avx2", "avx512f"])
-def test_every_clone_matches_online_oracle_bitwise(target, tmp_path, monkeypatch):
-    # the loaded library runs only the clone this CPU picks, so build
-    # copies of the source that hold one target each
-    if target != "default" and target not in _cpu_flags():
-        pytest.skip(f"this CPU lacks {target}")
-    source = _kernel.SOURCE.read_text()
-    assert source.count(CLONES) == 1
-    copy = tmp_path / "k.c"
-    copy.write_text(source.replace(CLONES, f'target("{target}")'))
-    lib_path = tmp_path / "k.so"
-    cmd = ["cc", str(copy), "-o", str(lib_path), *_kernel.FLAGS]
-    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lib = _kernel.load(lib_path)
+@pytest.mark.parametrize("target", list(CLONE_TARGETS))
+def test_every_clone_matches_online_oracle_bitwise(target, tmp_path, monkeypatch, exp):
+    lib = _clone(target, tmp_path)
     monkeypatch.setattr(_kernel, "library", lambda: lib)
     for dim, rows, cols, n, lam in [(3, 3, 4, 20, 4), *ACROSS_DIMS[1:]]:
-        _train_matches_online_oracle(dim, rows, cols, n, lam)
-    _unit_mqe_matches_np_mean()
+        _train_matches_online_oracle(dim, rows, cols, n, lam, exp)
+    _unit_mqe_matches_np_mean(exp)
 
 
-def _unit_mqe_matches_np_mean():
+# the bounds of exp's paths: |x| below FAST takes the fast path, results
+# below SUBNORMAL are subnormal, and below UNDERFLOW they are 0
+EXP_FAST = float.fromhex("0x1.61da04cbafe44p+9")
+EXP_SUBNORMAL = float.fromhex("-0x1.6232bdd7abcd2p+9")
+EXP_UNDERFLOW = float.fromhex("-0x1.74910d52d3051p+9")
+
+
+def _exp_arguments(rng, per_binade):
+    """Arguments in [-746, 0]: ``per_binade`` random ones in every binade
+    of the negative floats (the subnormals' too), 4 on each side of each
+    bound of exp's paths, and -0.0."""
+    parts = [np.array([-0.0])]
+    for e in range(-1074, 10):
+        x = -np.ldexp(1.0 + rng.random(per_binade), e)
+        parts.append(x[x >= -746.0])
+    for bound in (-EXP_FAST, EXP_SUBNORMAL, EXP_UNDERFLOW):
+        for toward in (0.0, -np.inf):
+            x = bound
+            for _ in range(4):
+                parts.append(np.array([x]))
+                x = np.nextafter(x, toward)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("target", list(CLONE_TARGETS))
+def test_kernel_exp_matches_exact_reference(target, tmp_path):
+    # the exact-arithmetic reference of numpy's AVX-512 exp, against the
+    # kernel's port in every clone (elsewhere than x86-64, "default" is
+    # the one build there is)
+    lib = _clone(target, tmp_path)
+    rng = np.random.default_rng(17)
+    x = np.concatenate([_exp_arguments(rng, 3), rng.uniform(-746.0, -EXP_FAST, 500)])
+    got = kernel_exp(lib)(x)
+    want = np.array([exp_svml(v) for v in x.tolist()])
+    assert np.flatnonzero(got.view(np.int64) != want.view(np.int64)).tolist() == []
+    assert got[0] == 1.0 and (got[x < EXP_UNDERFLOW] == 0.0).all()
+    assert (got[(x >= EXP_UNDERFLOW) & (x < EXP_SUBNORMAL)] > 0.0).all()
+
+
+def test_kernel_exp_is_numpys_avx512_exp(exp):
+    # numpy's own exp on this CPU, where it runs its AVX-512 loop
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        pytest.skip(f"numpy {np.__version__} does not run Intel SVML's exp")
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not __cpu_features__.get("AVX512_SKX"):
+        pytest.skip("numpy does not run its AVX-512 exp here (AVX512_SKX is off)")
+    rng = np.random.default_rng(18)
+    x = np.concatenate([_exp_arguments(rng, 500), rng.uniform(-746.0, 0.0, 300_000),
+                        rng.uniform(-746.0, -EXP_FAST, 200_000)])
+    assert len(x) >= 10**6
+    assert exp(x).tobytes() == np.exp(x).tobytes()
+
+
+def _unit_mqe_matches_np_mean(exp):
     # a 2x2 map on 600 samples in four clusters, one far from every unit
     # but (0, 0): its units hold 0, 5, 60 and 535 samples, which reach
     # every branch of numpy's pairwise sum (none, under 8, up to 128, and
@@ -411,7 +477,7 @@ def _unit_mqe_matches_np_mean():
         got_w, got_mqe = fit.store()[:2]
 
     want_w, want_mqe = train_map_online(weights, x, params.rng_seed, "", 1, params.lam,
-                                        params.alpha0, params.sigma0)
+                                        params.alpha0, params.sigma0, exp=exp)
     assert got_w.tobytes() == want_w.tobytes()
     assert got_mqe.tobytes() == want_mqe.tobytes()
     d = cdist(x, got_w.reshape(4, 2))
@@ -423,8 +489,8 @@ def _unit_mqe_matches_np_mean():
     assert got_mqe.tobytes() == np.array(want).tobytes()
 
 
-def test_train_unit_mqe_matches_np_mean_in_every_summation_branch():
-    _unit_mqe_matches_np_mean()
+def test_train_unit_mqe_matches_np_mean_in_every_summation_branch(exp):
+    _unit_mqe_matches_np_mean(exp)
 
 
 @pytest.mark.parametrize("dim", [*range(1, 18), 127, 128, 129, 130, 255, 256, 257, 1000])
@@ -513,12 +579,12 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
     # Python reaches the kernel through the fit context and the CSV
-    # parser only; the entries that trained, drew or grew outside a
-    # context are gone
-    for name in ("fit_open", "fit_begin", "fit_step", "fit_grow", "fit_store", "fit_close",
-                 "parse_block"):
+    # parser only: a growth cycle is one call, and neither exp nor the
+    # entries that trained, drew or grew outside a context are exported
+    for name in ("fit_open", "fit_train", "fit_grow", "fit_store", "fit_close", "parse_block"):
         assert hasattr(lib, name), name
-    for name in ("train_steps", "uniform", "grow", "nearest"):
+    for name in ("fit_begin", "fit_step", "exp_block", "exp_rare", "train_steps", "uniform",
+                 "grow", "nearest"):
         assert not hasattr(lib, name), name
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
@@ -548,7 +614,7 @@ STREAM_PATHS = ["", "0x1-2x0"]
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 @pytest.mark.parametrize("path", STREAM_PATHS)
 @pytest.mark.parametrize("stream", [0, 1, 41, 2**32 + 3])
-def test_kernel_uniform_is_numpys_uniform(seed, path, stream):
+def test_kernel_uniform_is_numpys_uniform(seed, path, stream, exp):
     # every column of six rows of +1 and -1 has mean 0 and std 1, so a
     # map's initial weights are its stream 0's draws themselves; a cycle
     # on ``stream`` then trains as the oracle does with numpy's stream
@@ -565,7 +631,7 @@ def test_kernel_uniform_is_numpys_uniform(seed, path, stream):
     finally:
         som.fit.close()
     want_w, want_mqe = train_map_online(weights, x, seed, path, stream, params.lam,
-                                        params.alpha0)
+                                        params.alpha0, exp=exp)
     assert got_w.tobytes() == want_w.tobytes()
     assert got_mqe.tobytes() == want_mqe.tobytes()
 
@@ -573,7 +639,7 @@ def test_kernel_uniform_is_numpys_uniform(seed, path, stream):
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 @pytest.mark.parametrize("path", STREAM_PATHS)
 @pytest.mark.parametrize("n, lam", [(1, 3), (2, 5), (7, 4), (300, 2), (70_000, 1)])
-def test_kernel_permutations_are_numpys_permuted(seed, path, n, lam):
+def test_kernel_permutations_are_numpys_permuted(seed, path, n, lam, exp):
     # a 1x1 map moves towards each sample in turn, so its weight after a
     # cycle depends on every epoch's order, which the oracle draws as
     # numpy's Generator.permutation on the same stream
@@ -582,12 +648,12 @@ def test_kernel_permutations_are_numpys_permuted(seed, path, n, lam):
     with _fit(np.zeros((1, 1, 1)), x, params, epoch_base=10, path=path) as fit:
         got_w, got_mqe = fit.store()[:2]
     want_w, want_mqe = train_map_online(np.zeros((1, 1, 1)), x, seed, path, 11, lam,
-                                        params.alpha0)
+                                        params.alpha0, exp=exp)
     assert got_w.tobytes() == want_w.tobytes()
     assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
-def test_train_streams_match_numpy_across_blocks():
+def test_train_streams_match_numpy_across_blocks(exp):
     # 58 distinct grid distances: the first of three kernel calls draws
     # the whole cycle's order, on the stream of a big seed and a nested path
     rng = np.random.default_rng(5)
@@ -597,7 +663,7 @@ def test_train_streams_match_numpy_across_blocks():
     assert params.lam * 60 > 2 * (TABLE_FLOATS // 58)
     path, epoch_base = "1x0-0x2", 80
     want_w, want_mqe = train_map_online(weights, m.values, params.rng_seed, path,
-                                        1 + epoch_base, params.lam, params.alpha0)
+                                        1 + epoch_base, params.lam, params.alpha0, exp=exp)
     with _fit(weights, m.values, params, epoch_base, path) as fit:
         got_w, got_mqe = fit.store()[:2]
     assert got_w.tobytes() == want_w.tobytes()
@@ -609,11 +675,13 @@ def test_train_streams_match_numpy_across_blocks():
 
 def _grown(weights, samples):
     """A map at ``weights`` after an alpha0 = 0 cycle on ``samples``,
-    which leaves the weights as they are, then one insertion: the
-    cycle's unit errors and the grown weights."""
+    which leaves the weights as they are, then one insertion and another
+    such cycle, which assigns the grown map: the first cycle's unit errors
+    and the grown weights."""
     with _fit(weights, np.asarray(samples, dtype=float), GhsomParams(lam=1, alpha0=0.0)) as fit:
         unit_mqe = fit.store()[1]
         shape = fit.grow()
+        fit.train(2)
         grown = fit.store()[0]
     assert grown.shape[:2] == shape
     return unit_mqe, grown
@@ -767,19 +835,24 @@ def test_initial_weights_are_numpys_mean_plus_scaled_noise(n, dim):
     assert bmu_rows.tolist() == bmu_cols.tolist() == [0] * n
 
 
-def _fit_cycles(data, params, parent_mqe, cycles):
-    """Train, check and grow one map's context ``cycles`` times; returns
-    each cycle's map MQE and verdict."""
+def _fit_cycles(data, params, parent_mqe, cycles, exp):
+    """Train and check one map's context ``cycles`` times, growing it
+    between cycles; returns each cycle's map MQE and verdict. Each cycle
+    after the first starts the oracle from numpy's insertion, so its
+    bitwise match checks the kernel's insertion too."""
     n = len(data)
     som = _init_map("0x1", parent_mqe, 2, np.arange(n), data, params)
     fit = som.fit
     weights = fit.store()[0]
     seen = []
     for cycle in range(cycles):
+        if cycle:
+            assert fit.grow() == (fit.head.rows, fit.head.cols)
+            weights = grow_numpy(weights, unit_mqe)
         stream = 1 + cycle * params.lam
         fit.train(stream)
         want_w, want_mqe = train_map_online(weights, data, params.rng_seed, "0x1", stream,
-                                            params.lam, params.alpha0)
+                                            params.lam, params.alpha0, exp=exp)
         weights, unit_mqe, bmu_rows, bmu_cols = fit.store()
         assert weights.tobytes() == want_w.tobytes()
         assert unit_mqe.tobytes() == want_mqe.tobytes()
@@ -795,16 +868,12 @@ def _fit_cycles(data, params, parent_mqe, cycles):
             want = _kernel.GROW
         assert fit.head.verdict == want
         seen.append((stored.mqe, want))
-        assert fit.grow() == (fit.head.rows, fit.head.cols)
-        grown = grow_numpy(weights, unit_mqe)
-        weights = fit.store()[0]
-        assert weights.tobytes() == grown.tobytes()
     fit.close()
     return seen
 
 
 @pytest.mark.parametrize("dim", [1, 3, 9, 130])
-def test_fit_cycles_match_oracle_map_mqe_verdict_and_numpy_insertion(dim):
+def test_fit_cycles_match_oracle_map_mqe_verdict_and_numpy_insertion(dim, exp):
     # a context trains, scores and grows one map cycle after cycle, its
     # buffers growing in place: each cycle's weights and errors against
     # the online oracle, the kernel's map MQE against SomMap.mqe, its
@@ -813,10 +882,10 @@ def test_fit_cycles_match_oracle_map_mqe_verdict_and_numpy_insertion(dim):
     # pass's median MQE, so that some cycles converge
     data = np.random.default_rng(dim).normal(size=(30, dim))
     params = GhsomParams(lam=2, rng_seed=dim)
-    first = _fit_cycles(data, params, 1e-6, 10)
+    first = _fit_cycles(data, params, 1e-6, 10, exp)
     assert {verdict for _, verdict in first} == {_kernel.GROW}
     median = float(np.median([mqe for mqe, _ in first]))
-    second = _fit_cycles(data, params, median / params.tau1, 10)
+    second = _fit_cycles(data, params, median / params.tau1, 10, exp)
     assert [mqe for mqe, _ in second] == [mqe for mqe, _ in first]
     assert {verdict for _, verdict in second} == {_kernel.GROW, _kernel.CONVERGED}
 
@@ -837,6 +906,30 @@ def test_fit_context_rejects_bad_samples_and_nan_growth():
     with pytest.raises(ValueError, match="grow: no neighbour's distance compares"):
         som.fit.grow()
     som.fit.close()
+
+
+def test_store_after_an_insertion_waits_for_the_next_cycle():
+    # an insertion leaves the grown map without an assignment until the
+    # next cycle: a store in between would lay the old grid's units and
+    # errors out on the grown one
+    data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 4.0]])
+    fit = _kernel.Fit(data, np.arange(3), 2, 2, None, lam=2, alpha0=0.5, sigma0=None,
+                      sigma_floor=SIGMA_FLOOR, noise=INIT_NOISE, seed=0, path="", threshold=0.0,
+                      max_units=12, max_insertions=MAX_INSERTIONS)
+    try:
+        fit.train(1)
+        fit.grow()
+        with pytest.raises(ValueError, match="store: the map has grown since its last cycle"):
+            fit.store()
+        fit.train(3)
+        weights, unit_mqe, bmu_rows, bmu_cols = fit.store()
+    finally:
+        fit.close()
+    rows, cols = weights.shape[:2]
+    assert rows * cols == 6 and unit_mqe.shape == (rows, cols)
+    d = cdist(data, weights.reshape(6, 2))
+    assert (bmu_rows * cols + bmu_cols).tolist() == d.argmin(axis=1).tolist()
+    assert np.isfinite(unit_mqe).all()
 
 
 def _counted_fit(monkeypatch, fit):
@@ -907,7 +1000,7 @@ import numpy as np
 from ghsomkit import DataMatrix, GhsomParams, GhsomTree, _kernel, nested_blobs, run_ghsom
 from ghsomkit import tree_to_json
 from ghsomkit.evaluation import sweep
-from ghsomkit.ghsom import INIT_NOISE, SIGMA_FLOOR, TABLE_FLOATS, SomMap
+from ghsomkit.ghsom import INIT_NOISE, SIGMA_FLOOR, SomMap
 if len(sys.argv) > 1:
     lib = _kernel.load(sys.argv[1])
     _kernel.library = lambda: lib
@@ -925,7 +1018,7 @@ params = GhsomParams(lam=40, rng_seed=2**64 + 5)
 fit = _kernel.Fit(m.values, np.arange(60), 9, 11, np.random.default_rng(5).normal(size=(9, 11, 3)),
                   lam=params.lam, alpha0=params.alpha0, sigma0=None, sigma_floor=SIGMA_FLOOR,
                   noise=INIT_NOISE, seed=params.rng_seed, path="1x0-0x2", threshold=0.0,
-                  max_units=240, max_insertions=64, table_floats=TABLE_FLOATS)
+                  max_units=240, max_insertions=64)
 fit.train(81)
 som = SomMap(9, 11, None, 1.0, 2, "1x0-0x2", np.arange(60))
 som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
@@ -1191,6 +1284,31 @@ def test_fitted_trees_match_golden_digests(case, blob_matrix, nested_matrix):
         text = tree_to_json(tree)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_TREES[case]
+
+
+@pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
+                                      "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
+def test_golden_digests_hold_under_numpys_other_exp_loops(disabled):
+    # numpy without its AVX-512 loops, and without its AVX2 ones too, as it
+    # runs on CPUs that lack them: the fits do not use numpy's exp, so the
+    # digests hold
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        pytest.skip(f"numpy {np.__version__} does not know the CPU feature names {disabled}")
+    path = [str(Path(_kernel.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "NPY_DISABLE_CPU_FEATURES": disabled}
+    code = ("from numpy._core._multiarray_umath import __cpu_features__ as f; "
+            "print(f['AVX512_SKX'], f['X86_V3'])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+    assert done.stdout.split()[0] == "False"
+    if "X86_V3" in disabled:
+        assert done.stdout.split()[1] == "False"
+    test = f"{__file__}::test_fitted_trees_match_golden_digests"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert done.returncode == 0, done.stdout[-4000:]
+    assert f"{len(GOLDEN_TREES)} passed" in done.stdout
 
 
 # ---------------------------------------------------------------- pruning
