@@ -1,9 +1,9 @@
 /* Compiled inner loops of ghsomkit: a map fit's context (initial weights,
    schedule, neighbourhood exp, SOM training, BMU assignment, stop verdict
-   and row/column insertion), the maps' random streams and the CSV number
-   block.  The library exports the context's fit_open, fit_train,
-   fit_grow, fit_store and fit_close, and parse_block; everything else is
-   static.
+   and row/column insertion), the maps' random streams, the
+   Calinski-Harabasz sums and the CSV number block.  The library exports
+   the context's fit_open, fit_train, fit_grow, fit_store and fit_close,
+   ch_sums and parse_block; everything else is static.
 
    Each SOM function performs the float operations of the numpy
    expressions it stands for, in the same order, so its results are the
@@ -976,6 +976,67 @@ int fit_store(const fit_t *f, double *w, double *unit_mqe, int64_t *bmu_rows,
         bmu_rows[i] = f->index[i] / f->cols;
         bmu_cols[i] = f->index[i] % f->cols;
     }
+    return 0;
+}
+
+/* ---- Calinski-Harabasz sums ----------------------------------------------
+
+   The between- and within-cluster sums of evaluation.ch_index for the
+   C-contiguous (n, dim) rows x, grouped by cluster: cluster j is the next
+   sizes[j] >= 1 rows.  With the (dim) data mean center, out[0] is bgss and
+   out[1] wgss as these numpy expressions give them:
+
+       centroids = np.array([x[a:b].sum(axis=0) for a, b in spans]) / sizes[:, None]
+       between = sizes * ((centroids - center) ** 2).sum(axis=1)
+       within = [((x[a:b] - centroid) ** 2).sum() for each cluster]
+       bgss, wgss = np.cumsum(between)[-1], np.cumsum(within)[-1]
+
+   that is column_sums of the cluster's rows, divided by its size; the
+   size times 0.0 plus the pairwise sum of the squared differences to the
+   center; 0.0 plus one pairwise run over the cluster's squared
+   differences to its centroid, in row-major order; each total added up
+   in cluster order from the first term.  Returns 0; -1 when out of
+   memory and -2 when the sizes are not positive or do not add up to n. */
+int ch_sums(const double *x, int64_t n, int64_t dim, const int64_t *sizes, int64_t k,
+            const double *center, double *out)
+{
+    int64_t total = 0, largest = 0;
+    for (int64_t j = 0; j < k; j++) {
+        if (sizes[j] < 1)
+            return -2;
+        total += sizes[j];
+        largest = sizes[j] > largest ? sizes[j] : largest;
+    }
+    if (total != n)
+        return -2;
+    double *centroid = malloc(sizeof(double) * (size_t)(dim + largest * dim));
+    if (centroid == NULL)
+        return -1;
+    double *squares = centroid + dim;
+    double bgss = 0.0, wgss = 0.0;
+    for (int64_t j = 0; j < k; j++) {
+        int64_t size = sizes[j];
+        column_sums(x, size, dim, NULL, centroid, NULL);
+        for (int64_t d = 0; d < dim; d++) {
+            centroid[d] = centroid[d] / (double)size;
+            double t = centroid[d] - center[d];
+            squares[d] = t * t;
+        }
+        double between = (double)size * (0.0 + pairwise_sum(squares, dim));
+        for (int64_t i = 0; i < size; i++) {
+            for (int64_t d = 0; d < dim; d++) {
+                double t = x[i * dim + d] - centroid[d];
+                squares[i * dim + d] = t * t;
+            }
+        }
+        double within = 0.0 + pairwise_sum(squares, size * dim);
+        bgss = j ? bgss + between : between;
+        wgss = j ? wgss + within : within;
+        x += size * dim;
+    }
+    free(centroid);
+    out[0] = bgss;
+    out[1] = wgss;
     return 0;
 }
 

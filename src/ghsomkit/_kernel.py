@@ -1,9 +1,10 @@
 """Loader of the compiled kernel in ``_kernel.c``: a map fit's context
 (initial weights, schedule, neighbourhood ``exp``, SOM training, BMU
-assignment, stop verdict and row/column insertion), random streams and
-the CSV number block. Python reaches it through ``Fit`` and
-``parse_block`` only: the library exports the context's five ``fit_*``
-functions and ``parse_block``.
+assignment, stop verdict and row/column insertion), random streams, the
+Calinski-Harabasz sums and the CSV number block. Python reaches it
+through ``Fit``, ``ch_sums`` and ``parse_block`` only: the library
+exports the context's five ``fit_*`` functions, ``ch_sums`` and
+``parse_block``.
 
 Each map fit runs in one kernel context, ``Fit``, which starts the map
 from its data or, given weights, from those. It gathers the routed
@@ -55,6 +56,15 @@ distance of weights summed in numpy's pairwise order (the training
 pass's sum), not the ``np.linalg.norm`` of the difference, whose BLAS
 dot product rounds as the BLAS build does. The two choices differ only
 where two neighbours' distances agree in their last bits.
+
+``ch_sums`` computes ``evaluation.ch_index``'s between- and
+within-cluster sums from the rows grouped by cluster in one call, with
+the numpy operations that code documents, in their order: each
+cluster's column sums (rows added in order, or one pairwise run for a
+single column), the divisions by the sizes, the pairwise row sums of
+the squared centroid offsets times the sizes, one flat pairwise sum of
+each cluster's squared deviations, and each total added up in cluster
+order.
 
 ``parse_block`` reads the body of a CSV file in place and both validates
 and parses it in one pass. It accepts records of a fixed number of
@@ -148,7 +158,9 @@ def load(path) -> ctypes.CDLL:
     lib.fit_train.argtypes = [_P, ctypes.c_uint64]
     lib.fit_store.argtypes = [_P, _P, _P, _P, _P]
     lib.fit_grow.argtypes = lib.fit_close.argtypes = [_P]
-    for f in (lib.parse_block, lib.fit_open, lib.fit_train, lib.fit_grow, lib.fit_store):
+    lib.ch_sums.argtypes = [_F64, _N, _N, _I64, _N, _F64, _F64]
+    for f in (lib.parse_block, lib.fit_open, lib.fit_train, lib.fit_grow, lib.fit_store,
+              lib.ch_sums):
         f.restype = ctypes.c_int
     lib.fit_close.restype = None
     return lib
@@ -309,3 +321,24 @@ def parse_block(data: bytes, pos, fields, label, limit, values, spans) -> bool:
         raise ValueError("parse_block: inconsistent arguments")
     return library().parse_block(data, len(data), pos, rows, fields, label, limit,
                                  values, spans) == 0
+
+
+def ch_sums(grouped, sizes, center) -> tuple[float, float]:
+    """The between- and within-cluster sums of ``evaluation.ch_index``,
+    ``(bgss, wgss)``, in one call: ``grouped`` holds the ``(n, dim)``
+    rows cluster by cluster, ``sizes`` the ``k`` positive cluster sizes
+    that add up to ``n`` and ``center`` the ``(dim,)`` data mean. Each is
+    summed with numpy's operations in the order ``ch_index`` documents."""
+    grouped = np.ascontiguousarray(grouped, dtype=np.float64)
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    center = np.ascontiguousarray(center, dtype=np.float64)
+    if grouped.ndim != 2 or sizes.ndim != 1 or center.shape != grouped.shape[1:]:
+        raise ValueError("ch_sums: the sizes or the center do not match the rows")
+    out = np.empty(2)
+    code = library().ch_sums(grouped, *grouped.shape, sizes, len(sizes), center, out)
+    if code == -1:
+        raise MemoryError("ch_sums: out of memory")
+    if code:
+        raise ValueError("ch_sums: the cluster sizes are not positive or do not add up "
+                         "to the rows")
+    return float(out[0]), float(out[1])

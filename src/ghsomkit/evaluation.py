@@ -4,8 +4,10 @@ Internal quality uses the Calinski-Harabasz ratio of between- to
 within-cluster dispersion; external quality (when reference labels
 exist) uses the Adjusted Rand Index. ``sweep`` scores every (tau1, tau2)
 cell with both plus tree shape, which is how the thresholds get picked in
-practice. It fits one tree per tau1 and derives that row's tau2 cells by
-pruning, because tau2 only decides which units get a child map.
+practice. It fits one tree per tau1, because tau2 only decides which
+units get a child map, and scores that row's tau2 cells from one
+flattening of the tree (``ghsom.FlatTree``): each cell keeps the maps
+``ghsom.prune`` would keep, without a pruned copy of the tree.
 """
 
 from __future__ import annotations
@@ -14,21 +16,15 @@ import csv
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
+from itertools import compress
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
+from . import _kernel
 from .data import DataMatrix
-from .ghsom import (
-    GhsomParams,
-    GhsomTree,
-    LeafPartition,
-    dumps_stable,
-    leaf_partition,
-    prune,
-    run_ghsom,
-)
+from .ghsom import FlatTree, GhsomParams, LeafPartition, dumps_stable, run_ghsom
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +37,17 @@ def ch_index(partition: LeafPartition, m: DataMatrix) -> float:
     with c_k the cluster centroids and c the global centroid. Zero
     within-cluster scatter with separated centroids returns +inf; zero
     scatter on both sides returns 0.0. K < 2 or N <= K is an error.
+
+    The clusters are taken in name order, each with its rows in sample
+    order. ``c`` is ``m.values.mean(axis=0)``, and one kernel call
+    (``_kernel.ch_sums``) computes the two sums as these numpy
+    expressions give them, bit for bit::
+
+        c_k = rows_k.sum(axis=0) / n_k
+        between_k = n_k * ((c_k - c) ** 2).sum(axis=1)
+        within_k = ((rows_k - c_k) ** 2).sum()
+
+    each sum summed in cluster order from its first term.
     """
     if partition.sample_ids != m.sample_ids:
         raise ValueError("partition and data matrix list different sample ids")
@@ -52,20 +59,11 @@ def ch_index(partition: LeafPartition, m: DataMatrix) -> float:
     if n <= k:
         raise ValueError(f"ch_index needs more samples than clusters (n={n}, K={k})")
     members = [partition.members(c) for c in names]
-    sizes = np.array([len(ix) for ix in members])
-    ends = np.cumsum(sizes).tolist()
-    spans = list(zip([0, *ends], ends))
-    # rows grouped by cluster, each cluster's rows in sample order: its
-    # sums below are the ones numpy takes of that cluster's own rows
+    # rows grouped by cluster, each cluster's rows in sample order; the
+    # gather gives C order whatever the order of the values
     grouped = m.values[np.concatenate(members)]
     center = m.values.mean(axis=0)
-    centroids = np.array([grouped[a:b].sum(axis=0) for a, b in spans]) / sizes[:, None]
-    between = sizes * ((centroids - center) ** 2).sum(axis=1)
-    scatter = (grouped - np.repeat(centroids, sizes, axis=0)) ** 2
-    within = np.array([scatter[a:b].sum() for a, b in spans])
-    # summed in cluster order, as a running float sum adds them
-    bgss = float(np.cumsum(between)[-1])
-    wgss = float(np.cumsum(within)[-1])
+    bgss, wgss = _kernel.ch_sums(grouped, [len(ix) for ix in members], center)
     if wgss == 0.0:
         return float("inf") if bgss > 0.0 else 0.0
     return (bgss / (k - 1)) / (wgss / (n - k))
@@ -156,15 +154,17 @@ def _fail(cell: SweepCell, exc: Exception) -> None:
 
 def _score_cell(
     cell: SweepCell,
-    tree: GhsomTree,
+    flat: FlatTree,
     m: DataMatrix,
     labels: Sequence | None,
 ) -> None:
     try:
-        part = leaf_partition(tree)
+        keep = flat.survivors(cell.tau2)
+        part = flat.partition(keep)
+        kept = list(compress(flat.maps, keep))
         cell.leaf_count = len(part.cluster_names())
-        cell.depth = tree.depth()
-        cell.total_units = tree.total_units()
+        cell.depth = max(som.depth for som in kept)
+        cell.total_units = sum(som.rows * som.cols for som in kept)
         try:
             cell.ch = ch_index(part, m)
         except ValueError:
@@ -187,18 +187,24 @@ def sweep(
 
     All cells share ``params_base`` (including the seed), so each cell
     holds what a direct ``run_ghsom`` at its thresholds would give. Each
-    tau1 row is fitted once, at its smallest valid tau2, and every cell
-    of the row is scored on that tree pruned to the cell's tau2 (see
-    ``ghsom.prune``). A cell with invalid parameters records its
-    validation error; a row whose fit raises records that error on each
-    of its valid cells; a cell whose scoring raises records its own
-    error. The sweep continues past each of these. ``threads`` is
+    tau1 row is fitted once, at its smallest valid tau2, and flattened
+    once (``ghsom.FlatTree``). Each cell of the row is scored from that
+    flattening: the maps a fit at the cell's tau2 keeps, by the rule
+    ``ghsom.prune`` applies, give its leaves, depth and units, and no
+    pruned tree is built. ``labels``, when given, must hold one label per
+    sample; otherwise, or with an empty axis, ``sweep`` raises ValueError
+    before it fits anything. A cell with invalid parameters records its
+    validation error; a row whose fit or flattening raises records that
+    error on each of its valid cells; a cell whose scoring raises records
+    its own error. The sweep continues past each of these. ``threads`` is
     ignored: a thread pool over cells only slowed sweeps down under the
     interpreter lock. The keyword stays because existing callers, among
     them the benchmark in ``bench/``, still pass it.
     """
     if not tau1_values or not tau2_values:
         raise ValueError("tau1_values and tau2_values must be non-empty")
+    if labels is not None and len(labels) != m.n_samples:
+        raise ValueError(f"labels length {len(labels)} != {m.n_samples} samples")
     t1s = sorted({float(v) for v in tau1_values}, reverse=True)
     t2s = sorted({float(v) for v in tau2_values}, reverse=True)
     cells = {}
@@ -215,13 +221,13 @@ def sweep(
         if not row:
             continue
         try:
-            deep = run_ghsom(m, replace(params_base, tau1=t1, tau2=row[-1].tau2))
+            flat = FlatTree(run_ghsom(m, replace(params_base, tau1=t1, tau2=row[-1].tau2)))
         except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
             for cell in row:
                 _fail(cell, exc)
             continue
         for cell in row:
-            _score_cell(cell, prune(deep, cell.tau2), m, labels)
+            _score_cell(cell, flat, m, labels)
     return SweepGrid(tau1_values=t1s, tau2_values=t2s, cells=cells)
 
 

@@ -193,8 +193,23 @@ class LeafPartition:
         # sorting the names with np.unique costs more than the grouping
         codes = {c: k for k, c in enumerate(dict.fromkeys(self.clusters))}
         n = len(self.clusters)
-        inverse = np.fromiter(map(codes.__getitem__, self.clusters), np.intp, n)
-        self._index = dict(zip(codes, _split(np.arange(n), inverse, len(codes))))
+        self._group(list(codes), np.fromiter(map(codes.__getitem__, self.clusters), np.intp, n))
+
+    @classmethod
+    def _of_codes(cls, sample_ids: list[str], names: list[str],
+                  codes: np.ndarray) -> LeafPartition:
+        """The partition that puts sample ``i`` in cluster
+        ``names[codes[i]]``, for codes that number the clusters by first
+        appearance, as ``__post_init__`` numbers them: the grouping is
+        taken as given, not derived again from the names."""
+        part = cls.__new__(cls)
+        part.sample_ids = sample_ids
+        part.clusters = np.array(names, dtype=object)[codes].tolist()
+        part._group(names, codes)
+        return part
+
+    def _group(self, names: list[str], codes: np.ndarray) -> None:
+        self._index = dict(zip(names, _split(np.arange(len(codes)), codes, len(names))))
 
     def cluster_names(self) -> list[str]:
         return sorted(self._index)
@@ -462,6 +477,87 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
     return tree
 
 
+class FlatTree:
+    """A fitted tree flattened once, to be cut at any ``tau2`` at or above
+    its own without copying a map.
+
+    ``maps`` are the tree's maps in ``GhsomTree.iter_maps`` order, each
+    after its parent map, and the units are numbered over the whole tree:
+    map ``k``'s from ``start[k]`` in row-major order, ``start[-1]`` being
+    the number of units. Map ``k > 0`` refines unit ``key[k]`` of map
+    ``parent[k]``, the unit numbered ``hang[k]``. ``reach[d, i]`` is the
+    unit that sample ``i`` reaches in the maps ``d`` levels below the
+    root, or ``start[-1]`` where no map of that level routes it.
+    """
+
+    def __init__(self, tree: GhsomTree):
+        self.tree = tree
+        self.maps = maps = list(tree.iter_maps())
+        number = {id(som): k for k, som in enumerate(maps)}
+        self.start = np.cumsum([0] + [som.rows * som.cols for som in maps]).tolist()
+        self.parent, self.key, self.hang = [0] * len(maps), [None] * len(maps), [-1] * len(maps)
+        level = [0] * len(maps)
+        for k, som in enumerate(maps):
+            for (row, col), child in som.children.items():
+                c = number[id(child)]
+                self.parent[c], self.key[c] = k, (row, col)
+                self.hang[c] = self.start[k] + row * som.cols + col
+                level[c] = level[k] + 1
+        # every map's routed samples and their units, in one array each
+        counts = [len(som.sample_indices) for som in maps]
+        units = np.concatenate([som.bmu_rows for som in maps]) * np.repeat(
+            [som.cols for som in maps], counts)
+        units += np.concatenate([som.bmu_cols for som in maps])
+        units += np.repeat(self.start[:-1], counts)
+        self.reach = np.full((max(level) + 1, len(tree.sample_ids)), self.start[-1],
+                             dtype=np.intp)
+        self.reach[np.repeat(level, counts),
+                   np.concatenate([som.sample_indices for som in maps])] = units
+
+    def survivors(self, tau2: float) -> list[bool]:
+        """Which maps the fit at ``tau2`` keeps, by map number: the root,
+        and each child map whose parent map survives and whose unit's mqe
+        is at or above the parent's expansion threshold at ``tau2``,
+        compared as ``expand_hierarchy`` compares it."""
+        params = replace(self.tree.params, tau2=tau2)
+        keep = [True]
+        for k in range(1, len(self.maps)):
+            up = self.maps[self.parent[k]]
+            keep.append(keep[self.parent[k]] and bool(
+                up.unit_mqe[self.key[k]] >= _expansion_threshold(self.tree, up, params)))
+        return keep
+
+    def partition(self, keep: list[bool] | None = None) -> LeafPartition:
+        """The leaf partition of the tree of the maps ``keep`` names (of
+        every map by default): each sample at the first unit on its path
+        that has no kept child map. Only the units samples end at are
+        named."""
+        if keep is None:
+            keep = [True] * len(self.maps)
+        # a sample at a unit with a kept child map steps down into it;
+        # one that a map does not route (number start[-1]) is at no leaf
+        inner = np.zeros(self.start[-1] + 1, dtype=bool)
+        inner[[h for h, kept in zip(self.hang[1:], keep[1:]) if kept]] = True
+        leaf = self.reach[0].copy()
+        for below in self.reach[1:]:
+            down = inner[leaf]
+            leaf[down] = below[down]
+        missing = np.flatnonzero(leaf == self.start[-1])
+        if missing.size:
+            missing = [self.tree.sample_ids[i] for i in missing[:5]]
+            raise RuntimeError(f"samples not reachable at any leaf: {missing}")
+        ends, first, codes = np.unique(leaf, return_index=True, return_inverse=True)
+        # clusters numbered in order of first appearance
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        units = ends[order]
+        owner = np.searchsorted(self.start, units, side="right") - 1
+        names = [self.maps[k].unit_path(*divmod(u - self.start[k], self.maps[k].cols))
+                 for u, k in zip(units.tolist(), owner.tolist())]
+        return LeafPartition._of_codes(list(self.tree.sample_ids), names, rank[codes])
+
+
 def prune(tree: GhsomTree, tau2: float) -> GhsomTree:
     """The tree ``run_ghsom`` fits at a larger ``tau2``, from one fitted
     at a smaller one with the same other parameters.
@@ -469,9 +565,9 @@ def prune(tree: GhsomTree, tau2: float) -> GhsomTree:
     ``tau2`` only decides which units get a child map, and a child map's
     fit reads neither ``tau2`` nor its siblings: its random streams come
     from (seed, path). So the larger-``tau2`` tree is this one without
-    the child maps whose unit falls below the new threshold, compared
-    exactly as ``expand_hierarchy`` compares it. The result shares the
-    weight, assignment and error arrays of ``tree``.
+    the child maps that ``FlatTree.survivors`` drops at the new
+    threshold. The result shares the weight, assignment and error arrays
+    of ``tree``.
     """
     params = replace(tree.params, tau2=tau2)
     params.validate()
@@ -479,22 +575,13 @@ def prune(tree: GhsomTree, tau2: float) -> GhsomTree:
         raise ValueError(
             f"prune can only raise tau2: {tau2} < fitted tau2 {tree.params.tau2}"
         )
-
-    return replace(tree, root=_pruned(tree, tree.root, params), params=params)
-
-
-def _pruned(tree: GhsomTree, som: SomMap, params: GhsomParams) -> SomMap:
-    # a module-level function, not a closure: a recursive closure is a
-    # reference cycle that would keep ``tree`` alive until the cyclic
-    # collector runs
-    threshold = _expansion_threshold(tree, som, params)
-    out = copy.copy(som)
-    out.children = {
-        key: _pruned(tree, child, params)
-        for key, child in som.children.items()
-        if som.unit_mqe[key] >= threshold
-    }
-    return out
+    flat = FlatTree(tree)
+    kept = {id(som): copy.copy(som) for som, keep in zip(flat.maps, flat.survivors(tau2))
+            if keep}
+    for som in kept.values():
+        som.children = {key: kept[id(child)] for key, child in som.children.items()
+                        if id(child) in kept}
+    return replace(tree, root=kept[id(tree.root)], params=params)
 
 
 def _check_refinement(tree: GhsomTree) -> None:
@@ -534,32 +621,11 @@ def find_cluster(tree: GhsomTree, path: str) -> np.ndarray:
 def leaf_partition(tree: GhsomTree) -> LeafPartition:
     """Flatten the tree: every sample labeled with its leaf unit's path.
 
-    Each map, after its parent, numbers its routed samples with their
-    units, counted over the whole tree, so a sample ends with the number
-    of its leaf unit, one without a child map. Only the units samples end
-    at are named.
+    A sample's leaf is the first unit on its path from the root that has
+    no child map (``FlatTree.partition`` with every map kept). Only the
+    units samples end at are named.
     """
-    maps = list(tree.iter_maps())
-    starts = np.cumsum([0] + [som.rows * som.cols for som in maps]).tolist()
-    units = starts[-1]
-    code = np.full(len(tree.sample_ids), units, dtype=np.intp)
-    # a sample that ends at a unit with a child map, or never routed
-    # (number ``units``), is at no leaf
-    inner = np.zeros(units + 1, dtype=bool)
-    inner[units] = True
-    for som, start in zip(maps, starts):
-        code[som.sample_indices] = som.bmu_rows * som.cols + (som.bmu_cols + start)
-        if som.children:
-            inner[[start + row * som.cols + col for row, col in som.children]] = True
-    missing = [tree.sample_ids[i] for i in np.flatnonzero(inner[code])]
-    if missing:
-        raise RuntimeError(f"samples not reachable at any leaf: {missing[:5]}")
-    ends = np.flatnonzero(np.bincount(code, minlength=units))
-    owner = np.searchsorted(starts, ends, side="right") - 1
-    names = np.empty(units, dtype=object)
-    names[ends] = [maps[k].unit_path(*divmod(u - starts[k], maps[k].cols))
-                   for u, k in zip(ends.tolist(), owner.tolist())]
-    return LeafPartition(sample_ids=list(tree.sample_ids), clusters=names[code].tolist())
+    return FlatTree(tree).partition()
 
 
 # ---------------------------------------------------------------------------

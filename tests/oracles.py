@@ -166,18 +166,24 @@ def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=N
     entropy = [int(seed), int(stream), *path.encode("utf-8")]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
 
+    # every step's neighbourhood weights, exp(grid_d2 * coef), in one call
+    # of ``exp``: one row per step, one column per distinct squared grid
+    # distance (numpy's operations on arrays round as on Python floats)
     total = lam * n
+    frac = 1.0 - np.arange(total) / total
+    sigma = np.maximum(0.5, sigma0 * frac)
+    distinct, slot = np.unique(grid_d2, return_inverse=True)
+    table = exp(np.multiply.outer(-0.5 / (sigma * sigma), distinct))
+    slot = slot.reshape(grid_d2.shape)
     t = 0
     for _ in range(lam):
         order = rng.permutation(n)
         for i in order:
-            frac = 1.0 - t / total
-            alpha = alpha0 * frac
-            sigma = max(0.5, sigma0 * frac)
+            alpha = alpha0 * frac[t]
             x = x_local[i]
             diff = x - w
             best = int(np.argmin((diff * diff).sum(axis=1)))
-            h = exp(grid_d2[best] * (-0.5 / (sigma * sigma)))
+            h = table[t, slot[best]]
             w += (alpha * h)[:, None] * diff
             t += 1
 

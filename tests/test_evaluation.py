@@ -17,10 +17,13 @@ from ghsomkit import (
     ch_index,
     gaussian_blobs,
     leaf_partition,
+    nested_blobs,
+    prune,
     run_ghsom,
     sweep,
 )
 from ghsomkit.evaluation import SweepCell, save_sweep_summary, sweep_summary, sweep_to_csv
+from ghsomkit.ghsom import FlatTree
 from oracles import ari_contingency, ari_pair_counting, ch_index_loop, ch_naive
 
 
@@ -319,6 +322,81 @@ def test_sweep_rejects_empty_axes(sweep_inputs):
     m, params = sweep_inputs
     with pytest.raises(ValueError, match="non-empty"):
         sweep(m, params, [], [0.1])
+
+
+def test_sweep_rejects_misaligned_labels_before_fitting(sweep_inputs, monkeypatch):
+    m, params = sweep_inputs
+    import ghsomkit.evaluation as ev
+
+    fitted = []
+    monkeypatch.setattr(ev, "run_ghsom", lambda matrix, p, threads=1: fitted.append(p))
+    with pytest.raises(ValueError, match="labels length 59 != 60 samples"):
+        sweep(m, params, [0.3, 0.1], [0.5, 0.2], labels=m.labels[:-1])
+    assert fitted == []
+
+
+def _direct_cell(m, params, labels):
+    """The cell a sweep must give at ``params``, from a direct fit."""
+    tree = run_ghsom(m, params)
+    part = leaf_partition(tree)
+    try:
+        ch = ch_index(part, m)
+    except ValueError:
+        ch = float("nan")
+    return SweepCell(tau1=params.tau1, tau2=params.tau2, ch=ch, ari=ari(part, labels),
+                     leaf_count=len(part.cluster_names()), depth=tree.depth(),
+                     total_units=tree.total_units())
+
+
+def _boundary_tau2(tree):
+    """The tau2 values above the fitted one at which a child map's unit
+    error is exactly its expansion threshold, where ``>=`` keeps the child
+    and ``>`` would drop it."""
+    for som in tree.iter_maps():
+        reference = tree.mqe0 if tree.params.depth_reference == "global" else som.parent_mqe
+        for key in som.children:
+            error = float(som.unit_mqe[key])
+            tau2 = error / reference
+            if tree.params.tau2 < tau2 <= 1 and tau2 * reference == error:
+                yield tau2
+
+
+@pytest.mark.parametrize("data_seed", [0, 1, 2, None])
+@pytest.mark.parametrize("depth_reference", ["global", "parent"])
+@pytest.mark.parametrize("max_depth", [2, 10])
+def test_sweep_cells_equal_direct_fits(data_seed, depth_reference, max_depth):
+    # small two-scale data at three seeds, and equal rows (None) whose
+    # cells have a single leaf; the tau lists hold a duplicate, an invalid
+    # value and every tau2 at which a unit's error equals its threshold,
+    # so the rule is checked where it is tight, and (data seed 2, parent
+    # reference, tau1 0.3) where a map is pruned whose child map's unit
+    # still reaches its own threshold
+    if data_seed is None:
+        m = DataMatrix(np.zeros((12, 2)), [f"s{i}" for i in range(12)], ["f0", "f1"],
+                       labels=list("aabbccddeeff"))
+    else:
+        m = nested_blobs(n_coarse=3, n_sub=2, per_sub=6, dim=3, spread=0.2, seed=data_seed)
+    base = GhsomParams(lam=5, rng_seed=data_seed or 0, max_depth=max_depth,
+                       depth_reference=depth_reference)
+    tau1s = [0.6, 0.3, 0.3]
+    tau2s = [0.5, 0.2, 0.05, 0.05, 0.0]
+    deep = {t1: run_ghsom(m, replace(base, tau1=t1, tau2=0.05)) for t1 in tau1s}
+    tau2s += sorted({t for tree in deep.values() for t in _boundary_tau2(tree)})
+    grid = sweep(m, base, tau1s, tau2s, labels=m.labels)
+    assert len(grid.cells) == 2 * len(set(tau2s))
+    assert all(grid.cell(t1, 0.0).error == "tau2 must be in (0, 1]" for t1 in tau1s)
+    single = 0
+    for (t1, t2), cell in grid.cells.items():
+        if t2 == 0.0:
+            continue
+        want = _direct_cell(m, replace(base, tau1=t1, tau2=t2), m.labels)
+        assert _bits(cell.ch) == _bits(want.ch), (t1, t2)
+        assert replace(cell, ch=None) == replace(want, ch=None), (t1, t2)
+        flat = FlatTree(deep[t1])
+        got = flat.partition(flat.survivors(t2)).clusters
+        assert got == leaf_partition(prune(deep[t1], t2)).clusters, (t1, t2)
+        single += cell.leaf_count == 1
+    assert (single > 0) == (data_seed is None)
 
 
 def test_sweep_csv_and_summary_roundtrip(tmp_path, sweep_inputs):

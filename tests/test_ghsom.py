@@ -578,13 +578,15 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
-    # Python reaches the kernel through the fit context and the CSV
-    # parser only: a growth cycle is one call, and neither exp nor the
-    # entries that trained, drew or grew outside a context are exported
-    for name in ("fit_open", "fit_train", "fit_grow", "fit_store", "fit_close", "parse_block"):
+    # Python reaches the kernel through the fit context, the CSV parser
+    # and the Calinski-Harabasz sums only: a growth cycle is one call, and
+    # neither exp, the sums they share nor the entries that trained, drew
+    # or grew outside a context are exported
+    for name in ("fit_open", "fit_train", "fit_grow", "fit_store", "fit_close", "parse_block",
+                 "ch_sums"):
         assert hasattr(lib, name), name
     for name in ("fit_begin", "fit_step", "exp_block", "exp_rare", "train_steps", "uniform",
-                 "grow", "nearest"):
+                 "grow", "nearest", "pairwise_sum", "column_sums"):
         assert not hasattr(lib, name), name
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
@@ -993,13 +995,16 @@ def test_failed_fit_closes_its_context(monkeypatch):
 
 # the fits the kernel built with AddressSanitizer and UBSan must give as
 # the normal build gives them: a growth-capped noise map, a 9x11 map
-# whose cycle spans several kernel blocks, and a sweep
+# whose cycle spans several kernel blocks, a sweep, and Calinski-Harabasz
+# indices of partitions with singletons, one attribute, equal rows
+# (within-cluster sum 0) and clusters of more than 128 values, in C and
+# Fortran order
 SANITIZER_FITS = """
 import hashlib, json, logging, sys
 import numpy as np
-from ghsomkit import DataMatrix, GhsomParams, GhsomTree, _kernel, nested_blobs, run_ghsom
-from ghsomkit import tree_to_json
-from ghsomkit.evaluation import sweep
+from ghsomkit import DataMatrix, GhsomParams, GhsomTree, LeafPartition, _kernel, nested_blobs
+from ghsomkit import run_ghsom, tree_to_json
+from ghsomkit.evaluation import ch_index, sweep
 from ghsomkit.ghsom import INIT_NOISE, SIGMA_FLOOR, SomMap
 if len(sys.argv) > 1:
     lib = _kernel.load(sys.argv[1])
@@ -1030,6 +1035,18 @@ grid = sweep(m, GhsomParams(lam=10, rng_seed=5), (0.6, 0.45, 0.3), (0.2, 0.1, 0.
              labels=m.labels)
 out["sweep"] = repr([(c.tau1, c.tau2, repr(c.ch), repr(c.ari), c.leaf_count, c.depth,
                       c.total_units, c.error) for _, c in sorted(grid.cells.items())])
+rng = np.random.default_rng(7)
+ch = []
+for values, clusters in [(rng.normal(size=(9, 3)), "AABBCDEFF"),
+                         (rng.normal(size=(12, 1)), "AAABBBBCCCCC"),
+                         (np.full((6, 2), 3.0), "AABBCC"),
+                         (rng.normal(size=(300, 1)), "A" * 200 + "B" * 99 + "C"),
+                         (rng.normal(size=(300, 3)), "AB" * 75 + "C" * 150)]:
+    for order in "CF":
+        m = DataMatrix(np.asarray(values, order=order), [f"s{i}" for i in range(len(values))],
+                       [f"f{j}" for j in range(values.shape[1])])
+        ch.append(repr(ch_index(LeafPartition(m.sample_ids, list(clusters)), m)))
+out["ch"] = repr(ch)
 print(json.dumps({k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}))
 """
 
@@ -1064,7 +1081,7 @@ def test_kernel_under_sanitizers_gives_the_same_fits(tmp_path):
         assert done.returncode == 0, done.stderr[-4000:]
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
-    assert sorted(runs[0]) == ["blocks", "capped", "sweep"]
+    assert sorted(runs[0]) == ["blocks", "capped", "ch", "sweep"]
 
 
 # ---------------------------------------------------------------- full runs
