@@ -1,9 +1,10 @@
 /* Compiled inner loops of ghsomkit: a map fit's context (initial weights,
    schedule, neighbourhood exp, SOM training, BMU assignment, stop verdict
    and row/column insertion), the maps' random streams, the
-   Calinski-Harabasz sums and the CSV number block.  The library exports
-   the context's fit_open, fit_train, fit_grow, fit_store and fit_close,
-   ch_sums and parse_block; everything else is static.
+   Calinski-Harabasz sums and the CSV number block and line count.  The
+   library exports the context's fit_open, fit_train, fit_grow, fit_store
+   and fit_close, ch_sums, count_lines and parse_block; everything else is
+   static.
 
    Each SOM function performs the float operations of the numpy
    expressions it stands for, in the same order, so its results are the
@@ -20,18 +21,20 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The training pass works on 8 doubles at a time through GCC vector
-   extensions.  Every lane rounds each operation as the scalar code does,
-   so the vector width changes no bit; loads and stores go through memcpy,
-   which needs no alignment.  On x86-64 the training and exp functions are
+/* The training pass keeps a map's units in the lanes of GCC vector
+   extensions: unit u sits in lane u % 8 of block u / 8, one vector per
+   attribute, so one vector operation does one unit's operation for 8
+   units.  Every lane rounds each operation as the scalar code does, so the
+   layout changes no bit.  On x86-64 the training and exp functions are
    built for AVX-512F, x86-64-v3 (AVX2 with FMA) and the baseline, and the
    loader picks the widest the CPU supports; that dispatch (an ifunc)
    needs glibc.  Without FMA, as under target("avx2"), fma() is a call to
-   the C library's exact but slow one. */
+   the C library's exact but slow one.  Vectors go to and from functions
+   by address: passed by value, even to an always_inline function, their
+   ABI would depend on the clone's target, which GCC warns of (-Wpsabi). */
 #define LANES 8
 typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
-#define LOAD(v, p) memcpy(&(v), (p), sizeof(vec))
-#define STORE(p, v) memcpy((p), &(v), sizeof(vec))
+typedef int64_t ivec __attribute__((vector_size(LANES * sizeof(int64_t))));
 
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("avx512f", "arch=x86-64-v3", "default")))
@@ -39,63 +42,23 @@ typedef double vec __attribute__((vector_size(LANES * sizeof(double))));
 #define CLONES
 #endif
 
+/* The vector v with lane l taken from its lane idx[l]: GCC's
+   __builtin_shuffle, one permute instruction where the target has one;
+   Clang has no shuffle by a run-time index, and takes lane by lane. */
+#if defined(__clang__)
+#define PERMUTE(v, idx) ({                                                    \
+        __typeof__((v) + 0) permuted_;                                        \
+        for (int l_ = 0; l_ < LANES; l_++)                                    \
+            permuted_[l_] = (v)[(idx)[l_]];                                   \
+        permuted_;                                                            \
+    })
+#else
+#define PERMUTE(v, idx) __builtin_shuffle(v, idx)
+#endif
+
 /* numpy's pairwise summation (DOUBLE_pairwise_sum) sums up to this many
    terms with 8 accumulators, and splits longer runs in two */
 #define PW_BLOCKSIZE 128
-
-/* One unit's run of n <= PW_BLOCKSIZE weights w, in one pass: when
-   `update`, first w = w + diff * h; then diff = x - w, and the return
-   value is the sum of diff * diff in numpy's pairwise order: a plain loop
-   from -0.0 below 8 terms, otherwise 8 accumulators (the lanes of one
-   vector) combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
-   scalar tail. */
-static inline __attribute__((always_inline)) double
-fused_run(double *w, double *diff, const double *x, double h, int64_t n, int update)
-{
-    double res = -0.0;
-    int64_t k = 0;
-    if (n >= LANES) {
-        vec wv, dv, xv, acc;
-        for (; k < n - n % LANES; k += LANES) {
-            LOAD(wv, w + k);
-            LOAD(xv, x + k);
-            if (update) {
-                LOAD(dv, diff + k);
-                wv = wv + dv * h;
-                STORE(w + k, wv);
-            }
-            dv = xv - wv;
-            STORE(diff + k, dv);
-            if (k == 0)
-                acc = dv * dv;
-            else
-                acc = acc + dv * dv;
-        }
-        res = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-              ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    }
-    for (; k < n; k++) {
-        if (update)
-            w[k] = w[k] + diff[k] * h;
-        double t = x[k] - w[k];
-        diff[k] = t;
-        res += t * t;
-    }
-    return res;
-}
-
-/* fused_run over any n: above PW_BLOCKSIZE terms the two halves, split at
-   a multiple of 8, are summed recursively, as numpy does. */
-CLONES static double fused_row(double *w, double *diff, const double *x, double h,
-                               int64_t n, int update)
-{
-    if (n <= PW_BLOCKSIZE)
-        return update ? fused_run(w, diff, x, h, n, 1) : fused_run(w, diff, x, h, n, 0);
-    int64_t n2 = n / 2;
-    n2 -= n2 % LANES;
-    double left = fused_row(w, diff, x, h, n2, update);
-    return left + fused_row(w + n2, diff + n2, x + n2, h, n - n2, update);
-}
 
 /* Index of the first minimum of d[0..n), or of the first NaN if there
    is one, as np.argmin picks it. */
@@ -575,8 +538,226 @@ CLONES static void exp_block(double *a, int64_t n)
 
 /* ---- training and growth ----------------------------------------------- */
 
-/* Online SOM updates of the (rows * cols, dim) weights w, in place.  Step
-   s (0 <= s < steps) presents sample x[order[s]] of the samples x:
+/* A map's weights in lanes: unit u's attribute k is lane u % 8 of vector
+   (u / 8) * dim + k, so block B of 8 units is the dim vectors from
+   B * dim.  The pad lanes of the last block hold 0 on the way in and are
+   dropped on the way out. */
+static void to_lanes(vec *lw, const double *w, int64_t units, int64_t dim)
+{
+    int64_t blocks = (units + LANES - 1) / LANES;
+    memset(lw, 0, sizeof(vec) * (size_t)(blocks * dim));
+    for (int64_t u = 0; u < units; u++)
+        for (int64_t k = 0; k < dim; k++)
+            lw[u / LANES * dim + k][u % LANES] = w[u * dim + k];
+}
+
+static void from_lanes(double *w, const vec *lw, int64_t units, int64_t dim)
+{
+    for (int64_t u = 0; u < units; u++)
+        for (int64_t k = 0; k < dim; k++)
+            w[u * dim + k] = lw[u / LANES * dim + k][u % LANES];
+}
+
+/* One attribute of a block of 8 units: when `update`, first the step
+   w = w + (xs - w) * h towards the sample xs, the operations of numpy's
+   w + diff * h with diff = xs - w taken again rather than stored; then
+   the square of xn - w. */
+static inline __attribute__((always_inline)) void
+lane_term(vec *sq, vec *w, double xs, double xn, const vec *h, int update)
+{
+    if (update)
+        *w = *w + (xs - *w) * *h;
+    vec t = xn - *w;
+    *sq = t * t;
+}
+
+static const vec NEG_ZERO = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0};
+
+/* lane_term over a run of n <= PW_BLOCKSIZE attributes, the vectors
+   w[0..n), summed in every lane in numpy's pairwise order: a plain loop
+   from -0.0 below 8 terms, otherwise 8 accumulators combined as
+   ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail; into *res. */
+static inline __attribute__((always_inline)) void
+lane_run(vec *res, vec *w, const double *xs, const double *xn, const vec *h, int64_t n,
+         int update)
+{
+#define TERM(r, k) lane_term(&(r), w + (k), xs[k], xn[k], h, update)
+#define ADD(r, k) (TERM(t, k), (r) = (r) + t)
+    vec r0, r1, r2, r3, r4, r5, r6, r7, t, sum = NEG_ZERO;
+    int64_t k = 0;
+    if (n >= LANES) {
+        TERM(r0, 0), TERM(r1, 1), TERM(r2, 2), TERM(r3, 3);
+        TERM(r4, 4), TERM(r5, 5), TERM(r6, 6), TERM(r7, 7);
+        for (k = LANES; k < n - n % LANES; k += LANES) {
+            ADD(r0, k), ADD(r1, k + 1), ADD(r2, k + 2), ADD(r3, k + 3);
+            ADD(r4, k + 4), ADD(r5, k + 5), ADD(r6, k + 6), ADD(r7, k + 7);
+        }
+        sum = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+    }
+    for (; k < n; k++)
+        ADD(sum, k);
+    *res = sum;
+#undef ADD
+#undef TERM
+}
+
+/* lane_run over any n into *out: above PW_BLOCKSIZE terms the two halves,
+   split at a multiple of 8, are summed recursively, as numpy does. */
+CLONES static void lane_split(vec *w, const double *xs, const double *xn, const vec *h,
+                              int64_t n, int update, vec *out)
+{
+    if (n <= PW_BLOCKSIZE) {
+        if (update)
+            lane_run(out, w, xs, xn, h, n, 1);
+        else
+            lane_run(out, w, xs, xn, h, n, 0);
+        return;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % LANES;
+    vec left, right;
+    lane_split(w, xs, xn, h, n2, update, &left);
+    lane_split(w + n2, xs + n2, xn + n2, h, n - n2, update, &right);
+    *out = left + right;
+}
+
+/* Lane l of *i set to the smaller of its lanes l and perm[l]: the three
+   folds of lane_min leave the minimum in every lane. */
+static inline __attribute__((always_inline)) void
+fold_min(ivec *i, const ivec *perm)
+{
+    ivec o = PERMUTE(*i, *perm);
+    ivec take = o < *i;
+    *i = (take & o) | (~take & *i);
+}
+
+static inline __attribute__((always_inline)) void
+lane_min(ivec *i)
+{
+    fold_min(i, &(ivec){4, 5, 6, 7, 0, 1, 2, 3});
+    fold_min(i, &(ivec){2, 3, 0, 1, 6, 7, 4, 5});
+    fold_min(i, &(ivec){1, 0, 3, 2, 5, 4, 7, 6});
+}
+
+/* A map's training state in lanes: blocks * dim vectors of weights (lw),
+   blocks vectors of distances (d), the grid row and then the column of
+   each of the blocks * 8 lanes (rc, 0 in the pad lanes), and the slot of
+   every squared grid distance.  A small map, whose width distinct grid
+   distances fit one vector, also has near: lane l of near[B * units + b]
+   holds the slot of the squared grid distance of unit b and unit
+   B * 8 + l (0 in the pad lanes). */
+typedef struct {
+    vec *lw, *d;
+    const ivec *near;
+    const int64_t *rc, *slot;
+    int64_t blocks, units, dim;
+} lanes_t;
+
+/* One pass over the lanes of the map L: when `update`, each unit u first
+   steps towards the sample xs by the step's neighbourhood weight of
+   units u and b, the BMU, which is h[slot[g(b, u)]] for the squared grid
+   distance g (on a small map, lane slot[g(b, u)] of the vector hsmall,
+   one permute); then its squared distance to the next sample xn, the
+   pairwise sum, goes to d.  Returns the next BMU: the first minimum of
+   d, or its first NaN, as np.argmin picks it.  It is found by compare
+   and select: each lane keeps its first minimum over the blocks and
+   three folds across the lanes take the least distance and then the
+   first unit at it; on a small map one chain over its units is shorter.
+   The pad lanes read +inf and never win. */
+static inline __attribute__((always_inline)) int64_t
+lane_pass(const lanes_t *L, const double *xs, const double *xn, const double *h,
+          const vec *hsmall, int64_t b, int update, int small)
+{
+    static const ivec iota = {0, 1, 2, 3, 4, 5, 6, 7};
+    int64_t blocks = L->blocks, units = L->units, dim = L->dim;
+    const int64_t *rc = L->rc, *slot = L->slot;
+    int64_t br = rc[b], bc = rc[blocks * LANES + b];
+    ivec keep = iota + (blocks - 1) * LANES < units;
+    ivec pad = ~keep & 0x7ff0000000000000;  /* +inf */
+    vec best = NEG_ZERO;
+    ivec at = iota, nan = {0};
+    for (int64_t B = 0; B < blocks; B++) {
+        vec hv = {0};
+        if (update && small) {
+            hv = PERMUTE(*hsmall, L->near[B * units + b]);
+        } else if (update) {
+            const int64_t *r = rc + B * LANES, *c = r + blocks * LANES;
+#define H(l) h[slot[(r[l] - br) * (r[l] - br) + (c[l] - bc) * (c[l] - bc)]]
+            hv = (vec){H(0), H(1), H(2), H(3), H(4), H(5), H(6), H(7)};
+#undef H
+        }
+        vec dv, *w = L->lw + B * dim;
+        if (dim <= PW_BLOCKSIZE)
+            lane_run(&dv, w, xs, xn, &hv, dim, update);
+        else
+            lane_split(w, xs, xn, &hv, dim, update, &dv);
+        /* numpy's reduction adds the pairwise sum to its initial 0.0,
+           which changes no comparison, and a sum of squares is never
+           -0.0 anyway; the small map's chain stops short of the pad
+           lanes */
+        if (!small && B == blocks - 1)
+            dv = (vec)(((ivec)dv & keep) | pad);
+        L->d[B] = dv;
+        nan |= dv != dv;
+        if (B == 0 || small) {
+            best = dv;
+        } else {
+            ivec take = dv < best;
+            best = (vec)((take & (ivec)dv) | (~take & (ivec)best));
+            at = (take & (iota + B * LANES)) | (~take & at);
+        }
+    }
+    const double *d = (const double *)L->d;
+    int64_t any_nan = 0;
+    for (int l = 0; l < LANES; l++)
+        any_nan |= nan[l];
+    if (any_nan)
+        return first_argmin(d, units);
+    if (small) {
+        double least = d[0];
+        b = 0;
+        for (int64_t u = 1; u < units; u++) {
+            int take = d[u] < least;
+            b = take ? u : b;
+            least = take ? d[u] : least;
+        }
+        return b;
+    }
+    /* distances of +0.0 to +inf order as their bits do */
+    ivec least = (ivec)best;
+    lane_min(&least);
+    ivec at_least = (ivec)best == least;
+    at = (at_least & at) | (~at_least & INT64_MAX);
+    lane_min(&at);
+    return at[0];
+}
+
+/* The steps of train_block, for a small map or any other. */
+static inline __attribute__((always_inline)) void
+lane_steps(const lanes_t *L, const double *x, const int64_t *order, int64_t steps,
+           const double *table, int64_t width, const double *alpha, double *h, int small)
+{
+    int64_t dim = L->dim;
+    const double *xs = x + order[0] * dim;
+    vec hsmall = {0};
+    int64_t b = lane_pass(L, xs, xs, h, &hsmall, 0, 0, small);
+    for (int64_t s = 0; s < steps; s++) {
+        for (int64_t j = 0; j < width; j++) {
+            if (small)
+                hsmall[j] = table[j * steps + s] * alpha[s];
+            else
+                h[j] = table[j * steps + s] * alpha[s];
+        }
+        /* the last step's d is never read: it is taken against its own
+           sample rather than one past the end of order */
+        const double *xn = x + order[s + 1 < steps ? s + 1 : s] * dim;
+        b = lane_pass(L, xs, xn, h, &hsmall, b, 1, small);
+        xs = xn;
+    }
+}
+
+/* Online SOM updates of the map L in lanes (see to_lanes), in place.
+   Step s (0 <= s < steps) presents sample x[order[s]] of the samples x:
 
        diff = x - w;  d = (diff * diff).sum(axis=1);  b = argmin(d)
        w = w + diff * (table[slot[g(b, u)], s] * alpha[s])
@@ -585,37 +766,15 @@ CLONES static void exp_block(double *a, int64_t n)
    units b and u, and column s of the (width, steps) table holds the
    step's neighbourhood kernel by distinct grid distance.  One pass over
    the weights per step applies the update and at once computes the next
-   step's diff and d.  scratch holds units * dim + units + width doubles. */
-CLONES static void train_block(double *w, int64_t rows, int64_t cols, int64_t dim,
-                               const double *x, const int64_t *order, int64_t steps,
-                               const double *table, int64_t width, const int64_t *slot,
-                               const double *alpha, double *scratch)
+   step's d (lane_pass).  h holds width doubles. */
+CLONES static void train_block(const lanes_t *L, const double *x, const int64_t *order,
+                               int64_t steps, const double *table, int64_t width,
+                               const double *alpha, double *h)
 {
-    if (steps == 0)
-        return;
-    int64_t units = rows * cols;
-    double *diff = scratch, *d = diff + units * dim, *h = d + units;
-    const double *xs = x + order[0] * dim;
-    for (int64_t u = 0; u < units; u++) {
-        /* the reduction adds the pairwise sum to its initial 0.0 */
-        d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, 0.0, dim, 0);
-    }
-    for (int64_t s = 0; s < steps; s++) {
-        int64_t b = first_argmin(d, units);
-        for (int64_t j = 0; j < width; j++)
-            h[j] = table[j * steps + s] * alpha[s];
-        /* the last step's diff is never read: it is taken against its own
-           sample rather than one past the end of order */
-        xs = x + order[s + 1 < steps ? s + 1 : s] * dim;
-        int64_t br = b / cols, bc = b % cols;
-        for (int64_t r = 0; r < rows; r++) {
-            for (int64_t c = 0; c < cols; c++) {
-                int64_t u = r * cols + c;
-                double hu = h[slot[(r - br) * (r - br) + (c - bc) * (c - bc)]];
-                d[u] = 0.0 + fused_row(w + u * dim, diff + u * dim, xs, hu, dim, 1);
-            }
-        }
-    }
+    if (L->near != NULL)
+        lane_steps(L, x, order, steps, table, width, alpha, h, 1);
+    else
+        lane_steps(L, x, order, steps, table, width, alpha, h, 0);
 }
 
 /* Index of the first maximum of a[0..n), or of the first NaN if there
@@ -636,12 +795,12 @@ static int64_t first_argmax(const double *a, int64_t n)
    weights w.  The error unit is the first with the largest of the
    (rows, cols) unit_mqe; of its 4-neighbours, scanned right, left,
    below, above, the first farthest from it wins, by the squared distance
-   of their weights summed in numpy's pairwise order (diff: dim doubles
-   of scratch).  Returns 1 for a column and 2 for a row to go between
-   columns or rows *lo and *lo + 1, or -1 when no neighbour's distance
-   compares (NaN weights, or a 1x1 map). */
+   of their weights summed in numpy's pairwise order (squares: dim
+   doubles of scratch).  Returns 1 for a column and 2 for a row to go
+   between columns or rows *lo and *lo + 1, or -1 when no neighbour's
+   distance compares (NaN weights, or a 1x1 map). */
 static int pick_insertion(const double *w, int64_t rows, int64_t cols, int64_t dim,
-                          const double *unit_mqe, double *diff, int64_t *lo)
+                          const double *unit_mqe, double *squares, int64_t *lo)
 {
     static const int64_t steps[4][2] = {{0, 1}, {0, -1}, {1, 0}, {-1, 0}};
     int64_t e = first_argmax(unit_mqe, rows * cols), er = e / cols, ec = e % cols;
@@ -651,7 +810,12 @@ static int pick_insertion(const double *w, int64_t rows, int64_t cols, int64_t d
         int64_t r = er + steps[k][0], c = ec + steps[k][1];
         if (r < 0 || r >= rows || c < 0 || c >= cols)
             continue;
-        double d = fused_row((double *)w + (r * cols + c) * dim, diff, w + e * dim, 0.0, dim, 0);
+        const double *wn = w + (r * cols + c) * dim, *we = w + e * dim;
+        for (int64_t k = 0; k < dim; k++) {
+            double t = we[k] - wn[k];
+            squares[k] = t * t;
+        }
+        double d = pairwise_sum(squares, dim);
         if (d > best_d) {
             best_d = d;
             best = k;
@@ -717,13 +881,15 @@ typedef struct {
     /* private */
     int64_t dim, n, lam, width, insertions, max_units, max_insertions;
     int64_t w_cap, unit_mqe_cap, scratch_cap, table_cap, alpha_cap, coef_cap, distinct_cap,
-        slot_cap;
+        slot_cap, lanes_cap, rc_cap;
     int has_sigma0;
     int assigned;            /* index and unit_mqe hold for the current shape:
                                 cleared by an insertion, set by the next cycle */
     double alpha0, sigma0, sigma_floor, threshold;
     double *x, *w, *unit_mqe, *scratch, *table, *alpha, *coef, *distinct, *dist;
-    int64_t *order, *index, *slot;
+    vec *lanes;              /* L's lw, d and near */
+    int64_t *order, *index, *slot, *rc;
+    lanes_t L;               /* the training pass's view of the current shape */
     uint8_t *seed, *path;
     int64_t nseed, npath;
 } fit_t;
@@ -743,6 +909,22 @@ static int reserve(void **p, int64_t *cap, int64_t need, size_t size)
     return 0;
 }
 
+/* reserve for the lanes, in vectors: they must be aligned to a vector,
+   and need not keep their contents, which set_shape and to_lanes write
+   afresh */
+static int reserve_lanes(fit_t *f, int64_t need)
+{
+    if (need <= f->lanes_cap)
+        return 0;
+    vec *q = aligned_alloc(sizeof(vec), sizeof(vec) * (size_t)need);
+    if (q == NULL)
+        return -1;
+    free(f->lanes);
+    f->lanes = q;
+    f->lanes_cap = need;
+    return 0;
+}
+
 /* The steps of a full block: its table holds about TABLE_FLOATS
    doubles, max(1, TABLE_FLOATS // width). */
 static int64_t block_steps(const fit_t *f)
@@ -754,7 +936,8 @@ static int64_t block_steps(const fit_t *f)
 /* The buffers that depend on the shape: the distinct squared grid
    distances of a rows x cols map, ascending, as doubles (np.unique of
    np.add.outer(np.arange(rows) ** 2, np.arange(cols) ** 2)), the row of
-   each squared distance in that list (slot), the training scratch and
+   each squared distance in that list (slot), the units' grid rows and
+   columns by lane (rc, 0 in the pad lanes), the lanes, the scratch and
    the table.  Returns 0, or -1 when out of memory. */
 static int set_shape(fit_t *f)
 {
@@ -774,12 +957,35 @@ static int set_shape(fit_t *f)
             f->slot[g] = f->width++;
         }
     }
+    int64_t blocks = (units + LANES - 1) / LANES, padded = blocks * LANES;
+    if (reserve((void **)&f->rc, &f->rc_cap, 2 * padded, sizeof(int64_t)))
+        return -1;
+    for (int64_t u = 0; u < padded; u++) {
+        f->rc[u] = u < units ? u / cols : 0;
+        f->rc[padded + u] = u < units ? u % cols : 0;
+    }
+    int small = f->width <= LANES;
+    if (reserve_lanes(f, blocks * (f->dim + 1) + (small ? blocks * units : 0)))
+        return -1;
+    vec *d = f->lanes + blocks * f->dim;
+    ivec *near = small ? (ivec *)(d + blocks) : NULL;
+    f->L = (lanes_t){.lw = f->lanes, .d = d, .near = near, .rc = f->rc, .slot = f->slot,
+                     .blocks = blocks, .units = units, .dim = f->dim};
+    for (int64_t B = 0; small && B < blocks; B++) {
+        for (int64_t b = 0; b < units; b++) {
+            for (int64_t l = 0, u = B * LANES; l < LANES; l++, u++) {
+                int64_t dr = f->rc[u] - f->rc[b], dc = f->rc[padded + u] - f->rc[padded + b];
+                near[B * units + b][l] = u < units ? f->slot[dr * dr + dc * dc] : 0;
+            }
+        }
+    }
     int64_t block = block_steps(f), total = f->lam * f->n;
     int64_t steps = block < total ? block : total;
-    /* the training scratch, which also holds the mean and std of the
-       initial weights and the differences of the insertion */
-    return reserve((void **)&f->scratch, &f->scratch_cap,
-                   (units + 1) * f->dim + units + f->width, sizeof(double)) ||
+    /* the scratch holds a training step's neighbourhood weights, the
+       mean and std of the initial weights or the squares of the
+       insertion */
+    return reserve((void **)&f->scratch, &f->scratch_cap, 2 * f->dim + f->width,
+                   sizeof(double)) ||
            reserve((void **)&f->table, &f->table_cap, f->width * steps, sizeof(double)) ||
            reserve((void **)&f->alpha, &f->alpha_cap, steps, sizeof(double)) ||
            reserve((void **)&f->coef, &f->coef_cap, steps, sizeof(double));
@@ -793,6 +999,8 @@ void fit_close(fit_t *f)
     free(f->w);
     free(f->unit_mqe);
     free(f->scratch);
+    free(f->lanes);
+    free(f->rc);
     free(f->alpha);
     free(f->coef);
     free(f->distinct);
@@ -891,7 +1099,8 @@ int fit_open(fit_t **out, const double *data, int64_t ndata, int64_t dim,
        table = exp(np.multiply(distinct[:, None], -0.5 / (sigma * sigma)))
 
    where exp gives numpy's AVX-512 bits (exp_block).  Row 0, at
-   distance 0, is exp(-0.0) = 1. */
+   distance 0, is exp(-0.0) = 1.  The last steps of a cycle sit at the
+   radius floor and share one coef: their columns are one exp, copied. */
 static int64_t schedule(fit_t *f, int64_t start)
 {
     int64_t total = f->lam * f->n, block = block_steps(f);
@@ -906,10 +1115,18 @@ static int64_t schedule(fit_t *f, int64_t start)
         f->coef[s] = -0.5 / (sigma * sigma);
         f->table[s] = 1.0;
     }
-    for (int64_t j = 1; j < f->width; j++)
-        for (int64_t s = 0; s < steps; s++)
-            f->table[j * steps + s] = f->distinct[j] * f->coef[s];
-    exp_block(f->table + steps, (f->width - 1) * steps);
+    /* steps same .. steps - 1 have the bits of the last step's coef */
+    int64_t same = steps - 1;
+    while (same > 0 && bits_of(f->coef[same - 1]) == bits_of(f->coef[steps - 1]))
+        same--;
+    for (int64_t j = 1; j < f->width; j++) {
+        double *row = f->table + j * steps;
+        for (int64_t s = 0; s <= same; s++)
+            row[s] = f->distinct[j] * f->coef[s];
+        exp_block(row, same + 1);
+        for (int64_t s = same + 1; s < steps; s++)
+            row[s] = row[same];
+    }
     return steps;
 }
 
@@ -922,11 +1139,13 @@ int fit_train(fit_t *f, uint64_t stream)
     int64_t total = f->lam * f->n, units = f->rows * f->cols;
     if (draw_permutations(f->order, total, f->n, f->seed, f->nseed, stream, f->path, f->npath))
         return -1;
+    to_lanes(f->lanes, f->w, units, f->dim);
     for (int64_t start = 0, steps; start < total; start += steps) {
         steps = schedule(f, start);
-        train_block(f->w, f->rows, f->cols, f->dim, f->x, f->order + start, steps, f->table,
-                    f->width, f->slot, f->alpha, f->scratch);
+        train_block(&f->L, f->x, f->order + start, steps, f->table, f->width, f->alpha,
+                    f->scratch);
     }
+    from_lanes(f->w, f->lanes, units, f->dim);
     if (assign(f->x, f->n, f->w, units, f->dim, f->dist, f->index, f->unit_mqe, &f->mqe))
         return -1;
     f->assigned = 1;
@@ -1172,6 +1391,16 @@ static int parse_number(const char **pp, double *out)
         return -1;
     *out = v;
     return 0;
+}
+
+/* The number of "\n" bytes in buf[pos .. len), found by memchr. */
+int64_t count_lines(const char *buf, int64_t len, int64_t pos)
+{
+    int64_t count = 0;
+    const char *end = buf + len;
+    for (const char *p = buf + pos; (p = memchr(p, '\n', (size_t)(end - p))) != NULL; p++)
+        count++;
+    return count;
 }
 
 /* Parses the body of a CSV file: `rows` records from buf + pos to buf +

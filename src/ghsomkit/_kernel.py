@@ -1,10 +1,10 @@
 """Loader of the compiled kernel in ``_kernel.c``: a map fit's context
 (initial weights, schedule, neighbourhood ``exp``, SOM training, BMU
 assignment, stop verdict and row/column insertion), random streams, the
-Calinski-Harabasz sums and the CSV number block. Python reaches it
-through ``Fit``, ``ch_sums`` and ``parse_block`` only: the library
-exports the context's five ``fit_*`` functions, ``ch_sums`` and
-``parse_block``.
+Calinski-Harabasz sums and the CSV number block and line count. Python
+reaches it through ``Fit``, ``ch_sums``, ``count_lines`` and
+``parse_block`` only: the library exports the context's five ``fit_*``
+functions and those three.
 
 Each map fit runs in one kernel context, ``Fit``, which starts the map
 from its data or, given weights, from those. It gathers the routed
@@ -22,14 +22,24 @@ gives:
   for a single column), ``_var``'s squares and divisions and ``sqrt``;
 - per block of steps, ``frac``, ``alpha``, ``sigma``, ``coef`` and the
   ``exp`` of ``distinct * coef``, from the distinct squared grid
-  distances and their slots, which it computes for the current shape.
+  distances and their slots, which it computes for the current shape;
+  the steps at the radius floor share one ``coef`` and so one ``exp``.
   Its ``exp`` is a port of the one numpy's AVX-512 loop calls (Intel
   SVML's ``__svml_exp8_ha``), so the table holds that loop's bits on
   every CPU, whichever ``exp`` loop numpy itself would pick there;
 - one pass over the weights per training step, which applies the
-  step's update to each unit and at once computes that unit's
-  difference to the next step's sample and its squared distance, 8
-  doubles at a time, summed in numpy's pairwise order;
+  step's update to each unit and at once computes its squared distance
+  to the next step's sample, summed in numpy's pairwise order. A cycle
+  copies the weights into lanes, unit ``u`` in lane ``u % 8`` of block
+  ``u // 8`` with one vector per attribute, so each vector operation is
+  one unit's operation for 8 units, and copies them back before the
+  assignment. The difference ``x - w`` is computed again for the
+  update rather than stored, and the best-matching unit is
+  ``np.argmin``'s pick, the first minimum or the first NaN, found by
+  compare and select; the last block's pad lanes never win. A small
+  map, whose distinct grid distances fit one vector, takes each unit's
+  neighbourhood weight by one permute of that vector and finds the
+  best-matching unit in one compare and select chain over its units;
 - after the last block, each sample's nearest unit, each unit's mean
   quantization error as ``np.mean`` gives it, the map MQE as
   ``SomMap.mqe`` sums it, and the verdict: converged, capped or grow.
@@ -53,7 +63,7 @@ The tests check the copy against numpy's Generator draw for draw.
 An insertion (``Fit.grow``) picks the error unit as ``np.argmax`` of
 the unit errors and, of its neighbours, the one at the largest squared
 distance of weights summed in numpy's pairwise order (the training
-pass's sum), not the ``np.linalg.norm`` of the difference, whose BLAS
+pass's order), not the ``np.linalg.norm`` of the difference, whose BLAS
 dot product rounds as the BLAS build does. The two choices differ only
 where two neighbours' distances agree in their last bits.
 
@@ -153,6 +163,8 @@ def load(path) -> ctypes.CDLL:
     functions' argument types declared."""
     lib = ctypes.CDLL(str(path))
     lib.parse_block.argtypes = [_B, _N, _N, _N, _N, _N, _N, _F64, _I64]
+    lib.count_lines.argtypes = [_B, _N, _N]
+    lib.count_lines.restype = _N
     lib.fit_open.argtypes = [_P, _P, _N, _N, _P, _N, _N, _N, _P, _D, _N, _D, ctypes.c_int,
                              _D, _D, _D, _N, _N, _B, _N, _B, _N]
     lib.fit_train.argtypes = [_P, ctypes.c_uint64]
@@ -300,6 +312,16 @@ class Fit:
 
     def __del__(self):
         self.close()
+
+
+def count_lines(data: bytes, pos: int) -> int:
+    """The number of ``b"\n"`` in ``data[pos:]``, ``data.count(b"\n",
+    pos)``, counted in place by the C library's ``memchr``."""
+    if not isinstance(data, bytes):
+        raise TypeError("count_lines: data must be bytes")
+    if not 0 <= pos <= len(data):
+        raise ValueError("count_lines: pos out of range")
+    return library().count_lines(data, len(data), pos)
 
 
 def parse_block(data: bytes, pos, fields, label, limit, values, spans) -> bool:

@@ -203,7 +203,7 @@ def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
     except ValueError:
         return None
     # one record per line end, and one more if the last line has none
-    rows = raw.count(b"\n", body) + (not raw.endswith(b"\n"))
+    rows = _kernel.count_lines(raw, body) + (not raw.endswith(b"\n"))
     if not names or not rows:
         return None
     values = np.empty((rows, len(names)))

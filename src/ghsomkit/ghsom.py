@@ -366,9 +366,10 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
     ``train_map`` runs each cycle and ``grow_horizontal`` each insertion
     in the kernel context ``_init_map`` opened, and the kernel's verdict
     after a cycle says whether the map converged, reached a growth guard
-    (the map's units or insertions) or grows on. When it stops, its
-    weights, assignments and errors are stored into ``som`` and the
-    context is closed.
+    (the map's units or insertions) or grows on. When it stops, a child
+    map whose MQE exceeds the error of the unit it refines is logged (not
+    failed), its weights, assignments and errors are stored into ``som``
+    and the context is closed.
     """
     fit = som.fit
     try:
@@ -385,6 +386,10 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
                 som.path or "<root>", som.rows, som.cols, fit.head.mqe,
                 params.tau1 * som.parent_mqe,
             )
+        # a child map's parent_mqe is the error of the unit it refines
+        if som.depth > 1 and fit.head.mqe > som.parent_mqe + 1e-9:
+            log.warning("child map %s has MQE %.6g above its unit's mqe %.6g",
+                        som.path, fit.head.mqe, som.parent_mqe)
         som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
     finally:
         som.fit = None
@@ -473,7 +478,6 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
     )
     _fit_map(root, data, params)
     expand_hierarchy(tree, root, data, params)
-    _check_refinement(tree)
     return tree
 
 
@@ -582,17 +586,6 @@ def prune(tree: GhsomTree, tau2: float) -> GhsomTree:
         som.children = {key: kept[id(child)] for key, child in som.children.items()
                         if id(child) in kept}
     return replace(tree, root=kept[id(tree.root)], params=params)
-
-
-def _check_refinement(tree: GhsomTree) -> None:
-    """Log (not fail) when a child map's MQE exceeds the unit it refines."""
-    for som in tree.iter_maps():
-        for (row, col), child in som.children.items():
-            if child.mqe > som.unit_mqe[row, col] + 1e-9:
-                log.warning(
-                    "child map %s has MQE %.6g above its unit's mqe %.6g",
-                    child.path, child.mqe, som.unit_mqe[row, col],
-                )
 
 
 def find_cluster(tree: GhsomTree, path: str) -> np.ndarray:

@@ -261,6 +261,9 @@ PARITY_CASES = [
     ("empty-cell", "id,f0,f1\na,,1\n", {}, False),
     ("empty-file", "", {}, False),
     ("header-only", "id,f0\n", {}, False),
+    ("header-only-crlf", "id,f0\r\n", {}, False),
+    ("header-only-no-newline", "id,f0", {}, False),
+    ("crlf-no-trailing-newline", "id,f0,kind\r\na,1,x\r\nb,2,y", {"has_labels": True}, True),
     ("no-attribute-header", "id\na\n", {}, False),
     # several faults: the per-cell parser's order decides the message
     ("ragged-row-before-bad-cell", "id,f0\na,1,2\nb,zebra\n", {}, False),
@@ -506,6 +509,20 @@ def test_load_padding_is_what_float_strips(tmp_path):
             assert not _vectorized(p), hex(code)
         else:
             assert _vectorized(p), hex(code)
+
+
+@pytest.mark.parametrize("text", [b"", b"\n", b"id,f0", b"id,f0\n", b"id,f0\r\n",
+                                  b"id,f0\r\na,1\r\nb,2", b"id,f0\na,1\n\n\nb,2\n",
+                                  b"\n" * 70 + b"x" * 1000 + b"\r\n"])
+def test_count_lines_is_bytes_count(text):
+    # the records of a CSV body are counted by its line ends: CRLF ends,
+    # a last line without one and a header-only file included
+    for pos in {0, len(text) // 2, len(text)}:
+        assert _kernel.count_lines(text, pos) == text.count(b"\n", pos)
+    with pytest.raises(TypeError):
+        _kernel.count_lines(bytearray(text), 0)
+    with pytest.raises(ValueError):
+        _kernel.count_lines(text, len(text) + 1)
 
 
 def test_parse_block_arguments_and_record_count():

@@ -45,6 +45,7 @@ from ghsomkit.ghsom import (
     GhsomTree,
     LeafPartition,
     SomMap,
+    _fit_map,
     _init_map,
     _split,
     expand_hierarchy,
@@ -519,6 +520,22 @@ def test_kernel_bmu_follows_numpy_pairwise_sum(dim):
         assert len(picks) > 1  # the sums did differ in their rounding
 
 
+@pytest.mark.parametrize("rows, cols, ties", [(2, 3, [4, 1]), (3, 3, [8, 2]), (1, 16, [12, 3]),
+                                              (3, 4, [9, 2, 10])])
+def test_train_bmu_ties_go_to_the_first_unit(rows, cols, ties):
+    # the units `ties` hold the same weights, nearest to x = 0: one step
+    # at alpha 1 moves the first of them exactly onto x, as np.argmin
+    # picks it, and no other unit; in 3x4, unit 2 sits in lane 2 and
+    # unit 9 in lane 1 of the next block of 8 units
+    rng = np.random.default_rng(rows * cols)
+    w = 3.0 + rng.uniform(size=(rows * cols, 5))
+    w[ties] = 0.5
+    params = GhsomParams(lam=1, alpha0=1.0, sigma0=1e-3)
+    with _fit(w.reshape(rows, cols, 5), np.zeros((1, 5)), params) as fit:
+        trained = fit.store()[0].reshape(rows * cols, 5)
+    assert np.flatnonzero((trained == 0.0).all(axis=1)).tolist() == [min(ties)]
+
+
 @pytest.mark.parametrize("dim", [*range(1, 18), 127, 128, 129, 2000])
 def test_kernel_nearest_matches_cdist_bitwise(dim):
     rng = np.random.default_rng(dim)
@@ -579,11 +596,11 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
     # Python reaches the kernel through the fit context, the CSV parser
-    # and the Calinski-Harabasz sums only: a growth cycle is one call, and
-    # neither exp, the sums they share nor the entries that trained, drew
-    # or grew outside a context are exported
+    # and line count and the Calinski-Harabasz sums only: a growth cycle
+    # is one call, and neither exp, the sums they share nor the entries
+    # that trained, drew or grew outside a context are exported
     for name in ("fit_open", "fit_train", "fit_grow", "fit_store", "fit_close", "parse_block",
-                 "ch_sums"):
+                 "count_lines", "ch_sums"):
         assert hasattr(lib, name), name
     for name in ("fit_begin", "fit_step", "exp_block", "exp_rare", "train_steps", "uniform",
                  "grow", "nearest", "pairwise_sum", "column_sums"):
@@ -839,9 +856,9 @@ def test_initial_weights_are_numpys_mean_plus_scaled_noise(n, dim):
 
 def _fit_cycles(data, params, parent_mqe, cycles, exp):
     """Train and check one map's context ``cycles`` times, growing it
-    between cycles; returns each cycle's map MQE and verdict. Each cycle
-    after the first starts the oracle from numpy's insertion, so its
-    bitwise match checks the kernel's insertion too."""
+    between cycles; returns each cycle's map MQE, verdict and number of
+    units. Each cycle after the first starts the oracle from numpy's
+    insertion, so its bitwise match checks the kernel's insertion too."""
     n = len(data)
     som = _init_map("0x1", parent_mqe, 2, np.arange(n), data, params)
     fit = som.fit
@@ -869,7 +886,7 @@ def _fit_cycles(data, params, parent_mqe, cycles, exp):
         else:
             want = _kernel.GROW
         assert fit.head.verdict == want
-        seen.append((stored.mqe, want))
+        seen.append((stored.mqe, want, rows * cols))
     fit.close()
     return seen
 
@@ -885,11 +902,43 @@ def test_fit_cycles_match_oracle_map_mqe_verdict_and_numpy_insertion(dim, exp):
     data = np.random.default_rng(dim).normal(size=(30, dim))
     params = GhsomParams(lam=2, rng_seed=dim)
     first = _fit_cycles(data, params, 1e-6, 10, exp)
-    assert {verdict for _, verdict in first} == {_kernel.GROW}
-    median = float(np.median([mqe for mqe, _ in first]))
+    assert {verdict for _, verdict, _ in first} == {_kernel.GROW}
+    median = float(np.median([mqe for mqe, _, _ in first]))
     second = _fit_cycles(data, params, median / params.tau1, 10, exp)
-    assert [mqe for mqe, _ in second] == [mqe for mqe, _ in first]
-    assert {verdict for _, verdict in second} == {_kernel.GROW, _kernel.CONVERGED}
+    assert [mqe for mqe, _, _ in second] == [mqe for mqe, _, _ in first]
+    assert {verdict for _, verdict, _ in second} == {_kernel.GROW, _kernel.CONVERGED}
+
+
+def test_fit_cycles_across_a_lane_block_boundary_match_oracle(exp):
+    # the kernel trains a map in blocks of 8 units: this map grows from
+    # 2x4, one full block, to 2x5, a second block of 2 units and 6 pad
+    # lanes, and on to 12 units; every cycle against the oracle
+    data = np.random.default_rng(0).normal(size=(30, 8))
+    seen = _fit_cycles(data, GhsomParams(lam=2, rng_seed=0), 1e-6, 5, exp)
+    assert [units for _, _, units in seen] == [4, 6, 8, 10, 12]
+
+
+@pytest.mark.parametrize("rows, cols, scale, nan_units", [
+    (2, 3, 50.0, []), (2, 3, 50.0, [4, 1]), (3, 3, 50.0, [8]), (3, 4, 50.0, []),
+    (3, 4, 50.0, [9, 5]), (5, 5, 50.0, [24]), (3, 4, 1e200, []), (1, 9, 50.0, [])])
+def test_train_bmu_is_argmins_with_nan_units_and_pad_lanes(rows, cols, scale, nan_units, exp):
+    # maps whose unit counts are not multiples of 8 leave pad lanes in
+    # their last block of 8 units: the samples lie near 0 and the units
+    # far away, so a pad lane at 0 would be nearest, but none may win;
+    # a NaN unit is every step's BMU as np.argmin picks it, the first;
+    # at 1e200 every squared distance is inf and the first unit wins
+    rng = np.random.default_rng(rows * cols)
+    x = rng.normal(scale=0.1, size=(20, 3))
+    weights = scale * (1.0 + rng.uniform(size=(rows, cols, 3)))
+    weights.reshape(-1, 3)[nan_units] = np.nan
+    params = GhsomParams(lam=2, rng_seed=5)
+    with np.errstate(over="ignore"):
+        want_w, want_mqe = train_map_online(weights, x, params.rng_seed, "", 1, params.lam,
+                                            params.alpha0, exp=exp)
+    with _fit(weights, x, params) as fit:
+        got_w, got_mqe = fit.store()[:2]
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_mqe.tobytes() == want_mqe.tobytes()
 
 
 def test_fit_context_rejects_bad_samples_and_nan_growth():
@@ -995,7 +1044,9 @@ def test_failed_fit_closes_its_context(monkeypatch):
 
 # the fits the kernel built with AddressSanitizer and UBSan must give as
 # the normal build gives them: a growth-capped noise map, a 9x11 map
-# whose cycle spans several kernel blocks, a sweep, and Calinski-Harabasz
+# whose cycle spans several kernel blocks, a sweep, fits at dimension 20
+# (full vectors and a tail) and 130 (the pairwise sum's split) whose maps
+# range from 2x2 to over 100 units, and Calinski-Harabasz
 # indices of partitions with singletons, one attribute, equal rows
 # (within-cluster sum 0) and clusters of more than 128 values, in C and
 # Fortran order
@@ -1030,6 +1081,8 @@ som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
 fit.close()
 out["blocks"] = tree_to_json(GhsomTree(np.zeros(3), 1.0, som, params, m.sample_ids,
                                        m.attribute_names))
+out["dims"] = repr([tree_to_json(run_ghsom(matrix(n, dim, dim), GhsomParams(
+    tau1=0.5, tau2=0.3, lam=4, rng_seed=dim))) for dim, n in ((20, 40), (130, 30))])
 m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.25, seed=1)
 grid = sweep(m, GhsomParams(lam=10, rng_seed=5), (0.6, 0.45, 0.3), (0.2, 0.1, 0.05),
              labels=m.labels)
@@ -1081,7 +1134,7 @@ def test_kernel_under_sanitizers_gives_the_same_fits(tmp_path):
         assert done.returncode == 0, done.stderr[-4000:]
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
-    assert sorted(runs[0]) == ["blocks", "capped", "ch", "sweep"]
+    assert sorted(runs[0]) == ["blocks", "capped", "ch", "dims", "sweep"]
 
 
 # ---------------------------------------------------------------- full runs
@@ -1245,6 +1298,24 @@ def test_growth_cap_warns_and_terminates(caplog):
         tree = run_ghsom(m, params)
     assert any("growth capped" in r.message for r in caplog.records)
     assert tree.root.rows * tree.root.cols >= 4 * 8
+
+
+@pytest.mark.parametrize("depth, parent_mqe, warns", [(2, 1e-6, True), (2, 1e6, False),
+                                                      (1, 1e-6, False)])
+def test_child_map_above_its_units_error_warns(caplog, depth, parent_mqe, warns):
+    # a child map (depth 2) whose MQE exceeds the error of the unit it
+    # refines, its parent_mqe, is logged with both; a root map never is,
+    # and a child map below its unit's error is not
+    m = _random_matrix(30, 3, seed=4)
+    params = GhsomParams(tau1=0.5, lam=2, rng_seed=1)
+    som = _init_map("1x0" if depth > 1 else "", parent_mqe, depth, np.arange(30), m.values,
+                    params)
+    with caplog.at_level(logging.WARNING, logger="ghsomkit.ghsom"):
+        _fit_map(som, m.values, params)
+    above = [r.getMessage() for r in caplog.records if "above its unit's mqe" in r.getMessage()]
+    want = f"child map 1x0 has MQE {som.mqe:.6g} above its unit's mqe {parent_mqe:.6g}"
+    assert above == ([want] if warns else [])
+    assert som.mqe > 1e-3 and (som.mqe < params.tau1 * parent_mqe) == (parent_mqe > 1)
 
 
 def test_empty_units_do_not_enter_map_mqe():
