@@ -1,10 +1,10 @@
 /* Compiled inner loops of ghsomkit: a map fit's context (initial weights,
    schedule, neighbourhood exp, SOM training, BMU assignment, stop verdict
    and row/column insertion), the maps' random streams, the
-   Calinski-Harabasz sums and the CSV number block and line count.  The
-   library exports the context's fit_open, fit_train, fit_grow, fit_store
-   and fit_close, ch_sums, count_lines and parse_block; everything else is
-   static.
+   Calinski-Harabasz sums, and the CSV line count, number block and number
+   text.  The library exports the context's fit_open, fit_train, fit_grow,
+   fit_store and fit_close, ch_sums, count_lines, parse_block and
+   format_rows; everything else is static.
 
    Each SOM function performs the float operations of the numpy
    expressions it stands for, in the same order, so its results are the
@@ -13,7 +13,8 @@
    twice.  exp is a port of numpy's AVX-512 exp, whose fused operations
    it spells out as fma() calls, so it gives that loop's bits on every
    CPU.  parse_block converts each number to the double float() returns,
-   the correctly rounded one. */
+   the correctly rounded one, and format_rows writes each double as the
+   text repr() returns, the shortest that reads back as it. */
 
 #include <float.h>
 #include <math.h>
@@ -1393,6 +1394,87 @@ static int parse_number(const char **pp, double *out)
     return 0;
 }
 
+/* quick_number reads a field's bytes as 16 bytes of an integer, first
+   byte lowest, so it needs a little-endian target, besides FAST_PATH. */
+#if FAST_PATH && defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define QUICK_PATH 1
+#else
+#define QUICK_PATH 0
+#endif
+
+/* the byte b in each of the 16 bytes of a u128 */
+#define BYTES(b) ((((u128)0x0101010101010101u << 64) | 0x0101010101010101u) * (b))
+
+/* The index of the lowest byte of flags with its top bit set, or 16. */
+static int first_flag(u128 flags)
+{
+    uint64_t lo = (uint64_t)flags, hi = (uint64_t)(flags >> 64);
+    return lo ? __builtin_ctzll(lo) / 8 : hi ? 8 + __builtin_ctzll(hi) / 8 : 16;
+}
+
+/* The index of the first byte of w that is not an ASCII digit, or 16.
+   Adding 0x46 sets the top bit of a byte from ':' up, subtracting 0x30
+   that of a byte below '0' (Lemire, Software: Practice and Experience
+   51(8), 2021); a carry or borrow passes only out of a byte that is
+   itself flagged, so the lowest flag is exact. */
+static int first_non_digit(u128 w)
+{
+    return first_flag(((w + BYTES(0x46)) | (w - BYTES(0x30))) & BYTES(0x80));
+}
+
+/* The top bit of each byte of w that is 0, and no other bit. */
+static u128 zero_bytes(u128 w)
+{
+    return ~(((w & BYTES(0x7f)) + BYTES(0x7f)) | w) & BYTES(0x80);
+}
+
+/* The value of the 8 decimal digits, 0-9, in the bytes of w, the first in
+   its lowest byte: adjacent digits, then pairs, then quads combine by one
+   multiply each. */
+static uint64_t eight_digits(uint64_t w)
+{
+    w = w * 10 + (w >> 8);
+    return (((w & 0x000000ff000000ffu) * 0x000f424000000064u) +
+            (((w >> 16) & 0x000000ff000000ffu) * 0x0000271000000001u)) >> 32;
+}
+
+/* Parses the number field at *pp in one step when it is [+-]digits[.digits]
+   with a digit, at most 16 bytes and ending in ',', '\n' or '\r': the 16
+   bytes from *pp, with the sign and the first point read as '0', are
+   checked and converted as one integer m, the point then dropped.  With a
+   point, m has at most 15 digits, so Clinger's one division, as in
+   parse_number, rounds it correctly; without one, converting m is the one
+   rounding.  Reads 17 bytes from *pp.  Returns 0 and moves *pp past the
+   field, or -1 and leaves the field to parse_number. */
+static int quick_number(const char **pp, double *out)
+{
+    if (!QUICK_PATH)
+        return -1;
+    const char *p = *pp;
+    u128 w;
+    memcpy(&w, p, sizeof(w));
+    /* without a branch: a sign is as likely as not */
+    uint64_t negative = *p == '-', sign = negative | (*p == '+');
+    w ^= (u128)(((uint64_t)(uint8_t)*p ^ '0') & -sign);
+    u128 dots = zero_bytes(w ^ BYTES('.')), dot = dots & -dots;
+    w += dot >> 6;
+    int end = first_non_digit(w), point = first_flag(dot), has_point = point < end;
+    if (end - (int)sign - has_point < 1 || (p[end] != ',' && p[end] != '\n' && p[end] != '\r'))
+        return -1;
+    /* the digits right-aligned behind 0s, then those before the point
+       moved up over it */
+    u128 digits = (w - BYTES('0')) << (8 * (16 - end));
+    int frac = has_point ? end - point - 1 : 0;
+    u128 after = has_point ? ~(u128)0 << (8 * (15 - frac)) << 8 : ~(u128)0;
+    digits = (digits & after) | (digits & ~after) << 8;
+    uint64_t m = eight_digits((uint64_t)digits) * 100000000u +
+                 eight_digits((uint64_t)(digits >> 64));
+    double v = frac ? (double)m / exact_pow10[frac] : (double)m;
+    *out = of_bits(bits_of(v) | negative << 63);
+    *pp = p + end;
+    return 0;
+}
+
 /* The number of "\n" bytes in buf[pos .. len), found by memchr. */
 int64_t count_lines(const char *buf, int64_t len, int64_t pos)
 {
@@ -1410,7 +1492,8 @@ int64_t count_lines(const char *buf, int64_t len, int64_t pos)
    and field `label` (-1: none) the label: each may hold any byte is_text
    accepts, and their [start, end) offsets in buf go to row r of the
    (rows, 4) spans (label ones unset without a label).  Every other field is
-   a number (parse_number), stored in order in row r of the (rows, fields
+   a number (quick_number where at least 32 bytes remain, else or when it
+   declines parse_number), stored in order in row r of the (rows, fields
    - 1 - has_label) values.  Returns 0, or -1 when the body is anything
    else: a lone "\r", a blank line, a ragged row, a quote or NUL, a
    number float() would read otherwise or not at all. */
@@ -1429,8 +1512,10 @@ int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
                 int64_t *s = f == 0 ? span : span + 2;
                 s[0] = start - buf;
                 s[1] = p - buf;
-            } else if (parse_number(&p, values++)) {
-                return -1;
+            } else {
+                if ((stop - p < 32 || quick_number(&p, values)) && parse_number(&p, values))
+                    return -1;
+                values++;
             }
             if (p - start > limit)
                 return -1;
@@ -1445,4 +1530,334 @@ int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
             return -1;
     }
     return p == stop ? 0 : -1;
+}
+
+/* Ryū (Adams, PLDI 2018) finds, for a double, the shortest decimal that
+   reads back as it and, of those, the nearest, ties to even: the digits
+   repr() takes from Gay's dtoa in mode 0.  It scales the double's bounds
+   by 5^q or 2^k / 5^q held to POW5_BITS bits.  POW5_SPLIT and
+   POW5_INV_SPLIT hold those for q a multiple of 26, (low, high) halves;
+   one product with POW5[q % 26] scales them to any other q, and
+   POW5_OFFSETS and POW5_INV_OFFSETS, two bits per q, add back what that
+   product loses to truncation.  tests/oracles.py derives every table
+   from Python's integers. */
+#define POW5_BITS 125
+
+static const uint64_t POW5[26] = {
+    1u, 5u, 25u, 125u,
+    625u, 3125u, 15625u, 78125u,
+    390625u, 1953125u, 9765625u, 48828125u,
+    244140625u, 1220703125u, 6103515625u, 30517578125u,
+    152587890625u, 762939453125u, 3814697265625u, 19073486328125u,
+    95367431640625u, 476837158203125u, 2384185791015625u, 11920928955078125u,
+    59604644775390625u, 298023223876953125u,
+};
+static const uint64_t POW5_SPLIT[13][2] = {
+    {0x0000000000000000u, 0x1000000000000000u}, {0x0000000000000000u, 0x14adf4b7320334b9u},
+    {0x0e549208b31adb10u, 0x1aba4714957d300du}, {0x6dc6ad264d8f0866u, 0x1145b7e285bf98f5u},
+    {0xeb1dbd923d8596cau, 0x1652efdc6018a1fcu}, {0xb4c1b80b22ae923cu, 0x1cda62055b2d9d83u},
+    {0x5bb28b4e8f7e4c30u, 0x12a5568b9f52f416u}, {0xf08aed437682d4fbu, 0x1819651531f9e78fu},
+    {0xb4ee134ad99bf150u, 0x1f25c186a6f04c28u}, {0x16499ecb70c25f03u, 0x1420eb449c8842e6u},
+    {0x85a56ead360865b0u, 0x1a03fde214caf085u}, {0x093db1d57999890bu, 0x10cfeb353a97dad8u},
+    {0xcf38bb735e3f36acu, 0x15baaf44fa52673eu},
+};
+static const uint64_t POW5_INV_SPLIT[13][2] = {
+    {0x0000000000000001u, 0x2000000000000000u}, {0x52a6c95fc0655034u, 0x18c240c4aecb13bbu},
+    {0x7ca8d50071dfc806u, 0x1327fc58da0f6ff5u}, {0x6520247d3556476eu, 0x1da48ce468e7c702u},
+    {0x6139cdd76802e6e9u, 0x16ef5b40c2fc7779u}, {0xf951a7ff43de8c79u, 0x11bebdf578b2f391u},
+    {0x7be8bee8d6e957e8u, 0x1b758d848fac54b0u}, {0x8bd3f9e999a423eau, 0x153eda614071a3b7u},
+    {0x0848f973cb3ee3ceu, 0x10701bd527b4978cu}, {0x153285ebb9efbfa2u, 0x196fbb9bb44db44du},
+    {0xadeee7f86c07b696u, 0x13ae3591f5b4d936u}, {0x4d686a4eaf182222u, 0x1e74404f3daada91u},
+    {0x98c0a106e09ebd9fu, 0x17900ea4fda7c257u},
+};
+static const uint32_t POW5_OFFSETS[21] = {
+    0x00000000u, 0x00000000u, 0x00000000u, 0x00000000u, 0x40000000u,
+    0x59695995u, 0x55545555u, 0x56555515u, 0x41150504u, 0x40555410u,
+    0x44555145u, 0x44504540u, 0x45555550u, 0x40004000u, 0x96440440u,
+    0x55565565u, 0x54454045u, 0x40154151u, 0x55559155u, 0x51405555u,
+    0x00000105u,
+};
+static const uint32_t POW5_INV_OFFSETS[19] = {
+    0x54544554u, 0x04055545u, 0x10041000u, 0x00400414u, 0x40010000u,
+    0x41155555u, 0x00000454u, 0x00010044u, 0x40000000u, 0x44000041u,
+    0x50454450u, 0x55550054u, 0x51655554u, 0x40004000u, 0x01000001u,
+    0x00010500u, 0x51515411u, 0x05555554u, 0x00000000u,
+};
+
+/* bits(5^e) for 0 <= e <= 3528, floor(log10(2^e)) for 0 <= e <= 1650 and
+   floor(log10(5^e)) for 0 <= e <= 2620 */
+static int32_t pow5_bits(int32_t e) { return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1; }
+static int32_t log10_pow2(int32_t e) { return (int32_t)(((uint32_t)e * 78913) >> 18); }
+static int32_t log10_pow5(int32_t e) { return (int32_t)(((uint32_t)e * 732923) >> 20); }
+
+static u128 pair(const uint64_t *halves) { return (u128)halves[1] << 64 | halves[0]; }
+
+/* the two bits of q in a table of offsets */
+static uint32_t offset_of(const uint32_t *offsets, int32_t q)
+{
+    return (offsets[q / 16] >> (2 * (q % 16))) & 3;
+}
+
+/* 5^q's top POW5_BITS bits, for 0 <= q < 326 */
+static u128 pow5_split(int32_t q)
+{
+    int32_t base = q / 26, k = q % 26;
+    u128 mul = pair(POW5_SPLIT[base]);
+    if (k == 0)
+        return mul;
+    int32_t shift = pow5_bits(q) - pow5_bits(26 * base);
+    u128 lo = (u128)POW5[k] * (uint64_t)mul, hi = (u128)POW5[k] * (uint64_t)(mul >> 64);
+    return (lo >> shift) + (hi << (64 - shift)) + offset_of(POW5_OFFSETS, q);
+}
+
+/* 2^(bits(5^q) - 1 + POW5_BITS) / 5^q rounded down, plus 1, for
+   0 <= q < 291 */
+static u128 pow5_inv_split(int32_t q)
+{
+    int32_t base = (q + 25) / 26, k = 26 * base - q;
+    u128 mul = pair(POW5_INV_SPLIT[base]);
+    if (k == 0)
+        return mul;
+    mul -= 1;
+    int32_t shift = pow5_bits(26 * base) - pow5_bits(q);
+    u128 lo = (u128)POW5[k] * (uint64_t)mul, hi = (u128)POW5[k] * (uint64_t)(mul >> 64);
+    return (lo >> shift) + (hi << (64 - shift)) + 1 + offset_of(POW5_INV_OFFSETS, q);
+}
+
+/* (m * mul) >> j, rounded down, for m < 2^55, mul < 2^125 and j >= 64 */
+static uint64_t mul_shift(uint64_t m, u128 mul, int32_t j)
+{
+    u128 lo = (u128)m * (uint64_t)mul, hi = (u128)m * (uint64_t)(mul >> 64);
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+/* whether 5^p divides v > 0 */
+static int divides_pow5(uint64_t v, int32_t p)
+{
+    for (; p > 0; p--, v /= 5)
+        if (v % 5)
+            return 0;
+    return 1;
+}
+
+/* Ryū's decimal for the positive finite double of these mantissa and
+   exponent fields: *digits * 10^*exp10.  The double rounds to nearest,
+   ties to even, so it is the one double in the open interval between the
+   midpoints to its neighbours, closed when its mantissa is even.  vr, vp
+   and vm are the double and those midpoints times 4 * 10^-e10; digits are
+   dropped from all three while the interval still holds a number of
+   fewer digits, and the last one dropped from vr rounds it. */
+static void shortest(uint64_t mantissa, uint32_t exponent, uint64_t *digits, int32_t *exp10)
+{
+    int32_t e2 = (exponent ? (int32_t)exponent : 1) - 1023 - 52 - 2;
+    uint64_t m2 = exponent ? (uint64_t)1 << 52 | mantissa : mantissa;
+    int even = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    /* the gap below a power of two is half the gap above */
+    uint64_t below = mantissa != 0 || exponent <= 1 ? 2 : 1;
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    /* whether the digits dropped from vm, or from vr, are all 0 */
+    int vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        int32_t q = log10_pow2(e2) - (e2 > 3);
+        e10 = q;
+        int32_t j = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        u128 mul = pow5_inv_split(q);
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - below, mul, j);
+        if (q <= 21) {
+            /* mv * 2^e2 / 10^q is exact when 5^q divides mv */
+            if (mv % 5 == 0)
+                vr_zeros = divides_pow5(mv, q);
+            else if (even)
+                vm_zeros = divides_pow5(mv - below, q);
+            else
+                vp -= divides_pow5(mv + 2, q);
+        }
+    } else {
+        int32_t q = log10_pow5(-e2) - (-e2 > 1);
+        e10 = q + e2;
+        int32_t i = -e2 - q;
+        int32_t j = q - (pow5_bits(i) - POW5_BITS);
+        u128 mul = pow5_split(i);
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - below, mul, j);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = below == 2;
+            else
+                vp--;
+        } else if (q < 63) {
+            /* mv * 5^-e2 * 2^e2 / 10^e10 is exact when 2^q divides mv */
+            vr_zeros = (mv & (((uint64_t)1 << q) - 1)) == 0;
+        }
+    }
+    int32_t removed = 0;
+    uint64_t last = 0;
+    if (vm_zeros || vr_zeros) {
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = vr % 10;
+            vr /= 10, vp /= 10, vm /= 10;
+        }
+        if (vm_zeros)
+            for (; vm % 10 == 0; removed++) {
+                vr_zeros &= last == 0;
+                last = vr % 10;
+                vr /= 10, vp /= 10, vm /= 10;
+            }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* exactly halfway: to even */
+        *digits = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    } else {
+        for (; vp / 10 > vm / 10; removed++) {
+            last = vr % 10;
+            vr /= 10, vp /= 10, vm /= 10;
+        }
+        *digits = vr + (vr == vm || last >= 5);
+    }
+    *exp10 = e10 + removed;
+}
+
+/* repr's digits for a double a > 0 that a decimal of at most 15
+   significant digits reads as: no other such decimal does, as two differ
+   by at least 10^-15 of their value, over twice a double's spacing, so
+   those digits are the shortest.  With 2^e <= a < 2^(e + 1) and k = 13 -
+   floor(e log10 2), m = a * 10^k rounded is below 2 * 10^14, and when
+   m / 10^k, with |k| <= 22 and so one correctly rounded operation, reads
+   as a, m * 10^-k is that decimal: *digits * 10^*exp10.  Returns 0 when
+   the check fails, which a number of more digits always does. */
+static int short_decimal(double a, int32_t e, uint64_t *digits, int32_t *exp10)
+{
+    if (!FAST_PATH)
+        return 0;
+    int32_t k = 13 - (e >= 0 ? log10_pow2(e) : -log10_pow2(-e) - 1);
+    if (k < -22 || k > 22)
+        return 0;
+    double scaled = k >= 0 ? a * exact_pow10[k] : a / exact_pow10[-k];
+    uint64_t m = (uint64_t)(scaled + 0.5);
+    if ((k >= 0 ? (double)m / exact_pow10[k] : (double)m * exact_pow10[-k]) != a)
+        return 0;
+    *digits = m;
+    *exp10 = -k;
+    return 1;
+}
+
+/* "00" .. "99" */
+static const char DIGIT_PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Writes the decimal digits of v < 10^17 to end in front of end; returns
+   where they start.  Two at a time, the last 8 apart in 32-bit
+   arithmetic. */
+static char *write_digits(uint64_t v, char *end)
+{
+    if (v >= 100000000) {
+        uint32_t lo = (uint32_t)(v % 100000000);
+        v /= 100000000;
+        for (int k = 0; k < 4; k++, lo /= 100)
+            memcpy(end -= 2, DIGIT_PAIRS + 2 * (lo % 100), 2);
+    }
+    uint32_t hi = (uint32_t)v;
+    for (; hi >= 100; hi /= 100)
+        memcpy(end -= 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
+    if (hi >= 10)
+        memcpy(end -= 2, DIGIT_PAIRS + 2 * hi, 2);
+    else
+        *--end = (char)('0' + hi);
+    return end;
+}
+
+/* Writes repr(v), at most 24 bytes, at out; returns its length.  repr
+   writes the shortest digits d1 .. dn of v = 0.d1..dn * 10^point as
+   d1.d2..dn e(point - 1), with at least two exponent digits, when point
+   <= -4 or point > 16, else as a decimal with a digit on each side of
+   the point. */
+static int format_repr(double v, char *out)
+{
+    uint64_t bits = bits_of(v), mantissa = bits & (((uint64_t)1 << 52) - 1);
+    uint32_t exponent = (uint32_t)(bits >> 52) & 0x7ff;
+    char *p = out;
+    if (exponent == 0x7ff && mantissa) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (exponent == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return (int)(p + 3 - out);
+    }
+    if (exponent == 0 && mantissa == 0) {
+        memcpy(p, "0.0", 3);
+        return (int)(p + 3 - out);
+    }
+    uint64_t digits;
+    int32_t exp10;
+    if (!short_decimal(fabs(v), (int32_t)exponent - 1023, &digits, &exp10))
+        shortest(mantissa, exponent, &digits, &exp10);
+    for (; digits % 100 == 0; exp10 += 2)
+        digits /= 100;
+    if (digits % 10 == 0)
+        digits /= 10, exp10++;
+    char buf[20], *d = write_digits(digits, buf + sizeof(buf));
+    int n = (int)(buf + sizeof(buf) - d);
+    int32_t point = exp10 + n;
+    if (point <= -4 || point > 16) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)(n - 1));
+            p += n - 1;
+        }
+        int32_t e = point - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (point <= 0) {
+        memcpy(p, "0.000", (size_t)(2 - point));
+        memcpy(p + 2 - point, d, (size_t)n);
+        p += 2 - point + n;
+    } else if (point >= n) {
+        memcpy(p, d, (size_t)n);
+        memset(p + n, '0', (size_t)(point - n));
+        memcpy(p + point, ".0", 2);
+        p += point + 2;
+    } else {
+        memcpy(p, d, (size_t)point);
+        p[point] = '.';
+        memcpy(p + point + 1, d + point, (size_t)(n - point));
+        p += n + 1;
+    }
+    return (int)(p - out);
+}
+
+/* Writes each of the `rows` rows of the row-major (rows, cols) values as
+   "," and repr() of each value, then "\n"; returns the number of bytes
+   written, at most rows * (25 * cols + 1). */
+int64_t format_rows(const double *values, int64_t rows, int64_t cols, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t c = 0; c < cols; c++) {
+            *p++ = ',';
+            p += format_repr(*values++, p);
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

@@ -1,10 +1,10 @@
 """Loader of the compiled kernel in ``_kernel.c``: a map fit's context
 (initial weights, schedule, neighbourhood ``exp``, SOM training, BMU
 assignment, stop verdict and row/column insertion), random streams, the
-Calinski-Harabasz sums and the CSV number block and line count. Python
-reaches it through ``Fit``, ``ch_sums``, ``count_lines`` and
-``parse_block`` only: the library exports the context's five ``fit_*``
-functions and those three.
+Calinski-Harabasz sums, and the CSV line count, number block and number
+text. Python reaches it through ``Fit``, ``ch_sums``, ``count_lines``,
+``parse_block`` and ``format_rows`` only: the library exports the
+context's five ``fit_*`` functions and those four.
 
 Each map fit runs in one kernel context, ``Fit``, which starts the map
 from its data or, given weights, from those. It gathers the routed
@@ -86,9 +86,24 @@ with the whitespace ``float()`` strips (space, tab, vertical tab, form
 feed and the Unicode spaces, but not the separators 0x1C-0x1F). Numbers
 with at most 15 significant digits and a decimal exponent in [-22, 22]
 take Clinger's exact fast path, the rest the C library's ``strtod``;
-both give the correctly rounded double ``float()`` gives. Anything else,
-a field over the field size limit or a non-finite value makes it return
-False, and the caller falls back to the ``csv`` module.
+both give the correctly rounded double ``float()`` gives. A field of the
+form ``[+-]digits[.digits]`` of at most 16 bytes, where 32 bytes of the
+body remain, is read in one step: its 16 bytes are checked and converted
+as one integer with SWAR arithmetic (Lemire, *Software: Practice and
+Experience* 51(8), 2021), then divided by the power of ten, as Clinger's
+fast path does. Anything else, a field over the field size limit or a
+non-finite value makes it return False, and the caller falls back to the
+``csv`` module.
+
+``format_rows`` writes the rows of a float64 matrix as the text
+``repr()`` gives each double: the shortest digits that read back as it,
+the nearest of those and ties to even, found by Ryū (Adams, PLDI 2018)
+with tables of powers of 5 that the tests derive from Python's
+integers; a double that a decimal of at most 15 significant digits reads
+as, the only such decimal, takes one multiply and an exact check
+instead. The text is in Python's layout: ``1.0``, ``-0.0``, ``0.0001``,
+``1e-05``, ``1e+16``, ``5e-324``, with an exponent for a magnitude below
+1e-4 or from 1e16.
 
 The library is built with ``cc`` on first use and cached under
 ``$XDG_CACHE_HOME/ghsomkit`` (default ``~/.cache/ghsomkit``), named by
@@ -165,6 +180,8 @@ def load(path) -> ctypes.CDLL:
     lib.parse_block.argtypes = [_B, _N, _N, _N, _N, _N, _N, _F64, _I64]
     lib.count_lines.argtypes = [_B, _N, _N]
     lib.count_lines.restype = _N
+    lib.format_rows.argtypes = [_F64, _N, _N, _P]
+    lib.format_rows.restype = _N
     lib.fit_open.argtypes = [_P, _P, _N, _N, _P, _N, _N, _N, _P, _D, _N, _D, ctypes.c_int,
                              _D, _D, _D, _N, _N, _B, _N, _B, _N]
     lib.fit_train.argtypes = [_P, ctypes.c_uint64]
@@ -322,6 +339,23 @@ def count_lines(data: bytes, pos: int) -> int:
     if not 0 <= pos <= len(data):
         raise ValueError("count_lines: pos out of range")
     return library().count_lines(data, len(data), pos)
+
+
+# the longest repr() of a double, "-2.2250738585072014e-308", and its comma
+_CELL_BYTES = 25
+
+
+def format_rows(values) -> str:
+    """The rows of the 2-d float64 ``values`` as text: for each row, ","
+    and ``repr()`` of each value, then "\n", in one call."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError("format_rows: values must be 2-d")
+    rows, cols = values.shape
+    out = bytearray(rows * (_CELL_BYTES * cols + 1))
+    n = library().format_rows(values, rows, cols, ctypes.addressof(_BUFFER.from_buffer(out))
+                              if out else None)
+    return str(memoryview(out)[:n], "ascii")
 
 
 def parse_block(data: bytes, pos, fields, label, limit, values, spans) -> bool:

@@ -14,12 +14,21 @@ other file (quoted fields, blank lines, lone carriage returns, spellings
 such as ``1_0`` or ``inf``, non-finite or malformed cells, invalid
 UTF-8) goes through the per-cell ``csv`` parser. Both give the same
 matrix bit for bit, and only the per-cell parser raises, so error
-messages do not depend on the path.
+messages do not depend on the path. The compiled pass reads a plain
+decimal field of up to 16 bytes in one step, and any other number field
+digit by digit.
+
+``save_csv`` writes the file ``csv.writer`` writes for the rows ``[id,
+*values, label]``: the kernel formats the numbers (``_kernel.format_rows``)
+as ``repr()`` does, a block of rows at a time, and the ``csv`` module
+quotes the header, the ids and the labels.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -291,22 +300,61 @@ def _load_cells(path, has_labels, label_column) -> DataMatrix:
 def save_csv(m: DataMatrix, path) -> None:
     """Write a DataMatrix as CSV, mirroring the ``load_csv`` layout.
 
-    Floats are printed with the shortest representation that round-trips,
-    so ``load_csv(save_csv(m))`` reproduces ``m.values`` exactly.
+    Floats are printed as ``repr()`` prints them, the shortest text that
+    round-trips, so ``load_csv(save_csv(m))`` reproduces ``m.values``
+    exactly. Raises ValueError, before the file is opened, when the label
+    column's name is also an attribute's name, which ``load_csv`` could
+    not tell apart.
     """
+    label_name = m.label_name or "label"
+    if m.labels is not None and label_name in m.attribute_names:
+        raise ValueError(f"label column name '{label_name}' is also an attribute name")
+    ids = _csv_fields(m.sample_ids, alone=m.n_attributes == 0 and m.labels is None)
+    if m.labels is None:
+        ends = [_LINE_END] * m.n_samples
+    else:
+        distinct = list(set(m.labels))
+        quoted = {label: f",{text}{_LINE_END}"
+                  for label, text in zip(distinct, _csv_fields(distinct))}
+        ends = [quoted[label] for label in m.labels]
+    step = max(1, _BLOCK_CELLS // max(1, m.n_attributes))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["id"] + list(m.attribute_names)
+        header = ["id", *m.attribute_names]
         if m.labels is not None:
-            header.append(m.label_name or "label")
-        writer.writerow(header)
-        # csv writes a float as its repr, the shortest round-tripping text
-        if m.labels is None:
-            for sid, row in zip(m.sample_ids, m.values):
-                writer.writerow([sid, *row.tolist()])
-        else:
-            for sid, row, label in zip(m.sample_ids, m.values, m.labels):
-                writer.writerow([sid, *row.tolist(), label])
+            header.append(label_name)
+        csv.writer(fh).writerow(header)
+        for start in range(0, m.n_samples, step):
+            stop = start + step
+            rows = _kernel.format_rows(m.values[start:stop]).split("\n")
+            fh.write("".join([a + b + c for a, b, c in zip(ids[start:stop], rows,
+                                                           ends[start:stop])]))
+
+
+# the cells save_csv formats at a time, at most 1.6 MB of text; a wider
+# row goes alone
+_BLOCK_CELLS = 1 << 16
+_LINE_END = csv.get_dialect("excel").lineterminator
+
+
+def _csv_fields(fields: list[str], alone: bool = False) -> list[str]:
+    """The text ``csv.writer`` writes for each of ``fields`` as one field
+    of a longer row, or ``alone`` in its row (where it quotes an empty
+    one): its own quoting, whatever the Python version."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    end = _LINE_END if alone else "," + _LINE_END
+    writer.writerows(zip(fields) if alone else zip(fields, itertools.repeat("")))
+    # quoting only lengthens a field, so the same text means no field
+    # was quoted: the common case, told by one call
+    if buf.getvalue() == "".join([f + end for f in fields]):
+        return list(fields)
+    texts = []
+    for f in fields:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((f,) if alone else (f, ""))
+        texts.append(buf.getvalue()[:-len(end)])
+    return texts
 
 
 def transpose(m: DataMatrix) -> DataMatrix:
@@ -330,10 +378,11 @@ def preprocess(m: DataMatrix, spec: PreprocessSpec) -> DataMatrix:
     attributes with the highest variance -> per-attribute z-scaling
     (population statistics; zero-variance attributes map to all zeros).
     """
+    source = m.values
     if spec.transpose:
         m = transpose(m)
 
-    values = m.values.copy()
+    values = m.values
     names = list(m.attribute_names)
 
     if spec.log_normalize:
@@ -372,8 +421,9 @@ def preprocess(m: DataMatrix, spec: PreprocessSpec) -> DataMatrix:
             live &= std > 0
             values = np.where(live, (values - mean) / np.where(live, std, 1.0), values)
 
+    # every step makes a new array; without one, the result gets a copy
     return DataMatrix(
-        values=values,
+        values=values.copy() if values is source else values,
         sample_ids=list(m.sample_ids),
         attribute_names=names,
         labels=list(m.labels) if m.labels is not None else None,

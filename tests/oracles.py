@@ -287,6 +287,55 @@ def exp_svml(x):
     return q * _float(e << 52)
 
 
+@functools.cache
+def ryu_tables():
+    """The kernel's tables for Ryū's shortest formatting of a double, from
+    Python's integers: ``POW5`` holds 5^0 .. 5^25, ``POW5_SPLIT`` 5^q to
+    125 bits (its top bits) and ``POW5_INV_SPLIT`` 2^(bits(5^q) + 124) /
+    5^q rounded down plus 1, for every q a multiple of 26 that a double
+    needs, as ``(low, high)`` 64-bit halves. ``POW5_OFFSETS`` and
+    ``POW5_INV_OFFSETS`` hold, two bits per q in 32-bit words, what the
+    kernel adds to the product of a split entry and a ``POW5`` entry to
+    get 5^q's entry exactly: 5^q for q < 326 and 2^k / 5^q for q < 291,
+    the largest exponents a finite double takes."""
+    bits, step = 125, 26
+
+    def pow5(q):
+        p = 5**q
+        shift = p.bit_length() - bits
+        return p >> shift if shift >= 0 else p << -shift
+
+    def pow5_inv(q):
+        p = 5**q
+        return (1 << (p.bit_length() - 1 + bits)) // p + 1
+
+    def pack(offsets):
+        return [sum(d << (2 * k) for k, d in enumerate(offsets[w:w + 16]))
+                for w in range(0, len(offsets), 16)]
+
+    split = [pow5(q) for q in range(0, 326, step)]
+    inv_split = [pow5_inv(q) for q in range(0, 291 + step, step)]
+    offsets, inv_offsets = [], []
+    for q in range(326):
+        base, k = divmod(q, step)
+        shift = (5**q).bit_length() - (5 ** (step * base)).bit_length()
+        offsets.append(pow5(q) - (5**k * split[base] >> shift))
+    for q in range(291):
+        base = -(-q // step)
+        k = step * base - q
+        shift = (5 ** (step * base)).bit_length() - (5**q).bit_length()
+        got = (5**k * (inv_split[base] - 1) >> shift) + 1 if k else inv_split[base]
+        inv_offsets.append(pow5_inv(q) - got)
+    assert all(0 <= d <= 3 for d in offsets + inv_offsets)
+
+    def halves(values):
+        return [h for v in values for h in (v & (2**64 - 1), v >> 64)]
+
+    return {"POW5": [5**k for k in range(step)], "POW5_SPLIT": halves(split),
+            "POW5_INV_SPLIT": halves(inv_split), "POW5_OFFSETS": pack(offsets),
+            "POW5_INV_OFFSETS": pack(inv_offsets)}
+
+
 def best_matching_unit(som, x):
     """Grid position (row, col) of the unit nearest ``x``.
 
@@ -465,3 +514,23 @@ def leaf_labels(tree):
         for i in members:
             labels[i] = path
     return labels
+
+
+def save_csv_rows(m, path):
+    """Reference CSV writer: one ``csv.writer.writerow`` per row, each
+    float written as its ``repr``. The writer the package used before it
+    formatted the numbers in the kernel, kept verbatim."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = ["id"] + list(m.attribute_names)
+        if m.labels is not None:
+            header.append(m.label_name or "label")
+        writer.writerow(header)
+        if m.labels is None:
+            for sid, row in zip(m.sample_ids, m.values):
+                writer.writerow([sid, *row.tolist()])
+        else:
+            for sid, row, label in zip(m.sample_ids, m.values, m.labels):
+                writer.writerow([sid, *row.tolist(), label])

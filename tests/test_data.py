@@ -1,5 +1,7 @@
 import csv
+import itertools
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from ghsomkit import DataMatrix, PreprocessSpec, load_csv, preprocess, save_csv, transpose
 from ghsomkit import _kernel, data
-from oracles import load_csv_cells
+from oracles import load_csv_cells, ryu_tables, save_csv_rows
 
 
 def _matrix(values, labels=None):
@@ -192,6 +194,21 @@ def test_preprocess_deterministic():
     b = preprocess(m, spec)
     assert a.values.tobytes() == b.values.tobytes()
     assert a.attribute_names == b.attribute_names
+
+
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=4)))
+def test_preprocess_result_owns_its_values(flags):
+    # each step makes a new array and the result is copied only when no
+    # step ran: either way it shares no memory with the input, whose bits
+    # stay as they were
+    transpose_, log_normalize, top_k, zscore = flags
+    spec = PreprocessSpec(transpose=transpose_, log_normalize=log_normalize,
+                          top_k_variable=2 if top_k else None, zscore=zscore)
+    vals = np.random.default_rng(3).uniform(0.1, 9.0, size=(6, 4))
+    m = _matrix(vals.copy(), labels=list("xyxyxy"))
+    out = preprocess(m, spec)
+    assert not np.shares_memory(out.values, m.values)
+    assert m.values.tobytes() == vals.tobytes()
 
 
 def test_preprocess_pipeline_order():
@@ -538,3 +555,183 @@ def test_parse_block_arguments_and_record_count():
     # a non-finite value, and records left over after len(values) rows
     assert not _kernel.parse_block(b"a,1e309\n", 0, 2, -1, 100, values, spans)
     assert not _kernel.parse_block(b"a,1\nb,2\n", 0, 2, -1, 100, values, spans)
+
+
+# ------------------------------------------------- one-step number fields
+# parse_block reads a field [+-]digits[.digits] of at most 16 bytes in one
+# step where 32 bytes remain before the end of the file, and every other
+# field, or one near the end, number by number: either way it must give
+# the bits float() gives, and the per-cell parser's verdict
+
+ONE_STEP_CELLS = [
+    "12345678901.234",  # 15 bytes
+    "123456789012.345",  # 16 bytes
+    "1234567890123.456",  # 17 bytes: number by number
+    "-12345678901.234",  # 16 bytes with the sign
+    "+123456789012.345",  # 17 bytes with the sign
+    "1234567890123456",  # 16 bytes, no point
+    "123456789012345",  # 15 significant digits
+    "1.23456789012345",
+    "9007199254740992",  # 16 significant digits, 2^53
+    "9007199254740993",  # 16 significant digits over 2^53: strtod
+    "9.007199254740993",
+    "0.0000000000001",  # long runs of leading zeros
+    "-000000000000012",
+    "000000000000000.",
+    "0000000000000000000000000.5",
+    "-0", "-0.0", "+.5", "1.", ".5", "0", "7", "-.0",
+    ".", "-", "+", "-.", "1.2.3", "1e5", "1.5e-3", "--1", "1-", " 1", "1 ",
+]
+
+
+@pytest.mark.parametrize("cell", ONE_STEP_CELLS)
+@pytest.mark.parametrize("layout", ["far-lf", "far-crlf", "near-end-lf", "near-end-no-newline",
+                                    "near-end-crlf"])
+def test_load_one_step_numbers_match_float(tmp_path, cell, layout):
+    end = "\r\n" if layout.endswith("crlf") else "\n"
+    if layout.startswith("far"):  # more than 32 bytes follow the cell
+        text = f"id,f0,f1{end}a,{cell},1{end}b,2,{'3' * 40}{end}"
+    else:
+        text = f"id,f0{end}a,{cell}" + ("" if layout.endswith("no-newline") else end)
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode("utf-8"))
+    _assert_same_as_cells(p)
+    try:
+        want = float(cell)
+    except ValueError:
+        assert not _vectorized(p)
+        return
+    assert _vectorized(p)
+    assert load_csv(p).values[0, 0].tobytes() == np.float64(want).tobytes()
+
+
+# ------------------------------------------------- numbers written as repr()
+# format_rows writes each double as repr() does: Ryū's shortest digits in
+# Python's layout
+
+
+def _formats_as_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _kernel.format_rows(values.reshape(-1, 1)).split("\n")[:-1]
+    want = [f",{v!r}" for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:10]
+
+
+def _of_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_format_rows_is_repr_property(bits):
+    values = _of_bits(bits)
+    _formats_as_repr(values[np.isfinite(values)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10**17), st.integers(-45, 45)), min_size=1,
+                max_size=64))
+def test_format_rows_is_repr_of_short_decimals_property(decimals):
+    # a double that a decimal of at most 15 digits reads as takes a
+    # direct path to its digits, the rest Ryū's
+    values = [float(f"{m}e{e}") for m, e in decimals]
+    _formats_as_repr([v for v in values if math.isfinite(v)] + [-1.0 / 1024 * m for m, _ in
+                                                               decimals])
+
+
+def test_format_rows_is_repr_at_edges():
+    powers = [2.0**e for e in range(-1074, 1024)]
+    subnormal = [1, 2, 3, 5, 10, 99, 2**20 + 1, 2**51, 2**52 - 1] + list(
+        np.random.default_rng(0).integers(1, 2**52, size=2000))
+    near_2_53 = [float(2**53 + k) for k in range(-64, 65)]
+    tens = [float(f"1e{k}") for k in range(-323, 309)]
+    tens += [np.nextafter(t, np.inf) for t in tens] + [np.nextafter(t, 0) for t in tens]
+    switch = [1e16, 1e-4, 9999999999999998.0, 1.0000000000000002e16, 12345678901234567.0,
+              1234567890123456.7, 0.00012345, 9.999999999999999e-05, 0.0001000000000000001]
+    switch += [np.nextafter(x, d) for x in (1e16, 1e-4, 1e-5, 1e17) for d in (0, np.inf)]
+    extremes = [0.0, 1.0, 0.1, 1 / 3, 2.2250738585072014e-308, 2.225073858507201e-308,
+                1.7976931348623157e308, 5e-324, 123.0, 1e22, 1e23, 9.5, 0.3]
+    # the short-decimal path: 14, 15 and 16 digits, and the binades at
+    # the ends of its exponent range
+    short = [12345678901234.0, 123456789012345.0, 1234567890123456.0, 0.123456789012345,
+             99999999999999.9, 999999999999999.0, 1.00000000000001, 0.048828125, 3.1416015625]
+    short += [float(f"{d}e{k}") for d in ("1", "7.25", "123456789012345") for k in range(-12, 40)]
+    short += [2.0**e * f for e in (-31, -30, -29, -28, 118, 119, 120, 121) for f in (1.0, 1.5)]
+    edges = np.array(powers + near_2_53 + tens + switch + extremes + short)
+    edges = np.concatenate([edges, _of_bits(subnormal)])
+    _formats_as_repr(np.concatenate([edges, -edges]))
+
+
+def test_format_rows_layout():
+    assert _kernel.format_rows(np.array([[1.0, -0.0], [np.inf, np.nan]])) == \
+        ",1.0,-0.0\n,inf,nan\n"
+    assert _kernel.format_rows(np.empty((3, 0))) == "\n\n\n"
+    assert _kernel.format_rows(np.empty((0, 4))) == ""
+    assert _kernel.format_rows(np.asfortranarray([[1.5, 2.0], [3.0, 4.25]])) == \
+        ",1.5,2.0\n,3.0,4.25\n"
+    with pytest.raises(ValueError):
+        _kernel.format_rows(np.ones(3))
+
+
+def test_formatter_tables_are_derived():
+    # every table of the kernel's Ryū is the one the oracle derives from
+    # Python's integers
+    source = _kernel.SOURCE.read_text()
+    for name, want in ryu_tables().items():
+        body = re.search(rf"static const uint\d+_t {name}\[[^=]*= \{{(.*?)\}};", source, re.S)
+        got = [int(x, 0) for x in re.findall(r"0x[0-9a-f]+|\d+", body.group(1))]
+        assert got == want, name
+
+
+_CSV_TEXT = st.text(alphabet=st.sampled_from('ab1 ,"\r\n\t\'é日#'), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_save_matches_reference_writer(data):
+    n = data.draw(st.integers(0, 6))
+    a = data.draw(st.integers(0, 4))
+    values = data.draw(hnp.arrays(np.float64, (n, a), elements=st.floats(
+        allow_nan=False, allow_infinity=False, width=64)))
+    ids = data.draw(st.lists(_CSV_TEXT, min_size=n, max_size=n, unique=True))
+    names = data.draw(st.lists(_CSV_TEXT, min_size=a, max_size=a, unique=True))
+    labels = data.draw(st.one_of(st.none(), st.lists(_CSV_TEXT, min_size=n, max_size=n)))
+    label_name = data.draw(st.one_of(st.none(), _CSV_TEXT))
+    assume(labels is None or (label_name or "label") not in names)
+    m = DataMatrix(values, ids, names, labels, label_name)
+    with tempfile.TemporaryDirectory() as d:
+        save_csv(m, Path(d) / "a.csv")
+        save_csv_rows(m, Path(d) / "b.csv")
+        assert (Path(d) / "a.csv").read_bytes() == (Path(d) / "b.csv").read_bytes()
+
+
+def test_save_in_blocks_matches_reference_writer(tmp_path, monkeypatch):
+    # rows go out a bounded block at a time: blocks of 1, 2 and 3 rows,
+    # and a row wider than a block
+    rng = np.random.default_rng(4)
+    m = _matrix(rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-30, 30, size=(7, 3)),
+                labels=["a,b", "", 'q"', "x\r\ny", "é", "a", "b"])
+    save_csv_rows(m, tmp_path / "want.csv")
+    for cells in (1, 3, 6, 9):
+        monkeypatch.setattr(data, "_BLOCK_CELLS", cells)
+        save_csv(m, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("names,label_name,taken", [
+    (["x", "label"], None, "label"),
+    (["x", "label"], "", "label"),
+    (["x", "y"], "x", "x"),
+])
+def test_save_rejects_label_column_named_like_an_attribute(tmp_path, names, label_name, taken):
+    # load_csv could not read the file back: the label name would pick
+    # the attribute's column
+    m = DataMatrix(np.ones((2, 2)), ["A", "B"], names, ["p", "q"], label_name)
+    p = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=f"'{taken}' is also an attribute name"):
+        save_csv(m, p)
+    assert not p.exists()
+    # without labels, the same names are fine
+    save_csv(DataMatrix(np.ones((2, 2)), ["A", "B"], names), p)
+    assert load_csv(p).attribute_names == names

@@ -595,15 +595,17 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
     assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
-    # Python reaches the kernel through the fit context, the CSV parser
-    # and line count and the Calinski-Harabasz sums only: a growth cycle
-    # is one call, and neither exp, the sums they share nor the entries
-    # that trained, drew or grew outside a context are exported
+    # Python reaches the kernel through the fit context, the CSV parser,
+    # line count and number formatter and the Calinski-Harabasz sums
+    # only: a growth cycle is one call, and neither exp, the sums they
+    # share nor the entries that trained, drew or grew outside a context
+    # are exported
     for name in ("fit_open", "fit_train", "fit_grow", "fit_store", "fit_close", "parse_block",
-                 "count_lines", "ch_sums"):
+                 "count_lines", "ch_sums", "format_rows"):
         assert hasattr(lib, name), name
     for name in ("fit_begin", "fit_step", "exp_block", "exp_rare", "train_steps", "uniform",
-                 "grow", "nearest", "pairwise_sum", "column_sums"):
+                 "grow", "nearest", "pairwise_sum", "column_sums", "quick_number",
+                 "parse_number", "shortest", "format_repr"):
         assert not hasattr(lib, name), name
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
@@ -1049,12 +1051,14 @@ def test_failed_fit_closes_its_context(monkeypatch):
 # range from 2x2 to over 100 units, and Calinski-Harabasz
 # indices of partitions with singletons, one attribute, equal rows
 # (within-cluster sum 0) and clusters of more than 128 values, in C and
-# Fortran order
+# Fortran order, and CSV files written from random doubles and from plain
+# decimals and read back, with and without the last line end, so the
+# last number field ends the buffer the one-step parse must not read past
 SANITIZER_FITS = """
-import hashlib, json, logging, sys
+import hashlib, json, logging, os, sys, tempfile
 import numpy as np
 from ghsomkit import DataMatrix, GhsomParams, GhsomTree, LeafPartition, _kernel, nested_blobs
-from ghsomkit import run_ghsom, tree_to_json
+from ghsomkit import load_csv, run_ghsom, save_csv, tree_to_json
 from ghsomkit.evaluation import ch_index, sweep
 from ghsomkit.ghsom import INIT_NOISE, SIGMA_FLOOR, SomMap
 if len(sys.argv) > 1:
@@ -1100,6 +1104,26 @@ for values, clusters in [(rng.normal(size=(9, 3)), "AABBCDEFF"),
                        [f"f{j}" for j in range(values.shape[1])])
         ch.append(repr(ch_index(LeafPartition(m.sample_ids, list(clusters)), m)))
 out["ch"] = repr(ch)
+bits = rng.integers(0, 2**64, size=(40, 5), dtype=np.uint64).view(np.float64)
+plain = np.round(rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-3, 9, size=(40, 4)), 4)
+csv_text = []
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "m.csv")
+    labelled = [f"k{i % 3}" for i in range(40)]
+    for values, labels in [(np.where(np.isfinite(bits), bits, 0.0), labelled), (plain, None)]:
+        names = [f"f{j}" for j in range(values.shape[1])]
+        m = DataMatrix(values, [f"s{i}" for i in range(40)], names, labels, "kind")
+        save_csv(m, path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # without its last line end, the unlabelled file ends in a number
+        for text in (raw, raw.removesuffix(b"\\r\\n")):
+            with open(path, "wb") as fh:
+                fh.write(text)
+            back = load_csv(path, has_labels=labels is not None)
+            assert back.values.tobytes() == m.values.tobytes() and back.labels == labels
+            csv_text.append(text.decode())
+out["csv"] = repr(csv_text)
 print(json.dumps({k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}))
 """
 
@@ -1134,7 +1158,7 @@ def test_kernel_under_sanitizers_gives_the_same_fits(tmp_path):
         assert done.returncode == 0, done.stderr[-4000:]
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
-    assert sorted(runs[0]) == ["blocks", "capped", "ch", "dims", "sweep"]
+    assert sorted(runs[0]) == ["blocks", "capped", "ch", "csv", "dims", "sweep"]
 
 
 # ---------------------------------------------------------------- full runs
