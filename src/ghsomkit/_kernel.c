@@ -1724,30 +1724,6 @@ static void shortest(uint64_t mantissa, uint32_t exponent, uint64_t *digits, int
     *exp10 = e10 + removed;
 }
 
-/* repr's digits for a double a > 0 that a decimal of at most 15
-   significant digits reads as: no other such decimal does, as two differ
-   by at least 10^-15 of their value, over twice a double's spacing, so
-   those digits are the shortest.  With 2^e <= a < 2^(e + 1) and k = 13 -
-   floor(e log10 2), m = a * 10^k rounded is below 2 * 10^14, and when
-   m / 10^k, with |k| <= 22 and so one correctly rounded operation, reads
-   as a, m * 10^-k is that decimal: *digits * 10^*exp10.  Returns 0 when
-   the check fails, which a number of more digits always does. */
-static int short_decimal(double a, int32_t e, uint64_t *digits, int32_t *exp10)
-{
-    if (!FAST_PATH)
-        return 0;
-    int32_t k = 13 - (e >= 0 ? log10_pow2(e) : -log10_pow2(-e) - 1);
-    if (k < -22 || k > 22)
-        return 0;
-    double scaled = k >= 0 ? a * exact_pow10[k] : a / exact_pow10[-k];
-    uint64_t m = (uint64_t)(scaled + 0.5);
-    if ((k >= 0 ? (double)m / exact_pow10[k] : (double)m * exact_pow10[-k]) != a)
-        return 0;
-    *digits = m;
-    *exp10 = -k;
-    return 1;
-}
-
 /* "00" .. "99" */
 static const char DIGIT_PAIRS[201] =
     "0001020304050607080910111213141516171819"
@@ -1803,8 +1779,7 @@ static int format_repr(double v, char *out)
     }
     uint64_t digits;
     int32_t exp10;
-    if (!short_decimal(fabs(v), (int32_t)exponent - 1023, &digits, &exp10))
-        shortest(mantissa, exponent, &digits, &exp10);
+    shortest(mantissa, exponent, &digits, &exp10);
     for (; digits % 100 == 0; exp10 += 2)
         digits /= 100;
     if (digits % 10 == 0)

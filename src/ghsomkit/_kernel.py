@@ -99,9 +99,7 @@ non-finite value makes it return False, and the caller falls back to the
 ``repr()`` gives each double: the shortest digits that read back as it,
 the nearest of those and ties to even, found by Ryū (Adams, PLDI 2018)
 with tables of powers of 5 that the tests derive from Python's
-integers; a double that a decimal of at most 15 significant digits reads
-as, the only such decimal, takes one multiply and an exact check
-instead. The text is in Python's layout: ``1.0``, ``-0.0``, ``0.0001``,
+integers. The text is in Python's layout: ``1.0``, ``-0.0``, ``0.0001``,
 ``1e-05``, ``1e+16``, ``5e-324``, with an exponent for a magnitude below
 1e-4 or from 1e16.
 

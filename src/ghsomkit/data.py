@@ -27,10 +27,10 @@ quotes the header, the ids and the labels.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import re
+import types
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -336,25 +336,17 @@ _BLOCK_CELLS = 1 << 16
 _LINE_END = csv.get_dialect("excel").lineterminator
 
 
-def _csv_fields(fields: list[str], alone: bool = False) -> list[str]:
+def _csv_fields(fields: list, alone: bool = False) -> list[str]:
     """The text ``csv.writer`` writes for each of ``fields`` as one field
     of a longer row, or ``alone`` in its row (where it quotes an empty
-    one): its own quoting, whatever the Python version."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    end = _LINE_END if alone else "," + _LINE_END
+    one): its own quoting, and its own text for a field that is not a
+    str, whatever the Python version. The writer hands each row to
+    ``write`` in one call, so each call is one field's text."""
+    texts: list[str] = []
+    writer = csv.writer(types.SimpleNamespace(write=texts.append))
     writer.writerows(zip(fields) if alone else zip(fields, itertools.repeat("")))
-    # quoting only lengthens a field, so the same text means no field
-    # was quoted: the common case, told by one call
-    if buf.getvalue() == "".join([f + end for f in fields]):
-        return list(fields)
-    texts = []
-    for f in fields:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((f,) if alone else (f, ""))
-        texts.append(buf.getvalue()[:-len(end)])
-    return texts
+    end = len(_LINE_END) + (0 if alone else 1)
+    return [text[:-end] for text in texts]
 
 
 def transpose(m: DataMatrix) -> DataMatrix:

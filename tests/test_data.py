@@ -633,8 +633,8 @@ def test_format_rows_is_repr_property(bits):
 @given(st.lists(st.tuples(st.integers(1, 10**17), st.integers(-45, 45)), min_size=1,
                 max_size=64))
 def test_format_rows_is_repr_of_short_decimals_property(decimals):
-    # a double that a decimal of at most 15 digits reads as takes a
-    # direct path to its digits, the rest Ryū's
+    # Ryū drops many digits from a double that a short decimal reads as,
+    # and rounds on the last one dropped
     values = [float(f"{m}e{e}") for m, e in decimals]
     _formats_as_repr([v for v in values if math.isfinite(v)] + [-1.0 / 1024 * m for m, _ in
                                                                decimals])
@@ -652,8 +652,7 @@ def test_format_rows_is_repr_at_edges():
     switch += [np.nextafter(x, d) for x in (1e16, 1e-4, 1e-5, 1e17) for d in (0, np.inf)]
     extremes = [0.0, 1.0, 0.1, 1 / 3, 2.2250738585072014e-308, 2.225073858507201e-308,
                 1.7976931348623157e308, 5e-324, 123.0, 1e22, 1e23, 9.5, 0.3]
-    # the short-decimal path: 14, 15 and 16 digits, and the binades at
-    # the ends of its exponent range
+    # short decimals of 14, 15 and 16 digits, and binary fractions
     short = [12345678901234.0, 123456789012345.0, 1234567890123456.0, 0.123456789012345,
              99999999999999.9, 999999999999999.0, 1.00000000000001, 0.048828125, 3.1416015625]
     short += [float(f"{d}e{k}") for d in ("1", "7.25", "123456789012345") for k in range(-12, 40)]
@@ -717,6 +716,19 @@ def test_save_in_blocks_matches_reference_writer(tmp_path, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK_CELLS", cells)
         save_csv(m, tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_save_non_str_ids_and_labels_match_reference_writer(tmp_path):
+    # csv.writer writes a field that is not a str as its own text: an int
+    # as str(), a float as repr(), None as empty
+    m = DataMatrix(np.array([[1.5], [2.0], [-0.0]]), [7, "b", 2.5], ["x"], [3, None, 0.1], "k")
+    save_csv(m, tmp_path / "got.csv")
+    save_csv_rows(m, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    m = DataMatrix(np.empty((2, 0)), [1, None], [])
+    save_csv(m, tmp_path / "got.csv")
+    save_csv_rows(m, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("names,label_name,taken", [
