@@ -14,7 +14,11 @@
    it spells out as fma() calls, so it gives that loop's bits on every
    CPU.  parse_block converts each number to the double float() returns,
    the correctly rounded one, and format_rows writes each double as the
-   text repr() returns, the shortest that reads back as it. */
+   text repr() returns, the shortest that reads back as it.  parse_block
+   reads a plain decimal of up to 16 bytes in one step, in SSE
+   instructions on an x86-64 CPU with SSSE3 and SSE4.1 and in 64-bit
+   integer arithmetic on any other, picked once when the library loads;
+   both give float()'s bits. */
 
 #include <float.h>
 #include <math.h>
@@ -1438,14 +1442,22 @@ static uint64_t eight_digits(uint64_t w)
             (((w >> 16) & 0x000000ff000000ffu) * 0x0000271000000001u)) >> 32;
 }
 
+/* The value of a one-step field: m its digits without the point, frac of
+   them after the point, negative its sign.  With a point, m has at most
+   15 digits, so Clinger's one division, as in parse_number, rounds it
+   correctly; without one, converting m is the one rounding. */
+static double one_step_value(uint64_t m, int frac, uint64_t negative)
+{
+    double v = frac ? (double)m / exact_pow10[frac] : (double)m;
+    return of_bits(bits_of(v) | negative << 63);
+}
+
 /* Parses the number field at *pp in one step when it is [+-]digits[.digits]
    with a digit, at most 16 bytes and ending in ',', '\n' or '\r': the 16
    bytes from *pp, with the sign and the first point read as '0', are
-   checked and converted as one integer m, the point then dropped.  With a
-   point, m has at most 15 digits, so Clinger's one division, as in
-   parse_number, rounds it correctly; without one, converting m is the one
-   rounding.  Reads 17 bytes from *pp.  Returns 0 and moves *pp past the
-   field, or -1 and leaves the field to parse_number. */
+   checked and converted as one integer m, the point then dropped.  Reads
+   17 bytes from *pp.  Returns 0 and moves *pp past the field, or -1 and
+   leaves the field to parse_number. */
 static int quick_number(const char **pp, double *out)
 {
     if (!QUICK_PATH)
@@ -1469,11 +1481,62 @@ static int quick_number(const char **pp, double *out)
     digits = (digits & after) | (digits & ~after) << 8;
     uint64_t m = eight_digits((uint64_t)digits) * 100000000u +
                  eight_digits((uint64_t)(digits >> 64));
-    double v = frac ? (double)m / exact_pow10[frac] : (double)m;
-    *out = of_bits(bits_of(v) | negative << 63);
+    *out = one_step_value(m, frac, negative);
     *pp = p + end;
     return 0;
 }
+
+/* quick_number_sse, quick_number in SSE instructions, needs x86-64 and
+   GCC's or Clang's target attribute and CPU check. */
+#if QUICK_PATH && defined(__x86_64__) && defined(__GNUC__)
+#define SSE_STEP 1
+#else
+#define SSE_STEP 0
+#endif
+
+#if SSE_STEP
+#include <immintrin.h>
+
+/* quick_number's step on the same grammar, with the same result, in the
+   pshufb and pmaddubsw digit conversion of Langdale & Lemire (VLDB Journal
+   28(6), 2019): one 16-byte load gives the masks of the digits and the
+   points, the end is the first byte that is neither a digit, nor the first
+   point, nor a sign at byte 0, one pshufb right-aligns the digits without
+   the point, and multiply-adds combine digits into pairs, quads and two
+   8-digit halves.  The library picks it when it loads, on a CPU with SSSE3
+   and SSE4.1.  Reads 17 bytes from *pp. */
+__attribute__((target("ssse3,sse4.1"))) static inline int quick_number_sse(const char **pp,
+                                                                          double *out)
+{
+    const char *p = *pp;
+    __m128i v = _mm_loadu_si128((const __m128i *)p);
+    __m128i t = _mm_sub_epi8(v, _mm_set1_epi8('0'));
+    __m128i is_digit = _mm_cmpeq_epi8(_mm_min_epu8(t, _mm_set1_epi8(9)), t);
+    unsigned digits = (unsigned)_mm_movemask_epi8(is_digit);
+    unsigned points = (unsigned)_mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_set1_epi8('.')));
+    unsigned sign = (*p == '-') | (*p == '+'), dot = points & -points;
+    int end = __builtin_ctz(~(digits | dot | sign)), point = __builtin_ctz(dot | 0x10000);
+    int has_point = point < end;
+    if (end - (int)sign - has_point < 1 || (p[end] != ',' && p[end] != '\n' && p[end] != '\r'))
+        return -1;
+    /* byte i takes the field's byte i + end - 16, or, up to where the
+       point lands, the one before it; a negative index gives 0 */
+    int frac = has_point ? end - point - 1 : 0;
+    __m128i index = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    __m128i after = _mm_cmpgt_epi8(index, _mm_set1_epi8((char)(has_point ? 15 - frac : -1)));
+    index = _mm_sub_epi8(_mm_add_epi8(index, _mm_set1_epi8((char)(end - 17))), after);
+    __m128i d = _mm_shuffle_epi8(_mm_and_si128(t, is_digit), index);
+    d = _mm_maddubs_epi16(d, _mm_setr_epi8(10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1, 10, 1));
+    d = _mm_madd_epi16(d, _mm_setr_epi16(100, 1, 100, 1, 100, 1, 100, 1));
+    d = _mm_packus_epi32(d, d);
+    d = _mm_madd_epi16(d, _mm_setr_epi16(10000, 1, 10000, 1, 10000, 1, 10000, 1));
+    uint64_t halves = (uint64_t)_mm_cvtsi128_si64(d);
+    uint64_t m = (halves & 0xffffffffu) * 100000000u + (halves >> 32);
+    *out = one_step_value(m, frac, *p == '-');
+    *pp = p + end;
+    return 0;
+}
+#endif
 
 /* The number of "\n" bytes in buf[pos .. len), found by memchr. */
 int64_t count_lines(const char *buf, int64_t len, int64_t pos)
@@ -1485,21 +1548,12 @@ int64_t count_lines(const char *buf, int64_t len, int64_t pos)
     return count;
 }
 
-/* Parses the body of a CSV file: `rows` records from buf + pos to buf +
-   len, where buf[len] must be 0.  A record is `fields` comma-separated
-   fields ending in "\n", "\r\n" or, for the last one, the end of the
-   buffer; no field may be longer than `limit` bytes.  Field 0 is the id
-   and field `label` (-1: none) the label: each may hold any byte is_text
-   accepts, and their [start, end) offsets in buf go to row r of the
-   (rows, 4) spans (label ones unset without a label).  Every other field is
-   a number (quick_number where at least 32 bytes remain, else or when it
-   declines parse_number), stored in order in row r of the (rows, fields
-   - 1 - has_label) values.  Returns 0, or -1 when the body is anything
-   else: a lone "\r", a blank line, a ragged row, a quote or NUL, a
-   number float() would read otherwise or not at all. */
-int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
-                int64_t fields, int64_t label, int64_t limit,
-                double *values, int64_t *spans)
+/* parse_block's record loop, with one_step the one-step number read it
+   tries first; each form of parse_block inlines it with its own. */
+static inline __attribute__((always_inline)) int
+parse_records(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t fields,
+              int64_t label, int64_t limit, double *values, int64_t *spans,
+              int (*one_step)(const char **, double *))
 {
     const char *p = buf + pos, *stop = buf + len;
     for (int64_t r = 0; r < rows; r++) {
@@ -1513,7 +1567,7 @@ int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
                 s[0] = start - buf;
                 s[1] = p - buf;
             } else {
-                if ((stop - p < 32 || quick_number(&p, values)) && parse_number(&p, values))
+                if ((stop - p < 32 || one_step(&p, values)) && parse_number(&p, values))
                     return -1;
                 values++;
             }
@@ -1530,6 +1584,57 @@ int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
             return -1;
     }
     return p == stop ? 0 : -1;
+}
+
+typedef int parse_block_t(const char *, int64_t, int64_t, int64_t, int64_t, int64_t, int64_t,
+                          double *, int64_t *);
+
+static int parse_block_swar(const char *buf, int64_t len, int64_t pos, int64_t rows,
+                            int64_t fields, int64_t label, int64_t limit, double *values,
+                            int64_t *spans)
+{
+    return parse_records(buf, len, pos, rows, fields, label, limit, values, spans,
+                         quick_number);
+}
+
+/* the form of parse_block this CPU runs, picked when the library loads */
+static parse_block_t *parse_block_form = parse_block_swar;
+
+#if SSE_STEP
+__attribute__((target("ssse3,sse4.1"))) static int
+parse_block_sse(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t fields,
+                int64_t label, int64_t limit, double *values, int64_t *spans)
+{
+    return parse_records(buf, len, pos, rows, fields, label, limit, values, spans,
+                         quick_number_sse);
+}
+
+__attribute__((constructor)) static void pick_parse_block(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("ssse3") && __builtin_cpu_supports("sse4.1"))
+        parse_block_form = parse_block_sse;
+}
+#endif
+
+/* Parses the body of a CSV file: `rows` records from buf + pos to buf +
+   len, where buf[len] must be 0.  A record is `fields` comma-separated
+   fields ending in "\n", "\r\n" or, for the last one, the end of the
+   buffer; no field may be longer than `limit` bytes.  Field 0 is the id
+   and field `label` (-1: none) the label: each may hold any byte is_text
+   accepts, and their [start, end) offsets in buf go to row r of the
+   (rows, 4) spans (label ones unset without a label).  Every other field is
+   a number (the one-step read, quick_number_sse or quick_number, where at
+   least 32 bytes remain, else or when it declines parse_number), stored
+   in order in row r of the (rows, fields - 1 - has_label) values.
+   Returns 0, or -1 when the body is anything else: a lone "\r", a blank
+   line, a ragged row, a quote or NUL, a number float() would read
+   otherwise or not at all. */
+int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
+                int64_t fields, int64_t label, int64_t limit,
+                double *values, int64_t *spans)
+{
+    return parse_block_form(buf, len, pos, rows, fields, label, limit, values, spans);
 }
 
 /* Ryū (Adams, PLDI 2018) finds, for a double, the shortest decimal that

@@ -89,9 +89,14 @@ take Clinger's exact fast path, the rest the C library's ``strtod``;
 both give the correctly rounded double ``float()`` gives. A field of the
 form ``[+-]digits[.digits]`` of at most 16 bytes, where 32 bytes of the
 body remain, is read in one step: its 16 bytes are checked and converted
-as one integer with SWAR arithmetic (Lemire, *Software: Practice and
-Experience* 51(8), 2021), then divided by the power of ten, as Clinger's
-fast path does. Anything else, a field over the field size limit or a
+as one integer, then divided by the power of ten, as Clinger's fast path
+does. On an x86-64 CPU with SSSE3 and SSE4.1 the step is SSE code: byte
+compares give the digit and point masks, one ``pshufb`` right-aligns the
+digits without the point and ``pmaddubsw``/``pmaddwd`` combine them
+(Langdale & Lemire, *VLDB Journal* 28(6), 2019); on any other CPU or
+target it is SWAR arithmetic on a 128-bit integer (Lemire, *Software:
+Practice and Experience* 51(8), 2021). The library picks the form once,
+when it loads, and both give ``float()``'s bits. Anything else, a field over the field size limit or a
 non-finite value makes it return False, and the caller falls back to the
 ``csv`` module.
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ghsomkit import GhsomParams, gaussian_blobs, run_ghsom
+from ghsomkit import GhsomParams, _kernel, gaussian_blobs, run_ghsom
 from helpers import build_kernel, kernel_exp
 
 # One line per acceptance criterion, echoed after the test summary so the
@@ -20,10 +20,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
-def exp(tmp_path_factory):
-    """The kernel's exp, which the online oracle's neighbourhood takes, from
-    a test build of the kernel's source (``helpers.build_kernel``)."""
-    return kernel_exp(build_kernel(tmp_path_factory.mktemp("kernel")))
+def kernel_build(tmp_path_factory):
+    """A test build of the kernel's source, with the entries
+    ``helpers.build_kernel`` adds."""
+    return build_kernel(tmp_path_factory.mktemp("kernel"))
+
+
+@pytest.fixture(scope="session")
+def exp(kernel_build):
+    """The kernel's exp, which the online oracle's neighbourhood takes."""
+    return kernel_exp(kernel_build)
+
+
+@pytest.fixture(scope="session")
+def kernels(tmp_path_factory):
+    """The loaded kernel library and a build of its source with the SSE
+    one-step number read compiled out: on an x86-64 CPU with SSSE3 and
+    SSE4.1 the first runs the SSE form and the second the portable one."""
+    return [_kernel.library(), build_kernel(tmp_path_factory.mktemp("portable"), sse=False)]
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,23 @@ from ghsomkit.ghsom import SomMap
 
 # the kernel's cloned functions, ``CLONES`` in _kernel.c
 CLONES = 'target_clones("avx512f", "arch=x86-64-v3", "default")'
+# the line that compiles in the SSE form of the one-step number read
+SSE_STEP = "#define SSE_STEP 1\n"
+
+# the entries a test build adds: the kernel's static exp_block, and its
+# one-step number reads, which return the field's length or -1
+TEST_ENTRIES = """
+void test_exp(double *a, int64_t n) { exp_block(a, n); }
+int test_one_step(const char *p, double *out, int sse)
+{
+    const char *q = p;
+#if SSE_STEP
+    if (sse)
+        return quick_number_sse(&q, out) ? -1 : (int)(q - p);
+#endif
+    return sse || quick_number(&q, out) ? -1 : (int)(q - p);
+}
+"""
 
 # leaf path -> labels of the samples assigned there (count = len of list).
 # Mixtures are deliberate: "0x0-1x1" has a 2-2-1 majority tie, "0x0-0x0"
@@ -117,18 +134,38 @@ def majority_and_purity(labels):
     return label, best / len(labels)
 
 
-def build_kernel(directory, target=None):
+def cpu_flags() -> set[str]:
+    """The CPU's feature flags from /proc/cpuinfo, or none where it has no
+    such file."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+def build_kernel(directory, target=None, sse=True):
     """A copy of ``_kernel.c`` built into ``directory`` and loaded as
-    ``_kernel.load`` loads the library, with one entry the library does not
-    export: ``test_exp(a, n)``, the kernel's static ``exp_block``. With a
-    ``target``, the cloned functions are built for that target alone, as
-    the loader would pick them on a CPU that has no wider one."""
+    ``_kernel.load`` loads the library, with two entries the library does
+    not export: ``test_exp(a, n)``, the kernel's static ``exp_block``, and
+    ``test_one_step(p, out, sse)``, its one-step read of the number field
+    at ``p`` in the SSE form (``sse`` nonzero; -1 where the build has none)
+    or the portable one. With a ``target``, the cloned functions are built
+    for that target alone, as the loader would pick them on a CPU that has
+    no wider one. With ``sse`` false, the SSE form is compiled out, as on a
+    target that has none, so ``parse_block`` runs the portable form on
+    every CPU."""
     source = _kernel.SOURCE.read_text()
-    assert source.count(CLONES) == 1
+    assert source.count(CLONES) == 1 and source.count(SSE_STEP) == 1
     if target is not None:
         source = source.replace(CLONES, f'target("{target}")')
+    if not sse:
+        source = source.replace(SSE_STEP, "#define SSE_STEP 0\n")
     copy = Path(directory) / "k.c"
-    copy.write_text(source + "\nvoid test_exp(double *a, int64_t n) { exp_block(a, n); }\n")
+    copy.write_text(source + TEST_ENTRIES)
     lib_path = Path(directory) / "k.so"
     done = subprocess.run(["cc", str(copy), "-o", str(lib_path), *_kernel.FLAGS],
                           capture_output=True, text=True, timeout=120)
@@ -136,6 +173,8 @@ def build_kernel(directory, target=None):
     lib = _kernel.load(lib_path)
     lib.test_exp.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     lib.test_exp.restype = None
+    lib.test_one_step.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_int]
+    lib.test_one_step.restype = ctypes.c_int
     return lib
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import itertools
 import math
+import platform
 import re
 import tempfile
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from ghsomkit import DataMatrix, PreprocessSpec, load_csv, preprocess, save_csv, transpose
 from ghsomkit import _kernel, data
+from helpers import cpu_flags
 from oracles import load_csv_cells, ryu_tables, save_csv_rows
 
 
@@ -304,6 +307,14 @@ PARITY_CASES = [
 ]
 
 
+@contextlib.contextmanager
+def _running(lib):
+    """load_csv with the kernel library ``lib``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "library", lambda: lib)
+        yield
+
+
 def _vectorized(path, has_labels=False, label_column=None):
     return data._load_numeric_block(path, has_labels, label_column) is not None
 
@@ -394,7 +405,7 @@ def _tables(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_tables())
-def test_load_matches_per_cell_reference_property(table):
+def test_load_matches_per_cell_reference_property(kernels, table):
     values, spell, ids, labels, label_at, terminator = table
     header = [f"f{j}" for j in range(values.shape[1])]
     header.insert(label_at, "kind")
@@ -407,13 +418,16 @@ def test_load_matches_per_cell_reference_property(table):
                 cells = [spell(v) for v in row]
                 cells.insert(label_at, label)
                 writer.writerow([sid, *cells])
-        _assert_same_as_cells(p, label_column="kind")
+        for lib in kernels:
+            with _running(lib):
+                _assert_same_as_cells(p, label_column="kind")
 
 
 # ------------------------------------------------ numbers against float()
 # the compiled pass converts each number itself (Clinger's fast path for
 # at most 15 significant digits and |exponent| <= 22, strtod otherwise):
-# every spelling it accepts must give the bits float() gives
+# every spelling it accepts must give the bits float() gives, whichever
+# form of the one-step read it runs (``kernels``)
 
 # the padding float() strips, ASCII and Unicode, less CR and LF
 _PADDING = " \t\v\f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
@@ -440,16 +454,17 @@ def _number_spellings(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_number_spellings(), min_size=1, max_size=8))
-def test_load_numbers_match_float_property(cells):
+def test_load_numbers_match_float_property(kernels, cells):
     want = [float(c) for c in cells]
     assume(all(math.isfinite(v) for v in want))  # %.1g of a huge float can round to inf
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "m.csv"
         header = ",".join(f"f{j}" for j in range(len(cells)))
         p.write_bytes(f"id,{header}\na,{','.join(cells)}\n".encode("utf-8"))
-        got = load_csv(p)
-        assert _vectorized(p)
-    assert got.values.tobytes() == np.array([want]).tobytes()
+        for lib in kernels:
+            with _running(lib):
+                assert load_csv(p).values.tobytes() == np.array([want]).tobytes()
+                assert _vectorized(p)
 
 
 @pytest.mark.parametrize("cell,vectorized", [
@@ -480,13 +495,15 @@ def test_load_numbers_match_float_property(cells):
     ("1 2", False),
     ("+-1", False),
 ])
-def test_load_number_edges_match_float(tmp_path, cell, vectorized):
+def test_load_number_edges_match_float(tmp_path, kernels, cell, vectorized):
     p = tmp_path / "m.csv"
     p.write_text(f"id,f0,f1\na,{cell},1\n")
-    _assert_same_as_cells(p)
-    assert _vectorized(p) == vectorized
-    if vectorized:
-        assert load_csv(p).values[0, 0].tobytes() == np.float64(float(cell)).tobytes()
+    for lib in kernels:
+        with _running(lib):
+            _assert_same_as_cells(p)
+            assert _vectorized(p) == vectorized
+            if vectorized:
+                assert load_csv(p).values[0, 0].tobytes() == np.float64(float(cell)).tobytes()
 
 
 @pytest.mark.parametrize("exponent,vectorized", [
@@ -560,8 +577,9 @@ def test_parse_block_arguments_and_record_count():
 # ------------------------------------------------- one-step number fields
 # parse_block reads a field [+-]digits[.digits] of at most 16 bytes in one
 # step where 32 bytes remain before the end of the file, and every other
-# field, or one near the end, number by number: either way it must give
-# the bits float() gives, and the per-cell parser's verdict
+# field, or one near the end, number by number: either way, and in either
+# form of the one-step read, it must give the bits float() gives, and the
+# per-cell parser's verdict
 
 ONE_STEP_CELLS = [
     "12345678901.234",  # 15 bytes
@@ -581,28 +599,78 @@ ONE_STEP_CELLS = [
     "0000000000000000000000000.5",
     "-0", "-0.0", "+.5", "1.", ".5", "0", "7", "-.0",
     ".", "-", "+", "-.", "1.2.3", "1e5", "1.5e-3", "--1", "1-", " 1", "1 ",
+    # the bytes next to '0'-'9' and '.', and bytes from 0x80, after digits
+    "12/3", "/12", "12:", "1:5", "1.5/", "12345678901.23/", "1\u00e9", "1\u00a0",
+    "1234567.5\u3000", "\u00b5",
+    ".123456789012345",  # the point at byte 0 of 16
+    "123456789012345.",  # the point at byte 15 of 16
+    "12..5", "1.5.", "..5",  # two points
+    "1+2", "12-5", "0.5-", ".-5",  # a sign after byte 0
+    "12345678901234567",  # the 17th byte a digit: number by number
+    "-1234567890123456",
+    "123456789012.3456",
 ]
 
 
 @pytest.mark.parametrize("cell", ONE_STEP_CELLS)
 @pytest.mark.parametrize("layout", ["far-lf", "far-crlf", "near-end-lf", "near-end-no-newline",
-                                    "near-end-crlf"])
-def test_load_one_step_numbers_match_float(tmp_path, cell, layout):
+                                    "near-end-crlf", "far-last-lf", "far-last-crlf"])
+def test_load_one_step_numbers_match_float(tmp_path, kernels, cell, layout):
     end = "\r\n" if layout.endswith("crlf") else "\n"
-    if layout.startswith("far"):  # more than 32 bytes follow the cell
+    if layout.startswith("far-last"):  # the cell ends its record
+        text = f"id,f0,f1{end}a,1,{cell}{end}b,2,{'3' * 40}{end}"
+    elif layout.startswith("far"):  # more than 32 bytes follow the cell
         text = f"id,f0,f1{end}a,{cell},1{end}b,2,{'3' * 40}{end}"
     else:
         text = f"id,f0{end}a,{cell}" + ("" if layout.endswith("no-newline") else end)
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode("utf-8"))
-    _assert_same_as_cells(p)
     try:
-        want = float(cell)
+        want = np.float64(float(cell)).tobytes()
     except ValueError:
-        assert not _vectorized(p)
-        return
-    assert _vectorized(p)
-    assert load_csv(p).values[0, 0].tobytes() == np.float64(want).tobytes()
+        want = None
+    at = (0, 1) if layout.startswith("far-last") else (0, 0)
+    for lib in kernels:
+        with _running(lib):
+            _assert_same_as_cells(p)
+            assert _vectorized(p) == (want is not None)
+            if want is not None:
+                assert load_csv(p).values[at].tobytes() == want
+
+
+# the bytes of the windows below: the one-step grammar's and its ends', the
+# neighbours of '0'-'9' and '.', an exponent, and two bytes from 0x80, one
+# of them a digit's byte with its top bit set
+_WINDOW_BYTES = list(b"0123456789.+-,\n\r/:e\x80\xb5")
+_ONE_STEP_FIELD = re.compile(rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
+_SSE_CPU = (platform.machine() in ("x86_64", "AMD64")
+            and {"ssse3", "sse4_1"} <= cpu_flags())
+
+
+@st.composite
+def _windows(draw):
+    """17 bytes of _WINDOW_BYTES, most of them starting with a run of
+    digits, points and signs."""
+    head = draw(st.lists(st.sampled_from(list(b"0123456789.+-")), max_size=17))
+    tail = draw(st.lists(st.sampled_from(_WINDOW_BYTES), min_size=17, max_size=17))
+    return bytes(head + tail)[:17]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_windows())
+def test_one_step_forms_read_the_grammar(kernel_build, window):
+    # each form of the one-step read, in the kernel's test build, takes a
+    # field exactly when it is [+-]digits[.digits] with a digit and ends
+    # in ',', LF or CR by the 17th byte, and then gives float()'s bits; the
+    # SSE form runs only on a CPU that has it
+    ends = re.search(rb"[,\r\n]", window)
+    want = ends.start() if ends and _ONE_STEP_FIELD.fullmatch(window[:ends.start()]) else -1
+    buf = window + bytes(15)  # the 32 bytes the read needs
+    for sse in (0, 1) if _SSE_CPU else (0,):
+        out = np.zeros(1)
+        assert kernel_build.test_one_step(buf, out.ctypes.data, sse) == want
+        if want >= 0:
+            assert out.tobytes() == np.float64(float(window[:want])).tobytes()
 
 
 # ------------------------------------------------- numbers written as repr()

@@ -50,7 +50,7 @@ from ghsomkit.ghsom import (
     _split,
     expand_hierarchy,
 )
-from helpers import build_kernel, kernel_exp
+from helpers import build_kernel, cpu_flags, kernel_exp
 from oracles import (
     best_matching_unit,
     exp_svml,
@@ -368,17 +368,6 @@ def test_train_matches_online_oracle_bitwise_across_dims(dim, rows, cols, n, lam
     _train_matches_online_oracle(dim, rows, cols, n, lam, exp)
 
 
-def _cpu_flags() -> set[str]:
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return set()
-    for line in text.splitlines():
-        if line.startswith("flags"):
-            return set(line.split(":", 1)[1].split())
-    return set()
-
-
 # the CPU flags each clone's target needs
 CLONE_TARGETS = {
     "default": set(),
@@ -390,7 +379,7 @@ CLONE_TARGETS = {
 def _clone(target, directory):
     """``build_kernel``'s library with the clones of ``target`` alone: the
     loaded library runs only the clone this CPU picks."""
-    if not CLONE_TARGETS[target] <= _cpu_flags():
+    if not CLONE_TARGETS[target] <= cpu_flags():
         pytest.skip(f"this CPU lacks {target}")
     return build_kernel(directory, target)
 
@@ -605,7 +594,8 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
         assert hasattr(lib, name), name
     for name in ("fit_begin", "fit_step", "exp_block", "exp_rare", "train_steps", "uniform",
                  "grow", "nearest", "pairwise_sum", "column_sums", "quick_number",
-                 "parse_number", "shortest", "format_repr"):
+                 "quick_number_sse", "parse_block_sse", "parse_block_swar", "parse_number",
+                 "shortest", "format_repr"):
         assert not hasattr(lib, name), name
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
@@ -1051,9 +1041,11 @@ def test_failed_fit_closes_its_context(monkeypatch):
 # range from 2x2 to over 100 units, and Calinski-Harabasz
 # indices of partitions with singletons, one attribute, equal rows
 # (within-cluster sum 0) and clusters of more than 128 values, in C and
-# Fortran order, and CSV files written from random doubles and from plain
-# decimals and read back, with and without the last line end, so the
-# last number field ends the buffer the one-step parse must not read past
+# Fortran order, and CSV files written from random doubles, from plain
+# decimals and from 14-16-byte decimals and read back, with and without
+# the last line end, so the last number field ends the buffer the
+# one-step parse must not read past; on a CPU with SSSE3 and SSE4.1 the
+# one-step parse is its SSE form
 SANITIZER_FITS = """
 import hashlib, json, logging, os, sys, tempfile
 import numpy as np
@@ -1106,11 +1098,17 @@ for values, clusters in [(rng.normal(size=(9, 3)), "AABBCDEFF"),
 out["ch"] = repr(ch)
 bits = rng.integers(0, 2**64, size=(40, 5), dtype=np.uint64).view(np.float64)
 plain = np.round(rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-3, 9, size=(40, 4)), 4)
+# 14-16-byte decimals; in the last row, with its line end, the third field
+# starts 32 bytes before the end: the last the one-step read takes
+long = rng.integers(10**13, 10**15, size=(40, 4))
+long = np.where(rng.random(size=(40, 4)) < 0.5, long, -(long // 10)) / 10**5
+long[-1] = [1234567890.12345, -123456789.12345, 1234567890.12345, 123456789.125]
 csv_text = []
 with tempfile.TemporaryDirectory() as d:
     path = os.path.join(d, "m.csv")
     labelled = [f"k{i % 3}" for i in range(40)]
-    for values, labels in [(np.where(np.isfinite(bits), bits, 0.0), labelled), (plain, None)]:
+    for values, labels in [(np.where(np.isfinite(bits), bits, 0.0), labelled), (plain, None),
+                           (long, None)]:
         names = [f"f{j}" for j in range(values.shape[1])]
         m = DataMatrix(values, [f"s{i}" for i in range(40)], names, labels, "kind")
         save_csv(m, path)
