@@ -16,8 +16,8 @@
    the correctly rounded one, and format_rows writes each double as the
    text repr() returns, the shortest that reads back as it.  parse_block
    reads a plain decimal of up to 16 bytes in one step, in SSE
-   instructions on an x86-64 CPU with SSSE3 and SSE4.1 and in 64-bit
-   integer arithmetic on any other, picked once when the library loads;
+   instructions on an x86-64 CPU with SSSE3 and SSE4.1 and in integer
+   (SWAR) arithmetic on any other, picked once when the library loads;
    both give float()'s bits. */
 
 #include <float.h>

@@ -96,9 +96,9 @@ digits without the point and ``pmaddubsw``/``pmaddwd`` combine them
 (Langdale & Lemire, *VLDB Journal* 28(6), 2019); on any other CPU or
 target it is SWAR arithmetic on a 128-bit integer (Lemire, *Software:
 Practice and Experience* 51(8), 2021). The library picks the form once,
-when it loads, and both give ``float()``'s bits. Anything else, a field over the field size limit or a
-non-finite value makes it return False, and the caller falls back to the
-``csv`` module.
+when it loads, and both give ``float()``'s bits. Anything else, a field
+over the field size limit or a non-finite value makes it return False,
+and the caller falls back to the ``csv`` module.
 
 ``format_rows`` writes the rows of a float64 matrix as the text
 ``repr()`` gives each double: the shortest digits that read back as it,

@@ -17,7 +17,7 @@ matrix bit for bit, and only the per-cell parser raises, so error
 messages do not depend on the path. The compiled pass reads a plain
 decimal field of up to 16 bytes in one step, and any other number field
 digit by digit; the step is SSE code on an x86-64 CPU with SSSE3 and
-SSE4.1 and 64-bit integer arithmetic on any other, picked once when the
+SSE4.1 and integer (SWAR) arithmetic on any other, picked once when the
 kernel library loads, and every path gives ``float()``'s bits.
 
 ``save_csv`` writes the file ``csv.writer`` writes for the rows ``[id,
@@ -140,7 +140,7 @@ def load_csv(
     for at most 15 significant digits and a decimal exponent within
     +-22, by the C library's correctly rounded ``strtod`` otherwise). A
     plain decimal of up to 16 bytes is read in one step, by SSE code on
-    an x86-64 CPU with SSSE3 and SSE4.1 and by 64-bit integer arithmetic
+    an x86-64 CPU with SSSE3 and SSE4.1 and by integer (SWAR) arithmetic
     on any other CPU, chosen once when the kernel library loads; every
     path gives the same bits. It
     accepts records of as many fields as the header, ending in LF or
