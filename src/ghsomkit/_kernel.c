@@ -14,11 +14,11 @@
    it spells out as fma() calls, so it gives that loop's bits on every
    CPU.  parse_block converts each number to the double float() returns,
    the correctly rounded one, and format_rows writes each double as the
-   text repr() returns, the shortest that reads back as it.  parse_block
-   reads a plain decimal of up to 16 bytes in one step, in SSE
-   instructions on an x86-64 CPU with SSSE3 and SSE4.1 and in integer
-   (SWAR) arithmetic on any other, picked once when the library loads;
-   both give float()'s bits. */
+   text repr() returns, the shortest that reads back as it.  On an x86-64
+   CPU with SSSE3 and SSE4.1, checked at each call, parse_block reads a
+   plain decimal of up to 16 bytes in one step of SSE instructions; every
+   other number, and every number on any other CPU, goes to parse_number
+   (Clinger's fast path, else strtod).  Both give float()'s bits. */
 
 #include <float.h>
 #include <math.h>
@@ -1398,97 +1398,9 @@ static int parse_number(const char **pp, double *out)
     return 0;
 }
 
-/* quick_number reads a field's bytes as 16 bytes of an integer, first
-   byte lowest, so it needs a little-endian target, besides FAST_PATH. */
-#if FAST_PATH && defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define QUICK_PATH 1
-#else
-#define QUICK_PATH 0
-#endif
-
-/* the byte b in each of the 16 bytes of a u128 */
-#define BYTES(b) ((((u128)0x0101010101010101u << 64) | 0x0101010101010101u) * (b))
-
-/* The index of the lowest byte of flags with its top bit set, or 16. */
-static int first_flag(u128 flags)
-{
-    uint64_t lo = (uint64_t)flags, hi = (uint64_t)(flags >> 64);
-    return lo ? __builtin_ctzll(lo) / 8 : hi ? 8 + __builtin_ctzll(hi) / 8 : 16;
-}
-
-/* The index of the first byte of w that is not an ASCII digit, or 16.
-   Adding 0x46 sets the top bit of a byte from ':' up, subtracting 0x30
-   that of a byte below '0' (Lemire, Software: Practice and Experience
-   51(8), 2021); a carry or borrow passes only out of a byte that is
-   itself flagged, so the lowest flag is exact. */
-static int first_non_digit(u128 w)
-{
-    return first_flag(((w + BYTES(0x46)) | (w - BYTES(0x30))) & BYTES(0x80));
-}
-
-/* The top bit of each byte of w that is 0, and no other bit. */
-static u128 zero_bytes(u128 w)
-{
-    return ~(((w & BYTES(0x7f)) + BYTES(0x7f)) | w) & BYTES(0x80);
-}
-
-/* The value of the 8 decimal digits, 0-9, in the bytes of w, the first in
-   its lowest byte: adjacent digits, then pairs, then quads combine by one
-   multiply each. */
-static uint64_t eight_digits(uint64_t w)
-{
-    w = w * 10 + (w >> 8);
-    return (((w & 0x000000ff000000ffu) * 0x000f424000000064u) +
-            (((w >> 16) & 0x000000ff000000ffu) * 0x0000271000000001u)) >> 32;
-}
-
-/* The value of a one-step field: m its digits without the point, frac of
-   them after the point, negative its sign.  With a point, m has at most
-   15 digits, so Clinger's one division, as in parse_number, rounds it
-   correctly; without one, converting m is the one rounding. */
-static double one_step_value(uint64_t m, int frac, uint64_t negative)
-{
-    double v = frac ? (double)m / exact_pow10[frac] : (double)m;
-    return of_bits(bits_of(v) | negative << 63);
-}
-
-/* Parses the number field at *pp in one step when it is [+-]digits[.digits]
-   with a digit, at most 16 bytes and ending in ',', '\n' or '\r': the 16
-   bytes from *pp, with the sign and the first point read as '0', are
-   checked and converted as one integer m, the point then dropped.  Reads
-   17 bytes from *pp.  Returns 0 and moves *pp past the field, or -1 and
-   leaves the field to parse_number. */
-static int quick_number(const char **pp, double *out)
-{
-    if (!QUICK_PATH)
-        return -1;
-    const char *p = *pp;
-    u128 w;
-    memcpy(&w, p, sizeof(w));
-    /* without a branch: a sign is as likely as not */
-    uint64_t negative = *p == '-', sign = negative | (*p == '+');
-    w ^= (u128)(((uint64_t)(uint8_t)*p ^ '0') & -sign);
-    u128 dots = zero_bytes(w ^ BYTES('.')), dot = dots & -dots;
-    w += dot >> 6;
-    int end = first_non_digit(w), point = first_flag(dot), has_point = point < end;
-    if (end - (int)sign - has_point < 1 || (p[end] != ',' && p[end] != '\n' && p[end] != '\r'))
-        return -1;
-    /* the digits right-aligned behind 0s, then those before the point
-       moved up over it */
-    u128 digits = (w - BYTES('0')) << (8 * (16 - end));
-    int frac = has_point ? end - point - 1 : 0;
-    u128 after = has_point ? ~(u128)0 << (8 * (15 - frac)) << 8 : ~(u128)0;
-    digits = (digits & after) | (digits & ~after) << 8;
-    uint64_t m = eight_digits((uint64_t)digits) * 100000000u +
-                 eight_digits((uint64_t)(digits >> 64));
-    *out = one_step_value(m, frac, negative);
-    *pp = p + end;
-    return 0;
-}
-
-/* quick_number_sse, quick_number in SSE instructions, needs x86-64 and
-   GCC's or Clang's target attribute and CPU check. */
-#if QUICK_PATH && defined(__x86_64__) && defined(__GNUC__)
+/* quick_number_sse needs x86-64 and GCC's or Clang's target attribute
+   and CPU check, besides FAST_PATH. */
+#if FAST_PATH && defined(__x86_64__) && defined(__GNUC__)
 #define SSE_STEP 1
 #else
 #define SSE_STEP 0
@@ -1497,14 +1409,18 @@ static int quick_number(const char **pp, double *out)
 #if SSE_STEP
 #include <immintrin.h>
 
-/* quick_number's step on the same grammar, with the same result, in the
+/* Parses the number field at *pp in one step when it is [+-]digits[.digits]
+   with a digit, at most 16 bytes and ending in ',', '\n' or '\r', in the
    pshufb and pmaddubsw digit conversion of Langdale & Lemire (VLDB Journal
    28(6), 2019): one 16-byte load gives the masks of the digits and the
    points, the end is the first byte that is neither a digit, nor the first
    point, nor a sign at byte 0, one pshufb right-aligns the digits without
    the point, and multiply-adds combine digits into pairs, quads and two
-   8-digit halves.  The library picks it when it loads, on a CPU with SSSE3
-   and SSE4.1.  Reads 17 bytes from *pp. */
+   8-digit halves, whose value is m.  With a point, m has at most 15
+   digits, so Clinger's one division, as in parse_number, rounds it
+   correctly; without one, converting m is the one rounding.  Reads 17
+   bytes from *pp.  Returns 0 and moves *pp past the field, or -1 and
+   leaves the field to parse_number. */
 __attribute__((target("ssse3,sse4.1"))) static inline int quick_number_sse(const char **pp,
                                                                           double *out)
 {
@@ -1532,7 +1448,8 @@ __attribute__((target("ssse3,sse4.1"))) static inline int quick_number_sse(const
     d = _mm_madd_epi16(d, _mm_setr_epi16(10000, 1, 10000, 1, 10000, 1, 10000, 1));
     uint64_t halves = (uint64_t)_mm_cvtsi128_si64(d);
     uint64_t m = (halves & 0xffffffffu) * 100000000u + (halves >> 32);
-    *out = one_step_value(m, frac, *p == '-');
+    double value = frac ? (double)m / exact_pow10[frac] : (double)m;
+    *out = of_bits(bits_of(value) | (uint64_t)(*p == '-') << 63);
     *pp = p + end;
     return 0;
 }
@@ -1549,7 +1466,8 @@ int64_t count_lines(const char *buf, int64_t len, int64_t pos)
 }
 
 /* parse_block's record loop, with one_step the one-step number read it
-   tries first; each form of parse_block inlines it with its own. */
+   tries first, or NULL for none; each form of parse_block inlines it with
+   its own. */
 static inline __attribute__((always_inline)) int
 parse_records(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t fields,
               int64_t label, int64_t limit, double *values, int64_t *spans,
@@ -1567,7 +1485,8 @@ parse_records(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t f
                 s[0] = start - buf;
                 s[1] = p - buf;
             } else {
-                if ((stop - p < 32 || one_step(&p, values)) && parse_number(&p, values))
+                if ((!one_step || stop - p < 32 || one_step(&p, values)) &&
+                    parse_number(&p, values))
                     return -1;
                 values++;
             }
@@ -1586,20 +1505,6 @@ parse_records(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t f
     return p == stop ? 0 : -1;
 }
 
-typedef int parse_block_t(const char *, int64_t, int64_t, int64_t, int64_t, int64_t, int64_t,
-                          double *, int64_t *);
-
-static int parse_block_swar(const char *buf, int64_t len, int64_t pos, int64_t rows,
-                            int64_t fields, int64_t label, int64_t limit, double *values,
-                            int64_t *spans)
-{
-    return parse_records(buf, len, pos, rows, fields, label, limit, values, spans,
-                         quick_number);
-}
-
-/* the form of parse_block this CPU runs, picked when the library loads */
-static parse_block_t *parse_block_form = parse_block_swar;
-
 #if SSE_STEP
 __attribute__((target("ssse3,sse4.1"))) static int
 parse_block_sse(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t fields,
@@ -1609,11 +1514,10 @@ parse_block_sse(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t
                          quick_number_sse);
 }
 
-__attribute__((constructor)) static void pick_parse_block(void)
+/* Whether this CPU runs quick_number_sse's instructions. */
+static int sse_cpu(void)
 {
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("ssse3") && __builtin_cpu_supports("sse4.1"))
-        parse_block_form = parse_block_sse;
+    return __builtin_cpu_supports("ssse3") && __builtin_cpu_supports("sse4.1");
 }
 #endif
 
@@ -1624,17 +1528,22 @@ __attribute__((constructor)) static void pick_parse_block(void)
    and field `label` (-1: none) the label: each may hold any byte is_text
    accepts, and their [start, end) offsets in buf go to row r of the
    (rows, 4) spans (label ones unset without a label).  Every other field is
-   a number (the one-step read, quick_number_sse or quick_number, where at
-   least 32 bytes remain, else or when it declines parse_number), stored
-   in order in row r of the (rows, fields - 1 - has_label) values.
-   Returns 0, or -1 when the body is anything else: a lone "\r", a blank
-   line, a ragged row, a quote or NUL, a number float() would read
-   otherwise or not at all. */
+   a number, stored in order in row r of the (rows, fields - 1 - has_label)
+   values: on a CPU with SSSE3 and SSE4.1, checked at each call,
+   quick_number_sse reads it where at least 32 bytes remain, and
+   parse_number reads every field it does not take; on any other CPU
+   parse_number reads them all.  Returns 0, or -1 when the body is
+   anything else: a lone "\r", a blank line, a ragged row, a quote or NUL,
+   a number float() would read otherwise or not at all. */
 int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
                 int64_t fields, int64_t label, int64_t limit,
                 double *values, int64_t *spans)
 {
-    return parse_block_form(buf, len, pos, rows, fields, label, limit, values, spans);
+#if SSE_STEP
+    if (sse_cpu())
+        return parse_block_sse(buf, len, pos, rows, fields, label, limit, values, spans);
+#endif
+    return parse_records(buf, len, pos, rows, fields, label, limit, values, spans, NULL);
 }
 
 /* Ryū (Adams, PLDI 2018) finds, for a double, the shortest decimal that

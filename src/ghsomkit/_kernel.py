@@ -86,19 +86,18 @@ with the whitespace ``float()`` strips (space, tab, vertical tab, form
 feed and the Unicode spaces, but not the separators 0x1C-0x1F). Numbers
 with at most 15 significant digits and a decimal exponent in [-22, 22]
 take Clinger's exact fast path, the rest the C library's ``strtod``;
-both give the correctly rounded double ``float()`` gives. A field of the
-form ``[+-]digits[.digits]`` of at most 16 bytes, where 32 bytes of the
-body remain, is read in one step: its 16 bytes are checked and converted
-as one integer, then divided by the power of ten, as Clinger's fast path
-does. On an x86-64 CPU with SSSE3 and SSE4.1 the step is SSE code: byte
-compares give the digit and point masks, one ``pshufb`` right-aligns the
-digits without the point and ``pmaddubsw``/``pmaddwd`` combine them
-(Langdale & Lemire, *VLDB Journal* 28(6), 2019); on any other CPU or
-target it is SWAR arithmetic on a 128-bit integer (Lemire, *Software:
-Practice and Experience* 51(8), 2021). The library picks the form once,
-when it loads, and both give ``float()``'s bits. Anything else, a field
-over the field size limit or a non-finite value makes it return False,
-and the caller falls back to the ``csv`` module.
+both give the correctly rounded double ``float()`` gives. On an x86-64
+CPU with SSSE3 and SSE4.1, checked at each call, a field of the form
+``[+-]digits[.digits]`` of at most 16 bytes, where 32 bytes of the body
+remain, is read in one step of SSE code: byte compares give the digit
+and point masks, one ``pshufb`` right-aligns the digits without the
+point and ``pmaddubsw``/``pmaddwd`` combine them into one integer
+(Langdale & Lemire, *VLDB Journal* 28(6), 2019), then divided by the
+power of ten, as Clinger's fast path does. Every other number, and every
+number on any other CPU, takes the fast path or ``strtod``; each way
+gives ``float()``'s bits. Anything else, a field over the field size
+limit or a non-finite value makes it return False, and the caller falls
+back to the ``csv`` module.
 
 ``format_rows`` writes the rows of a float64 matrix as the text
 ``repr()`` gives each double: the shortest digits that read back as it,

@@ -13,12 +13,8 @@ every number to the correctly rounded double ``float()`` returns. Every
 other file (quoted fields, blank lines, lone carriage returns, spellings
 such as ``1_0`` or ``inf``, non-finite or malformed cells, invalid
 UTF-8) goes through the per-cell ``csv`` parser. Both give the same
-matrix bit for bit, and only the per-cell parser raises, so error
-messages do not depend on the path. The compiled pass reads a plain
-decimal field of up to 16 bytes in one step, and any other number field
-digit by digit; the step is SSE code on an x86-64 CPU with SSSE3 and
-SSE4.1 and integer (SWAR) arithmetic on any other, picked once when the
-kernel library loads, and every path gives ``float()``'s bits.
+matrix bit for bit, on every CPU, and only the per-cell parser raises,
+so error messages do not depend on the path.
 
 ``save_csv`` writes the file ``csv.writer`` writes for the rows ``[id,
 *values, label]``: the kernel formats the numbers (``_kernel.format_rows``)
@@ -138,14 +134,11 @@ def load_csv(
     header is decoded in Python, and the pass both validates every record
     and converts every number to the double ``float()`` returns (exactly
     for at most 15 significant digits and a decimal exponent within
-    +-22, by the C library's correctly rounded ``strtod`` otherwise). A
-    plain decimal of up to 16 bytes is read in one step, by SSE code on
-    an x86-64 CPU with SSSE3 and SSE4.1 and by integer (SWAR) arithmetic
-    on any other CPU, chosen once when the kernel library loads; every
-    path gives the same bits. It
-    accepts records of as many fields as the header, ending in LF or
-    CRLF; ids and labels holding no quote, CR, LF, NUL or ASCII separator
-    (0x1C-0x1F) and valid UTF-8; number fields of the form
+    +-22, by the C library's correctly rounded ``strtod`` otherwise), the
+    same bits on every CPU. It accepts records of as many fields as the
+    header, ending in LF or CRLF; ids and labels holding no quote, CR,
+    LF, NUL or ASCII separator (0x1C-0x1F) and valid UTF-8; number
+    fields of the form
     ``[+-]digits[.digits][e[+-]digits]`` (``1.`` and ``.5`` included),
     padded at most with the whitespace ``float()`` strips; no field
     longer than ``csv.field_size_limit()`` bytes; finite values; unique

@@ -17,21 +17,30 @@ from ghsomkit.ghsom import SomMap
 
 # the kernel's cloned functions, ``CLONES`` in _kernel.c
 CLONES = 'target_clones("avx512f", "arch=x86-64-v3", "default")'
-# the line that compiles in the SSE form of the one-step number read
+# the line that compiles in the SSE one-step number read
 SSE_STEP = "#define SSE_STEP 1\n"
 
-# the entries a test build adds: the kernel's static exp_block, and its
-# one-step number reads, which return the field's length or -1
+# the entries a test build adds: the kernel's static exp_block, whether
+# parse_block takes the SSE step on this CPU, and that step, which
+# returns the field's length or -1
 TEST_ENTRIES = """
 void test_exp(double *a, int64_t n) { exp_block(a, n); }
-int test_one_step(const char *p, double *out, int sse)
+int test_sse_cpu(void)
 {
-    const char *q = p;
 #if SSE_STEP
-    if (sse)
-        return quick_number_sse(&q, out) ? -1 : (int)(q - p);
+    return sse_cpu();
+#else
+    return 0;
 #endif
-    return sse || quick_number(&q, out) ? -1 : (int)(q - p);
+}
+int test_one_step(const char *p, double *out)
+{
+#if SSE_STEP
+    const char *q = p;
+    return quick_number_sse(&q, out) ? -1 : (int)(q - p);
+#else
+    return -1;
+#endif
 }
 """
 
@@ -149,15 +158,15 @@ def cpu_flags() -> set[str]:
 
 def build_kernel(directory, target=None, sse=True):
     """A copy of ``_kernel.c`` built into ``directory`` and loaded as
-    ``_kernel.load`` loads the library, with two entries the library does
-    not export: ``test_exp(a, n)``, the kernel's static ``exp_block``, and
-    ``test_one_step(p, out, sse)``, its one-step read of the number field
-    at ``p`` in the SSE form (``sse`` nonzero; -1 where the build has none)
-    or the portable one. With a ``target``, the cloned functions are built
-    for that target alone, as the loader would pick them on a CPU that has
-    no wider one. With ``sse`` false, the SSE form is compiled out, as on a
-    target that has none, so ``parse_block`` runs the portable form on
-    every CPU."""
+    ``_kernel.load`` loads the library, with three entries the library does
+    not export: ``test_exp(a, n)``, the kernel's static ``exp_block``;
+    ``test_sse_cpu()``, 1 when ``parse_block`` takes the SSE one-step read
+    on this CPU; and ``test_one_step(p, out)``, that read of the number
+    field at ``p`` (-1 where the build has none). With a ``target``, the
+    cloned functions are built for that target alone, as the loader would
+    pick them on a CPU that has no wider one. With ``sse`` false, the SSE
+    step is compiled out, as on a target that has none, so ``parse_block``
+    sends every number field to ``parse_number`` on every CPU."""
     source = _kernel.SOURCE.read_text()
     assert source.count(CLONES) == 1 and source.count(SSE_STEP) == 1
     if target is not None:
@@ -173,7 +182,9 @@ def build_kernel(directory, target=None, sse=True):
     lib = _kernel.load(lib_path)
     lib.test_exp.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     lib.test_exp.restype = None
-    lib.test_one_step.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_int]
+    lib.test_sse_cpu.argtypes = []
+    lib.test_sse_cpu.restype = ctypes.c_int
+    lib.test_one_step.argtypes = [ctypes.c_char_p, ctypes.c_void_p]
     lib.test_one_step.restype = ctypes.c_int
     return lib
 

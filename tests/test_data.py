@@ -426,8 +426,8 @@ def test_load_matches_per_cell_reference_property(kernels, table):
 # ------------------------------------------------ numbers against float()
 # the compiled pass converts each number itself (Clinger's fast path for
 # at most 15 significant digits and |exponent| <= 22, strtod otherwise):
-# every spelling it accepts must give the bits float() gives, whichever
-# form of the one-step read it runs (``kernels``)
+# every spelling it accepts must give the bits float() gives, with the
+# SSE one-step read and without it (``kernels``)
 
 # the padding float() strips, ASCII and Unicode, less CR and LF
 _PADDING = " \t\v\f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
@@ -576,10 +576,10 @@ def test_parse_block_arguments_and_record_count():
 
 # ------------------------------------------------- one-step number fields
 # parse_block reads a field [+-]digits[.digits] of at most 16 bytes in one
-# step where 32 bytes remain before the end of the file, and every other
-# field, or one near the end, number by number: either way, and in either
-# form of the one-step read, it must give the bits float() gives, and the
-# per-cell parser's verdict
+# step where 32 bytes remain before the end of the file and the CPU has
+# the SSE step, and every other field, or one near the end, number by
+# number: either way it must give the bits float() gives, and the per-cell
+# parser's verdict
 
 ONE_STEP_CELLS = [
     "12345678901.234",  # 15 bytes
@@ -656,21 +656,25 @@ def _windows(draw):
     return bytes(head + tail)[:17]
 
 
+def test_sse_step_is_taken_exactly_on_sse_cpus(kernel_build):
+    # a dispatch that never took the step would pass every other test
+    assert kernel_build.test_sse_cpu() == _SSE_CPU
+
+
+@pytest.mark.skipif(not _SSE_CPU, reason="this CPU has no SSSE3 and SSE4.1")
 @settings(max_examples=500, deadline=None)
 @given(_windows())
 def test_one_step_forms_read_the_grammar(kernel_build, window):
-    # each form of the one-step read, in the kernel's test build, takes a
-    # field exactly when it is [+-]digits[.digits] with a digit and ends
-    # in ',', LF or CR by the 17th byte, and then gives float()'s bits; the
-    # SSE form runs only on a CPU that has it
+    # the SSE one-step read, in the kernel's test build, takes a field
+    # exactly when it is [+-]digits[.digits] with a digit and ends in ',',
+    # LF or CR by the 17th byte, and then gives float()'s bits
     ends = re.search(rb"[,\r\n]", window)
     want = ends.start() if ends and _ONE_STEP_FIELD.fullmatch(window[:ends.start()]) else -1
     buf = window + bytes(15)  # the 32 bytes the read needs
-    for sse in (0, 1) if _SSE_CPU else (0,):
-        out = np.zeros(1)
-        assert kernel_build.test_one_step(buf, out.ctypes.data, sse) == want
-        if want >= 0:
-            assert out.tobytes() == np.float64(float(window[:want])).tobytes()
+    out = np.zeros(1)
+    assert kernel_build.test_one_step(buf, out.ctypes.data) == want
+    if want >= 0:
+        assert out.tobytes() == np.float64(float(window[:want])).tobytes()
 
 
 # ------------------------------------------------- numbers written as repr()

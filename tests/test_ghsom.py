@@ -376,19 +376,27 @@ CLONE_TARGETS = {
 }
 
 
-def _clone(target, directory):
-    """``build_kernel``'s library with the clones of ``target`` alone: the
-    loaded library runs only the clone this CPU picks."""
-    if not CLONE_TARGETS[target] <= cpu_flags():
-        pytest.skip(f"this CPU lacks {target}")
-    return build_kernel(directory, target)
+@pytest.fixture(scope="session")
+def clone(tmp_path_factory):
+    """``clone(target)``: ``build_kernel``'s library with the clones of
+    ``target`` alone, built once a session, where the loaded library runs
+    only the clone this CPU picks."""
+    built = {}
+
+    def clone(target):
+        if not CLONE_TARGETS[target] <= cpu_flags():
+            pytest.skip(f"this CPU lacks {target}")
+        if target not in built:
+            built[target] = build_kernel(tmp_path_factory.mktemp("clone"), target)
+        return built[target]
+    return clone
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the training functions are cloned on x86-64 only")
 @pytest.mark.parametrize("target", list(CLONE_TARGETS))
-def test_every_clone_matches_online_oracle_bitwise(target, tmp_path, monkeypatch, exp):
-    lib = _clone(target, tmp_path)
+def test_every_clone_matches_online_oracle_bitwise(target, clone, monkeypatch, exp):
+    lib = clone(target)
     monkeypatch.setattr(_kernel, "library", lambda: lib)
     for dim, rows, cols, n, lam in [(3, 3, 4, 20, 4), *ACROSS_DIMS[1:]]:
         _train_matches_online_oracle(dim, rows, cols, n, lam, exp)
@@ -420,11 +428,11 @@ def _exp_arguments(rng, per_binade):
 
 
 @pytest.mark.parametrize("target", list(CLONE_TARGETS))
-def test_kernel_exp_matches_exact_reference(target, tmp_path):
+def test_kernel_exp_matches_exact_reference(target, clone):
     # the exact-arithmetic reference of numpy's AVX-512 exp, against the
     # kernel's port in every clone (elsewhere than x86-64, "default" is
     # the one build there is)
-    lib = _clone(target, tmp_path)
+    lib = clone(target)
     rng = np.random.default_rng(17)
     x = np.concatenate([_exp_arguments(rng, 3), rng.uniform(-746.0, -EXP_FAST, 500)])
     got = kernel_exp(lib)(x)
@@ -593,9 +601,8 @@ def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
                  "count_lines", "ch_sums", "format_rows"):
         assert hasattr(lib, name), name
     for name in ("fit_begin", "fit_step", "exp_block", "exp_rare", "train_steps", "uniform",
-                 "grow", "nearest", "pairwise_sum", "column_sums", "quick_number",
-                 "quick_number_sse", "parse_block_sse", "parse_block_swar", "parse_number",
-                 "shortest", "format_repr"):
+                 "grow", "nearest", "pairwise_sum", "column_sums", "quick_number_sse",
+                 "parse_block_sse", "sse_cpu", "parse_number", "shortest", "format_repr"):
         assert not hasattr(lib, name), name
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
