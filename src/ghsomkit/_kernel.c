@@ -111,15 +111,16 @@ static double pairwise_sum(const double *a, int64_t n)
 /* Assigns each of the n samples x (n, dim) to its nearest row of w
    (units, dim): dist[i] is the Euclidean distance, the sqrt of the
    index-order sum of squared differences as scipy's cdist computes it,
-   and index[i] np.argmin's pick among the distances.  Then unit_mqe[u] is
-   the mean of unit u's distances in sample order as np.mean gives it,
-   (0.0 + pairwise sum) / count, or 0 for a unit without samples, and
-   *map_mqe the mean of the occupied units' errors as SomMap.mqe takes it:
-   their row-major array summed, (0.0 + pairwise sum), divided by their
-   count.  Returns 0, or -1 when out of memory. */
+   and index[i] np.argmin's pick among the distances.  Then count[u] is
+   the number of samples at unit u, unit_mqe[u] the mean of their
+   distances in sample order as np.mean gives it, (0.0 + pairwise sum) /
+   count, or 0 for a unit without samples, and *map_mqe the mean of the
+   occupied units' errors as SomMap.mqe takes it: their row-major array
+   summed, (0.0 + pairwise sum), divided by their count.  Returns 0, or -1
+   when out of memory. */
 static int assign(const double *x, int64_t n, const double *w, int64_t units,
-                  int64_t dim, double *dist, int64_t *index, double *unit_mqe,
-                  double *map_mqe)
+                  int64_t dim, double *dist, int64_t *index, int64_t *count,
+                  double *unit_mqe, double *map_mqe)
 {
     double *d = malloc(sizeof(double) * (size_t)(units + n));
     int64_t *end = calloc((size_t)units + 1, sizeof(int64_t));
@@ -152,10 +153,10 @@ static int assign(const double *x, int64_t n, const double *w, int64_t units,
         grouped[end[index[i]]++] = dist[i];
     int64_t occupied = 0;
     for (int64_t u = 0, start = 0; u < units; start = end[u++]) {
-        int64_t count = end[u] - start;
-        unit_mqe[u] = count ? (0.0 + pairwise_sum(grouped + start, count)) / (double)count
-                            : 0.0;
-        if (count)
+        count[u] = end[u] - start;
+        unit_mqe[u] = count[u] ? (0.0 + pairwise_sum(grouped + start, count[u])) /
+                                 (double)count[u] : 0.0;
+        if (count[u])
             d[occupied++] = unit_mqe[u];
     }
     *map_mqe = occupied ? (0.0 + pairwise_sum(d, occupied)) / (double)occupied : 0.0;
@@ -864,15 +865,31 @@ static void insert(double *w, int64_t rows, int64_t cols, int64_t dim, int axis,
 
 /* ---- a map's fit ---------------------------------------------------------
 
-   The state of one map's fit, from its initial weights to its stop: the
-   routed samples, gathered once; the weights, grown in place by each
-   insertion; the growth cycle's sample order; the block's table of
-   neighbourhood weights; the assignment and unit errors of the last
+   The constants every map of one tree's fit shares, and the state of one
+   map's fit, from its initial weights to its stop: the routed samples,
+   gathered once; the weights, grown in place by each insertion; the
+   growth cycle's sample order; the block's table of neighbourhood
+   weights; the assignment, unit sample counts and unit errors of the last
    cycle, and its verdict.  A growth cycle is one fit_train call, an
    insertion one fit_grow call.  Every buffer is sized for the current
    shape and grown on insertion. */
 
 enum { GROW = 0, CONVERGED = 1, CAPPED = 2 };
+
+/* The constants of one tree's fit, which every map's fit reads: the
+   C-contiguous (ndata, dim) data, the seed's bytes, the epochs per cycle,
+   the learning rate alpha0, the radius sigma0 (without has_sigma0, half
+   the larger side of the map) and its floor, the initial noise and the
+   insertion cap.  The caller fills it and keeps it, and the data and seed
+   it points to, alive while any fit that reads it is open; the Python
+   wrapper's copy of this layout (_kernel.Run) must stay in step. */
+typedef struct {
+    const double *data;
+    int64_t ndata, dim;
+    const uint8_t *seed;
+    int64_t nseed, lam, max_insertions, has_sigma0;
+    double alpha0, sigma0, sigma_floor, noise;
+} run_t;
 
 /* a block of training steps is sized so that its table holds about this
    many doubles */
@@ -884,19 +901,20 @@ typedef struct {
     int64_t verdict;         /* after a cycle: GROW, CONVERGED or CAPPED */
     double mqe;              /* after a cycle: the map MQE */
     /* private */
-    int64_t dim, n, lam, width, insertions, max_units, max_insertions;
-    int64_t w_cap, unit_mqe_cap, scratch_cap, table_cap, alpha_cap, coef_cap, distinct_cap,
-        slot_cap, lanes_cap, rc_cap;
-    int has_sigma0;
-    int assigned;            /* index and unit_mqe hold for the current shape:
-                                cleared by an insertion, set by the next cycle */
-    double alpha0, sigma0, sigma_floor, threshold;
+    const run_t *run;
+    int64_t dim, n, lam, width, insertions, max_units;
+    int64_t w_cap, unit_mqe_cap, count_cap, scratch_cap, table_cap, alpha_cap, coef_cap,
+        distinct_cap, slot_cap, lanes_cap, rc_cap;
+    int assigned;            /* index, count and unit_mqe hold for the current
+                                shape: cleared by an insertion, set by the next
+                                cycle */
+    double threshold;
     double *x, *w, *unit_mqe, *scratch, *table, *alpha, *coef, *distinct, *dist;
     vec *lanes;              /* L's lw, d and near */
-    int64_t *order, *index, *slot, *rc;
+    int64_t *order, *index, *count, *slot, *rc;
     lanes_t L;               /* the training pass's view of the current shape */
-    uint8_t *seed, *path;
-    int64_t nseed, npath;
+    uint8_t *path;
+    int64_t npath;
 } fit_t;
 
 /* Grows the buffer *p of *cap elements of `size` bytes to `need`
@@ -1013,63 +1031,60 @@ void fit_close(fit_t *f)
     free(f->table);
     free(f->order);
     free(f->index);
+    free(f->count);
     free(f->slot);
-    free(f->seed);
     free(f->path);
     free(f);
 }
 
 /* Opens the fit of a rows x cols map on the n samples data[indices] of
-   the (ndata, dim) data into *out.  The weights are a copy of the given
-   ones, or, when weights is NULL, x.mean(axis=0) + u * x.std(axis=0) for
-   the routed samples x and the units * dim draws u of
-   Generator.uniform(-noise, noise) from stream 0, with numpy's float
-   operations (column_sums).  A cycle of lam epochs decays the learning
-   rate from alpha0 and the radius from sigma0 (without has_sigma0, half
-   the larger side of the map) down to sigma_floor, in blocks of steps
-   whose table holds about TABLE_FLOATS doubles.  A cycle converges when
-   the map MQE is below threshold or 0, and is capped when the map holds
-   max_units units or has grown max_insertions times.  Returns 0; -1 when
-   out of memory and -2 for a sample index out of range. */
-int fit_open(fit_t **out, const double *data, int64_t ndata, int64_t dim,
-             const int64_t *indices, int64_t n, int64_t rows, int64_t cols,
-             const double *weights, double noise, int64_t lam, double alpha0,
-             int has_sigma0, double sigma0, double sigma_floor, double threshold,
-             int64_t max_units, int64_t max_insertions, const uint8_t *seed, int64_t nseed,
-             const uint8_t *path, int64_t npath)
+   the run's data into *out.  The weights are a copy of the given ones,
+   or, when weights is NULL, x.mean(axis=0) + u * x.std(axis=0) for the
+   routed samples x and the units * dim draws u of
+   Generator.uniform(-noise, noise) from stream 0 of [seed, 0, *path],
+   with numpy's float operations (column_sums).  A cycle of lam epochs
+   decays the learning rate from alpha0 and the radius from sigma0 down to
+   sigma_floor, in blocks of steps whose table holds about TABLE_FLOATS
+   doubles.  A cycle converges when the map MQE is below threshold or 0,
+   and is capped when the map holds max_units units or has grown
+   max_insertions times.  The fit reads the run until it is closed.
+   Returns 0; -1 when out of memory and -2 for a sample index out of
+   range. */
+int fit_open(fit_t **out, const run_t *run, const int64_t *indices, int64_t n, int64_t rows,
+             int64_t cols, const double *weights, const uint8_t *path, int64_t npath,
+             double threshold, int64_t max_units)
 {
     *out = NULL;
     for (int64_t i = 0; i < n; i++)
-        if (indices[i] < 0 || indices[i] >= ndata)
+        if (indices[i] < 0 || indices[i] >= run->ndata)
             return -2;
     fit_t *f = calloc(1, sizeof(fit_t));
     if (f == NULL)
         return -1;
-    int64_t units = rows * cols;
-    *f = (fit_t){.rows = rows, .cols = cols, .dim = dim, .n = n, .lam = lam,
-                 .max_units = max_units, .max_insertions = max_insertions,
-                 .has_sigma0 = has_sigma0, .assigned = 1,
-                 .alpha0 = alpha0, .sigma0 = sigma0, .sigma_floor = sigma_floor,
-                 .threshold = threshold, .nseed = nseed, .npath = npath};
+    int64_t units = rows * cols, dim = run->dim;
+    *f = (fit_t){.rows = rows, .cols = cols, .run = run, .dim = dim, .n = n, .lam = run->lam,
+                 .max_units = max_units, .assigned = 1, .threshold = threshold,
+                 .npath = npath};
     if ((f->x = malloc(sizeof(double) * (size_t)(n * dim))) == NULL ||
-        (f->order = malloc(sizeof(int64_t) * (size_t)(lam * n))) == NULL ||
+        (f->order = malloc(sizeof(int64_t) * (size_t)(f->lam * n))) == NULL ||
         (f->dist = malloc(sizeof(double) * (size_t)n)) == NULL ||
         (f->index = malloc(sizeof(int64_t) * (size_t)n)) == NULL ||
-        (f->seed = malloc((size_t)nseed + 1)) == NULL ||
         (f->path = malloc((size_t)npath + 1)) == NULL ||
         reserve((void **)&f->w, &f->w_cap, units * dim, sizeof(double)) ||
         reserve((void **)&f->unit_mqe, &f->unit_mqe_cap, units, sizeof(double)) ||
+        reserve((void **)&f->count, &f->count_cap, units, sizeof(int64_t)) ||
         set_shape(f)) {
         fit_close(f);
         return -1;
     }
-    memcpy(f->seed, seed, (size_t)nseed);
     memcpy(f->path, path, (size_t)npath);
     /* before its first cycle the map stores with every sample on unit 0 */
     memset(f->index, 0, sizeof(int64_t) * (size_t)n);
+    memset(f->count, 0, sizeof(int64_t) * (size_t)units);
+    f->count[0] = n;
     memset(f->unit_mqe, 0, sizeof(double) * (size_t)units);
     for (int64_t i = 0; i < n; i++)
-        memcpy(f->x + i * dim, data + indices[i] * dim, sizeof(double) * (size_t)dim);
+        memcpy(f->x + i * dim, run->data + indices[i] * dim, sizeof(double) * (size_t)dim);
     if (weights != NULL) {
         memcpy(f->w, weights, sizeof(double) * (size_t)(units * dim));
     } else {
@@ -1082,7 +1097,8 @@ int fit_open(fit_t **out, const double *data, int64_t ndata, int64_t dim,
         column_sums(f->x, n, dim, mean, std, f->dist);
         for (int64_t k = 0; k < dim; k++)
             std[k] = sqrt(std[k] / (double)n);
-        if (uniform(f->w, units * dim, -noise, noise, seed, nseed, 0, path, npath)) {
+        if (uniform(f->w, units * dim, -run->noise, run->noise, run->seed, run->nseed, 0, path,
+                    npath)) {
             fit_close(f);
             return -1;
         }
@@ -1110,13 +1126,15 @@ static int64_t schedule(fit_t *f, int64_t start)
 {
     int64_t total = f->lam * f->n, block = block_steps(f);
     int64_t steps = total - start < block ? total - start : block;
-    double sigma0 = f->has_sigma0 ? f->sigma0 : (double)(f->rows > f->cols ? f->rows : f->cols) / 2;
+    const run_t *run = f->run;
+    double sigma0 = run->has_sigma0 ? run->sigma0
+                                    : (double)(f->rows > f->cols ? f->rows : f->cols) / 2;
     for (int64_t s = 0; s < steps; s++) {
         double frac = 1.0 - (double)(start + s) / (double)total;
-        f->alpha[s] = f->alpha0 * frac;
+        f->alpha[s] = run->alpha0 * frac;
         double v = sigma0 * frac;
         /* np.maximum: a NaN propagates */
-        double sigma = f->sigma_floor >= v ? f->sigma_floor : v;
+        double sigma = run->sigma_floor >= v ? run->sigma_floor : v;
         f->coef[s] = -0.5 / (sigma * sigma);
         f->table[s] = 1.0;
     }
@@ -1142,7 +1160,8 @@ static int64_t schedule(fit_t *f, int64_t start)
 int fit_train(fit_t *f, uint64_t stream)
 {
     int64_t total = f->lam * f->n, units = f->rows * f->cols;
-    if (draw_permutations(f->order, total, f->n, f->seed, f->nseed, stream, f->path, f->npath))
+    if (draw_permutations(f->order, total, f->n, f->run->seed, f->run->nseed, stream, f->path,
+                          f->npath))
         return -1;
     to_lanes(f->lanes, f->w, units, f->dim);
     for (int64_t start = 0, steps; start < total; start += steps) {
@@ -1151,12 +1170,13 @@ int fit_train(fit_t *f, uint64_t stream)
                     f->scratch);
     }
     from_lanes(f->w, f->lanes, units, f->dim);
-    if (assign(f->x, f->n, f->w, units, f->dim, f->dist, f->index, f->unit_mqe, &f->mqe))
+    if (assign(f->x, f->n, f->w, units, f->dim, f->dist, f->index, f->count, f->unit_mqe,
+               &f->mqe))
         return -1;
     f->assigned = 1;
     if (f->mqe < f->threshold || f->mqe == 0.0)
         f->verdict = CONVERGED;
-    else if (units >= f->max_units || f->insertions >= f->max_insertions)
+    else if (units >= f->max_units || f->insertions >= f->run->max_insertions)
         f->verdict = CAPPED;
     else
         f->verdict = GROW;
@@ -1174,7 +1194,8 @@ int fit_grow(fit_t *f)
         return -3;
     int64_t rows = f->rows + (axis == 2), cols = f->cols + (axis == 1), units = rows * cols;
     if (reserve((void **)&f->w, &f->w_cap, units * f->dim, sizeof(double)) ||
-        reserve((void **)&f->unit_mqe, &f->unit_mqe_cap, units, sizeof(double)))
+        reserve((void **)&f->unit_mqe, &f->unit_mqe_cap, units, sizeof(double)) ||
+        reserve((void **)&f->count, &f->count_cap, units, sizeof(int64_t)))
         return -1;
     insert(f->w, f->rows, f->cols, f->dim, axis, lo);
     f->rows = rows;
@@ -1185,17 +1206,18 @@ int fit_grow(fit_t *f)
 }
 
 /* Copies the fitted map out: its (rows, cols, dim) weights, (rows, cols)
-   unit errors and each sample's unit as a row and a column.  Returns 0,
-   or -4 after an insertion, whose map has no assignment until its next
-   cycle. */
+   unit errors, each sample's unit as a row and a column, and each unit's
+   number of samples.  Returns 0, or -4 after an insertion, whose map has
+   no assignment until its next cycle. */
 int fit_store(const fit_t *f, double *w, double *unit_mqe, int64_t *bmu_rows,
-              int64_t *bmu_cols)
+              int64_t *bmu_cols, int64_t *count)
 {
     if (!f->assigned)
         return -4;
     int64_t units = f->rows * f->cols;
     memcpy(w, f->w, sizeof(double) * (size_t)(units * f->dim));
     memcpy(unit_mqe, f->unit_mqe, sizeof(double) * (size_t)units);
+    memcpy(count, f->count, sizeof(int64_t) * (size_t)units);
     for (int64_t i = 0; i < f->n; i++) {
         bmu_rows[i] = f->index[i] / f->cols;
         bmu_cols[i] = f->index[i] % f->cols;

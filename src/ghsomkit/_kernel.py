@@ -7,15 +7,19 @@ text. Python reaches it through ``Fit``, ``ch_sums``, ``count_lines``,
 context's five ``fit_*`` functions and those four.
 
 Each map fit runs in one kernel context, ``Fit``, which starts the map
-from its data or, given weights, from those. It gathers the routed
-samples once, checks each array's dtype, order and shape once, and owns
-the weights, the cycle's sample order, the table of neighbourhood
-weights and the assignment and error buffers, each sized for the
-current map and grown in place on insertion. A growth cycle is one call
-that passes the context and the cycle's stream, an insertion one call
-that passes the context. The kernel computes with numpy's float
-operations in numpy's order, so the results are the bits the numpy code
-gives:
+from its data or, given weights, from those. What every map of a tree's
+fit shares, the data, the seed, the training schedule, the initial noise
+and the insertion cap, is one struct (``Run``) set up once per
+``run_ghsom``, so opening a map passes the kernel only the map's own
+indices, shape, path, threshold and unit cap. A context gathers the
+routed samples once, checks each array's dtype, order and shape once,
+and owns the weights, the cycle's sample order, the table of
+neighbourhood weights and the assignment, count and error buffers, each
+sized for the current map and grown in place on insertion. A growth
+cycle is one call that passes the context and the cycle's stream, an
+insertion one call that passes the context. The kernel computes with
+numpy's float operations in numpy's order, so the results are the bits
+the numpy code gives:
 
 - the initial weights ``x.mean(axis=0) + u * x.std(axis=0)``, with
   numpy's column sums (rows added in order to 0.0, or one pairwise run
@@ -40,9 +44,10 @@ gives:
   map, whose distinct grid distances fit one vector, takes each unit's
   neighbourhood weight by one permute of that vector and finds the
   best-matching unit in one compare and select chain over its units;
-- after the last block, each sample's nearest unit, each unit's mean
-  quantization error as ``np.mean`` gives it, the map MQE as
-  ``SomMap.mqe`` sums it, and the verdict: converged, capped or grow.
+- after the last block, each sample's nearest unit, each unit's number
+  of samples and mean quantization error as ``np.mean`` gives it, the
+  map MQE as ``SomMap.mqe`` sums it, and the verdict: converged, capped
+  or grow.
 
 On x86-64 with glibc the training and ``exp`` functions are compiled for
 AVX-512F, x86-64-v3 (AVX2 with FMA) and the baseline
@@ -184,12 +189,11 @@ def load(path) -> ctypes.CDLL:
     lib.count_lines.restype = _N
     lib.format_rows.argtypes = [_F64, _N, _N, _P]
     lib.format_rows.restype = _N
-    lib.fit_open.argtypes = [_P, _P, _N, _N, _P, _N, _N, _N, _P, _D, _N, _D, ctypes.c_int,
-                             _D, _D, _D, _N, _N, _B, _N, _B, _N]
+    lib.fit_open.argtypes = [_P, _P, _P, _N, _N, _N, _P, _B, _N, _D, _N]
     lib.fit_train.argtypes = [_P, ctypes.c_uint64]
-    lib.fit_store.argtypes = [_P, _P, _P, _P, _P]
+    lib.fit_store.argtypes = [_P, _P, _P, _P, _P, _P]
     lib.fit_grow.argtypes = lib.fit_close.argtypes = [_P]
-    lib.ch_sums.argtypes = [_F64, _N, _N, _I64, _N, _F64, _F64]
+    lib.ch_sums.argtypes = [_P, _N, _N, _P, _N, _P, _P]
     for f in (lib.parse_block, lib.fit_open, lib.fit_train, lib.fit_grow, lib.fit_store,
               lib.ch_sums):
         f.restype = ctypes.c_int
@@ -198,6 +202,12 @@ def load(path) -> ctypes.CDLL:
 
 
 _BUFFER = ctypes.c_char * 0
+
+
+def _writable_address(a: np.ndarray) -> int:
+    """Address of the data of the writeable array ``a``, through the
+    buffer protocol: half the cost of ``a.ctypes.data``."""
+    return ctypes.addressof(_BUFFER.from_buffer(a))
 
 
 def _address(name: str, a, dtype, ndim: int) -> int:
@@ -209,7 +219,33 @@ def _address(name: str, a, dtype, ndim: int) -> int:
     if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
             and a.flags.c_contiguous):
         raise TypeError(f"{name} must be a C-contiguous {ndim}-d {dtype} array")
-    return ctypes.addressof(_BUFFER.from_buffer(a)) if a.flags.writeable else a.ctypes.data
+    return _writable_address(a) if a.flags.writeable else a.ctypes.data
+
+
+class Run(ctypes.Structure):
+    """The constants of one tree's fit, which every map's ``Fit`` reads
+    (``run_t`` in ``_kernel.c``): the C-contiguous float64 ``data``, the
+    bytes of ``seed``, ``lam`` epochs per cycle, the learning rate
+    ``alpha0``, the radius ``sigma0`` (None: half the larger side of the
+    map) and its floor ``sigma_floor``, the initial ``noise`` and the cap
+    of ``max_insertions``. Made once per ``run_ghsom``, so opening a map
+    passes only what is the map's own. It holds the arrays it points to,
+    and each ``Fit`` holds its run."""
+
+    _fields_ = [("_data", _P), ("ndata", _N), ("dim", _N), ("seed", _B), ("nseed", _N),
+                ("lam", _N), ("max_insertions", _N), ("has_sigma0", _N), ("alpha0", _D),
+                ("sigma0", _D), ("sigma_floor", _D), ("noise", _D)]
+
+    def __init__(self, data, *, lam: int, alpha0: float, sigma0: float | None,
+                 sigma_floor: float, noise: float, seed: int, max_insertions: int):
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        # the entropy [seed, stream, *path.encode()] of the maps' streams
+        # starts with the seed's little-endian bytes (one byte for 0)
+        seed = int(seed)
+        seed_bytes = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "little")
+        super().__init__(_address("data", self.data, _DOUBLE, 2), *self.data.shape,
+                         seed_bytes, len(seed_bytes), lam, max_insertions, sigma0 is not None,
+                         alpha0, 0.0 if sigma0 is None else sigma0, sigma_floor, noise)
 
 
 class _Head(ctypes.Structure):
@@ -240,56 +276,51 @@ class Fit:
     """The kernel context of one map's fit, from its initial weights to
     its stop.
 
-    It gathers the ``n`` samples ``data[indices]`` of a ``rows`` x
+    It gathers the ``n`` samples ``run.data[indices]`` of a ``rows`` x
     ``cols`` map once and owns the weights, the cycle's sample order, the
-    table of neighbourhood weights and the last cycle's assignment and
-    errors, growing them with the map. ``weights`` are copied in; without them
-    the map starts at ``x.mean(axis=0) + u * x.std(axis=0)`` of the routed
-    samples ``x``, with ``rows * cols * dim`` draws ``u`` of ``uniform(
-    -noise, noise)`` from the map's stream 0, computed as numpy computes
-    them. A cycle (``train``) trains ``lam`` epochs with the learning rate
-    decaying from ``alpha0`` and the radius from ``sigma0`` (None: half
-    the larger side of the map) to ``sigma_floor``; then ``head.verdict`` says
-    ``CONVERGED`` when the map MQE ``head.mqe`` is below ``threshold`` or
-    0, else ``CAPPED`` when the map holds ``max_units`` units or has grown
-    ``max_insertions`` times, else ``GROW``. ``grow`` inserts a row or
-    column, ``store`` copies the fitted map out (not between an insertion
-    and the next cycle) and ``close`` frees the context.
+    table of neighbourhood weights and the last cycle's assignment, unit
+    sample counts and errors, growing them with the map. ``weights`` are
+    copied in; without them the map starts at ``x.mean(axis=0) + u *
+    x.std(axis=0)`` of the routed samples ``x``, with ``rows * cols * dim``
+    draws ``u`` of ``uniform(-noise, noise)`` from the map's stream 0,
+    computed as numpy computes them. The map's streams take the entropy
+    ``[seed, stream, *path.encode()]``. A cycle (``train``) trains the
+    run's ``lam`` epochs with the learning rate decaying from ``alpha0``
+    and the radius from ``sigma0`` to ``sigma_floor``; then
+    ``head.verdict`` says ``CONVERGED`` when the map MQE ``head.mqe`` is
+    below ``threshold`` or 0, else ``CAPPED`` when the map holds
+    ``max_units`` units or has grown ``max_insertions`` times, else
+    ``GROW``. ``grow`` inserts a row or column, ``store`` copies the
+    fitted map out (not between an insertion and the next cycle) and
+    ``close`` frees the context. Everything the maps of a tree share
+    comes from ``run`` (``Run``), set up once per tree, so opening a map
+    passes the kernel only its indices, shape, path, threshold and unit
+    cap.
     """
 
-    def __init__(self, data, indices, rows: int, cols: int, weights, *, lam: int,
-                 alpha0: float, sigma0: float | None, sigma_floor: float, noise: float,
-                 seed: int, path: str, threshold: float, max_units: int,
-                 max_insertions: int):
+    def __init__(self, run: Run, indices, rows: int, cols: int, weights, *, path: str,
+                 threshold: float, max_units: int):
         self._ctx = None
         lib = library()
-        data = np.ascontiguousarray(data, dtype=np.float64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        d = _address("data", data, _DOUBLE, 2)
         ix = _address("indices", indices, _INT, 1)
         w = None
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
-            if weights.shape != (rows, cols, data.shape[1]):
+            if weights.shape != (rows, cols, run.dim):
                 raise ValueError("fit: the weights do not match the map and the data")
             w = _address("weights", weights, _DOUBLE, 3)
-        self.n, self.dim = len(indices), data.shape[1]
-        if self.n < 1 or lam < 1 or rows < 1 or cols < 1:
+        self.n, self.dim = len(indices), run.dim
+        if self.n < 1 or run.lam < 1 or rows < 1 or cols < 1:
             raise ValueError("fit: needs a sample, an epoch and a unit")
-        # the entropy [seed, stream, *path.encode()] of the map's streams:
-        # the seed's little-endian bytes (one byte for 0) and the path's
-        seed = int(seed)
-        seed_bytes = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "little")
         path_bytes = path.encode("utf-8")
         ctx = _P()
-        code = lib.fit_open(ctypes.byref(ctx), d, len(data), self.dim, ix, self.n, rows, cols,
-                            w, noise, lam, alpha0, sigma0 is not None,
-                            0.0 if sigma0 is None else sigma0, sigma_floor, threshold,
-                            max_units, max_insertions, seed_bytes, len(seed_bytes),
-                            path_bytes, len(path_bytes))
+        code = lib.fit_open(ctypes.byref(ctx), ctypes.byref(run), ix, self.n, rows, cols, w,
+                            path_bytes, len(path_bytes), threshold, max_units)
         if code:
             raise _fit_error(code)
         self._ctx = ctx.value
+        self._run = run
         self._lib = lib
         self._train = lib.fit_train
         self.head = _Head.from_address(self._ctx)
@@ -310,14 +341,16 @@ class Fit:
 
     def store(self) -> tuple:
         """The fitted map, in arrays of its own: the ``(rows, cols, dim)``
-        weights, the ``(rows, cols)`` unit errors and each routed
-        sample's unit row and column. Raises ValueError after an
-        insertion, until the next cycle assigns the grown map."""
+        weights, the ``(rows, cols)`` unit errors, each routed sample's
+        unit row and column, and each unit's number of routed samples in
+        row-major order, which the assignment's counting sort found.
+        Raises ValueError after an insertion, until the next cycle
+        assigns the grown map."""
         rows, cols = self.head.rows, self.head.cols
         out = (np.empty((rows, cols, self.dim)), np.empty((rows, cols)),
-               np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64))
-        code = self._lib.fit_store(self._ctx,
-                                   *(ctypes.addressof(_BUFFER.from_buffer(a)) for a in out))
+               np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64),
+               np.empty(rows * cols, dtype=np.int64))
+        code = self._lib.fit_store(self._ctx, *map(_writable_address, out))
         if code:
             raise _fit_error(code)
         return out
@@ -355,8 +388,7 @@ def format_rows(values) -> str:
         raise ValueError("format_rows: values must be 2-d")
     rows, cols = values.shape
     out = bytearray(rows * (_CELL_BYTES * cols + 1))
-    n = library().format_rows(values, rows, cols, ctypes.addressof(_BUFFER.from_buffer(out))
-                              if out else None)
+    n = library().format_rows(values, rows, cols, _writable_address(out) if out else None)
     return str(memoryview(out)[:n], "ascii")
 
 
@@ -393,7 +425,9 @@ def ch_sums(grouped, sizes, center) -> tuple[float, float]:
     if grouped.ndim != 2 or sizes.ndim != 1 or center.shape != grouped.shape[1:]:
         raise ValueError("ch_sums: the sizes or the center do not match the rows")
     out = np.empty(2)
-    code = library().ch_sums(grouped, *grouped.shape, sizes, len(sizes), center, out)
+    code = library().ch_sums(_address("grouped", grouped, _DOUBLE, 2), *grouped.shape,
+                             _address("sizes", sizes, _INT, 1), len(sizes),
+                             _address("center", center, _DOUBLE, 1), _writable_address(out))
     if code == -1:
         raise MemoryError("ch_sums: out of memory")
     if code:

@@ -61,6 +61,28 @@ class DataMatrix:
     label_name: str | None = None
 
     def __post_init__(self):
+        self._check_layout()
+        if not np.all(np.isfinite(self.values)):
+            bad = np.argwhere(~np.isfinite(self.values))[0]
+            raise ValueError(
+                "non-finite value at sample "
+                f"'{self.sample_ids[bad[0]]}', attribute "
+                f"'{self.attribute_names[bad[1]]}'"
+            )
+
+    @classmethod
+    def _of_finite(cls, values, sample_ids, attribute_names, labels, label_name) -> DataMatrix:
+        """The matrix of ``values`` that are already known to be finite
+        (``_kernel.parse_block`` rejects every non-finite number), checked
+        like any other but without a second scan for finiteness."""
+        m = cls.__new__(cls)
+        m.values, m.sample_ids, m.attribute_names = values, sample_ids, attribute_names
+        m.labels, m.label_name = labels, label_name
+        m._check_layout()
+        return m
+
+    def _check_layout(self) -> None:
+        """Everything ``__post_init__`` checks but finiteness."""
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D array")
@@ -78,13 +100,6 @@ class DataMatrix:
         if self.labels is not None and len(self.labels) != n:
             raise ValueError(
                 f"labels has {len(self.labels)} entries for {n} samples"
-            )
-        if not np.all(np.isfinite(self.values)):
-            bad = np.argwhere(~np.isfinite(self.values))[0]
-            raise ValueError(
-                "non-finite value at sample "
-                f"'{self.sample_ids[bad[0]]}', attribute "
-                f"'{self.attribute_names[bad[1]]}'"
             )
 
     @property
@@ -221,9 +236,10 @@ def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
         return None
     # DataMatrix rejects duplicate ids and names: either sends the file,
     # like ids or labels that are not UTF-8, to the per-cell parser,
-    # which words the error
+    # which words the error; parse_block has rejected every non-finite
+    # value, so the values are not scanned again
     try:
-        return DataMatrix(
+        return DataMatrix._of_finite(
             values=values,
             sample_ids=[raw[a:b].decode("utf-8") for a, b in spans[:, :2].tolist()],
             attribute_names=names,

@@ -8,16 +8,22 @@ practice. It fits one tree per tau1, because tau2 only decides which
 units get a child map, and scores that row's tau2 cells from one
 flattening of the tree (``ghsom.FlatTree``): each cell keeps the maps
 ``ghsom.prune`` would keep, without a pruned copy of the tree.
+
+Both scores work from a partition's integer cluster codes, numbered by
+first appearance, rather than from its per-sample cluster names:
+``ch_index`` groups the rows by one stable argsort of the codes in
+cluster-name order, and the ARI counts its contingency table from the
+codes. A sweep cell's partition gets its codes straight from the
+flattened tree and builds no string per sample. Each score is the same
+float as the name-based computation gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from itertools import compress
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -47,23 +53,28 @@ def ch_index(partition: LeafPartition, m: DataMatrix) -> float:
         between_k = n_k * ((c_k - c) ** 2).sum(axis=1)
         within_k = ((rows_k - c_k) ** 2).sum()
 
-    each sum summed in cluster order from its first term.
+    each sum summed in cluster order from its first term. The rows are
+    grouped from the partition's integer cluster codes, by one stable
+    argsort of each sample's cluster's place in name order, so no
+    cluster's members are looked up by name.
     """
     if partition.sample_ids != m.sample_ids:
         raise ValueError("partition and data matrix list different sample ids")
-    names = partition.cluster_names()
-    k = len(names)
+    order = partition._order
+    k = len(order)
     n = m.n_samples
     if k < 2:
         raise ValueError(f"ch_index needs at least 2 clusters, got {k}")
     if n <= k:
         raise ValueError(f"ch_index needs more samples than clusters (n={n}, K={k})")
-    members = [partition.members(c) for c in names]
-    # rows grouped by cluster, each cluster's rows in sample order; the
-    # gather gives C order whatever the order of the values
-    grouped = m.values[np.concatenate(members)]
+    codes = partition._codes
+    place = np.empty(k, dtype=np.intp)
+    place[order] = np.arange(k)
+    # rows grouped by cluster in name order, each cluster's rows in sample
+    # order; the gather gives C order whatever the order of the values
+    grouped = m.values[np.argsort(place[codes], kind="stable")]
     center = m.values.mean(axis=0)
-    bgss, wgss = _kernel.ch_sums(grouped, [len(ix) for ix in members], center)
+    bgss, wgss = _kernel.ch_sums(grouped, np.bincount(codes, minlength=k)[order], center)
     if wgss == 0.0:
         return float("inf") if bgss > 0.0 else 0.0
     return (bgss / (k - 1)) / (wgss / (n - k))
@@ -79,21 +90,42 @@ def adjusted_rand_index(pred: Sequence, truth: Sequence) -> float:
         E   = sum_i pairs(a_i) * sum_j pairs(b_j) / pairs(n)
         max = (sum_i pairs(a_i) + sum_j pairs(b_j)) / 2
 
-    A zero denominator (both sides degenerate, e.g. one big cluster vs.
-    all singletons) yields 0.0 with a warning.
+    Labels are grouped by equality, as dict keys are (so ``1``, ``1.0``
+    and ``True`` are one label), and numbered; the table is counted from
+    those integer codes by numpy, and the three pair sums are exact
+    Python ints, so the result is the same float whatever the labels'
+    types. A zero denominator (both sides degenerate, e.g. one big
+    cluster vs. all singletons) yields 0.0 with a warning.
     """
     if len(pred) != len(truth):
         raise ValueError(
             f"label sequences differ in length: {len(pred)} vs {len(truth)}"
         )
-    n = len(pred)
+    return _ari_of_codes(_codes(pred), _codes(truth))
+
+
+def _codes(labels: Sequence) -> np.ndarray:
+    """Each label's number, the labels numbered by first appearance and
+    grouped as dict keys are."""
+    number = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    return np.fromiter(map(number.__getitem__, labels), np.intp, len(labels))
+
+
+def _pairs(counts: np.ndarray) -> int:
+    """sum of C(c, 2) over ``counts``, as an exact int."""
+    return int((counts * (counts - 1)).sum()) // 2
+
+
+def _ari_of_codes(a: np.ndarray, b: np.ndarray) -> float:
+    """``adjusted_rand_index`` of two equally long arrays of non-negative
+    integer codes. The contingency table is the counts of each distinct
+    pair ``(a_i, b_i)``."""
+    n = len(a)
     if n < 2:
         raise ValueError("ARI needs at least 2 samples")
-    sum_ij, sum_a, sum_b = (
-        sum(comb(c, 2) for c in Counter(labels).values())
-        for labels in (zip(pred, truth), pred, truth)
-    )
-    expected = sum_a * sum_b / comb(n, 2)
+    joint = np.unique(a * (int(b.max()) + 1) + b, return_counts=True)[1]
+    sum_ij, sum_a, sum_b = _pairs(joint), _pairs(np.bincount(a)), _pairs(np.bincount(b))
+    expected = sum_a * sum_b / (n * (n - 1) // 2)
     maximum = (sum_a + sum_b) / 2
     if maximum == expected:
         log.warning("ARI denominator is 0 (degenerate marginals); returning 0.0")
@@ -102,12 +134,13 @@ def adjusted_rand_index(pred: Sequence, truth: Sequence) -> float:
 
 
 def ari(partition: LeafPartition, labels: Sequence) -> float:
-    """ARI of a leaf partition against reference labels."""
+    """ARI of a leaf partition against reference labels, from the
+    partition's integer cluster codes (see ``adjusted_rand_index``)."""
     if len(labels) != partition.n_samples:
         raise ValueError(
             f"labels length {len(labels)} != {partition.n_samples} samples"
         )
-    return adjusted_rand_index(partition.clusters, list(labels))
+    return _ari_of_codes(partition._codes, _codes(labels))
 
 
 @dataclass

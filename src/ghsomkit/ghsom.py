@@ -19,7 +19,7 @@ import copy
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -115,7 +115,10 @@ class SomMap:
     ``row * cols + col`` of ``members()``, and its cluster name is
     ``unit_path(row, col)``. While ``_fit_map`` fits the map, ``fit``
     holds its kernel context and the map's own weights, assignments and
-    errors are set only when it stops; otherwise ``fit`` is None.
+    errors are set only when it stops; otherwise ``fit`` is None. From
+    that store until ``expand_hierarchy`` reads it, ``_counts`` holds each
+    unit's sample count as the kernel's assignment found it; otherwise it
+    is None.
     """
 
     def __init__(self, rows, cols, weights, parent_mqe, depth, path, sample_indices):
@@ -131,6 +134,7 @@ class SomMap:
         self.unit_mqe = np.zeros((rows, cols))
         self.children: dict[tuple[int, int], SomMap] = {}
         self.fit: _kernel.Fit | None = None
+        self._counts: np.ndarray | None = None
 
     @property
     def mqe(self) -> float:
@@ -178,54 +182,83 @@ class GhsomTree:
         return max(som.depth for som in self.iter_maps())
 
 
-@dataclass
 class LeafPartition:
-    """Flat assignment of every sample to exactly one leaf cluster."""
+    """Flat assignment of every sample to exactly one leaf cluster.
 
-    sample_ids: list[str]
-    clusters: list[str]
-    _index: dict[str, np.ndarray] = field(init=False, repr=False)
+    ``LeafPartition(sample_ids, clusters)`` takes each sample's cluster
+    name. The partition holds the clusters as integer codes numbered by
+    first appearance, sample ``i`` in cluster ``_names[_codes[i]]``, and
+    the order of the codes by name (``_order``). ``FlatTree.partition``
+    gives it those directly, and ``evaluation.ch_index`` and ``ari`` score
+    from them, so the per-sample ``clusters`` list and each cluster's
+    ``members`` are built only when a caller reads them.
+    """
 
-    def __post_init__(self):
-        if len(self.sample_ids) != len(self.clusters):
+    def __init__(self, sample_ids: list[str], clusters: list[str]):
+        if len(sample_ids) != len(clusters):
             raise ValueError("sample_ids and clusters must be aligned")
         # clusters numbered in order of first appearance through a dict:
         # sorting the names with np.unique costs more than the grouping
-        codes = {c: k for k, c in enumerate(dict.fromkeys(self.clusters))}
-        n = len(self.clusters)
-        self._group(list(codes), np.fromiter(map(codes.__getitem__, self.clusters), np.intp, n))
+        number = {c: k for k, c in enumerate(dict.fromkeys(clusters))}
+        names = list(number)
+        self._set(sample_ids, names,
+                  np.fromiter(map(number.__getitem__, clusters), np.intp, len(clusters)),
+                  np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp))
+        self._clusters = clusters
 
     @classmethod
-    def _of_codes(cls, sample_ids: list[str], names: list[str],
-                  codes: np.ndarray) -> LeafPartition:
+    def _of_codes(cls, sample_ids: list[str], names: list[str], codes: np.ndarray,
+                  order: np.ndarray) -> LeafPartition:
         """The partition that puts sample ``i`` in cluster
         ``names[codes[i]]``, for codes that number the clusters by first
-        appearance, as ``__post_init__`` numbers them: the grouping is
-        taken as given, not derived again from the names."""
+        appearance, as the constructor numbers them, and ``order`` the
+        codes sorted by name: the grouping is taken as given, not derived
+        again from the names."""
         part = cls.__new__(cls)
-        part.sample_ids = sample_ids
-        part.clusters = np.array(names, dtype=object)[codes].tolist()
-        part._group(names, codes)
+        part._set(sample_ids, names, codes, order)
         return part
 
-    def _group(self, names: list[str], codes: np.ndarray) -> None:
-        self._index = dict(zip(names, _split(np.arange(len(codes)), codes, len(names))))
+    def _set(self, sample_ids, names, codes, order) -> None:
+        self.sample_ids = sample_ids
+        self._names, self._codes, self._order = names, codes, order
+        self._clusters = self._index = None
+
+    @property
+    def clusters(self) -> list[str]:
+        """Each sample's cluster name, in sample order."""
+        if self._clusters is None:
+            self._clusters = np.array(self._names, dtype=object)[self._codes].tolist()
+        return self._clusters
 
     def cluster_names(self) -> list[str]:
-        return sorted(self._index)
+        return [self._names[k] for k in self._order.tolist()]
 
     def members(self, cluster: str) -> np.ndarray:
+        if self._index is None:
+            self._index = dict(zip(self._names, _split(np.arange(len(self._codes)), self._codes,
+                                                       len(self._names))))
         try:
             return self._index[cluster]
         except KeyError:
             raise KeyError(f"unknown cluster '{cluster}'") from None
 
     def sizes(self) -> dict[str, int]:
-        return {c: len(ix) for c, ix in self._index.items()}
+        return dict(zip(self._names, np.bincount(self._codes, minlength=len(self._names))
+                        .tolist()))
 
     @property
     def n_samples(self) -> int:
         return len(self.sample_ids)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sample_ids, self.clusters) == (other.sample_ids, other.clusters)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LeafPartition(sample_ids={self.sample_ids!r}, clusters={self.clusters!r})"
 
 
 def _split(values: np.ndarray, units: np.ndarray, n_units: int) -> list[np.ndarray]:
@@ -299,23 +332,22 @@ def train_map(
     Assignments and per-unit errors are recomputed afterwards.
 
     The cycle runs in the map's kernel context (``som.fit``, see
-    ``_kernel.Fit``), which ``_init_map`` opened on ``data`` and
-    ``params``, in one kernel call: the kernel draws every epoch's
-    permutation from the map's stream ``1 + epoch_base``, the draws
-    numpy's ``Generator.permutation`` makes, and computes the schedule
-    with numpy's float operations in numpy's order, in blocks of steps
-    whose table holds one row per distinct squared grid distance and one
-    column per step. Its ``exp`` of the table is a port of numpy's
-    AVX-512 ``exp``, so the neighbourhood weights are that loop's bits on
-    any CPU. It applies the per-sample updates in one pass over the
-    weights per step, with the float operations of numpy's ``w + (x - w)
-    * (h * alpha)`` in the same order, so the weights match a per-sample
-    numpy loop bit for bit. After the last block it assigns every routed
-    sample to its nearest unit and computes each unit's mqe, the mean of
-    its samples' distances in routed order as ``np.mean`` gives it (0 for
-    an empty unit), the map MQE as ``SomMap.mqe`` gives it, and the stop
-    verdict ``_fit_map`` reads. The map's own arrays are set when it
-    stops.
+    ``_kernel.Fit``), which ``_init_map`` opened on the fit's constants
+    (``_kernel.Run``) and ``params``, in one kernel call: the kernel draws
+    every epoch's permutation from the map's stream ``1 + epoch_base``, the
+    draws numpy's ``Generator.permutation`` makes, and computes the schedule
+    with numpy's float operations in numpy's order, in blocks of steps whose
+    table holds one row per distinct squared grid distance and one column
+    per step. Its ``exp`` of the table is a port of numpy's AVX-512 ``exp``,
+    so the neighbourhood weights are that loop's bits on any CPU. It applies
+    the per-sample updates in one pass over the weights per step, with the
+    float operations of numpy's ``w + (x - w) * (h * alpha)`` in the same
+    order, so the weights match a per-sample numpy loop bit for bit. After
+    the last block it assigns every routed sample to its nearest unit and
+    computes each unit's mqe, the mean of its samples' distances in routed
+    order as ``np.mean`` gives it (0 for an empty unit), the map MQE as
+    ``SomMap.mqe`` gives it, and the stop verdict ``_fit_map`` reads. The
+    map's own arrays are set when it stops.
 
     ``_fit_map`` calls this once per cycle, with the ``data`` and
     ``params`` the context holds, so a probe of this function (as
@@ -342,20 +374,27 @@ def grow_horizontal(som: SomMap) -> SomMap:
     return som
 
 
-def _init_map(path, parent_mqe, depth, sample_indices, data, params) -> SomMap:
-    """Fresh 2x2 map and its kernel context, which holds its initial
-    weights: the routed-data mean plus small seeded noise (stream 0 of
-    the map; training cycles use streams 1 + epoch_base) scaled by the
-    per-attribute spread, numpy's ``mean`` and ``std`` over the samples.
-    The map grows until its MQE is below ``tau1 * parent_mqe`` or it
-    reaches a growth guard."""
+def _run(data: np.ndarray, params: GhsomParams) -> _kernel.Run:
+    """The kernel constants that every map of a fit of ``data`` at
+    ``params`` reads: the data, the seed, the training schedule, the
+    initial noise and the insertion cap."""
+    return _kernel.Run(data, lam=params.lam, alpha0=params.alpha0, sigma0=params.sigma0,
+                       sigma_floor=SIGMA_FLOOR, noise=INIT_NOISE, seed=params.rng_seed,
+                       max_insertions=MAX_INSERTIONS)
+
+
+def _init_map(path, parent_mqe, depth, sample_indices, run, params) -> SomMap:
+    """Fresh 2x2 map and its kernel context on the fit's constants
+    ``run`` (``_run``), which holds its initial weights: the routed-data
+    mean plus small seeded noise (stream 0 of the map; training cycles
+    use streams 1 + epoch_base) scaled by the per-attribute spread,
+    numpy's ``mean`` and ``std`` over the samples. The map grows until
+    its MQE is below ``tau1 * parent_mqe`` or it reaches a growth
+    guard."""
     som = SomMap(2, 2, None, parent_mqe, depth, path, sample_indices)
-    som.fit = _kernel.Fit(data, som.sample_indices, 2, 2, None, lam=params.lam,
-                          alpha0=params.alpha0, sigma0=params.sigma0, sigma_floor=SIGMA_FLOOR,
-                          noise=INIT_NOISE, seed=params.rng_seed, path=path,
+    som.fit = _kernel.Fit(run, som.sample_indices, 2, 2, None, path=path,
                           threshold=params.tau1 * parent_mqe,
-                          max_units=MAX_UNITS_PER_SAMPLE * len(som.sample_indices),
-                          max_insertions=MAX_INSERTIONS)
+                          max_units=MAX_UNITS_PER_SAMPLE * len(som.sample_indices))
     return som
 
 
@@ -368,8 +407,8 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
     after a cycle says whether the map converged, reached a growth guard
     (the map's units or insertions) or grows on. When it stops, a child
     map whose MQE exceeds the error of the unit it refines is logged (not
-    failed), its weights, assignments and errors are stored into ``som``
-    and the context is closed.
+    failed), its weights, assignments, errors and unit sample counts are
+    stored into ``som`` and the context is closed.
     """
     fit = som.fit
     try:
@@ -390,7 +429,7 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
         if som.depth > 1 and fit.head.mqe > som.parent_mqe + 1e-9:
             log.warning("child map %s has MQE %.6g above its unit's mqe %.6g",
                         som.path, fit.head.mqe, som.parent_mqe)
-        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
+        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols, som._counts = fit.store()
     finally:
         som.fit = None
         fit.close()
@@ -398,14 +437,18 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
 
 def _expansion_threshold(tree: GhsomTree, som: SomMap, params: GhsomParams) -> float:
     """The error at or above which a unit of ``som`` gets a child map."""
-    reference = tree.mqe0 if params.depth_reference == "global" else som.parent_mqe
-    return params.tau2 * reference
+    return params.tau2 * _reference_error(tree, som, params)
+
+
+def _reference_error(tree: GhsomTree, som: SomMap, params: GhsomParams) -> float:
+    """The error that ``tau2`` multiplies for the units of ``som``."""
+    return tree.mqe0 if params.depth_reference == "global" else som.parent_mqe
 
 
 def expand_hierarchy(
     tree: GhsomTree,
     som: SomMap,
-    data: np.ndarray,
+    run: _kernel.Run,
     params: GhsomParams,
 ) -> GhsomTree:
     """Spawn and fit child maps for every unit still above the depth
@@ -415,17 +458,22 @@ def expand_hierarchy(
     error (layer-0 by default), it holds at least 4 samples, and the
     depth budget allows. Children are fitted depth-first in row-major
     unit order; their RNG streams are derived from their paths, not from
-    that order.
+    that order. ``run`` holds the data and the constants every map of the
+    fit reads (``_run``). Each unit's sample count is the one the kernel's
+    last assignment of ``som`` found, which the fitted tree does not keep;
+    a map that no fit stored has its samples counted here.
     """
+    counts, som._counts = som._counts, None
     if som.depth >= params.max_depth:
         return tree
     mqe = som.unit_mqe.reshape(-1)
-    expand = (mqe >= _expansion_threshold(tree, som, params)) & (mqe > 0)
+    expand = mqe >= _expansion_threshold(tree, som, params)
     if not expand.any():
         return tree
-    # the samples are counted only when some unit's error qualifies
-    flat = som.bmu_rows * som.cols + som.bmu_cols
-    expand &= np.bincount(flat, minlength=som.rows * som.cols) >= 4
+    if counts is None:
+        counts = np.bincount(som.bmu_rows * som.cols + som.bmu_cols,
+                             minlength=som.rows * som.cols)
+    expand &= (mqe > 0) & (counts >= 4)
     if not expand.any():
         return tree
 
@@ -433,10 +481,10 @@ def expand_hierarchy(
     for u in np.flatnonzero(expand).tolist():
         row, col = divmod(u, som.cols)
         child = _init_map(som.unit_path(row, col), float(mqe[u]), som.depth + 1, members[u],
-                          data, params)
+                          run, params)
         som.children[(row, col)] = child
-        _fit_map(child, data, params)
-        expand_hierarchy(tree, child, data, params)
+        _fit_map(child, run.data, params)
+        expand_hierarchy(tree, child, run, params)
     return tree
 
 
@@ -464,10 +512,10 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
     params.validate()
     if m.n_samples < 4:
         raise ValueError(f"need at least 4 samples, got {m.n_samples}")
-    data = np.ascontiguousarray(m.values, dtype=np.float64)
     w0, mqe0, radius = _layer0(m)
     _check_scale(m, mqe0, radius)
-    root = _init_map("", mqe0, 1, np.arange(m.n_samples), data, params)
+    run = _run(m.values, params)
+    root = _init_map("", mqe0, 1, np.arange(m.n_samples), run, params)
     tree = GhsomTree(
         w0=w0,
         mqe0=mqe0,
@@ -476,8 +524,8 @@ def run_ghsom(m: DataMatrix, params: GhsomParams, threads: int = 1) -> GhsomTree
         sample_ids=list(m.sample_ids),
         attribute_names=list(m.attribute_names),
     )
-    _fit_map(root, data, params)
-    expand_hierarchy(tree, root, data, params)
+    _fit_map(root, run.data, params)
+    expand_hierarchy(tree, root, run, params)
     return tree
 
 
@@ -489,13 +537,19 @@ class FlatTree:
     after its parent map, and the units are numbered over the whole tree:
     map ``k``'s from ``start[k]`` in row-major order, ``start[-1]`` being
     the number of units. Map ``k > 0`` refines unit ``key[k]`` of map
-    ``parent[k]``, the unit numbered ``hang[k]``. ``reach[d, i]`` is the
-    unit that sample ``i`` reaches in the maps ``d`` levels below the
-    root, or ``start[-1]`` where no map of that level routes it.
+    ``parent[k]``, the unit numbered ``hang[k]``, whose error is
+    ``error[k - 1]`` and whose threshold is ``tau2`` times
+    ``reference[k - 1]``. ``reach[d, i]`` is the unit that sample ``i``
+    reaches in the maps ``d`` levels below the root, or ``start[-1]``
+    where no map of that level routes it.
+    ``names[u]`` is unit ``u``'s cluster name and ``rank[u]`` its place
+    among all the names sorted, so a cut's leaves are named and put in
+    name order without a string per sample or a sort of names per cut.
     """
 
     def __init__(self, tree: GhsomTree):
         self.tree = tree
+        self.sample_ids = list(tree.sample_ids)
         self.maps = maps = list(tree.iter_maps())
         number = {id(som): k for k, som in enumerate(maps)}
         self.start = np.cumsum([0] + [som.rows * som.cols for som in maps]).tolist()
@@ -507,6 +561,11 @@ class FlatTree:
                 self.parent[c], self.key[c] = k, (row, col)
                 self.hang[c] = self.start[k] + row * som.cols + col
                 level[c] = level[k] + 1
+        ups = [maps[k] for k in self.parent[1:]]
+        self.error = np.array([up.unit_mqe[key] for up, key in zip(ups, self.key[1:])],
+                              dtype=np.float64)
+        self.reference = np.array([_reference_error(tree, up, tree.params) for up in ups],
+                                  dtype=np.float64)
         # every map's routed samples and their units, in one array each
         counts = [len(som.sample_indices) for som in maps]
         units = np.concatenate([som.bmu_rows for som in maps]) * np.repeat(
@@ -517,25 +576,36 @@ class FlatTree:
                              dtype=np.intp)
         self.reach[np.repeat(level, counts),
                    np.concatenate([som.sample_indices for som in maps])] = units
+        # the {col}x{row} names of each grid shape's units, made once
+        grids, names = {}, []
+        for som in maps:
+            cells = grids.get((som.rows, som.cols))
+            if cells is None:
+                cells = grids[som.rows, som.cols] = [
+                    f"{col}x{row}" for row in range(som.rows) for col in range(som.cols)]
+            names += [f"{som.path}-{cell}" for cell in cells] if som.path else cells
+        self.names = np.array(names, dtype=object)
+        self.rank = np.empty(len(names), dtype=np.intp)
+        self.rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
 
     def survivors(self, tau2: float) -> list[bool]:
         """Which maps the fit at ``tau2`` keeps, by map number: the root,
         and each child map whose parent map survives and whose unit's mqe
         is at or above the parent's expansion threshold at ``tau2``,
         compared as ``expand_hierarchy`` compares it."""
-        params = replace(self.tree.params, tau2=tau2)
+        above = (self.error >= tau2 * self.reference).tolist()
         keep = [True]
         for k in range(1, len(self.maps)):
-            up = self.maps[self.parent[k]]
-            keep.append(keep[self.parent[k]] and bool(
-                up.unit_mqe[self.key[k]] >= _expansion_threshold(self.tree, up, params)))
+            keep.append(keep[self.parent[k]] and above[k - 1])
         return keep
 
     def partition(self, keep: list[bool] | None = None) -> LeafPartition:
         """The leaf partition of the tree of the maps ``keep`` names (of
         every map by default): each sample at the first unit on its path
         that has no kept child map. Only the units samples end at are
-        named."""
+        named. The partition gets its leaves as codes numbered by first
+        appearance, with their names and their name order; it builds no
+        string per sample."""
         if keep is None:
             keep = [True] * len(self.maps)
         # a sample at a unit with a kept child map steps down into it;
@@ -548,18 +618,16 @@ class FlatTree:
             leaf[down] = below[down]
         missing = np.flatnonzero(leaf == self.start[-1])
         if missing.size:
-            missing = [self.tree.sample_ids[i] for i in missing[:5]]
+            missing = [self.sample_ids[i] for i in missing[:5]]
             raise RuntimeError(f"samples not reachable at any leaf: {missing}")
         ends, first, codes = np.unique(leaf, return_index=True, return_inverse=True)
         # clusters numbered in order of first appearance
         order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order))
         units = ends[order]
-        owner = np.searchsorted(self.start, units, side="right") - 1
-        names = [self.maps[k].unit_path(*divmod(u - self.start[k], self.maps[k].cols))
-                 for u, k in zip(units.tolist(), owner.tolist())]
-        return LeafPartition._of_codes(list(self.tree.sample_ids), names, rank[codes])
+        return LeafPartition._of_codes(self.sample_ids, self.names[units].tolist(),
+                                       number[codes], np.argsort(self.rank[units]))
 
 
 def prune(tree: GhsomTree, tau2: float) -> GhsomTree:

@@ -12,12 +12,16 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
-def ari_pair_counting(labels_a, labels_b):
+def ari_pair_counting(labels_a, labels_b, exact=True):
     """Adjusted Rand index by O(n^2) pair counting.
 
     Counts, over all unordered sample pairs, how many are co-clustered in
     each labeling, then applies the adjusted-for-chance formula on those
     pair totals. Exact via Fraction; independent of any contingency table.
+    With ``exact`` false, the same pair totals go through the float
+    operations ``evaluation.adjusted_rand_index`` documents, in its order
+    (E = a * b / pairs(n), max = (a + b) / 2, 0.0 when they are equal),
+    which differs from the exact value in the last bit now and then.
     """
     n = len(labels_a)
     assert n == len(labels_b)
@@ -34,8 +38,12 @@ def ari_pair_counting(labels_a, labels_b):
     total_pairs = n * (n - 1) // 2
     if total_pairs == 0:
         return 0.0
-    expected = Fraction(together_a * together_b, total_pairs)
-    maximum = Fraction(together_a + together_b, 2)
+    if exact:
+        expected = Fraction(together_a * together_b, total_pairs)
+        maximum = Fraction(together_a + together_b, 2)
+    else:
+        expected = together_a * together_b / total_pairs
+        maximum = (together_a + together_b) / 2
     if maximum == expected:
         return 0.0
     return float((together_both - expected) / (maximum - expected))

@@ -106,6 +106,23 @@ def test_load_rejects_malformed(tmp_path, text, fragment):
         load_csv(p)
 
 
+@pytest.mark.parametrize("text, cell", [
+    ("id,f0,f1\na,1,nan\n", "(row 1, col f1)"),
+    ("id,f0,f1\na,1,2\nb,-inf,3\n", "(row 2, col f0)"),
+    ("id,f0,f1\r\na,1e400,2\r\n", "(row 1, col f0)"),
+])
+def test_load_non_finite_fails_with_its_cell(tmp_path, text, cell):
+    # the compiled pass rejects every non-finite number, which is why the
+    # matrix it builds is not scanned for one again: such a file goes to
+    # the per-cell parser, whose message names the cell
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode())
+    assert data._load_numeric_block(p, False, None) is None
+    with pytest.raises(ValueError) as got:
+        load_csv(p)
+    assert str(got.value) == f"{p}: non-finite value at {cell}"
+
+
 def test_load_missing_label_column(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("id,f0\na,1\n")

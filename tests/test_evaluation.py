@@ -18,13 +18,14 @@ from ghsomkit import (
     gaussian_blobs,
     leaf_partition,
     nested_blobs,
+    planted_attributes,
     prune,
     run_ghsom,
     sweep,
 )
 from ghsomkit.evaluation import SweepCell, save_sweep_summary, sweep_summary, sweep_to_csv
 from ghsomkit.ghsom import FlatTree
-from oracles import ari_contingency, ari_pair_counting, ch_index_loop, ch_naive
+from oracles import ari_contingency, ari_pair_counting, ch_index_loop, ch_naive, leaf_labels
 
 
 def _part(values, clusters):
@@ -397,6 +398,95 @@ def test_sweep_cells_equal_direct_fits(data_seed, depth_reference, max_depth):
         assert got == leaf_partition(prune(deep[t1], t2)).clusters, (t1, t2)
         single += cell.leaf_count == 1
     assert (single > 0) == (data_seed is None)
+
+
+def _oracle_inputs(case):
+    """A matrix, its labels and a base of the parameters for the oracle
+    chain: noisy nested blobs at three seeds, a planted-attribute matrix
+    with its cluster labels, and equal rows with one label,
+    whose every cell is a single leaf (NaN CH) against a single label
+    (degenerate ARI)."""
+    if case == "planted":
+        m, _ = planted_attributes(n_clusters=4, per_cluster=15, n_attributes=6, seed=3)
+        return m, m.labels, GhsomParams(lam=8, rng_seed=3)
+    if case == "constant":
+        m = DataMatrix(np.ones((10, 3)), [f"s{i}" for i in range(10)], ["f0", "f1", "f2"])
+        return m, ["a"] * 10, GhsomParams(lam=4, rng_seed=0)
+    seed = int(case.removeprefix("noisy-"))
+    m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.4, seed=seed)
+    return m, m.labels, GhsomParams(lam=10, rng_seed=seed)
+
+
+@pytest.mark.parametrize("case", ["noisy-0", "noisy-1", "noisy-4", "planted", "constant"])
+def test_sweep_cells_equal_oracle_chain_bitwise(case, caplog):
+    # every cell, by repr, is what the slow chain gives: the pruned deep
+    # tree, its leaf partition, CH by a per-cluster numpy loop and ARI by
+    # O(n^2) pair counting through the package's float formula; the sweep
+    # scores from integer leaf codes and none of these
+    m, labels, base = _oracle_inputs(case)
+    tau1s, tau2s = (0.6, 0.45, 0.3), (0.2, 0.1, 0.05)
+    with caplog.at_level(logging.WARNING, logger="ghsomkit.evaluation"):
+        grid = sweep(m, base, tau1s, tau2s, labels=labels)
+    kinds = set()
+    for t1 in tau1s:
+        deep = run_ghsom(m, replace(base, tau1=t1, tau2=min(tau2s)))
+        for t2 in tau2s:
+            part = leaf_partition(prune(deep, t2))
+            single = len(part.cluster_names()) < 2
+            want_ch = float("nan") if single else ch_index_loop(part, m)
+            want_ari = ari_pair_counting(part.clusters, labels, exact=False)
+            cell = grid.cell(t1, t2)
+            assert cell.error is None
+            assert (repr(cell.ch), repr(cell.ari)) == (repr(want_ch), repr(want_ari)), (t1, t2)
+            assert cell.ari == pytest.approx(ari_pair_counting(part.clusters, labels), abs=1e-12)
+            kinds.add("single" if single else "several")
+    if case == "constant":
+        assert kinds == {"single"} and grid.cell(0.6, 0.2).ari == 0.0
+        assert any("denominator" in r.message for r in caplog.records)
+    else:
+        assert "several" in kinds
+
+
+def test_sweep_cell_scoring_builds_no_string_per_sample(sweep_inputs):
+    m, params = sweep_inputs
+    flat = FlatTree(run_ghsom(m, replace(params, tau1=0.1, tau2=0.1)))
+    part = flat.partition(flat.survivors(0.2))
+    ch_index(part, m)
+    ari(part, m.labels)
+    assert part._clusters is None and part._index is None
+
+
+def _partition_views(part):
+    names = part.cluster_names()
+    return (part.clusters, names, [part.members(c).tolist() for c in names],
+            list(part.sizes().items()))
+
+
+@pytest.mark.parametrize("t2", [0.2, 0.1, 0.05])
+def test_partitions_from_codes_and_from_names_agree(t2):
+    # the cut of a flattened tree, the leaf partition of the pruned tree
+    # and the public constructor on each sample's leaf name give the same
+    # clusters, names, members and sizes, whichever is read first
+    m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.4, seed=2)
+    deep = run_ghsom(m, GhsomParams(tau1=0.3, tau2=0.05, lam=10, rng_seed=2))
+    flat = FlatTree(deep)
+    pruned = prune(deep, t2)
+    cut = flat.partition(flat.survivors(t2))
+    flattened = leaf_partition(pruned)
+    named = LeafPartition(list(m.sample_ids), leaf_labels(pruned))
+    want = _partition_views(named)
+    assert len(want[1]) > 2
+    assert _partition_views(cut) == want
+    # members and sizes before the per-sample list
+    names = flattened.cluster_names()
+    members = [flattened.members(c).tolist() for c in names]
+    sizes = list(flattened.sizes().items())
+    assert (flattened.clusters, names, members, sizes) == want
+    assert cut == flattened == named
+    for part in (cut, flattened, named):
+        assert part.members(want[1][0]).dtype == np.intp
+        with pytest.raises(KeyError, match="unknown cluster"):
+            part.members("no such cluster")
 
 
 def test_sweep_csv_and_summary_roundtrip(tmp_path, sweep_inputs):

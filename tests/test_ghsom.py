@@ -41,12 +41,12 @@ from ghsomkit.ghsom import (
     INIT_NOISE,
     MAX_INSERTIONS,
     MAX_UNITS_PER_SAMPLE,
-    SIGMA_FLOOR,
     GhsomTree,
     LeafPartition,
     SomMap,
     _fit_map,
     _init_map,
+    _run,
     _split,
     expand_hierarchy,
 )
@@ -82,11 +82,8 @@ def _fit(weights, data, params, epoch_base=0, path="", indices=None):
     epoch_base``, as ``train_map`` runs it; closed on exit."""
     weights = np.asarray(weights, dtype=float)
     indices = np.arange(len(data)) if indices is None else np.asarray(indices)
-    fit = _kernel.Fit(data, indices, *weights.shape[:2], weights, lam=params.lam,
-                      alpha0=params.alpha0, sigma0=params.sigma0, sigma_floor=SIGMA_FLOOR,
-                      noise=INIT_NOISE, seed=params.rng_seed, path=path, threshold=math.nan,
-                      max_units=MAX_UNITS_PER_SAMPLE * len(indices),
-                      max_insertions=MAX_INSERTIONS)
+    fit = _kernel.Fit(_run(data, params), indices, *weights.shape[:2], weights, path=path,
+                      threshold=math.nan, max_units=MAX_UNITS_PER_SAMPLE * len(indices))
     try:
         fit.train(1 + epoch_base)
         yield fit
@@ -103,7 +100,7 @@ def _nearest(x, w):
     w = np.asarray(w, dtype=float)[None]
     params = GhsomParams(lam=1, alpha0=0.0)
     with _fit(w, x, params) as fit:
-        weights, _, _, index = fit.store()
+        weights, _, _, index, _ = fit.store()
     assert weights.tobytes() == w.tobytes()
     dist = []
     for i, u in enumerate(index.tolist()):
@@ -260,7 +257,9 @@ def test_train_recomputes_assignment_and_errors():
     m = _random_matrix(30, 3, seed=4)
     som = _fresh_map(np.random.default_rng(0).normal(size=(2, 3, 3)), np.arange(30))
     with _fit(som.weights, m.values, GhsomParams(lam=10, rng_seed=7)) as fit:
-        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
+        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols, counts = fit.store()
+    # the kernel's unit sample counts are the routed samples' units counted
+    assert counts.tolist() == [len(members) for members in som.members()]
     for u, members in enumerate(som.members()):
         row, col = divmod(u, som.cols)
         mqe = float(som.unit_mqe[row, col])
@@ -578,15 +577,11 @@ def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_kernel_source_compiles_warning_clean(tmp_path):
-    cmd = ["cc", str(_kernel.SOURCE), "-o", str(tmp_path / "k.so"), *_kernel.FLAGS,
-           "-Wall", "-Wextra", "-Werror"]
-    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-
-
 def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
+    # one build of the unmodified source serves both checks: with every
+    # warning an error, a build that warns fails with the compiler's output
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-Wall", "-Wextra", "-Werror"))
     path = _kernel.build()
     assert path.parent == tmp_path / "ghsomkit"
     assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
@@ -640,7 +635,7 @@ def test_kernel_uniform_is_numpys_uniform(seed, path, stream, exp):
                                           * np.ones((1, 10)), axis=0)
     want = _numpy_stream(seed, 0, path).uniform(-INIT_NOISE, INIT_NOISE, size=40)
     params = GhsomParams(lam=4, rng_seed=seed)
-    som = _init_map(path, 1.0, 1, np.arange(6), x, params)
+    som = _init_map(path, 1.0, 1, np.arange(6), _run(x, params), params)
     try:
         weights = som.fit.store()[0]
         assert weights.tobytes() == want.reshape(2, 2, 10).tobytes()
@@ -817,7 +812,7 @@ def test_expand_refines_units_at_threshold_with_four_samples_in_row_major_order(
     som.unit_mqe = np.array([[0.25, 0.9, 0.0], [0.5, 0.3, 0.0]])
     params = GhsomParams(tau2=0.25, lam=2, max_depth=2)
     tree = GhsomTree(np.zeros(2), 1.0, som, params, [f"s{i}" for i in range(16)], ["f0", "f1"])
-    expand_hierarchy(tree, som, m.values, params)
+    expand_hierarchy(tree, som, _run(m.values, params), params)
     assert list(som.children) == [(0, 0), (1, 1)]
     first, second = som.children[(0, 0)], som.children[(1, 1)]
     assert first.sample_indices.tolist() == [9, 5, 3, 6]  # in routed order
@@ -845,12 +840,14 @@ def test_initial_weights_are_numpys_mean_plus_scaled_noise(n, dim):
     path = "1x0-0x1"
     noise = _numpy_stream(2**32 + 9, 0, path).uniform(-INIT_NOISE, INIT_NOISE, size=4 * dim)
     want = x.mean(axis=0) + noise.reshape(2, 2, -1) * x.std(axis=0)
-    som = _init_map(path, 1.0, 3, routed, data, GhsomParams(rng_seed=2**32 + 9))
-    weights, unit_mqe, bmu_rows, bmu_cols = som.fit.store()
+    params = GhsomParams(rng_seed=2**32 + 9)
+    som = _init_map(path, 1.0, 3, routed, _run(data, params), params)
+    weights, unit_mqe, bmu_rows, bmu_cols, counts = som.fit.store()
     som.fit.close()
     assert weights.tobytes() == want.tobytes()
     assert unit_mqe.tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert bmu_rows.tolist() == bmu_cols.tolist() == [0] * n
+    assert counts.tolist() == [n, 0, 0, 0]
 
 
 def _fit_cycles(data, params, parent_mqe, cycles, exp):
@@ -859,7 +856,7 @@ def _fit_cycles(data, params, parent_mqe, cycles, exp):
     units. Each cycle after the first starts the oracle from numpy's
     insertion, so its bitwise match checks the kernel's insertion too."""
     n = len(data)
-    som = _init_map("0x1", parent_mqe, 2, np.arange(n), data, params)
+    som = _init_map("0x1", parent_mqe, 2, np.arange(n), _run(data, params), params)
     fit = som.fit
     weights = fit.store()[0]
     seen = []
@@ -871,13 +868,14 @@ def _fit_cycles(data, params, parent_mqe, cycles, exp):
         fit.train(stream)
         want_w, want_mqe = train_map_online(weights, data, params.rng_seed, "0x1", stream,
                                             params.lam, params.alpha0, exp=exp)
-        weights, unit_mqe, bmu_rows, bmu_cols = fit.store()
+        weights, unit_mqe, bmu_rows, bmu_cols, counts = fit.store()
         assert weights.tobytes() == want_w.tobytes()
         assert unit_mqe.tobytes() == want_mqe.tobytes()
         rows, cols = weights.shape[:2]
         stored = SomMap(rows, cols, weights, parent_mqe, 2, "0x1", np.arange(n))
         stored.unit_mqe, stored.bmu_rows, stored.bmu_cols = unit_mqe, bmu_rows, bmu_cols
         assert fit.head.mqe == stored.mqe
+        assert counts.tolist() == [len(members) for members in stored.members()]
         if stored.mqe < params.tau1 * parent_mqe or stored.mqe == 0.0:
             want = _kernel.CONVERGED
         elif rows * cols >= MAX_UNITS_PER_SAMPLE * n or cycle >= MAX_INSERTIONS:
@@ -944,13 +942,13 @@ def test_fit_context_rejects_bad_samples_and_nan_growth():
     data = np.zeros((5, 2))
     params = GhsomParams(lam=2)
     with pytest.raises(ValueError, match="sample index out of range"):
-        _init_map("", 1.0, 1, np.array([0, 5]), data, params)
+        _init_map("", 1.0, 1, np.array([0, 5]), _run(data, params), params)
     with pytest.raises(ValueError, match="sample index out of range"):
-        _init_map("", 1.0, 1, np.array([-1, 0]), data, params)
+        _init_map("", 1.0, 1, np.array([-1, 0]), _run(data, params), params)
     with pytest.raises(ValueError, match="fit: needs"):
-        _init_map("", 1.0, 1, np.array([], dtype=np.intp), data, params)
+        _init_map("", 1.0, 1, np.array([], dtype=np.intp), _run(data, params), params)
     data[:] = np.nan
-    som = _init_map("", 1.0, 1, np.arange(5), data, params)
+    som = _init_map("", 1.0, 1, np.arange(5), _run(data, params), params)
     som.fit.train(1)
     assert som.fit.head.verdict == _kernel.GROW  # a NaN MQE neither converges nor caps
     with pytest.raises(ValueError, match="grow: no neighbour's distance compares"):
@@ -963,22 +961,22 @@ def test_store_after_an_insertion_waits_for_the_next_cycle():
     # next cycle: a store in between would lay the old grid's units and
     # errors out on the grown one
     data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 4.0]])
-    fit = _kernel.Fit(data, np.arange(3), 2, 2, None, lam=2, alpha0=0.5, sigma0=None,
-                      sigma_floor=SIGMA_FLOOR, noise=INIT_NOISE, seed=0, path="", threshold=0.0,
-                      max_units=12, max_insertions=MAX_INSERTIONS)
+    fit = _kernel.Fit(_run(data, GhsomParams(lam=2, alpha0=0.5)), np.arange(3), 2, 2, None,
+                      path="", threshold=0.0, max_units=12)
     try:
         fit.train(1)
         fit.grow()
         with pytest.raises(ValueError, match="store: the map has grown since its last cycle"):
             fit.store()
         fit.train(3)
-        weights, unit_mqe, bmu_rows, bmu_cols = fit.store()
+        weights, unit_mqe, bmu_rows, bmu_cols, counts = fit.store()
     finally:
         fit.close()
     rows, cols = weights.shape[:2]
     assert rows * cols == 6 and unit_mqe.shape == (rows, cols)
     d = cdist(data, weights.reshape(6, 2))
     assert (bmu_rows * cols + bmu_cols).tolist() == d.argmin(axis=1).tolist()
+    assert counts.tolist() == np.bincount(d.argmin(axis=1), minlength=6).tolist()
     assert np.isfinite(unit_mqe).all()
 
 
@@ -1021,7 +1019,7 @@ def test_fitted_tree_holds_no_fit_context_and_no_views(nested_matrix):
     tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, rng_seed=0))
     capped, _ = _capped_noise_map()
     for som in [*tree.iter_maps(), capped]:
-        assert som.fit is None
+        assert som.fit is None and som._counts is None
         for a in (som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols):
             assert a.base is None and a.flags.owndata
         assert som.weights.shape == (som.rows, som.cols, nested_matrix.n_attributes
@@ -1059,7 +1057,7 @@ import numpy as np
 from ghsomkit import DataMatrix, GhsomParams, GhsomTree, LeafPartition, _kernel, nested_blobs
 from ghsomkit import load_csv, run_ghsom, save_csv, tree_to_json
 from ghsomkit.evaluation import ch_index, sweep
-from ghsomkit.ghsom import INIT_NOISE, SIGMA_FLOOR, SomMap
+from ghsomkit.ghsom import SomMap, _run
 if len(sys.argv) > 1:
     lib = _kernel.load(sys.argv[1])
     _kernel.library = lambda: lib
@@ -1074,13 +1072,12 @@ out["capped"] = tree_to_json(run_ghsom(matrix(8, 2, 6), GhsomParams(tau1=1e-9, t
                                                                      lam=2, rng_seed=0)))
 m = matrix(60, 3, 5)
 params = GhsomParams(lam=40, rng_seed=2**64 + 5)
-fit = _kernel.Fit(m.values, np.arange(60), 9, 11, np.random.default_rng(5).normal(size=(9, 11, 3)),
-                  lam=params.lam, alpha0=params.alpha0, sigma0=None, sigma_floor=SIGMA_FLOOR,
-                  noise=INIT_NOISE, seed=params.rng_seed, path="1x0-0x2", threshold=0.0,
-                  max_units=240, max_insertions=64)
+fit = _kernel.Fit(_run(m.values, params), np.arange(60), 9, 11,
+                  np.random.default_rng(5).normal(size=(9, 11, 3)), path="1x0-0x2",
+                  threshold=0.0, max_units=240)
 fit.train(81)
 som = SomMap(9, 11, None, 1.0, 2, "1x0-0x2", np.arange(60))
-som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols = fit.store()
+som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols, _ = fit.store()
 fit.close()
 out["blocks"] = tree_to_json(GhsomTree(np.zeros(3), 1.0, som, params, m.sample_ids,
                                        m.attribute_names))
@@ -1337,8 +1334,8 @@ def test_child_map_above_its_units_error_warns(caplog, depth, parent_mqe, warns)
     # and a child map below its unit's error is not
     m = _random_matrix(30, 3, seed=4)
     params = GhsomParams(tau1=0.5, lam=2, rng_seed=1)
-    som = _init_map("1x0" if depth > 1 else "", parent_mqe, depth, np.arange(30), m.values,
-                    params)
+    som = _init_map("1x0" if depth > 1 else "", parent_mqe, depth, np.arange(30),
+                    _run(m.values, params), params)
     with caplog.at_level(logging.WARNING, logger="ghsomkit.ghsom"):
         _fit_map(som, m.values, params)
     above = [r.getMessage() for r in caplog.records if "above its unit's mqe" in r.getMessage()]
