@@ -577,12 +577,35 @@ def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_kernel_builds_into_fresh_cache(tmp_path, monkeypatch):
-    # one build of the unmodified source serves both checks: with every
-    # warning an error, a build that warns fails with the compiler's output
+STRICT_FLAGS = (*_kernel.FLAGS, "-Wall", "-Wextra", "-Werror")
+
+
+@pytest.fixture(scope="module")
+def strict_build(tmp_path_factory):
+    """``(cache home, path)``: the unmodified source built once into a
+    fresh cache with ``STRICT_FLAGS``, so a warning fails the build; the
+    path is the ImportError, with the compiler's output, when it fails.
+    The warning check and the fresh-cache check share this one build."""
+    home = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(home))
+        mp.setattr(_kernel, "FLAGS", STRICT_FLAGS)
+        try:
+            return home, _kernel.build()
+        except ImportError as e:
+            return home, e
+
+
+def test_kernel_source_compiles_warning_clean(strict_build):
+    _, path = strict_build
+    assert isinstance(path, Path), str(path)
+
+
+def test_kernel_builds_into_fresh_cache(strict_build, monkeypatch):
+    tmp_path, path = strict_build
+    assert isinstance(path, Path), str(path)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-Wall", "-Wextra", "-Werror"))
-    path = _kernel.build()
+    monkeypatch.setattr(_kernel, "FLAGS", STRICT_FLAGS)
     assert path.parent == tmp_path / "ghsomkit"
     assert re.fullmatch(r"_kernel-[0-9a-f]{64}\.so", path.name)
     assert [p.name for p in path.parent.iterdir()] == [path.name]
