@@ -111,16 +111,15 @@ static double pairwise_sum(const double *a, int64_t n)
 /* Assigns each of the n samples x (n, dim) to its nearest row of w
    (units, dim): dist[i] is the Euclidean distance, the sqrt of the
    index-order sum of squared differences as scipy's cdist computes it,
-   and index[i] np.argmin's pick among the distances.  Then count[u] is
-   the number of samples at unit u, unit_mqe[u] the mean of their
-   distances in sample order as np.mean gives it, (0.0 + pairwise sum) /
-   count, or 0 for a unit without samples, and *map_mqe the mean of the
-   occupied units' errors as SomMap.mqe takes it: their row-major array
-   summed, (0.0 + pairwise sum), divided by their count.  Returns 0, or -1
-   when out of memory. */
+   and index[i] np.argmin's pick among the distances.  Then unit_mqe[u] is
+   the mean of unit u's distances in sample order as np.mean gives it,
+   (0.0 + pairwise sum) / count, or 0 for a unit without samples, and
+   *map_mqe the mean of the occupied units' errors as SomMap.mqe takes it:
+   their row-major array summed, (0.0 + pairwise sum), divided by their
+   count.  Returns 0, or -1 when out of memory. */
 static int assign(const double *x, int64_t n, const double *w, int64_t units,
-                  int64_t dim, double *dist, int64_t *index, int64_t *count,
-                  double *unit_mqe, double *map_mqe)
+                  int64_t dim, double *dist, int64_t *index, double *unit_mqe,
+                  double *map_mqe)
 {
     double *d = malloc(sizeof(double) * (size_t)(units + n));
     int64_t *end = calloc((size_t)units + 1, sizeof(int64_t));
@@ -153,10 +152,10 @@ static int assign(const double *x, int64_t n, const double *w, int64_t units,
         grouped[end[index[i]]++] = dist[i];
     int64_t occupied = 0;
     for (int64_t u = 0, start = 0; u < units; start = end[u++]) {
-        count[u] = end[u] - start;
-        unit_mqe[u] = count[u] ? (0.0 + pairwise_sum(grouped + start, count[u])) /
-                                 (double)count[u] : 0.0;
-        if (count[u])
+        int64_t count = end[u] - start;
+        unit_mqe[u] = count ? (0.0 + pairwise_sum(grouped + start, count)) / (double)count
+                            : 0.0;
+        if (count)
             d[occupied++] = unit_mqe[u];
     }
     *map_mqe = occupied ? (0.0 + pairwise_sum(d, occupied)) / (double)occupied : 0.0;
@@ -869,10 +868,10 @@ static void insert(double *w, int64_t rows, int64_t cols, int64_t dim, int axis,
    map's fit, from its initial weights to its stop: the routed samples,
    gathered once; the weights, grown in place by each insertion; the
    growth cycle's sample order; the block's table of neighbourhood
-   weights; the assignment, unit sample counts and unit errors of the last
-   cycle, and its verdict.  A growth cycle is one fit_train call, an
-   insertion one fit_grow call.  Every buffer is sized for the current
-   shape and grown on insertion. */
+   weights; the assignment and unit errors of the last cycle, and its
+   verdict.  A growth cycle is one fit_train call, an insertion one
+   fit_grow call.  Every buffer is sized for the current shape and grown
+   on insertion. */
 
 enum { GROW = 0, CONVERGED = 1, CAPPED = 2 };
 
@@ -903,15 +902,15 @@ typedef struct {
     /* private */
     const run_t *run;
     int64_t dim, n, lam, width, insertions, max_units;
-    int64_t w_cap, unit_mqe_cap, count_cap, scratch_cap, table_cap, alpha_cap, coef_cap,
+    int64_t w_cap, unit_mqe_cap, scratch_cap, table_cap, alpha_cap, coef_cap,
         distinct_cap, slot_cap, lanes_cap, rc_cap;
-    int assigned;            /* index, count and unit_mqe hold for the current
+    int assigned;            /* index and unit_mqe hold for the current
                                 shape: cleared by an insertion, set by the next
                                 cycle */
     double threshold;
     double *x, *w, *unit_mqe, *scratch, *table, *alpha, *coef, *distinct, *dist;
     vec *lanes;              /* L's lw, d and near */
-    int64_t *order, *index, *count, *slot, *rc;
+    int64_t *order, *index, *slot, *rc;
     lanes_t L;               /* the training pass's view of the current shape */
     uint8_t *path;
     int64_t npath;
@@ -1031,7 +1030,6 @@ void fit_close(fit_t *f)
     free(f->table);
     free(f->order);
     free(f->index);
-    free(f->count);
     free(f->slot);
     free(f->path);
     free(f);
@@ -1072,7 +1070,6 @@ int fit_open(fit_t **out, const run_t *run, const int64_t *indices, int64_t n, i
         (f->path = malloc((size_t)npath + 1)) == NULL ||
         reserve((void **)&f->w, &f->w_cap, units * dim, sizeof(double)) ||
         reserve((void **)&f->unit_mqe, &f->unit_mqe_cap, units, sizeof(double)) ||
-        reserve((void **)&f->count, &f->count_cap, units, sizeof(int64_t)) ||
         set_shape(f)) {
         fit_close(f);
         return -1;
@@ -1080,8 +1077,6 @@ int fit_open(fit_t **out, const run_t *run, const int64_t *indices, int64_t n, i
     memcpy(f->path, path, (size_t)npath);
     /* before its first cycle the map stores with every sample on unit 0 */
     memset(f->index, 0, sizeof(int64_t) * (size_t)n);
-    memset(f->count, 0, sizeof(int64_t) * (size_t)units);
-    f->count[0] = n;
     memset(f->unit_mqe, 0, sizeof(double) * (size_t)units);
     for (int64_t i = 0; i < n; i++)
         memcpy(f->x + i * dim, run->data + indices[i] * dim, sizeof(double) * (size_t)dim);
@@ -1170,8 +1165,7 @@ int fit_train(fit_t *f, uint64_t stream)
                     f->scratch);
     }
     from_lanes(f->w, f->lanes, units, f->dim);
-    if (assign(f->x, f->n, f->w, units, f->dim, f->dist, f->index, f->count, f->unit_mqe,
-               &f->mqe))
+    if (assign(f->x, f->n, f->w, units, f->dim, f->dist, f->index, f->unit_mqe, &f->mqe))
         return -1;
     f->assigned = 1;
     if (f->mqe < f->threshold || f->mqe == 0.0)
@@ -1194,8 +1188,7 @@ int fit_grow(fit_t *f)
         return -3;
     int64_t rows = f->rows + (axis == 2), cols = f->cols + (axis == 1), units = rows * cols;
     if (reserve((void **)&f->w, &f->w_cap, units * f->dim, sizeof(double)) ||
-        reserve((void **)&f->unit_mqe, &f->unit_mqe_cap, units, sizeof(double)) ||
-        reserve((void **)&f->count, &f->count_cap, units, sizeof(int64_t)))
+        reserve((void **)&f->unit_mqe, &f->unit_mqe_cap, units, sizeof(double)))
         return -1;
     insert(f->w, f->rows, f->cols, f->dim, axis, lo);
     f->rows = rows;
@@ -1206,22 +1199,17 @@ int fit_grow(fit_t *f)
 }
 
 /* Copies the fitted map out: its (rows, cols, dim) weights, (rows, cols)
-   unit errors, each sample's unit as a row and a column, and each unit's
-   number of samples.  Returns 0, or -4 after an insertion, whose map has
-   no assignment until its next cycle. */
-int fit_store(const fit_t *f, double *w, double *unit_mqe, int64_t *bmu_rows,
-              int64_t *bmu_cols, int64_t *count)
+   unit errors and each sample's row-major unit index, row * cols + col.
+   Returns 0, or -4 after an insertion, whose map has no assignment until
+   its next cycle. */
+int fit_store(const fit_t *f, double *w, double *unit_mqe, int64_t *units)
 {
     if (!f->assigned)
         return -4;
-    int64_t units = f->rows * f->cols;
-    memcpy(w, f->w, sizeof(double) * (size_t)(units * f->dim));
-    memcpy(unit_mqe, f->unit_mqe, sizeof(double) * (size_t)units);
-    memcpy(count, f->count, sizeof(int64_t) * (size_t)units);
-    for (int64_t i = 0; i < f->n; i++) {
-        bmu_rows[i] = f->index[i] / f->cols;
-        bmu_cols[i] = f->index[i] % f->cols;
-    }
+    int64_t size = f->rows * f->cols;
+    memcpy(w, f->w, sizeof(double) * (size_t)(size * f->dim));
+    memcpy(unit_mqe, f->unit_mqe, sizeof(double) * (size_t)size);
+    memcpy(units, f->index, sizeof(int64_t) * (size_t)f->n);
     return 0;
 }
 

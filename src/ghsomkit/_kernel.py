@@ -14,10 +14,10 @@ and the insertion cap, is one struct (``Run``) set up once per
 indices, shape, path, threshold and unit cap. A context gathers the
 routed samples once, checks each array's dtype, order and shape once,
 and owns the weights, the cycle's sample order, the table of
-neighbourhood weights and the assignment, count and error buffers, each
-sized for the current map and grown in place on insertion. A growth
-cycle is one call that passes the context and the cycle's stream, an
-insertion one call that passes the context. The kernel computes with
+neighbourhood weights and the assignment and error buffers, each sized
+for the current map and grown in place on insertion. A growth cycle is
+one call that passes the context and the cycle's stream, an insertion
+one call that passes the context. The kernel computes with
 numpy's float operations in numpy's order, so the results are the bits
 the numpy code gives:
 
@@ -44,10 +44,11 @@ the numpy code gives:
   map, whose distinct grid distances fit one vector, takes each unit's
   neighbourhood weight by one permute of that vector and finds the
   best-matching unit in one compare and select chain over its units;
-- after the last block, each sample's nearest unit, each unit's number
-  of samples and mean quantization error as ``np.mean`` gives it, the
-  map MQE as ``SomMap.mqe`` sums it, and the verdict: converged, capped
-  or grow.
+- after the last block, each sample's nearest unit as a row-major
+  index ``row * cols + col``, which the fitted ``SomMap`` keeps as its
+  ``units``, each unit's mean quantization error as ``np.mean`` gives
+  it, the map MQE as ``SomMap.mqe`` sums it, and the verdict:
+  converged, capped or grow.
 
 On x86-64 with glibc the training and ``exp`` functions are compiled for
 AVX-512F, x86-64-v3 (AVX2 with FMA) and the baseline
@@ -191,7 +192,7 @@ def load(path) -> ctypes.CDLL:
     lib.format_rows.restype = _N
     lib.fit_open.argtypes = [_P, _P, _P, _N, _N, _N, _P, _B, _N, _D, _N]
     lib.fit_train.argtypes = [_P, ctypes.c_uint64]
-    lib.fit_store.argtypes = [_P, _P, _P, _P, _P, _P]
+    lib.fit_store.argtypes = [_P, _P, _P, _P]
     lib.fit_grow.argtypes = lib.fit_close.argtypes = [_P]
     lib.ch_sums.argtypes = [_P, _N, _N, _P, _N, _P, _P]
     for f in (lib.parse_block, lib.fit_open, lib.fit_train, lib.fit_grow, lib.fit_store,
@@ -278,12 +279,12 @@ class Fit:
 
     It gathers the ``n`` samples ``run.data[indices]`` of a ``rows`` x
     ``cols`` map once and owns the weights, the cycle's sample order, the
-    table of neighbourhood weights and the last cycle's assignment, unit
-    sample counts and errors, growing them with the map. ``weights`` are
-    copied in; without them the map starts at ``x.mean(axis=0) + u *
-    x.std(axis=0)`` of the routed samples ``x``, with ``rows * cols * dim``
-    draws ``u`` of ``uniform(-noise, noise)`` from the map's stream 0,
-    computed as numpy computes them. The map's streams take the entropy
+    table of neighbourhood weights and the last cycle's assignment and unit
+    errors, growing them with the map. ``weights`` are copied in; without
+    them the map starts at ``x.mean(axis=0) + u * x.std(axis=0)`` of the
+    routed samples ``x``, with ``rows * cols * dim`` draws ``u`` of
+    ``uniform(-noise, noise)`` from the map's stream 0, computed as numpy
+    computes them. The map's streams take the entropy
     ``[seed, stream, *path.encode()]``. A cycle (``train``) trains the
     run's ``lam`` epochs with the learning rate decaying from ``alpha0``
     and the radius from ``sigma0`` to ``sigma_floor``; then
@@ -341,15 +342,13 @@ class Fit:
 
     def store(self) -> tuple:
         """The fitted map, in arrays of its own: the ``(rows, cols, dim)``
-        weights, the ``(rows, cols)`` unit errors, each routed sample's
-        unit row and column, and each unit's number of routed samples in
-        row-major order, which the assignment's counting sort found.
-        Raises ValueError after an insertion, until the next cycle
+        weights, the ``(rows, cols)`` unit errors and each routed sample's
+        row-major unit index ``row * cols + col``, as the assignment found
+        it. Raises ValueError after an insertion, until the next cycle
         assigns the grown map."""
         rows, cols = self.head.rows, self.head.cols
         out = (np.empty((rows, cols, self.dim)), np.empty((rows, cols)),
-               np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64),
-               np.empty(rows * cols, dtype=np.int64))
+               np.empty(self.n, dtype=np.int64))
         code = self._lib.fit_store(self._ctx, *map(_writable_address, out))
         if code:
             raise _fit_error(code)

@@ -9,13 +9,13 @@ units get a child map, and scores that row's tau2 cells from one
 flattening of the tree (``ghsom.FlatTree``): each cell keeps the maps
 ``ghsom.prune`` would keep, without a pruned copy of the tree.
 
-Both scores work from a partition's integer cluster codes, numbered by
-first appearance, rather than from its per-sample cluster names:
-``ch_index`` groups the rows by one stable argsort of the codes in
-cluster-name order, and the ARI counts its contingency table from the
-codes. A sweep cell's partition gets its codes straight from the
-flattened tree and builds no string per sample. Each score is the same
-float as the name-based computation gives, bit for bit.
+Both scores work from a partition's integer cluster codes
+(``LeafPartition.codes``, numbered in cluster-name order) rather than
+from its per-sample cluster names: ``ch_index`` groups the rows by one
+stable argsort of the codes, and the ARI counts its contingency table
+from the codes. A sweep cell's partition gets its codes straight from
+the flattened tree and builds no string per sample. Each score is the
+same float as the name-based computation gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,27 +54,24 @@ def ch_index(partition: LeafPartition, m: DataMatrix) -> float:
         within_k = ((rows_k - c_k) ** 2).sum()
 
     each sum summed in cluster order from its first term. The rows are
-    grouped from the partition's integer cluster codes, by one stable
-    argsort of each sample's cluster's place in name order, so no
-    cluster's members are looked up by name.
+    grouped by one stable argsort of the partition's integer cluster
+    codes, which number the clusters in name order, so no cluster's
+    members are looked up by name.
     """
     if partition.sample_ids != m.sample_ids:
         raise ValueError("partition and data matrix list different sample ids")
-    order = partition._order
-    k = len(order)
+    k = len(partition.cluster_names())
     n = m.n_samples
     if k < 2:
         raise ValueError(f"ch_index needs at least 2 clusters, got {k}")
     if n <= k:
         raise ValueError(f"ch_index needs more samples than clusters (n={n}, K={k})")
-    codes = partition._codes
-    place = np.empty(k, dtype=np.intp)
-    place[order] = np.arange(k)
+    codes = partition.codes
     # rows grouped by cluster in name order, each cluster's rows in sample
     # order; the gather gives C order whatever the order of the values
-    grouped = m.values[np.argsort(place[codes], kind="stable")]
+    grouped = m.values[np.argsort(codes, kind="stable")]
     center = m.values.mean(axis=0)
-    bgss, wgss = _kernel.ch_sums(grouped, np.bincount(codes, minlength=k)[order], center)
+    bgss, wgss = _kernel.ch_sums(grouped, np.bincount(codes, minlength=k), center)
     if wgss == 0.0:
         return float("inf") if bgss > 0.0 else 0.0
     return (bgss / (k - 1)) / (wgss / (n - k))
@@ -140,7 +137,7 @@ def ari(partition: LeafPartition, labels: Sequence) -> float:
         raise ValueError(
             f"labels length {len(labels)} != {partition.n_samples} samples"
         )
-    return _ari_of_codes(partition._codes, _codes(labels))
+    return _ari_of_codes(partition.codes, _codes(labels))
 
 
 @dataclass

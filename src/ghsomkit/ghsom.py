@@ -109,16 +109,16 @@ class GhsomParams:
 class SomMap:
     """One SOM grid in the hierarchy.
 
-    Holds the weight grid, the samples routed to it, their unit
-    assignments, per-unit quantization errors and any child maps keyed
-    by ``(row, col)``. The unit at ``(row, col)`` is entry
-    ``row * cols + col`` of ``members()``, and its cluster name is
-    ``unit_path(row, col)``. While ``_fit_map`` fits the map, ``fit``
-    holds its kernel context and the map's own weights, assignments and
-    errors are set only when it stops; otherwise ``fit`` is None. From
-    that store until ``expand_hierarchy`` reads it, ``_counts`` holds each
-    unit's sample count as the kernel's assignment found it; otherwise it
-    is None.
+    Holds the weight grid, the samples routed to it, per-unit
+    quantization errors and any child maps keyed by ``(row, col)``. The
+    unit at ``(row, col)`` is number ``row * cols + col``, as the kernel
+    numbers it: ``units[i]`` is the unit of sample ``sample_indices[i]``,
+    entry ``u`` of ``members()`` holds unit ``u``'s samples, and the
+    unit's cluster name is ``unit_path(row, col)``. ``bmu_rows`` and
+    ``bmu_cols`` derive each sample's row and column from ``units``.
+    While ``_fit_map`` fits the map, ``fit`` holds its kernel context and
+    the map's own weights, units and errors are set only when it stops;
+    otherwise ``fit`` is None.
     """
 
     def __init__(self, rows, cols, weights, parent_mqe, depth, path, sample_indices):
@@ -129,19 +129,27 @@ class SomMap:
         self.depth = depth
         self.path = path  # "" for the root, else e.g. "0x0-2x1"
         self.sample_indices = np.asarray(sample_indices, dtype=np.intp)
-        self.bmu_rows = np.zeros(len(self.sample_indices), dtype=np.intp)
-        self.bmu_cols = np.zeros(len(self.sample_indices), dtype=np.intp)
+        self.units = np.zeros(len(self.sample_indices), dtype=np.intp)
         self.unit_mqe = np.zeros((rows, cols))
         self.children: dict[tuple[int, int], SomMap] = {}
         self.fit: _kernel.Fit | None = None
-        self._counts: np.ndarray | None = None
+
+    @property
+    def bmu_rows(self) -> np.ndarray:
+        """Each routed sample's unit row."""
+        return self.units // self.cols
+
+    @property
+    def bmu_cols(self) -> np.ndarray:
+        """Each routed sample's unit column."""
+        return self.units % self.cols
 
     @property
     def mqe(self) -> float:
         """Map MQE: mean of per-unit errors over non-empty units."""
-        occupied = np.zeros((self.rows, self.cols), dtype=bool)
-        occupied[self.bmu_rows, self.bmu_cols] = True
-        errors = self.unit_mqe[occupied]
+        occupied = np.zeros(self.rows * self.cols, dtype=bool)
+        occupied[self.units] = True
+        errors = self.unit_mqe.reshape(-1)[occupied]
         if len(errors) == 0:
             return 0.0
         return float(errors.sum() / len(errors))
@@ -149,8 +157,7 @@ class SomMap:
     def members(self) -> list[np.ndarray]:
         """The routed samples of every unit, in row-major unit order, each
         array in the order of ``sample_indices``."""
-        return _split(self.sample_indices, self.bmu_rows * self.cols + self.bmu_cols,
-                      self.rows * self.cols)
+        return _split(self.sample_indices, self.units, self.rows * self.cols)
 
     def unit_path(self, row: int, col: int) -> str:
         name = f"{col}x{row}"
@@ -186,56 +193,53 @@ class LeafPartition:
     """Flat assignment of every sample to exactly one leaf cluster.
 
     ``LeafPartition(sample_ids, clusters)`` takes each sample's cluster
-    name. The partition holds the clusters as integer codes numbered by
-    first appearance, sample ``i`` in cluster ``_names[_codes[i]]``, and
-    the order of the codes by name (``_order``). ``FlatTree.partition``
-    gives it those directly, and ``evaluation.ch_index`` and ``ari`` score
-    from them, so the per-sample ``clusters`` list and each cluster's
-    ``members`` are built only when a caller reads them.
+    name. The partition numbers the clusters in name order and holds each
+    sample's number as ``codes``: sample ``i`` is in cluster
+    ``cluster_names()[codes[i]]``. ``FlatTree.partition`` gives it the
+    codes directly, and ``evaluation.ch_index`` and ``ari`` score from
+    them, so the per-sample ``clusters`` list and each cluster's
+    ``members`` are built only when a caller reads them. ``sizes()`` lists
+    the clusters in name order too.
     """
 
     def __init__(self, sample_ids: list[str], clusters: list[str]):
         if len(sample_ids) != len(clusters):
             raise ValueError("sample_ids and clusters must be aligned")
-        # clusters numbered in order of first appearance through a dict:
-        # sorting the names with np.unique costs more than the grouping
-        number = {c: k for k, c in enumerate(dict.fromkeys(clusters))}
-        names = list(number)
+        names = sorted(set(clusters))
+        number = {c: k for k, c in enumerate(names)}
         self._set(sample_ids, names,
-                  np.fromiter(map(number.__getitem__, clusters), np.intp, len(clusters)),
-                  np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp))
+                  np.fromiter(map(number.__getitem__, clusters), np.intp, len(clusters)))
         self._clusters = clusters
 
     @classmethod
-    def _of_codes(cls, sample_ids: list[str], names: list[str], codes: np.ndarray,
-                  order: np.ndarray) -> LeafPartition:
+    def _of_codes(cls, sample_ids: list[str], names: list[str],
+                  codes: np.ndarray) -> LeafPartition:
         """The partition that puts sample ``i`` in cluster
-        ``names[codes[i]]``, for codes that number the clusters by first
-        appearance, as the constructor numbers them, and ``order`` the
-        codes sorted by name: the grouping is taken as given, not derived
+        ``names[codes[i]]``, for ``names`` sorted and each of them some
+        sample's cluster: the grouping is taken as given, not derived
         again from the names."""
         part = cls.__new__(cls)
-        part._set(sample_ids, names, codes, order)
+        part._set(sample_ids, names, codes)
         return part
 
-    def _set(self, sample_ids, names, codes, order) -> None:
+    def _set(self, sample_ids, names, codes) -> None:
         self.sample_ids = sample_ids
-        self._names, self._codes, self._order = names, codes, order
+        self._names, self.codes = names, codes
         self._clusters = self._index = None
 
     @property
     def clusters(self) -> list[str]:
         """Each sample's cluster name, in sample order."""
         if self._clusters is None:
-            self._clusters = np.array(self._names, dtype=object)[self._codes].tolist()
+            self._clusters = np.array(self._names, dtype=object)[self.codes].tolist()
         return self._clusters
 
     def cluster_names(self) -> list[str]:
-        return [self._names[k] for k in self._order.tolist()]
+        return list(self._names)
 
     def members(self, cluster: str) -> np.ndarray:
         if self._index is None:
-            self._index = dict(zip(self._names, _split(np.arange(len(self._codes)), self._codes,
+            self._index = dict(zip(self._names, _split(np.arange(len(self.codes)), self.codes,
                                                        len(self._names))))
         try:
             return self._index[cluster]
@@ -243,7 +247,7 @@ class LeafPartition:
             raise KeyError(f"unknown cluster '{cluster}'") from None
 
     def sizes(self) -> dict[str, int]:
-        return dict(zip(self._names, np.bincount(self._codes, minlength=len(self._names))
+        return dict(zip(self._names, np.bincount(self.codes, minlength=len(self._names))
                         .tolist()))
 
     @property
@@ -407,8 +411,8 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
     after a cycle says whether the map converged, reached a growth guard
     (the map's units or insertions) or grows on. When it stops, a child
     map whose MQE exceeds the error of the unit it refines is logged (not
-    failed), its weights, assignments, errors and unit sample counts are
-    stored into ``som`` and the context is closed.
+    failed), its weights, errors and units are stored into ``som`` and the
+    context is closed.
     """
     fit = som.fit
     try:
@@ -429,7 +433,7 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
         if som.depth > 1 and fit.head.mqe > som.parent_mqe + 1e-9:
             log.warning("child map %s has MQE %.6g above its unit's mqe %.6g",
                         som.path, fit.head.mqe, som.parent_mqe)
-        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols, som._counts = fit.store()
+        som.weights, som.unit_mqe, som.units = fit.store()
     finally:
         som.fit = None
         fit.close()
@@ -459,21 +463,16 @@ def expand_hierarchy(
     depth budget allows. Children are fitted depth-first in row-major
     unit order; their RNG streams are derived from their paths, not from
     that order. ``run`` holds the data and the constants every map of the
-    fit reads (``_run``). Each unit's sample count is the one the kernel's
-    last assignment of ``som`` found, which the fitted tree does not keep;
-    a map that no fit stored has its samples counted here.
+    fit reads (``_run``). Each unit's samples are counted from
+    ``som.units``.
     """
-    counts, som._counts = som._counts, None
     if som.depth >= params.max_depth:
         return tree
     mqe = som.unit_mqe.reshape(-1)
     expand = mqe >= _expansion_threshold(tree, som, params)
     if not expand.any():
         return tree
-    if counts is None:
-        counts = np.bincount(som.bmu_rows * som.cols + som.bmu_cols,
-                             minlength=som.rows * som.cols)
-    expand &= (mqe > 0) & (counts >= 4)
+    expand &= (mqe > 0) & (np.bincount(som.units, minlength=som.rows * som.cols) >= 4)
     if not expand.any():
         return tree
 
@@ -541,10 +540,8 @@ class FlatTree:
     ``error[k - 1]`` and whose threshold is ``tau2`` times
     ``reference[k - 1]``. ``reach[d, i]`` is the unit that sample ``i``
     reaches in the maps ``d`` levels below the root, or ``start[-1]``
-    where no map of that level routes it.
-    ``names[u]`` is unit ``u``'s cluster name and ``rank[u]`` its place
-    among all the names sorted, so a cut's leaves are named and put in
-    name order without a string per sample or a sort of names per cut.
+    where no map of that level routes it: map ``k``'s ``units`` offset by
+    ``start[k]``.
     """
 
     def __init__(self, tree: GhsomTree):
@@ -568,25 +565,11 @@ class FlatTree:
                                   dtype=np.float64)
         # every map's routed samples and their units, in one array each
         counts = [len(som.sample_indices) for som in maps]
-        units = np.concatenate([som.bmu_rows for som in maps]) * np.repeat(
-            [som.cols for som in maps], counts)
-        units += np.concatenate([som.bmu_cols for som in maps])
-        units += np.repeat(self.start[:-1], counts)
         self.reach = np.full((max(level) + 1, len(tree.sample_ids)), self.start[-1],
                              dtype=np.intp)
         self.reach[np.repeat(level, counts),
-                   np.concatenate([som.sample_indices for som in maps])] = units
-        # the {col}x{row} names of each grid shape's units, made once
-        grids, names = {}, []
-        for som in maps:
-            cells = grids.get((som.rows, som.cols))
-            if cells is None:
-                cells = grids[som.rows, som.cols] = [
-                    f"{col}x{row}" for row in range(som.rows) for col in range(som.cols)]
-            names += [f"{som.path}-{cell}" for cell in cells] if som.path else cells
-        self.names = np.array(names, dtype=object)
-        self.rank = np.empty(len(names), dtype=np.intp)
-        self.rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+                   np.concatenate([som.sample_indices for som in maps])] = (
+            np.concatenate([som.units for som in maps]) + np.repeat(self.start[:-1], counts))
 
     def survivors(self, tau2: float) -> list[bool]:
         """Which maps the fit at ``tau2`` keeps, by map number: the root,
@@ -603,9 +586,9 @@ class FlatTree:
         """The leaf partition of the tree of the maps ``keep`` names (of
         every map by default): each sample at the first unit on its path
         that has no kept child map. Only the units samples end at are
-        named. The partition gets its leaves as codes numbered by first
-        appearance, with their names and their name order; it builds no
-        string per sample."""
+        named, through ``SomMap.unit_path``, and the partition gets its
+        leaves as codes numbered in name order; it builds no string per
+        sample."""
         if keep is None:
             keep = [True] * len(self.maps)
         # a sample at a unit with a kept child map steps down into it;
@@ -620,14 +603,15 @@ class FlatTree:
         if missing.size:
             missing = [self.sample_ids[i] for i in missing[:5]]
             raise RuntimeError(f"samples not reachable at any leaf: {missing}")
-        ends, first, codes = np.unique(leaf, return_index=True, return_inverse=True)
-        # clusters numbered in order of first appearance
-        order = np.argsort(first)
-        number = np.empty_like(order)
-        number[order] = np.arange(len(order))
-        units = ends[order]
-        return LeafPartition._of_codes(self.sample_ids, self.names[units].tolist(),
-                                       number[codes], np.argsort(self.rank[units]))
+        ends, codes = np.unique(leaf, return_inverse=True)
+        owner = np.searchsorted(self.start, ends, side="right") - 1
+        names = [self.maps[k].unit_path(*divmod(u - self.start[k], self.maps[k].cols))
+                 for k, u in zip(owner.tolist(), ends.tolist())]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        place = np.empty(len(order), dtype=np.intp)
+        place[order] = np.arange(len(order))
+        return LeafPartition._of_codes(self.sample_ids, [names[k] for k in order],
+                                       place[codes])
 
 
 def prune(tree: GhsomTree, tau2: float) -> GhsomTree:
@@ -758,8 +742,7 @@ def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> 
         raise ValueError(f"map {name}: unknown sample id {exc.args[0]!r}") from None
     som = SomMap(rows, cols, weights.reshape(rows, cols, -1), d["parent_mqe"], depth, path,
                  members)
-    counts = [len(u["assigned"]) for u in units]
-    som.bmu_rows, som.bmu_cols = np.divmod(np.repeat(np.arange(rows * cols), counts), cols)
+    som.units = np.repeat(np.arange(rows * cols), [len(u["assigned"]) for u in units])
     som.unit_mqe = np.array([u["mqe"] for u in units], dtype=np.float64).reshape(rows, cols)
     for (row, col), u, assigned in zip(cells, units, som.members()):
         if u["child"] is not None:

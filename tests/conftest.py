@@ -1,7 +1,7 @@
 import pytest
 
 from ghsomkit import GhsomParams, _kernel, gaussian_blobs, run_ghsom
-from helpers import build_kernel, kernel_exp
+from helpers import STRICT_FLAGS, build_kernel, kernel_exp
 
 # One line per acceptance criterion, echoed after the test summary so the
 # pass/fail verdicts are visible even without -s.
@@ -37,8 +37,12 @@ def kernels(tmp_path_factory):
     """The loaded kernel library and a build of its source with the SSE
     one-step number read compiled out: on an x86-64 CPU with SSSE3 and
     SSE4.1 the first takes that step, and the second sends every number
-    field to ``parse_number``, as every other CPU does."""
-    return [_kernel.library(), build_kernel(tmp_path_factory.mktemp("no-step"), sse=False)]
+    field to ``parse_number``, as every other CPU does. The second is
+    built with ``STRICT_FLAGS``, so a warning in the portable form of the
+    source fails every test that reads it, as ``strict_build`` does for
+    the form the library is built in."""
+    return [_kernel.library(),
+            build_kernel(tmp_path_factory.mktemp("no-step"), sse=False, flags=STRICT_FLAGS)]
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from ghsomkit.ghsom import SomMap
 CLONES = 'target_clones("avx512f", "arch=x86-64-v3", "default")'
 # the line that compiles in the SSE one-step number read
 SSE_STEP = "#define SSE_STEP 1\n"
+# the kernel's flags with every warning an error
+STRICT_FLAGS = (*_kernel.FLAGS, "-Wall", "-Wextra", "-Werror")
 
 # the entries a test build adds: the kernel's static exp_block, whether
 # parse_block takes the SSE step on this CPU, and that step, which
@@ -39,6 +41,8 @@ int test_one_step(const char *p, double *out)
     const char *q = p;
     return quick_number_sse(&q, out) ? -1 : (int)(q - p);
 #else
+    (void)p;
+    (void)out;
     return -1;
 #endif
 }
@@ -111,8 +115,7 @@ def worked_example_tree(dim=3, seed=11):
             path=path,
             sample_indices=np.array([g for g, _, _ in assign], dtype=np.intp),
         )
-        som.bmu_rows = np.array([r for _, r, _ in assign], dtype=np.intp)
-        som.bmu_cols = np.array([c for _, _, c in assign], dtype=np.intp)
+        som.units = np.array([r * cols + c for _, r, c in assign], dtype=np.intp)
         som.unit_mqe = np.abs(rng.normal(size=(rows, cols)))
         return som
 
@@ -156,7 +159,7 @@ def cpu_flags() -> set[str]:
     return set()
 
 
-def build_kernel(directory, target=None, sse=True):
+def build_kernel(directory, target=None, sse=True, flags=_kernel.FLAGS):
     """A copy of ``_kernel.c`` built into ``directory`` and loaded as
     ``_kernel.load`` loads the library, with three entries the library does
     not export: ``test_exp(a, n)``, the kernel's static ``exp_block``;
@@ -166,7 +169,9 @@ def build_kernel(directory, target=None, sse=True):
     cloned functions are built for that target alone, as the loader would
     pick them on a CPU that has no wider one. With ``sse`` false, the SSE
     step is compiled out, as on a target that has none, so ``parse_block``
-    sends every number field to ``parse_number`` on every CPU."""
+    sends every number field to ``parse_number`` on every CPU. The build
+    takes the compiler ``flags`` (the kernel's own by default), and fails
+    the calling test with the compiler's output if it fails."""
     source = _kernel.SOURCE.read_text()
     assert source.count(CLONES) == 1 and source.count(SSE_STEP) == 1
     if target is not None:
@@ -176,7 +181,7 @@ def build_kernel(directory, target=None, sse=True):
     copy = Path(directory) / "k.c"
     copy.write_text(source + TEST_ENTRIES)
     lib_path = Path(directory) / "k.so"
-    done = subprocess.run(["cc", str(copy), "-o", str(lib_path), *_kernel.FLAGS],
+    done = subprocess.run(["cc", str(copy), "-o", str(lib_path), *flags],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lib = _kernel.load(lib_path)

@@ -466,7 +466,8 @@ def _partition_views(part):
 def test_partitions_from_codes_and_from_names_agree(t2):
     # the cut of a flattened tree, the leaf partition of the pruned tree
     # and the public constructor on each sample's leaf name give the same
-    # clusters, names, members and sizes, whichever is read first
+    # clusters, names, members, sizes and codes, whichever is read first;
+    # each code is the place of the sample's cluster in cluster_names()
     m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.4, seed=2)
     deep = run_ghsom(m, GhsomParams(tau1=0.3, tau2=0.05, lam=10, rng_seed=2))
     flat = FlatTree(deep)
@@ -483,6 +484,10 @@ def test_partitions_from_codes_and_from_names_agree(t2):
     sizes = list(flattened.sizes().items())
     assert (flattened.clusters, names, members, sizes) == want
     assert cut == flattened == named
+    place = {c: k for k, c in enumerate(want[1])}
+    assert named.codes.tolist() == [place[c] for c in want[0]]
+    for part in (cut, flattened):
+        assert part.codes.tolist() == named.codes.tolist()
     for part in (cut, flattened, named):
         assert part.members(want[1][0]).dtype == np.intp
         with pytest.raises(KeyError, match="unknown cluster"):

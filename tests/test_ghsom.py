@@ -50,7 +50,7 @@ from ghsomkit.ghsom import (
     _split,
     expand_hierarchy,
 )
-from helpers import build_kernel, cpu_flags, kernel_exp
+from helpers import STRICT_FLAGS, build_kernel, cpu_flags, kernel_exp
 from oracles import (
     best_matching_unit,
     exp_svml,
@@ -100,7 +100,7 @@ def _nearest(x, w):
     w = np.asarray(w, dtype=float)[None]
     params = GhsomParams(lam=1, alpha0=0.0)
     with _fit(w, x, params) as fit:
-        weights, _, _, index, _ = fit.store()
+        weights, _, index = fit.store()
     assert weights.tobytes() == w.tobytes()
     dist = []
     for i, u in enumerate(index.tolist()):
@@ -257,9 +257,10 @@ def test_train_recomputes_assignment_and_errors():
     m = _random_matrix(30, 3, seed=4)
     som = _fresh_map(np.random.default_rng(0).normal(size=(2, 3, 3)), np.arange(30))
     with _fit(som.weights, m.values, GhsomParams(lam=10, rng_seed=7)) as fit:
-        som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols, counts = fit.store()
-    # the kernel's unit sample counts are the routed samples' units counted
-    assert counts.tolist() == [len(members) for members in som.members()]
+        som.weights, som.unit_mqe, som.units = fit.store()
+    # each unit's sample count, from the routed samples' units
+    assert np.bincount(som.units, minlength=6).tolist() == [
+        len(members) for members in som.members()]
     for u, members in enumerate(som.members()):
         row, col = divmod(u, som.cols)
         mqe = float(som.unit_mqe[row, col])
@@ -577,9 +578,6 @@ def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-STRICT_FLAGS = (*_kernel.FLAGS, "-Wall", "-Wextra", "-Werror")
-
-
 @pytest.fixture(scope="module")
 def strict_build(tmp_path_factory):
     """``(cache home, path)``: the unmodified source built once into a
@@ -829,7 +827,7 @@ def test_expand_refines_units_at_threshold_with_four_samples_in_row_major_order(
     som = SomMap(2, 3, np.zeros((2, 3, 2)), 1.0, 1, "", routed)
     # units in row-major order hold 4, 3, 0, 1, 5 and 1 samples
     flat = np.array([0, 1, 4, 0, 1, 3, 4, 0, 4, 1, 4, 0, 4, 5])
-    som.bmu_rows, som.bmu_cols = np.divmod(flat, 3)
+    som.units = flat
     # at or above tau2 * mqe0 = 0.25: units 0, 1, 3, 4 (unit 1 too few
     # samples, unit 3 one sample); unit 5 has samples but error 0.0
     som.unit_mqe = np.array([[0.25, 0.9, 0.0], [0.5, 0.3, 0.0]])
@@ -865,12 +863,12 @@ def test_initial_weights_are_numpys_mean_plus_scaled_noise(n, dim):
     want = x.mean(axis=0) + noise.reshape(2, 2, -1) * x.std(axis=0)
     params = GhsomParams(rng_seed=2**32 + 9)
     som = _init_map(path, 1.0, 3, routed, _run(data, params), params)
-    weights, unit_mqe, bmu_rows, bmu_cols, counts = som.fit.store()
+    weights, unit_mqe, units = som.fit.store()
     som.fit.close()
     assert weights.tobytes() == want.tobytes()
     assert unit_mqe.tolist() == [[0.0, 0.0], [0.0, 0.0]]
-    assert bmu_rows.tolist() == bmu_cols.tolist() == [0] * n
-    assert counts.tolist() == [n, 0, 0, 0]
+    assert units.tolist() == [0] * n
+    assert np.bincount(units, minlength=4).tolist() == [n, 0, 0, 0]
 
 
 def _fit_cycles(data, params, parent_mqe, cycles, exp):
@@ -891,14 +889,15 @@ def _fit_cycles(data, params, parent_mqe, cycles, exp):
         fit.train(stream)
         want_w, want_mqe = train_map_online(weights, data, params.rng_seed, "0x1", stream,
                                             params.lam, params.alpha0, exp=exp)
-        weights, unit_mqe, bmu_rows, bmu_cols, counts = fit.store()
+        weights, unit_mqe, units = fit.store()
         assert weights.tobytes() == want_w.tobytes()
         assert unit_mqe.tobytes() == want_mqe.tobytes()
         rows, cols = weights.shape[:2]
         stored = SomMap(rows, cols, weights, parent_mqe, 2, "0x1", np.arange(n))
-        stored.unit_mqe, stored.bmu_rows, stored.bmu_cols = unit_mqe, bmu_rows, bmu_cols
+        stored.unit_mqe, stored.units = unit_mqe, units
         assert fit.head.mqe == stored.mqe
-        assert counts.tolist() == [len(members) for members in stored.members()]
+        assert np.bincount(units, minlength=rows * cols).tolist() == [
+            len(members) for members in stored.members()]
         if stored.mqe < params.tau1 * parent_mqe or stored.mqe == 0.0:
             want = _kernel.CONVERGED
         elif rows * cols >= MAX_UNITS_PER_SAMPLE * n or cycle >= MAX_INSERTIONS:
@@ -992,14 +991,15 @@ def test_store_after_an_insertion_waits_for_the_next_cycle():
         with pytest.raises(ValueError, match="store: the map has grown since its last cycle"):
             fit.store()
         fit.train(3)
-        weights, unit_mqe, bmu_rows, bmu_cols, counts = fit.store()
+        weights, unit_mqe, units = fit.store()
     finally:
         fit.close()
     rows, cols = weights.shape[:2]
     assert rows * cols == 6 and unit_mqe.shape == (rows, cols)
     d = cdist(data, weights.reshape(6, 2))
-    assert (bmu_rows * cols + bmu_cols).tolist() == d.argmin(axis=1).tolist()
-    assert counts.tolist() == np.bincount(d.argmin(axis=1), minlength=6).tolist()
+    assert units.tolist() == d.argmin(axis=1).tolist()
+    assert np.bincount(units, minlength=6).tolist() == np.bincount(
+        d.argmin(axis=1), minlength=6).tolist()
     assert np.isfinite(unit_mqe).all()
 
 
@@ -1042,8 +1042,8 @@ def test_fitted_tree_holds_no_fit_context_and_no_views(nested_matrix):
     tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, rng_seed=0))
     capped, _ = _capped_noise_map()
     for som in [*tree.iter_maps(), capped]:
-        assert som.fit is None and som._counts is None
-        for a in (som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols):
+        assert som.fit is None
+        for a in (som.weights, som.unit_mqe, som.units):
             assert a.base is None and a.flags.owndata
         assert som.weights.shape == (som.rows, som.cols, nested_matrix.n_attributes
                                      if som is not capped else 2)
@@ -1100,7 +1100,7 @@ fit = _kernel.Fit(_run(m.values, params), np.arange(60), 9, 11,
                   threshold=0.0, max_units=240)
 fit.train(81)
 som = SomMap(9, 11, None, 1.0, 2, "1x0-0x2", np.arange(60))
-som.weights, som.unit_mqe, som.bmu_rows, som.bmu_cols, _ = fit.store()
+som.weights, som.unit_mqe, som.units = fit.store()
 fit.close()
 out["blocks"] = tree_to_json(GhsomTree(np.zeros(3), 1.0, som, params, m.sample_ids,
                                        m.attribute_names))
@@ -1246,7 +1246,7 @@ def test_partition_names_samples_no_leaf_reaches(nested_tree):
     child = next(c for som in tree.iter_maps() for c in som.children.values())
     lost = tree.sample_ids[child.sample_indices[0]]
     child.sample_indices = child.sample_indices[1:]
-    child.bmu_rows, child.bmu_cols = child.bmu_rows[1:], child.bmu_cols[1:]
+    child.units = child.units[1:]
     with pytest.raises(RuntimeError, match=f"not reachable at any leaf: \\['{lost}'\\]"):
         leaf_partition(tree)
 
@@ -1262,7 +1262,8 @@ def test_partition_groups_like_dict_of_lists(n, k, seed):
     for i, c in enumerate(clusters):
         want.setdefault(c, []).append(i)
     assert part.cluster_names() == sorted(want)
-    assert list(part.sizes().items()) == [(c, len(ix)) for c, ix in want.items()]
+    # sizes in name order, as cluster_names() lists the clusters
+    assert list(part.sizes().items()) == [(c, len(want[c])) for c in sorted(want)]
     for c, ix in want.items():
         assert part.members(c).dtype == np.intp
         assert part.members(c).tolist() == ix
@@ -1369,8 +1370,7 @@ def test_child_map_above_its_units_error_warns(caplog, depth, parent_mqe, warns)
 
 def test_empty_units_do_not_enter_map_mqe():
     som = _fresh_map(np.zeros((2, 2, 1)), [0, 1])
-    som.bmu_rows = np.array([0, 0])
-    som.bmu_cols = np.array([0, 1])
+    som.units = np.array([0, 1])
     som.unit_mqe = np.array([[2.0, 4.0], [99.0, 99.0]])  # bottom units unoccupied
     assert som.mqe == 3.0
 

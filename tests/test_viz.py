@@ -403,8 +403,8 @@ def _tree_with_empty_unit(rows=2, cols=2):
         label_name="lab",
     )
     som = SomMap(rows, cols, rng.normal(size=(rows, cols, 2)), 1.0, 1, "", np.arange(n))
-    som.bmu_rows = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1], dtype=np.intp)
-    som.bmu_cols = np.array([0, 0, 0, 1, 1, 1, 0, 0, 0], dtype=np.intp)
+    # units (0, 0), (0, 1) and (1, 0), row-major, hold 3 samples each
+    som.units = np.array([0] * 3 + [1] * 3 + [cols] * 3)
     som.unit_mqe = np.zeros((rows, cols))
     tree = GhsomTree(
         w0=values.mean(axis=0),
