@@ -1,10 +1,11 @@
 /* Compiled inner loops of ghsomkit: a map fit's context (initial weights,
    schedule, neighbourhood exp, SOM training, BMU assignment, stop verdict
    and row/column insertion), the maps' random streams, the
-   Calinski-Harabasz sums, and the CSV line count, number block and number
-   text.  The library exports the context's fit_open, fit_train, fit_grow,
-   fit_store and fit_close, ch_sums, count_lines, parse_block and
-   format_rows; everything else is static.
+   Calinski-Harabasz sums, the column variances, and the CSV line count,
+   number block and number text.  The library exports the context's
+   fit_open, fit_train, fit_grow, fit_store and fit_close, ch_sums,
+   column_var, count_lines, parse_block and format_rows; everything else
+   is static.
 
    Each SOM function performs the float operations of the numpy
    expressions it stands for, in the same order, so its results are the
@@ -200,6 +201,21 @@ static void column_sums(const double *x, int64_t n, int64_t dim, const double *m
     }
 }
 
+/* x.mean(axis=0) and x.var(axis=0) of the C-contiguous (n, dim) samples
+   x, as numpy's _var computes them: the column sums divided by n, then
+   the column sums of the squares about that mean divided by n.  A single
+   column needs n doubles of scratch. */
+static void column_moments(const double *x, int64_t n, int64_t dim, double *mean,
+                           double *var, double *scratch)
+{
+    column_sums(x, n, dim, NULL, mean, NULL);
+    for (int64_t k = 0; k < dim; k++)
+        mean[k] = mean[k] / (double)n;
+    column_sums(x, n, dim, mean, var, scratch);
+    for (int64_t k = 0; k < dim; k++)
+        var[k] = var[k] / (double)n;
+}
+
 /* ---- random streams ----------------------------------------------------
 
    Each map's random streams are numpy's
@@ -272,9 +288,8 @@ static uint64_t interval(pcg64 *g, uint64_t max)
 {
     if (max == 0)
         return 0;
-    uint64_t mask = max, value;
-    for (int shift = 1; shift < 64; shift *= 2)
-        mask |= mask >> shift;
+    /* every bit up to max's highest set bit */
+    uint64_t mask = ~0ULL >> __builtin_clzll(max), value;
     if (max <= 0xffffffffu) {
         while ((value = next32(g) & mask) > max)
             ;
@@ -1040,7 +1055,7 @@ void fit_close(fit_t *f)
    or, when weights is NULL, x.mean(axis=0) + u * x.std(axis=0) for the
    routed samples x and the units * dim draws u of
    Generator.uniform(-noise, noise) from stream 0 of [seed, 0, *path],
-   with numpy's float operations (column_sums).  A cycle of lam epochs
+   with numpy's float operations (column_moments).  A cycle of lam epochs
    decays the learning rate from alpha0 and the radius from sigma0 down to
    sigma_floor, in blocks of steps whose table holds about TABLE_FLOATS
    doubles.  A cycle converges when the map MQE is below threshold or 0,
@@ -1086,12 +1101,9 @@ int fit_open(fit_t **out, const run_t *run, const int64_t *indices, int64_t n, i
         /* mean and std in the scratch; the distances hold a single
            column's squares */
         double *mean = f->scratch, *std = mean + dim;
-        column_sums(f->x, n, dim, NULL, mean, NULL);
+        column_moments(f->x, n, dim, mean, std, f->dist);
         for (int64_t k = 0; k < dim; k++)
-            mean[k] = mean[k] / (double)n;
-        column_sums(f->x, n, dim, mean, std, f->dist);
-        for (int64_t k = 0; k < dim; k++)
-            std[k] = sqrt(std[k] / (double)n);
+            std[k] = sqrt(std[k]);
         if (uniform(f->w, units * dim, -run->noise, run->noise, run->seed, run->nseed, 0, path,
                     npath)) {
             fit_close(f);
@@ -1271,6 +1283,19 @@ int ch_sums(const double *x, int64_t n, int64_t dim, const int64_t *sizes, int64
     free(centroid);
     out[0] = bgss;
     out[1] = wgss;
+    return 0;
+}
+
+/* x.var(axis=0) of the C-contiguous (n, dim) samples x, in var: the bits
+   of numpy's _var (column_moments) without its (n, dim) array of squared
+   deviations.  Returns 0, or -1 when out of memory. */
+int column_var(const double *x, int64_t n, int64_t dim, double *var)
+{
+    double *mean = malloc(sizeof(double) * (size_t)(dim + (dim == 1 ? n : 0)));
+    if (mean == NULL)
+        return -1;
+    column_moments(x, n, dim, mean, var, mean + dim);
+    free(mean);
     return 0;
 }
 
@@ -1485,6 +1510,8 @@ parse_records(const char *buf, int64_t len, int64_t pos, int64_t rows, int64_t f
 {
     const char *p = buf + pos, *stop = buf + len;
     for (int64_t r = 0; r < rows; r++) {
+        if (p == stop)
+            return -1;
         int64_t *span = spans + 4 * r;
         for (int64_t f = 0; f < fields; f++) {
             const char *start = p;
@@ -1531,20 +1558,29 @@ static int sse_cpu(void)
 }
 #endif
 
-/* Parses the body of a CSV file: `rows` records from buf + pos to buf +
-   len, where buf[len] must be 0.  A record is `fields` comma-separated
-   fields ending in "\n", "\r\n" or, for the last one, the end of the
-   buffer; no field may be longer than `limit` bytes.  Field 0 is the id
-   and field `label` (-1: none) the label: each may hold any byte is_text
-   accepts, and their [start, end) offsets in buf go to row r of the
-   (rows, 4) spans (label ones unset without a label).  Every other field is
-   a number, stored in order in row r of the (rows, fields - 1 - has_label)
-   values: on a CPU with SSSE3 and SSE4.1, checked at each call,
-   quick_number_sse reads it where at least 32 bytes remain, and
-   parse_number reads every field it does not take; on any other CPU
-   parse_number reads them all.  Returns 0, or -1 when the body is
-   anything else: a lone "\r", a blank line, a ragged row, a quote or NUL,
-   a number float() would read otherwise or not at all. */
+/* Parses the body of a CSV file, or a part of it: `rows` records from
+   buf + pos to buf + len, where buf[len] is 0 or buf[len - 1] is "\n".  A
+   record is `fields` comma-separated fields ending in "\n", "\r\n" or,
+   for the last one, the end of the buffer; no field may be longer than
+   `limit` bytes.  Field 0 is the id and field `label` (-1: none) the
+   label: each may hold any byte is_text accepts, and their [start, end)
+   offsets in buf go to row r of the (rows, 4) spans (label ones unset
+   without a label).  Every other field is a number, stored in order in
+   row r of the (rows, fields - 1 - has_label) values: on a CPU with SSSE3
+   and SSE4.1, checked at each call, quick_number_sse reads it where at
+   least 32 bytes remain, and parse_number reads every field it does not
+   take; on any other CPU parse_number reads them all.  Returns 0, or -1
+   when the body is anything else: a lone "\r", a blank line, a ragged
+   row, a quote or NUL, a number float() would read otherwise or not at
+   all.
+
+   No byte at or past buf + len decides anything, so the parts of one
+   body, cut after a "\n", parse at once on separate threads: a record
+   starts only before buf + len; every scan of a field stops at a "\n"
+   (or the 0); space_len, past a lead byte, and the line end, past a
+   "\r", read the byte after one only when that one is not a "\n", so
+   never past the part's last byte; and quick_number_sse reads 17 bytes
+   where 32 remain. */
 int parse_block(const char *buf, int64_t len, int64_t pos, int64_t rows,
                 int64_t fields, int64_t label, int64_t limit,
                 double *values, int64_t *spans)

@@ -1,10 +1,11 @@
 """Loader of the compiled kernel in ``_kernel.c``: a map fit's context
 (initial weights, schedule, neighbourhood ``exp``, SOM training, BMU
 assignment, stop verdict and row/column insertion), random streams, the
-Calinski-Harabasz sums, and the CSV line count, number block and number
-text. Python reaches it through ``Fit``, ``ch_sums``, ``count_lines``,
-``parse_block`` and ``format_rows`` only: the library exports the
-context's five ``fit_*`` functions and those four.
+Calinski-Harabasz sums, the column variances, and the CSV line count,
+number block and number text. Python reaches it through ``Fit``,
+``ch_sums``, ``column_var``, ``count_lines``, ``parse_block`` and
+``format_rows`` only: the library exports the context's five ``fit_*``
+functions and those five.
 
 Each map fit runs in one kernel context, ``Fit``, which starts the map
 from its data or, given weights, from those. What every map of a tree's
@@ -82,8 +83,17 @@ the squared centroid offsets times the sizes, one flat pairwise sum of
 each cluster's squared deviations, and each total added up in cluster
 order.
 
-``parse_block`` reads the body of a CSV file in place and both validates
-and parses it in one pass. It accepts records of a fixed number of
+``column_var`` is ``x.var(axis=0)`` as numpy's ``_var`` computes it: the
+column sums, taken as for the initial weights, divided by n, then the
+column sums of the squares about that mean divided by n. Each is one
+pass over ``x``, without numpy's array of squared deviations, as large
+as ``x``.
+
+``parse_block`` reads the body of a CSV file, or a part of it that ends
+after a line end, in place and both validates and parses it in one
+pass; it reads no byte from the part's end on, so ``count_lines`` and
+``parse_block`` run on the parts of one body at once, each call on its
+own thread without the GIL. It accepts records of a fixed number of
 comma-separated fields ending in ``\n`` or ``\r\n``; an id and an
 optional label field holding no quote, CR, LF, NUL or ASCII separator
 (0x1C-0x1F); and number fields in the spellings ``float()`` accepts
@@ -94,7 +104,7 @@ with at most 15 significant digits and a decimal exponent in [-22, 22]
 take Clinger's exact fast path, the rest the C library's ``strtod``;
 both give the correctly rounded double ``float()`` gives. On an x86-64
 CPU with SSSE3 and SSE4.1, checked at each call, a field of the form
-``[+-]digits[.digits]`` of at most 16 bytes, where 32 bytes of the body
+``[+-]digits[.digits]`` of at most 16 bytes, where 32 bytes of the part
 remain, is read in one step of SSE code: byte compares give the digit
 and point masks, one ``pshufb`` right-aligns the digits without the
 point and ``pmaddubsw``/``pmaddwd`` combine them into one integer
@@ -195,8 +205,9 @@ def load(path) -> ctypes.CDLL:
     lib.fit_store.argtypes = [_P, _P, _P, _P]
     lib.fit_grow.argtypes = lib.fit_close.argtypes = [_P]
     lib.ch_sums.argtypes = [_P, _N, _N, _P, _N, _P, _P]
+    lib.column_var.argtypes = [_P, _N, _N, _P]
     for f in (lib.parse_block, lib.fit_open, lib.fit_train, lib.fit_grow, lib.fit_store,
-              lib.ch_sums):
+              lib.ch_sums, lib.column_var):
         f.restype = ctypes.c_int
     lib.fit_close.restype = None
     return lib
@@ -365,14 +376,14 @@ class Fit:
         self.close()
 
 
-def count_lines(data: bytes, pos: int) -> int:
-    """The number of ``b"\n"`` in ``data[pos:]``, ``data.count(b"\n",
-    pos)``, counted in place by the C library's ``memchr``."""
+def count_lines(data: bytes, pos: int, end: int) -> int:
+    """The number of ``b"\n"`` in ``data[pos:end]``, ``data.count(b"\n",
+    pos, end)``, counted in place by the C library's ``memchr``."""
     if not isinstance(data, bytes):
         raise TypeError("count_lines: data must be bytes")
-    if not 0 <= pos <= len(data):
-        raise ValueError("count_lines: pos out of range")
-    return library().count_lines(data, len(data), pos)
+    if not 0 <= pos <= end <= len(data):
+        raise ValueError("count_lines: pos or end out of range")
+    return library().count_lines(data, end, pos)
 
 
 # the longest repr() of a double, "-2.2250738585072014e-308", and its comma
@@ -391,25 +402,43 @@ def format_rows(values) -> str:
     return str(memoryview(out)[:n], "ascii")
 
 
-def parse_block(data: bytes, pos, fields, label, limit, values, spans) -> bool:
-    """Parse the CSV records of ``data[pos:]`` in place, without copying.
+def parse_block(data: bytes, pos, end, fields, label, limit, values, spans) -> bool:
+    """Parse the CSV records of ``data[pos:end]`` in place, without
+    copying; ``end`` is ``len(data)`` or follows a ``b"\n"``, and no byte
+    from ``end`` on is read but the NUL a bytes object ends in, so the
+    parts of one body parse at once.
 
     Each record has ``fields`` fields: field 0 is the id and field
     ``label`` (-1: none) the label, whose ``[start, end)`` byte offsets
-    go to the ``(rows, 4)`` int64 ``spans`` (label ones unset without a
-    label); every other field is a number, stored in order in the
-    ``(rows, number fields)`` float64 ``values``. No field may be longer
-    than ``limit`` bytes. Returns False when the body is not exactly
-    ``len(values)`` records of that grammar.
+    in ``data`` go to the ``(rows, 4)`` int64 ``spans`` (label ones unset
+    without a label); every other field is a number, stored in order in
+    the ``(rows, number fields)`` float64 ``values``. No field may be
+    longer than ``limit`` bytes. Returns False when the part is not
+    exactly ``len(values)`` records of that grammar.
     """
     if not isinstance(data, bytes):  # a bytes object ends in a NUL byte
         raise TypeError("parse_block: data must be bytes")
     rows = len(values)
     if (values.shape != (rows, fields - 1 - (label >= 0)) or spans.shape != (rows, 4)
-            or not 0 <= pos <= len(data) or not (label == -1 or 0 < label < fields)):
+            or not 0 <= pos <= end <= len(data)
+            or not (end == len(data) or data[end - 1:end] == b"\n")
+            or not (label == -1 or 0 < label < fields)):
         raise ValueError("parse_block: inconsistent arguments")
-    return library().parse_block(data, len(data), pos, rows, fields, label, limit,
+    return library().parse_block(data, end, pos, rows, fields, label, limit,
                                  values, spans) == 0
+
+
+def column_var(x) -> np.ndarray:
+    """``x.var(axis=0)`` of the 2-d ``x`` as a C-contiguous float64
+    array, the bits numpy's ``_var`` gives, in one call and without its
+    array of squared deviations, as large as ``x``."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("column_var: x must be 2-d")
+    out = np.empty(x.shape[1])
+    if library().column_var(_address("x", x, _DOUBLE, 2), *x.shape, _writable_address(out)):
+        raise MemoryError("column_var: out of memory")
+    return out
 
 
 def ch_sums(grouped, sizes, center) -> tuple[float, float]:

@@ -9,12 +9,15 @@ bit-for-bit.
 ``load_csv`` reads an unquoted, rectangular file of finite numbers (LF
 or CRLF line ends) with one compiled pass over its bytes
 (``_kernel.parse_block``), which validates every record and converts
-every number to the correctly rounded double ``float()`` returns. Every
+every number to the correctly rounded double ``float()`` returns. As no
+field is quoted, every LF ends a record, so a body of at least twice
+``_PART_BYTES`` is cut after line ends into parts, one per CPU the
+process may use, which the pass reads at once on as many threads. Every
 other file (quoted fields, blank lines, lone carriage returns, spellings
 such as ``1_0`` or ``inf``, non-finite or malformed cells, invalid
 UTF-8) goes through the per-cell ``csv`` parser. Both give the same
-matrix bit for bit, on every CPU, and only the per-cell parser raises,
-so error messages do not depend on the path.
+matrix bit for bit, on every CPU and at any part count, and only the
+per-cell parser raises, so error messages do not depend on the path.
 
 ``save_csv`` writes the file ``csv.writer`` writes for the rows ``[id,
 *values, label]``: the kernel formats the numbers (``_kernel.format_rows``)
@@ -25,9 +28,12 @@ quotes the header, the ids and the labels.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
+import os
 import re
+import threading
 import types
 from dataclasses import dataclass, field, replace
 
@@ -145,7 +151,9 @@ def load_csv(
 ) -> DataMatrix:
     """Load a sample x attribute CSV.
 
-    A plain file is parsed by one compiled pass over its bytes: only the
+    A plain file is parsed by one compiled pass over its bytes, in parts
+    of at least ``_PART_BYTES`` on as many threads as the process has
+    usable CPUs, each part a row slice of the one matrix: only the
     header is decoded in Python, and the pass both validates every record
     and converts every number to the double ``float()`` returns (exactly
     for at most 15 significant digits and a decimal exponent within
@@ -159,9 +167,9 @@ def load_csv(
     longer than ``csv.field_size_limit()`` bytes; finite values; unique
     ids and attribute names; and an existing label column. Any other
     input (quoted fields, lone carriage returns, blank lines, ``1_0`` or
-    non-ASCII digits, NaN, a malformed row) goes through the per-cell
-    parser, which alone produces the errors, so messages and their
-    precedence do not depend on the path.
+    non-ASCII digits, NaN, a malformed row, in any part) goes through the
+    per-cell parser, which alone produces the errors, so messages and
+    their precedence do not depend on the path or the part count.
 
     Parameters
     ----------
@@ -225,14 +233,24 @@ def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
         label_idx, label_column, names = _split_label(path, columns, has_labels, label_column)
     except ValueError:
         return None
+    if not names:
+        return None
+    parts = _parts(raw, body)
     # one record per line end, and one more if the last line has none
-    rows = _kernel.count_lines(raw, body) + (not raw.endswith(b"\n"))
-    if not names or not rows:
+    counts = _in_threads([functools.partial(_kernel.count_lines, raw, *part)
+                          for part in parts])
+    counts[-1] += not raw.endswith(b"\n")
+    rows = sum(counts)
+    if not rows:
         return None
     values = np.empty((rows, len(names)))
     spans = np.empty((rows, 4), dtype=np.int64)
     label = -1 if label_idx is None else label_idx + 1
-    if not _kernel.parse_block(raw, body, len(header), label, limit, values, spans):
+    starts = itertools.accumulate(counts, initial=0)
+    if not all(_in_threads([
+            functools.partial(_kernel.parse_block, raw, a, b, len(header), label, limit,
+                              values[r:r + count], spans[r:r + count])
+            for (a, b), r, count in zip(parts, starts, counts)])):
         return None
     # DataMatrix rejects duplicate ids and names: either sends the file,
     # like ids or labels that are not UTF-8, to the per-cell parser,
@@ -249,6 +267,55 @@ def _load_numeric_block(path, has_labels, label_column) -> DataMatrix | None:
         )
     except ValueError:  # UnicodeDecodeError included
         return None
+
+
+# the least body bytes a part of the compiled pass takes, so a small file
+# is one part and a thread's start is a small share of its part's work
+_PART_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _parts(raw: bytes, body: int) -> list[tuple[int, int]]:
+    """``raw[body:]`` cut into ``[start, end)`` parts, one per usable CPU
+    but none below ``_PART_BYTES``: each cut follows the first ``b"\n"``
+    at or after an equal share, so each part holds whole records, and the
+    last part ends the file."""
+    size = len(raw) - body
+    k = max(1, min(_usable_cpus(), size // _PART_BYTES))
+    ends = sorted({len(raw), *(raw.find(b"\n", body + size * i // k) + 1 or len(raw)
+                               for i in range(1, k))})
+    return list(zip([body, *ends], ends))
+
+
+def _in_threads(tasks: list) -> list:
+    """The result of each of ``tasks``, called at once: the first on this
+    thread and each other on a thread of its own. The kernel's calls
+    release the GIL, so the parts of a file parse on as many CPUs. The
+    first exception raised is raised here, after every task is done."""
+    results, errors = [None] * len(tasks), []
+
+    def run(i):
+        try:
+            results[i] = tasks[i]()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(tasks))]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _load_cells(path, has_labels, label_column) -> DataMatrix:
@@ -382,8 +449,10 @@ def preprocess(m: DataMatrix, spec: PreprocessSpec) -> DataMatrix:
 
     transpose -> log-normalize (per-row: divide by row sum, multiply by
     ``scale_factor``, then ln(1 + v)) -> keep the ``top_k_variable``
-    attributes with the highest variance -> per-attribute z-scaling
-    (population statistics; zero-variance attributes map to all zeros).
+    attributes with the highest variance (``values.var(axis=0)``'s bits,
+    in one kernel call, ``_kernel.column_var``, without numpy's array of
+    squared deviations) -> per-attribute z-scaling (population
+    statistics; zero-variance attributes map to all zeros).
     """
     source = m.values
     if spec.transpose:
@@ -407,7 +476,7 @@ def preprocess(m: DataMatrix, spec: PreprocessSpec) -> DataMatrix:
             raise ValueError(
                 f"top_k_variable={k} exceeds the {values.shape[1]} available attributes"
             )
-        variances = values.var(axis=0)
+        variances = _kernel.column_var(values)
         # stable sort keeps original column order among ties
         top = np.sort(np.argsort(-variances, kind="stable")[:k])
         values = values[:, top]

@@ -2,8 +2,10 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import platform
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -177,6 +179,45 @@ def test_top_k_variable_keeps_highest_variance_in_order():
     out = preprocess(_matrix(vals), PreprocessSpec(top_k_variable=2))
     assert out.attribute_names == ["f1", "f2"]
     np.testing.assert_array_equal(out.values, vals[:, [1, 2]])
+
+
+def _variance_inputs():
+    rng = np.random.default_rng(0)
+    magnitudes = 10.0 ** rng.integers(-300, 301, size=(40, 6))
+    overflow = [[1e300, 1.7e308, -1e-300], [-1e300, 1.7e308, 2e-300], [3e299, 1.0, 0.0]]
+    return {
+        "one-row": rng.normal(size=(1, 9)),
+        "one-by-one": np.array([[2.5]]),
+        "one-column": rng.normal(size=(37, 1)),  # numpy's pairwise sum
+        "one-long-column": rng.normal(size=(1000, 1)) + 1e3,  # pairwise halves
+        "rows-not-a-multiple-of-8": rng.normal(size=(37, 5)),
+        "many-rows": rng.normal(size=(5000, 30)) * 7.0 + 2.0,
+        "constant-columns": np.tile([3.0, -0.1, 0.0, 1e-300], (19, 1)),
+        "negative-zero": np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]]),
+        "magnitudes": rng.normal(size=(40, 6)) * magnitudes,
+        "squares-overflow": np.array(overflow),
+    }
+
+
+@pytest.mark.parametrize("name", list(_variance_inputs()))
+def test_column_var_is_numpys_var(name):
+    # the kernel's column variance, which ranks top_k_variable, is
+    # numpy's to the bit, with numpy's own temporaries, for the rows in C
+    # order whatever the layout they come in
+    x = _variance_inputs()[name]
+    with np.errstate(over="ignore"):
+        want = x.var(axis=0)
+    assert _kernel.column_var(x).tobytes() == want.tobytes()
+    assert _kernel.column_var(np.asfortranarray(x)).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=20),
+                  elements=st.floats(allow_nan=False, allow_infinity=False, width=64)))
+def test_column_var_is_numpys_var_property(x):
+    with np.errstate(over="ignore"):
+        want = x.var(axis=0)
+    assert _kernel.column_var(x).tobytes() == want.tobytes()
 
 
 def test_top_k_variable_exceeding_width_rejected():
@@ -420,24 +461,178 @@ def _tables(draw):
     return values, spell, ids, labels, label_at, terminator
 
 
-@settings(max_examples=150, deadline=None)
-@given(_tables())
-def test_load_matches_per_cell_reference_property(kernels, table):
+def _write_table(path, table):
+    """Write a ``_tables`` table with csv.writer, its label column
+    "kind"."""
     values, spell, ids, labels, label_at, terminator = table
     header = [f"f{j}" for j in range(values.shape[1])]
     header.insert(label_at, "kind")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=terminator)
+        writer.writerow(["id", *header])
+        for sid, row, label in zip(ids, values.tolist(), labels):
+            cells = [spell(v) for v in row]
+            cells.insert(label_at, label)
+            writer.writerow([sid, *cells])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_load_matches_per_cell_reference_property(kernels, table):
     with tempfile.TemporaryDirectory() as d:
         p = Path(d) / "m.csv"
-        with open(p, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator=terminator)
-            writer.writerow(["id", *header])
-            for sid, row, label in zip(ids, values.tolist(), labels):
-                cells = [spell(v) for v in row]
-                cells.insert(label_at, label)
-                writer.writerow([sid, *cells])
+        _write_table(p, table)
         for lib in kernels:
             with _running(lib):
                 _assert_same_as_cells(p, label_column="kind")
+
+
+# ------------------------------------------------------- parts of a body
+# load_csv parses a body of at least twice _PART_BYTES in parts, one per
+# usable CPU, each cut after a line end: at any part count it must give
+# the one-part load's matrix, or send the file to the per-cell parser all
+# the same
+
+# (_PART_BYTES, usable CPUs)
+_SPLITS = [(part_bytes, cpus) for part_bytes in (1, 7, 64) for cpus in (2, 3, 8)]
+
+
+@contextlib.contextmanager
+def _split(part_bytes, cpus):
+    """load_csv with parts of at least ``part_bytes`` on ``cpus`` CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_PART_BYTES", part_bytes)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        yield
+
+
+def _outcome(path, **kwargs):
+    """What load_csv makes of ``path``: its error, or the matrix's bytes,
+    ids, names and labels and whether the compiled pass read it."""
+    try:
+        m = load_csv(path, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return (m.values.shape, m.values.tobytes(), m.sample_ids, m.attribute_names, m.labels,
+            m.label_name, _vectorized(path, **kwargs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+def test_load_in_parts_equals_one_part_property(table):
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.csv"
+        _write_table(p, table)
+        with _split(1 << 20, 1):
+            want = _outcome(p, label_column="kind")
+        for part_bytes, cpus in _SPLITS:
+            with _split(part_bytes, cpus):
+                assert _outcome(p, label_column="kind") == want, (part_bytes, cpus)
+
+
+def test_parts_follow_the_usable_cpus(tmp_path, monkeypatch):
+    # the CPUs this process may use, unpatched: one part on one CPU (as
+    # under ``taskset -c 0``), more on more, and the same matrix
+    if hasattr(os, "sched_getaffinity"):
+        assert data._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(data, "_PART_BYTES", 1)
+    p = tmp_path / "m.csv"
+    p.write_text("id,f0,f1\n" + "".join(f"s{i},{i}.5,{-i}\n" for i in range(40)))
+    raw = p.read_bytes()
+    parts = data._parts(raw, 9)
+    assert [a for a, _ in parts[1:]] == [b for _, b in parts[:-1]]
+    assert parts[0][0] == 9 and parts[-1][1] == len(raw)
+    assert (len(parts) > 1) == (data._usable_cpus() > 1)
+    assert all(raw[b - 1:b] == b"\n" for _, b in parts)
+    _assert_same_as_cells(p)
+    assert _vectorized(p)
+
+
+def test_in_threads_returns_in_order_and_raises_after_all_ran():
+    ran = []
+    assert data._in_threads([lambda i=i: ran.append(i) or i * i for i in range(5)]) == [
+        0, 1, 4, 9, 16]
+    ran.clear()
+    with pytest.raises(ZeroDivisionError):
+        data._in_threads([lambda: ran.append(0), lambda: 1 / 0, lambda: ran.append(2)])
+    assert sorted(ran) == [0, 2]
+
+
+_PART_ROWS = [f"s{i},{i}.25,-{i}e-3,k{i % 2}\n" for i in range(12)]
+
+
+def _defective(defect, i):
+    """The table of _PART_ROWS with ``defect`` at row ``i``, and the
+    defect's byte offset."""
+    rows = list(_PART_ROWS)
+    if defect == "blank-line":
+        rows.insert(i, "\n")
+    elif defect == "ragged-row":
+        rows[i] = rows[i].replace(",", ",1,", 1)
+    elif defect == "nan":
+        rows[i] = rows[i].replace(f",{i}.25,", ",nan,")
+    else:  # the last line without a line end: no defect at all
+        rows = rows[:i + 1]
+        rows[-1] = rows[-1].removesuffix("\n")
+    header = "id,f0,f1,kind\n"
+    return header + "".join(rows), len(header) + sum(map(len, rows[:i]))
+
+
+@pytest.mark.parametrize("defect", ["blank-line", "ragged-row", "nan", "no-last-line-end"])
+def test_load_in_parts_matches_per_cell_reference(tmp_path, defect):
+    # the defect at every row, so at a cut, in the last part and in a
+    # later part at some part count; the file must load as the per-cell
+    # parser loads it, or fail with its error, with up to 8 threads
+    # switching as often as the interpreter lets them
+    p = tmp_path / "m.csv"
+    at_cut = in_last = in_later = False
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(len(_PART_ROWS)):
+            text, at = _defective(defect, i)
+            p.write_text(text)
+            raw = text.encode()
+            for part_bytes, cpus in _SPLITS:
+                with _split(part_bytes, cpus):
+                    parts = data._parts(raw, raw.index(b"\n") + 1)
+                    assert len(parts) <= cpus
+                    _assert_same_as_cells(p, has_labels=True)
+                    assert _vectorized(p, has_labels=True) == (defect == "no-last-line-end")
+                at_cut |= any(a == at for a, _ in parts[1:])
+                in_last |= parts[-1][0] <= at
+                in_later |= parts[0][1] <= at
+    finally:
+        sys.setswitchinterval(interval)
+    assert at_cut and in_last and in_later
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables(), st.data())
+def test_parse_block_part_equals_its_copy_property(kernels, table, draw):
+    # a part that ends after a line end, whatever bytes follow it, parses
+    # as a copy of it alone, which ends in a NUL byte
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.csv"
+        _write_table(p, table)
+        text = p.read_bytes()
+    body = text.index(b"\n") + 1
+    cuts = [body] + [i + 1 for i in range(body, len(text)) if text[i] == 10]
+    pos, end = sorted(draw.draw(st.lists(st.sampled_from(cuts), min_size=2, max_size=2)))
+    tail = draw.draw(st.one_of(st.just(text[end:]), st.binary(max_size=40)))
+    fields, label = table[0].shape[1] + 2, table[4] + 1
+    rows = text.count(b"\n", pos, end)
+
+    def parse(buf, start, stop):
+        values = np.zeros((rows, fields - 2))
+        spans = np.zeros((rows, 4), dtype=np.int64)
+        if not _kernel.parse_block(buf, start, stop, fields, label, _LIMIT, values, spans):
+            return None
+        return values.tobytes(), (spans - start).tolist()
+
+    for lib in kernels:
+        with _running(lib):
+            assert parse(text[:end] + tail, pos, end) == parse(text[pos:end], 0, end - pos)
 
 
 # ------------------------------------------------ numbers against float()
@@ -566,29 +761,62 @@ def test_load_padding_is_what_float_strips(tmp_path):
                                   b"id,f0\r\na,1\r\nb,2", b"id,f0\na,1\n\n\nb,2\n",
                                   b"\n" * 70 + b"x" * 1000 + b"\r\n"])
 def test_count_lines_is_bytes_count(text):
-    # the records of a CSV body are counted by its line ends: CRLF ends,
-    # a last line without one and a header-only file included
+    # the records of a CSV body, or of a part of it, are counted by its
+    # line ends: CRLF ends, a last line without one and a header-only
+    # file included
     for pos in {0, len(text) // 2, len(text)}:
-        assert _kernel.count_lines(text, pos) == text.count(b"\n", pos)
+        for end in {pos, (pos + len(text)) // 2, len(text)}:
+            assert _kernel.count_lines(text, pos, end) == text.count(b"\n", pos, end)
     with pytest.raises(TypeError):
-        _kernel.count_lines(bytearray(text), 0)
+        _kernel.count_lines(bytearray(text), 0, len(text))
     with pytest.raises(ValueError):
-        _kernel.count_lines(text, len(text) + 1)
+        _kernel.count_lines(text, len(text) + 1, len(text) + 1)
+    with pytest.raises(ValueError):
+        _kernel.count_lines(text, 0, len(text) + 1)
+    if text:
+        with pytest.raises(ValueError):
+            _kernel.count_lines(text, 1, 0)
 
 
 def test_parse_block_arguments_and_record_count():
     values, spans = np.empty((1, 1)), np.empty((1, 4), dtype=np.int64)
     with pytest.raises(TypeError):
-        _kernel.parse_block(bytearray(b"a,1\n"), 0, 2, -1, 100, values, spans)
+        _kernel.parse_block(bytearray(b"a,1\n"), 0, 4, 2, -1, 100, values, spans)
     with pytest.raises(ValueError):
-        _kernel.parse_block(b"a,1\n", 0, 3, -1, 100, values, spans)
+        _kernel.parse_block(b"a,1\n", 0, 4, 3, -1, 100, values, spans)
     with pytest.raises(ValueError):
-        _kernel.parse_block(b"a,1\n", 5, 2, -1, 100, values, spans)
-    assert _kernel.parse_block(b"a,1\n", 0, 2, -1, 100, values, spans)
+        _kernel.parse_block(b"a,1\n", 5, 5, 2, -1, 100, values, spans)
+    # the end: within the data, not before pos, and the data's end or
+    # just after a line end
+    two = b"a,1\nb,2\n"
+    for pos, end in [(0, 9), (0, 3), (0, 5), (4, 3), (1, 0)]:
+        with pytest.raises(ValueError):
+            _kernel.parse_block(two, pos, end, 2, -1, 100, values, spans)
+    assert _kernel.parse_block(b"a,1\n", 0, 4, 2, -1, 100, values, spans)
     assert values.tolist() == [[1.0]] and spans[0, :2].tolist() == [0, 1]
-    # a non-finite value, and records left over after len(values) rows
-    assert not _kernel.parse_block(b"a,1e309\n", 0, 2, -1, 100, values, spans)
-    assert not _kernel.parse_block(b"a,1\nb,2\n", 0, 2, -1, 100, values, spans)
+    # either record of two, as a part that ends at a line end
+    assert _kernel.parse_block(two, 0, 4, 2, -1, 100, values, spans)
+    assert values.tolist() == [[1.0]] and spans[0, :2].tolist() == [0, 1]
+    assert _kernel.parse_block(two, 4, 8, 2, -1, 100, values, spans)
+    assert values.tolist() == [[2.0]] and spans[0, :2].tolist() == [4, 5]
+    # a non-finite value, records left over after len(values) rows, and
+    # more rows than the part holds records, with records after the part
+    assert not _kernel.parse_block(b"a,1e309\n", 0, 8, 2, -1, 100, values, spans)
+    assert not _kernel.parse_block(two, 0, 8, 2, -1, 100, values, spans)
+    values, spans = np.empty((2, 1)), np.empty((2, 4), dtype=np.int64)
+    assert not _kernel.parse_block(two, 0, 4, 2, -1, 100, values, spans)
+    assert _kernel.parse_block(two, 0, 8, 2, -1, 100, values, spans)
+    assert values.tolist() == [[1.0], [2.0]]
+    # a record starts only before the end: one record of a lone id is not
+    # two, the second empty, whether the data or a part ends there
+    ids = np.empty((2, 0)), np.empty((2, 4), dtype=np.int64)
+    assert not _kernel.parse_block(b"a\n", 0, 2, 1, -1, 100, *ids)
+    assert not _kernel.parse_block(b"a\nb\n", 0, 2, 1, -1, 100, *ids)
+    assert _kernel.parse_block(b"a\nb\n", 0, 4, 1, -1, 100, *ids)
+    # no records, at the end of the data or of a part
+    empty, none = np.empty((0, 1)), np.empty((0, 4), dtype=np.int64)
+    assert _kernel.parse_block(two, 8, 8, 2, -1, 100, empty, none)
+    assert _kernel.parse_block(two, 4, 4, 2, -1, 100, empty, none)
 
 
 # ------------------------------------------------- one-step number fields

@@ -609,16 +609,17 @@ def test_kernel_builds_into_fresh_cache(strict_build, monkeypatch):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
     lib = ctypes.CDLL(str(path))
     # Python reaches the kernel through the fit context, the CSV parser,
-    # line count and number formatter and the Calinski-Harabasz sums
-    # only: a growth cycle is one call, and neither exp, the sums they
-    # share nor the entries that trained, drew or grew outside a context
-    # are exported
+    # line count and number formatter, the Calinski-Harabasz sums and the
+    # column variances only: a growth cycle is one call, and neither exp,
+    # the sums they share nor the entries that trained, drew or grew
+    # outside a context are exported
     for name in ("fit_open", "fit_train", "fit_grow", "fit_store", "fit_close", "parse_block",
-                 "count_lines", "ch_sums", "format_rows"):
+                 "count_lines", "ch_sums", "column_var", "format_rows"):
         assert hasattr(lib, name), name
     for name in ("fit_begin", "fit_step", "exp_block", "exp_rare", "train_steps", "uniform",
-                 "grow", "nearest", "pairwise_sum", "column_sums", "quick_number_sse",
-                 "parse_block_sse", "sse_cpu", "parse_number", "shortest", "format_repr"):
+                 "grow", "nearest", "pairwise_sum", "column_sums", "column_moments",
+                 "quick_number_sse", "parse_block_sse", "sse_cpu", "parse_number", "shortest",
+                 "format_repr"):
         assert not hasattr(lib, name), name
     built = path.stat().st_mtime_ns
     assert _kernel.build() == path
@@ -1072,12 +1073,13 @@ def test_failed_fit_closes_its_context(monkeypatch):
 # Fortran order, and CSV files written from random doubles, from plain
 # decimals and from 14-16-byte decimals and read back, with and without
 # the last line end, so the last number field ends the buffer the
-# one-step parse must not read past; on a CPU with SSSE3 and SSE4.1 the
-# one-step parse is its SSE form
+# one-step parse must not read past, in one part and in parts on up to 8
+# threads, and each part alone in a buffer that ends where it ends; on a
+# CPU with SSSE3 and SSE4.1 the one-step parse is its SSE form
 SANITIZER_FITS = """
-import hashlib, json, logging, os, sys, tempfile
+import csv, ctypes, hashlib, json, logging, os, sys, tempfile
 import numpy as np
-from ghsomkit import DataMatrix, GhsomParams, GhsomTree, LeafPartition, _kernel, nested_blobs
+from ghsomkit import DataMatrix, GhsomParams, GhsomTree, LeafPartition, _kernel, data, nested_blobs
 from ghsomkit import load_csv, run_ghsom, save_csv, tree_to_json
 from ghsomkit.evaluation import ch_index, sweep
 from ghsomkit.ghsom import SomMap, _run
@@ -1145,8 +1147,30 @@ with tempfile.TemporaryDirectory() as d:
         for text in (raw, raw.removesuffix(b"\\r\\n")):
             with open(path, "wb") as fh:
                 fh.write(text)
-            back = load_csv(path, has_labels=labels is not None)
-            assert back.values.tobytes() == m.values.tobytes() and back.labels == labels
+            # in one part, then in parts of at least 1, 7 and 64 bytes on
+            # 2, 3 and 8 threads
+            for part_bytes, cpus in [(1 << 20, 1), (1, 2), (7, 3), (64, 8)]:
+                data._PART_BYTES = part_bytes
+                os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))
+                back = load_csv(path, has_labels=labels is not None)
+                assert back.values.tobytes() == m.values.tobytes() and back.labels == labels
+                # each part alone in a buffer that ends where the part
+                # ends (or at a NUL after the last one), so a read past
+                # the part's end is out of bounds
+                fields = len(names) + 1 + (labels is not None)
+                label = fields - 1 if labels is not None else -1
+                start = 0
+                for a, b in data._parts(text, text.index(b"\\n") + 1):
+                    part = text[a:b]
+                    ends = part.endswith(b"\\n")
+                    rows = part.count(b"\\n") + (not ends)
+                    buf = np.frombuffer(part + b"\\0" * (not ends), np.uint8).copy()
+                    got = np.empty((rows, len(names)))
+                    assert _kernel.library().parse_block(
+                        buf.ctypes.data_as(ctypes.c_char_p), len(part), 0, rows, fields, label,
+                        csv.field_size_limit(), got, np.empty((rows, 4), dtype=np.int64)) == 0
+                    assert got.tobytes() == m.values[start:start + rows].tobytes()
+                    start += rows
             csv_text.append(text.decode())
 out["csv"] = repr(csv_text)
 print(json.dumps({k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}))
