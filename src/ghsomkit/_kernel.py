@@ -291,11 +291,11 @@ class Fit:
     It gathers the ``n`` samples ``run.data[indices]`` of a ``rows`` x
     ``cols`` map once and owns the weights, the cycle's sample order, the
     table of neighbourhood weights and the last cycle's assignment and unit
-    errors, growing them with the map. ``weights`` are copied in; without
-    them the map starts at ``x.mean(axis=0) + u * x.std(axis=0)`` of the
-    routed samples ``x``, with ``rows * cols * dim`` draws ``u`` of
-    ``uniform(-noise, noise)`` from the map's stream 0, computed as numpy
-    computes them. The map's streams take the entropy
+    errors, growing them with the map. ``weights``, one row per unit in
+    row-major order, are copied in; without them the map starts at
+    ``x.mean(axis=0) + u * x.std(axis=0)`` of the routed samples ``x``,
+    with ``rows * cols * dim`` draws ``u`` of ``uniform(-noise, noise)``
+    from the map's stream 0, computed as numpy computes them. The map's streams take the entropy
     ``[seed, stream, *path.encode()]``. A cycle (``train``) trains the
     run's ``lam`` epochs with the learning rate decaying from ``alpha0``
     and the radius from ``sigma0`` to ``sigma_floor``; then
@@ -319,9 +319,9 @@ class Fit:
         w = None
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
-            if weights.shape != (rows, cols, run.dim):
+            if weights.shape != (rows * cols, run.dim):
                 raise ValueError("fit: the weights do not match the map and the data")
-            w = _address("weights", weights, _DOUBLE, 3)
+            w = _address("weights", weights, _DOUBLE, 2)
         self.n, self.dim = len(indices), run.dim
         if self.n < 1 or run.lam < 1 or rows < 1 or cols < 1:
             raise ValueError("fit: needs a sample, an epoch and a unit")
@@ -352,14 +352,13 @@ class Fit:
         return self.head.rows, self.head.cols
 
     def store(self) -> tuple:
-        """The fitted map, in arrays of its own: the ``(rows, cols, dim)``
-        weights, the ``(rows, cols)`` unit errors and each routed sample's
-        row-major unit index ``row * cols + col``, as the assignment found
-        it. Raises ValueError after an insertion, until the next cycle
-        assigns the grown map."""
-        rows, cols = self.head.rows, self.head.cols
-        out = (np.empty((rows, cols, self.dim)), np.empty((rows, cols)),
-               np.empty(self.n, dtype=np.int64))
+        """The fitted map, in arrays of its own, each indexed by the unit's
+        row-major number ``u = row * cols + col``: the ``(rows * cols,
+        dim)`` weights, the ``(rows * cols,)`` unit errors and each routed
+        sample's unit, as the assignment found it. Raises ValueError after
+        an insertion, until the next cycle assigns the grown map."""
+        units = self.head.rows * self.head.cols
+        out = (np.empty((units, self.dim)), np.empty(units), np.empty(self.n, dtype=np.int64))
         code = self._lib.fit_store(self._ctx, *map(_writable_address, out))
         if code:
             raise _fit_error(code)

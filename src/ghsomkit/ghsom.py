@@ -8,9 +8,9 @@ of the unit it refines. Units that still carry at least ``tau2`` times the
 layer-0 error (and enough samples) are refined by child 2x2 grids, and the
 whole cycle recurses.
 
-Grid positions are written ``(row, col)`` internally; cluster path names
-use the ``{col}x{row}`` convention, joined with ``-`` from layer 1 down,
-e.g. ``0x0-2x1``.
+A map numbers its units row-major, ``u = row * cols + col``, as the kernel
+does; cluster path names use the ``{col}x{row}`` convention, joined with
+``-`` from layer 1 down, e.g. ``0x0-2x1``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import copy
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class GhsomParams:
         least ``tau1`` times the quantization error it refines.
     tau2 : float in (0, 1]
         Hierarchical depth threshold; a unit spawns a child map while its
-        mqe is at least ``tau2`` times the reference error.
+        mqe is at least ``tau2`` times the layer-0 error ``mqe0``, as in
+        Rauber, Merkl & Dittenbach (IEEE TNN 13(6), 2002).
     lam : int
         Training iterations (epochs over the routed samples) per growth
         check.
@@ -62,9 +63,6 @@ class GhsomParams:
     rng_seed : int
         Seed for every random stream; child maps derive their streams
         from (seed, unit path), never from execution order.
-    depth_reference : {"global", "parent"}
-        What ``tau2`` multiplies: the layer-0 error (default) or the
-        refined unit's own error.
     """
 
     tau1: float = 0.1
@@ -74,7 +72,6 @@ class GhsomParams:
     sigma0: float | None = None
     max_depth: int = 10
     rng_seed: int = 0
-    depth_reference: str = "global"
 
     def validate(self) -> None:
         for name in ("lam", "max_depth", "rng_seed"):
@@ -100,8 +97,6 @@ class GhsomParams:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0!r}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.depth_reference not in ("global", "parent"):
-            raise ValueError("depth_reference must be 'global' or 'parent'")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -109,29 +104,28 @@ class GhsomParams:
 class SomMap:
     """One SOM grid in the hierarchy.
 
-    Holds the weight grid, the samples routed to it, per-unit
-    quantization errors and any child maps keyed by ``(row, col)``. The
-    unit at ``(row, col)`` is number ``row * cols + col``, as the kernel
-    numbers it: ``units[i]`` is the unit of sample ``sample_indices[i]``,
-    entry ``u`` of ``members()`` holds unit ``u``'s samples, and the
-    unit's cluster name is ``unit_path(row, col)``. ``bmu_rows`` and
-    ``bmu_cols`` derive each sample's row and column from ``units``.
-    While ``_fit_map`` fits the map, ``fit`` holds its kernel context and
-    the map's own weights, units and errors are set only when it stops;
+    Everything per unit is indexed by the unit's number ``u = row * cols
+    + col``, as the kernel numbers it: ``weights[u]``, ``unit_mqe[u]``,
+    ``children[u]`` (where unit ``u`` has a child map), entry ``u`` of
+    ``members()`` and ``unit_path(u)``; ``units[i]`` is the unit of sample
+    ``sample_indices[i]``. ``bmu_rows`` and ``bmu_cols``, each sample's
+    row and column, are kept only for the benchmark's tracer. While
+    ``_fit_map`` fits the map, ``fit`` holds its kernel context and the
+    map's own weights, units and errors are set only when it stops;
     otherwise ``fit`` is None.
     """
 
     def __init__(self, rows, cols, weights, parent_mqe, depth, path, sample_indices):
         self.rows = rows
         self.cols = cols
-        self.weights = weights  # (rows, cols, dim)
+        self.weights = weights  # (rows * cols, dim)
         self.parent_mqe = parent_mqe
         self.depth = depth
         self.path = path  # "" for the root, else e.g. "0x0-2x1"
         self.sample_indices = np.asarray(sample_indices, dtype=np.intp)
         self.units = np.zeros(len(self.sample_indices), dtype=np.intp)
-        self.unit_mqe = np.zeros((rows, cols))
-        self.children: dict[tuple[int, int], SomMap] = {}
+        self.unit_mqe = np.zeros(rows * cols)
+        self.children: dict[int, SomMap] = {}
         self.fit: _kernel.Fit | None = None
 
     @property
@@ -149,7 +143,7 @@ class SomMap:
         """Map MQE: mean of per-unit errors over non-empty units."""
         occupied = np.zeros(self.rows * self.cols, dtype=bool)
         occupied[self.units] = True
-        errors = self.unit_mqe.reshape(-1)[occupied]
+        errors = self.unit_mqe[occupied]
         if len(errors) == 0:
             return 0.0
         return float(errors.sum() / len(errors))
@@ -159,7 +153,9 @@ class SomMap:
         array in the order of ``sample_indices``."""
         return _split(self.sample_indices, self.units, self.rows * self.cols)
 
-    def unit_path(self, row: int, col: int) -> str:
+    def unit_path(self, u: int) -> str:
+        """Unit ``u``'s cluster name, ``{col}x{row}`` after the map's path."""
+        row, col = divmod(u, self.cols)
         name = f"{col}x{row}"
         return f"{self.path}-{name}" if self.path else name
 
@@ -439,16 +435,6 @@ def _fit_map(som: SomMap, data: np.ndarray, params: GhsomParams) -> None:
         fit.close()
 
 
-def _expansion_threshold(tree: GhsomTree, som: SomMap, params: GhsomParams) -> float:
-    """The error at or above which a unit of ``som`` gets a child map."""
-    return params.tau2 * _reference_error(tree, som, params)
-
-
-def _reference_error(tree: GhsomTree, som: SomMap, params: GhsomParams) -> float:
-    """The error that ``tau2`` multiplies for the units of ``som``."""
-    return tree.mqe0 if params.depth_reference == "global" else som.parent_mqe
-
-
 def expand_hierarchy(
     tree: GhsomTree,
     som: SomMap,
@@ -458,8 +444,8 @@ def expand_hierarchy(
     """Spawn and fit child maps for every unit still above the depth
     threshold, then recurse.
 
-    A unit expands when its mqe is at least ``tau2`` times the reference
-    error (layer-0 by default), it holds at least 4 samples, and the
+    A unit expands when its mqe is at least ``tau2`` times the layer-0
+    error ``tree.mqe0``, it holds at least 4 samples, and the
     depth budget allows. Children are fitted depth-first in row-major
     unit order; their RNG streams are derived from their paths, not from
     that order. ``run`` holds the data and the constants every map of the
@@ -468,8 +454,8 @@ def expand_hierarchy(
     """
     if som.depth >= params.max_depth:
         return tree
-    mqe = som.unit_mqe.reshape(-1)
-    expand = mqe >= _expansion_threshold(tree, som, params)
+    mqe = som.unit_mqe
+    expand = mqe >= params.tau2 * tree.mqe0
     if not expand.any():
         return tree
     expand &= (mqe > 0) & (np.bincount(som.units, minlength=som.rows * som.cols) >= 4)
@@ -478,10 +464,9 @@ def expand_hierarchy(
 
     members = som.members()
     for u in np.flatnonzero(expand).tolist():
-        row, col = divmod(u, som.cols)
-        child = _init_map(som.unit_path(row, col), float(mqe[u]), som.depth + 1, members[u],
-                          run, params)
-        som.children[(row, col)] = child
+        child = _init_map(som.unit_path(u), float(mqe[u]), som.depth + 1, members[u], run,
+                          params)
+        som.children[u] = child
         _fit_map(child, run.data, params)
         expand_hierarchy(tree, child, run, params)
     return tree
@@ -534,14 +519,13 @@ class FlatTree:
 
     ``maps`` are the tree's maps in ``GhsomTree.iter_maps`` order, each
     after its parent map, and the units are numbered over the whole tree:
-    map ``k``'s from ``start[k]`` in row-major order, ``start[-1]`` being
-    the number of units. Map ``k > 0`` refines unit ``key[k]`` of map
-    ``parent[k]``, the unit numbered ``hang[k]``, whose error is
-    ``error[k - 1]`` and whose threshold is ``tau2`` times
-    ``reference[k - 1]``. ``reach[d, i]`` is the unit that sample ``i``
-    reaches in the maps ``d`` levels below the root, or ``start[-1]``
-    where no map of that level routes it: map ``k``'s ``units`` offset by
-    ``start[k]``.
+    map ``k``'s unit ``u`` is ``start[k] + u``, ``start[-1]`` being the
+    number of units. Map ``k > 0`` refines the unit ``hang[k]`` of map
+    ``parent[k]``, whose error is ``error[k - 1]``; its threshold at
+    ``tau2`` is ``tau2`` times the tree's layer-0 error. ``reach[d, i]``
+    is the unit that sample ``i`` reaches in the maps ``d`` levels below
+    the root, or ``start[-1]`` where no map of that level routes it: map
+    ``k``'s ``units`` offset by ``start[k]``.
     """
 
     def __init__(self, tree: GhsomTree):
@@ -550,19 +534,14 @@ class FlatTree:
         self.maps = maps = list(tree.iter_maps())
         number = {id(som): k for k, som in enumerate(maps)}
         self.start = np.cumsum([0] + [som.rows * som.cols for som in maps]).tolist()
-        self.parent, self.key, self.hang = [0] * len(maps), [None] * len(maps), [-1] * len(maps)
+        self.parent, self.hang = [0] * len(maps), [-1] * len(maps)
         level = [0] * len(maps)
         for k, som in enumerate(maps):
-            for (row, col), child in som.children.items():
+            for u, child in som.children.items():
                 c = number[id(child)]
-                self.parent[c], self.key[c] = k, (row, col)
-                self.hang[c] = self.start[k] + row * som.cols + col
+                self.parent[c], self.hang[c] = k, self.start[k] + u
                 level[c] = level[k] + 1
-        ups = [maps[k] for k in self.parent[1:]]
-        self.error = np.array([up.unit_mqe[key] for up, key in zip(ups, self.key[1:])],
-                              dtype=np.float64)
-        self.reference = np.array([_reference_error(tree, up, tree.params) for up in ups],
-                                  dtype=np.float64)
+        self.error = np.concatenate([som.unit_mqe for som in maps])[self.hang[1:]]
         # every map's routed samples and their units, in one array each
         counts = [len(som.sample_indices) for som in maps]
         self.reach = np.full((max(level) + 1, len(tree.sample_ids)), self.start[-1],
@@ -574,9 +553,9 @@ class FlatTree:
     def survivors(self, tau2: float) -> list[bool]:
         """Which maps the fit at ``tau2`` keeps, by map number: the root,
         and each child map whose parent map survives and whose unit's mqe
-        is at or above the parent's expansion threshold at ``tau2``,
-        compared as ``expand_hierarchy`` compares it."""
-        above = (self.error >= tau2 * self.reference).tolist()
+        is at or above ``tau2`` times the layer-0 error, compared as
+        ``expand_hierarchy`` compares it."""
+        above = (self.error >= tau2 * self.tree.mqe0).tolist()
         keep = [True]
         for k in range(1, len(self.maps)):
             keep.append(keep[self.parent[k]] and above[k - 1])
@@ -605,7 +584,7 @@ class FlatTree:
             raise RuntimeError(f"samples not reachable at any leaf: {missing}")
         ends, codes = np.unique(leaf, return_inverse=True)
         owner = np.searchsorted(self.start, ends, side="right") - 1
-        names = [self.maps[k].unit_path(*divmod(u - self.start[k], self.maps[k].cols))
+        names = [self.maps[k].unit_path(u - self.start[k])
                  for k, u in zip(owner.tolist(), ends.tolist())]
         order = sorted(range(len(names)), key=names.__getitem__)
         place = np.empty(len(order), dtype=np.intp)
@@ -635,7 +614,7 @@ def prune(tree: GhsomTree, tau2: float) -> GhsomTree:
     kept = {id(som): copy.copy(som) for som, keep in zip(flat.maps, flat.survivors(tau2))
             if keep}
     for som in kept.values():
-        som.children = {key: kept[id(child)] for key, child in som.children.items()
+        som.children = {u: kept[id(child)] for u, child in som.children.items()
                         if id(child) in kept}
     return replace(tree, root=kept[id(tree.root)], params=params)
 
@@ -646,20 +625,19 @@ def find_cluster(tree: GhsomTree, path: str) -> np.ndarray:
     An internal cluster (a unit that grew a child map) owns every sample
     routed to its subtree, i.e. the union of its descendant leaves. The
     path is followed one ``{col}x{row}`` name at a time through the
-    maps' units, each name exactly as ``SomMap.unit_path`` writes it.
+    maps' units, each prefix exactly as ``SomMap.unit_path`` writes it.
     """
     som = tree.root
     names = path.split("-")
-    for depth, name in enumerate(names, 1):
-        cells = {f"{c}x{r}": (r, c) for r in range(som.rows) for c in range(som.cols)}
-        cell = cells.get(name)
-        if cell is not None and depth == len(names):
-            return som.members()[cell[0] * som.cols + cell[1]]
-        som = som.children.get(cell)
+    for depth in range(1, len(names) + 1):
+        prefix = "-".join(names[:depth])
+        u = next((u for u in range(som.rows * som.cols) if som.unit_path(u) == prefix), None)
+        if u is not None and depth == len(names):
+            return som.members()[u]
+        som = som.children.get(u)
         if som is None:
             break
-    valid = [som.unit_path(*divmod(u, som.cols))
-             for som in tree.iter_maps() for u in range(som.rows * som.cols)]
+    valid = [som.unit_path(u) for som in tree.iter_maps() for u in range(som.rows * som.cols)]
     raise KeyError(f"unknown cluster '{path}'; valid clusters: {', '.join(valid)}")
 
 
@@ -696,13 +674,13 @@ def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:
     units = []
     for u, assigned in enumerate(som.members()):
         row, col = divmod(u, som.cols)
-        child = som.children.get((row, col))
+        child = som.children.get(u)
         units.append(
             {
                 "row": row,
                 "col": col,
-                "weight": som.weights[row, col],
-                "mqe": float(som.unit_mqe[row, col]),
+                "weight": som.weights[u],
+                "mqe": float(som.unit_mqe[u]),
                 "assigned": [tree.sample_ids[i] for i in assigned],
                 "child": _map_to_dict(tree, child) if child is not None else None,
             }
@@ -717,9 +695,11 @@ def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:
 
 
 def tree_to_json(tree: GhsomTree) -> str:
+    """The tree as a ``ghsom-tree/1`` document, whose ``params`` end with
+    ``"depth_reference": "global"``: ``tau2`` multiplies the layer-0 error."""
     return dumps_stable({
         "format": "ghsom-tree/1",
-        "params": asdict(tree.params),
+        "params": {**asdict(tree.params), "depth_reference": "global"},
         "sample_ids": tree.sample_ids,
         "attribute_names": tree.attribute_names,
         "w0": tree.w0,
@@ -740,34 +720,47 @@ def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> 
         members = [id_index[sid] for u in units for sid in u["assigned"]]
     except KeyError as exc:
         raise ValueError(f"map {name}: unknown sample id {exc.args[0]!r}") from None
-    som = SomMap(rows, cols, weights.reshape(rows, cols, -1), d["parent_mqe"], depth, path,
-                 members)
+    som = SomMap(rows, cols, weights, d["parent_mqe"], depth, path, members)
     som.units = np.repeat(np.arange(rows * cols), [len(u["assigned"]) for u in units])
-    som.unit_mqe = np.array([u["mqe"] for u in units], dtype=np.float64).reshape(rows, cols)
-    for (row, col), u, assigned in zip(cells, units, som.members()):
-        if u["child"] is not None:
-            child = _map_from_dict(u["child"], som.unit_path(row, col), depth + 1, id_index)
+    som.unit_mqe = np.array([u["mqe"] for u in units], dtype=np.float64)
+    for u, (unit, assigned) in enumerate(zip(units, som.members())):
+        if unit["child"] is not None:
+            child = _map_from_dict(unit["child"], som.unit_path(u), depth + 1, id_index)
             # a loaded map lists its samples by unit, so compare as sets
             if not np.array_equal(np.sort(child.sample_indices), np.sort(assigned)):
                 raise ValueError(f"map {child.path}: routes other samples than its unit")
-            som.children[(row, col)] = child
+            som.children[u] = child
     return som
+
+
+# a tree document's params keys: GhsomParams' fields, then "depth_reference"
+_PARAM_KEYS = [f.name for f in fields(GhsomParams)] + ["depth_reference"]
 
 
 def tree_from_json(text: str) -> GhsomTree:
     """Load a tree written by ``tree_to_json``.
 
-    The parameters must pass ``GhsomParams.validate``. Every map's units
-    must tile its grid: one unit for each ``(row, col)`` with
-    ``0 <= row < rows`` and ``0 <= col < cols``, in any order; each
+    ``params`` must hold exactly the keys ``tree_to_json`` writes, with
+    ``depth_reference`` ``"global"``, and pass ``GhsomParams.validate``.
+    Every map's units must tile its grid: one unit for each ``(row, col)``
+    with ``0 <= row < rows`` and ``0 <= col < cols``, in any order; each
     unit may assign only samples the tree lists; the root must route
     every sample exactly once, and each child map exactly the samples of
-    its unit. Otherwise a ``ValueError`` names the field or the map.
+    its unit. Otherwise a ``ValueError`` names the field, key or map.
     """
     d = json.loads(text)
     if d.get("format") != "ghsom-tree/1":
         raise ValueError("not a ghsom tree document")
-    params = GhsomParams(**d["params"])
+    params = d["params"]
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {type(params).__name__}")
+    problems = ([f"missing key {key!r}" for key in _PARAM_KEYS if key not in params]
+                + [f"unknown key {key!r}" for key in params if key not in _PARAM_KEYS])
+    if not problems and params["depth_reference"] != "global":
+        problems = [f"depth_reference must be 'global', got {params['depth_reference']!r}"]
+    if problems:
+        raise ValueError("params: " + ", ".join(problems))
+    params = GhsomParams(**{key: params[key] for key in _PARAM_KEYS[:-1]})
     params.validate()
     sample_ids = list(d["sample_ids"])
     id_index = {sid: i for i, sid in enumerate(sample_ids)}

@@ -114,23 +114,23 @@ def _walk_leaves(som: SomMap, x_acc: Fraction, y_acc: Fraction, w_prev: Fraction
     # collector runs
     w_i = w_prev / som.cols
     h_i = h_prev / som.rows
-    for row in range(som.rows):
-        for col in range(som.cols):
-            x = x_acc + w_i * col
-            y = y_acc + h_i * row
-            child = som.children.get((row, col))
-            if child is None:
-                out.append(
-                    LeafCoordinate(
-                        cluster=som.unit_path(row, col),
-                        px=x + w_i / 2,
-                        py=y + h_i / 2,
-                        w_l=w_i,
-                        h_l=h_i,
-                    )
+    for u in range(som.rows * som.cols):
+        row, col = divmod(u, som.cols)
+        x = x_acc + w_i * col
+        y = y_acc + h_i * row
+        child = som.children.get(u)
+        if child is None:
+            out.append(
+                LeafCoordinate(
+                    cluster=som.unit_path(u),
+                    px=x + w_i / 2,
+                    py=y + h_i / 2,
+                    w_l=w_i,
+                    h_l=h_i,
                 )
-            else:
-                _walk_leaves(child, x, y, w_i, h_i, out)
+            )
+        else:
+            _walk_leaves(child, x, y, w_i, h_i, out)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +341,11 @@ def _place(som: SomMap, rect, depth: int, drill_depth: int | None,
     # collector runs
     units = []
     for u, assigned in enumerate(som.members()):
-        cell = divmod(u, som.cols)
-        path = som.unit_path(*cell)
+        path = som.unit_path(u)
         if len(assigned) == 0:
             empty.append(path)
             continue
-        units.append((path, assigned, som.children.get(cell)))
+        units.append((path, assigned, som.children.get(u)))
     units.sort(key=lambda unit: (-len(unit[1]), unit[0]))
     rects = squarify([float(len(assigned)) for _, assigned, _ in units], rect)
     for (path, assigned, child), r in zip(units, rects):

@@ -109,19 +109,19 @@ def worked_example_tree(dim=3, seed=11):
         som = SomMap(
             rows=rows,
             cols=cols,
-            weights=rng.normal(size=(rows, cols, dim)),
+            weights=rng.normal(size=(rows * cols, dim)),
             parent_mqe=1.0,
             depth=depth,
             path=path,
             sample_indices=np.array([g for g, _, _ in assign], dtype=np.intp),
         )
         som.units = np.array([r * cols + c for _, r, c in assign], dtype=np.intp)
-        som.unit_mqe = np.abs(rng.normal(size=(rows, cols)))
+        som.unit_mqe = np.abs(rng.normal(size=rows * cols))
         return som
 
     root = build(3, 2, 1, "", root_assign)
     child = build(2, 2, 2, "0x0", child_assign)
-    root.children[(0, 0)] = child
+    root.children[0] = child
 
     w0 = values.mean(axis=0)
     mqe0 = float(np.linalg.norm(values - w0, axis=1).mean())

@@ -157,9 +157,10 @@ def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=N
     package derives it, from (seed, stream, path). ``exp`` is the
     elementwise exp of an array: the kernel's port of numpy's AVX-512
     ``exp``, which ``exp_svml`` checks, gives the bits the package gives
-    on any CPU. Returns the trained (rows, cols, dim) weights and the
-    (rows, cols) per-unit mean quantization errors of the samples'
-    best-matching units.
+    on any CPU. Takes the ``(rows, cols, dim)`` grid of initial weights and
+    returns, as ``Fit.store`` lays them out, the trained ``(rows * cols,
+    dim)`` weights and the ``(rows * cols,)`` per-unit mean quantization
+    errors of the samples' best-matching units.
     """
     import numpy as np
     from scipy.spatial.distance import cdist
@@ -200,7 +201,7 @@ def train_map_online(weights, x_local, seed, path, stream, lam, alpha0, sigma0=N
     unit_mqe = np.zeros(rows * cols)
     for u in np.unique(best):
         unit_mqe[u] = d[best == u, u].mean()
-    return w.reshape(rows, cols, dim), unit_mqe.reshape(rows, cols)
+    return w, unit_mqe
 
 
 @functools.cache
@@ -345,16 +346,14 @@ def ryu_tables():
 
 
 def best_matching_unit(som, x):
-    """Grid position (row, col) of the unit nearest ``x``.
+    """Number ``row * cols + col`` of the unit nearest ``x``.
 
-    Ties break to the smallest (row, col) in row-major order.
+    Ties break to the smallest number, the first in row-major order.
     """
     import numpy as np
 
-    flat = som.weights.reshape(-1, som.weights.shape[-1])
-    d2 = ((flat - x) ** 2).sum(axis=1)
-    best = int(np.argmin(d2))
-    return divmod(best, som.cols)
+    d2 = ((som.weights - x) ** 2).sum(axis=1)
+    return int(np.argmin(d2))
 
 
 def load_csv_cells(path, has_labels=False, label_column=None):
@@ -483,11 +482,13 @@ def grow_numpy(weights, unit_mqe):
     did: the error unit by ``np.argmax``, its most dissimilar 4-neighbor
     by ``np.linalg.norm`` (scanned right, left, below, above; the first
     farthest wins), and ``np.insert`` of the mean row or column. Returns
-    the new ``(rows, cols, dim)`` weights."""
+    the new ``(rows, cols, dim)`` weights. ``weights`` is the
+    ``(rows, cols, dim)`` grid, ``unit_mqe`` the errors in row-major unit
+    order, in any shape."""
     import numpy as np
 
-    rows, cols = unit_mqe.shape
-    e_row, e_col = divmod(int(np.argmax(unit_mqe.reshape(-1))), cols)
+    rows, cols = weights.shape[:2]
+    e_row, e_col = divmod(int(np.argmax(unit_mqe)), cols)
     best, best_d = None, -1.0
     for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         r, c = e_row + dr, e_col + dc
@@ -510,9 +511,8 @@ def leaf_units(tree):
     plain loop over the units of every map."""
     for som in tree.iter_maps():
         for u, members in enumerate(som.members()):
-            row, col = divmod(u, som.cols)
-            if (row, col) not in som.children:
-                yield som.unit_path(row, col), members, float(som.unit_mqe[row, col])
+            if u not in som.children:
+                yield som.unit_path(u), members, float(som.unit_mqe[u])
 
 
 def leaf_labels(tree):

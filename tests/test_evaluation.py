@@ -351,34 +351,32 @@ def _direct_cell(m, params, labels):
 
 def _boundary_tau2(tree):
     """The tau2 values above the fitted one at which a child map's unit
-    error is exactly its expansion threshold, where ``>=`` keeps the child
-    and ``>`` would drop it."""
+    error is exactly its expansion threshold, tau2 times the layer-0
+    error, where ``>=`` keeps the child and ``>`` would drop it."""
     for som in tree.iter_maps():
-        reference = tree.mqe0 if tree.params.depth_reference == "global" else som.parent_mqe
-        for key in som.children:
-            error = float(som.unit_mqe[key])
-            tau2 = error / reference
-            if tree.params.tau2 < tau2 <= 1 and tau2 * reference == error:
+        for u in som.children:
+            error = float(som.unit_mqe[u])
+            tau2 = error / tree.mqe0
+            if tree.params.tau2 < tau2 <= 1 and tau2 * tree.mqe0 == error:
                 yield tau2
 
 
 @pytest.mark.parametrize("data_seed", [0, 1, 2, None])
-@pytest.mark.parametrize("depth_reference", ["global", "parent"])
 @pytest.mark.parametrize("max_depth", [2, 10])
-def test_sweep_cells_equal_direct_fits(data_seed, depth_reference, max_depth):
+def test_sweep_cells_equal_direct_fits(data_seed, max_depth):
     # small two-scale data at three seeds, and equal rows (None) whose
     # cells have a single leaf; the tau lists hold a duplicate, an invalid
     # value and every tau2 at which a unit's error equals its threshold,
-    # so the rule is checked where it is tight, and (data seed 2, parent
-    # reference, tau1 0.3) where a map is pruned whose child map's unit
-    # still reaches its own threshold
+    # so the rule is checked where it is tight. No cell here drops a map
+    # only because its parent map was dropped while its own unit still
+    # reaches the threshold; test_ghsom's
+    # test_survivors_drop_every_map_under_a_dropped_map builds that case
     if data_seed is None:
         m = DataMatrix(np.zeros((12, 2)), [f"s{i}" for i in range(12)], ["f0", "f1"],
                        labels=list("aabbccddeeff"))
     else:
         m = nested_blobs(n_coarse=3, n_sub=2, per_sub=6, dim=3, spread=0.2, seed=data_seed)
-    base = GhsomParams(lam=5, rng_seed=data_seed or 0, max_depth=max_depth,
-                       depth_reference=depth_reference)
+    base = GhsomParams(lam=5, rng_seed=data_seed or 0, max_depth=max_depth)
     tau1s = [0.6, 0.3, 0.3]
     tau2s = [0.5, 0.2, 0.05, 0.05, 0.0]
     deep = {t1: run_ghsom(m, replace(base, tau1=t1, tau2=0.05)) for t1 in tau1s}

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from ghsomkit.ghsom import (
     INIT_NOISE,
     MAX_INSERTIONS,
     MAX_UNITS_PER_SAMPLE,
+    FlatTree,
     GhsomTree,
     LeafPartition,
     SomMap,
@@ -77,12 +78,13 @@ def _random_matrix(n, dim, seed):
 @contextlib.contextmanager
 def _fit(weights, data, params, epoch_base=0, path="", indices=None):
     """The kernel context of a map that starts at the ``(rows, cols,
-    dim)`` ``weights`` on the samples ``data[indices]`` (all by default),
-    after one growth cycle of ``params`` on the map's stream ``1 +
-    epoch_base``, as ``train_map`` runs it; closed on exit."""
-    weights = np.asarray(weights, dtype=float)
+    dim)`` grid ``weights`` on the samples ``data[indices]`` (all by
+    default), after one growth cycle of ``params`` on the map's stream
+    ``1 + epoch_base``, as ``train_map`` runs it; closed on exit."""
+    rows, cols, dim = np.shape(weights)
+    weights = np.asarray(weights, dtype=float).reshape(rows * cols, dim)
     indices = np.arange(len(data)) if indices is None else np.asarray(indices)
-    fit = _kernel.Fit(_run(data, params), indices, *weights.shape[:2], weights, path=path,
+    fit = _kernel.Fit(_run(data, params), indices, rows, cols, weights, path=path,
                       threshold=math.nan, max_units=MAX_UNITS_PER_SAMPLE * len(indices))
     try:
         fit.train(1 + epoch_base)
@@ -105,14 +107,15 @@ def _nearest(x, w):
     dist = []
     for i, u in enumerate(index.tolist()):
         with _fit(w, x, params, indices=[i]) as fit:
-            dist.append(fit.store()[1][0, u])
+            dist.append(fit.store()[1][u])
     return np.array(dist), index
 
 
 def _fresh_map(weights, sample_indices=()):
-    weights = np.asarray(weights, dtype=float)
-    rows, cols = weights.shape[:2]
-    return SomMap(rows, cols, weights.copy(), 1.0, 1, "", np.asarray(sample_indices, dtype=np.intp))
+    """A map at the ``(rows, cols, dim)`` grid ``weights``."""
+    rows, cols, dim = np.shape(weights)
+    weights = np.array(weights, dtype=float).reshape(rows * cols, dim)
+    return SomMap(rows, cols, weights, 1.0, 1, "", np.asarray(sample_indices, dtype=np.intp))
 
 
 # ---------------------------------------------------------------- params
@@ -130,7 +133,7 @@ def _fresh_map(weights, sample_indices=()):
         dict(alpha0=0.0),
         dict(alpha0=1.5),
         dict(sigma0=0.0),
-        dict(depth_reference="bogus"),
+        dict(tau2=float("nan")),
         dict(rng_seed=-1),
         dict(lam=2.5),
         dict(max_depth=1.5),
@@ -222,15 +225,15 @@ def test_run_fits_a_constant_matrix_as_one_leaf():
 
 def test_bmu_tie_breaks_row_major():
     som = _fresh_map(np.zeros((2, 2, 3)))
-    assert best_matching_unit(som, np.ones(3)) == (0, 0)
+    assert best_matching_unit(som, np.ones(3)) == 0
 
 
 def test_bmu_picks_nearest():
     w = np.zeros((2, 2, 1))
     w[1, 1, 0] = 5.0
     som = _fresh_map(w)
-    assert best_matching_unit(som, np.array([4.9])) == (1, 1)
-    assert best_matching_unit(som, np.array([0.1])) == (0, 0)
+    assert best_matching_unit(som, np.array([4.9])) == 3
+    assert best_matching_unit(som, np.array([0.1])) == 0
 
 
 # ---------------------------------------------------------------- training
@@ -249,32 +252,32 @@ def test_train_single_unit_single_sample_snaps_to_it():
     with _fit(np.zeros((1, 1, 4)), m.values, GhsomParams(lam=5, alpha0=1.0)) as fit:
         weights, unit_mqe = fit.store()[:2]
     # the very first update has alpha=1, h=1: w jumps exactly onto x
-    assert weights[0, 0].tobytes() == m.values[0].tobytes()
-    assert unit_mqe[0, 0] == 0.0
+    assert weights[0].tobytes() == m.values[0].tobytes()
+    assert unit_mqe[0] == 0.0
 
 
 def test_train_recomputes_assignment_and_errors():
     m = _random_matrix(30, 3, seed=4)
-    som = _fresh_map(np.random.default_rng(0).normal(size=(2, 3, 3)), np.arange(30))
-    with _fit(som.weights, m.values, GhsomParams(lam=10, rng_seed=7)) as fit:
+    start = np.random.default_rng(0).normal(size=(2, 3, 3))
+    som = _fresh_map(start, np.arange(30))
+    with _fit(start, m.values, GhsomParams(lam=10, rng_seed=7)) as fit:
         som.weights, som.unit_mqe, som.units = fit.store()
     # each unit's sample count, from the routed samples' units
     assert np.bincount(som.units, minlength=6).tolist() == [
         len(members) for members in som.members()]
     for u, members in enumerate(som.members()):
-        row, col = divmod(u, som.cols)
-        mqe = float(som.unit_mqe[row, col])
+        mqe = float(som.unit_mqe[u])
         if len(members):
-            d = np.linalg.norm(m.values[members] - som.weights[row, col], axis=1)
+            d = np.linalg.norm(m.values[members] - som.weights[u], axis=1)
             assert mqe == pytest.approx(d.mean(), rel=1e-12)
         else:
             assert mqe == 0.0
     for k, g in enumerate(som.sample_indices):
-        assert (som.bmu_rows[k], som.bmu_cols[k]) == best_matching_unit(som, m.values[g])
+        assert som.units[k] == best_matching_unit(som, m.values[g])
     # to the bit: the mean of the kernel's distances of a unit's members,
     # summed in routed order
-    d, best = _nearest(m.values[som.sample_indices], som.weights.reshape(6, 3))
-    for u, mqe in enumerate(som.unit_mqe.reshape(-1).tolist()):
+    d, best = _nearest(m.values[som.sample_indices], som.weights)
+    for u, mqe in enumerate(som.unit_mqe.tolist()):
         mine = d[best == u]
         assert mqe == (np.mean(mine) if len(mine) else 0.0)
 
@@ -312,7 +315,8 @@ def test_train_matches_online_oracle_bitwise(case, exp):
         weights = rng.normal(size=(3, 5, 3))
     elif case == "capped_noise":
         root, m = _capped_noise_map()
-        weights, indices = root.weights.copy(), root.sample_indices
+        weights = root.weights.reshape(root.rows, root.cols, -1)
+        indices = root.sample_indices
     elif case == "alpha_zero":
         params = GhsomParams(lam=3, alpha0=0.0, rng_seed=4)
     elif case == "sigma0_epoch_base":
@@ -478,12 +482,12 @@ def _unit_mqe_matches_np_mean(exp):
                                         params.alpha0, params.sigma0, exp=exp)
     assert got_w.tobytes() == want_w.tobytes()
     assert got_mqe.tobytes() == want_mqe.tobytes()
-    d = cdist(x, got_w.reshape(4, 2))
+    d = cdist(x, got_w)
     best = d.argmin(axis=1)
     groups = _split(d[np.arange(len(x)), best], best, 4)
     assert [len(g) for g in groups] == sizes
     want = [np.mean(g) if len(g) else 0.0 for g in groups]
-    assert got_mqe.reshape(4).tolist() == want
+    assert got_mqe.tolist() == want
     assert got_mqe.tobytes() == np.array(want).tobytes()
 
 
@@ -509,7 +513,7 @@ def test_kernel_bmu_follows_numpy_pairwise_sum(dim):
         diff = x - w
         want = int(np.add.reduce(diff * diff, axis=1).argmin())
         with _fit(w[None], x, params) as fit:
-            trained = fit.store()[0][0]
+            trained = fit.store()[0]
         moved = np.flatnonzero((trained == 0.0).all(axis=1))
         assert moved.tolist() == [want]
         picks.add(want)
@@ -529,7 +533,7 @@ def test_train_bmu_ties_go_to_the_first_unit(rows, cols, ties):
     w[ties] = 0.5
     params = GhsomParams(lam=1, alpha0=1.0, sigma0=1e-3)
     with _fit(w.reshape(rows, cols, 5), np.zeros((1, 5)), params) as fit:
-        trained = fit.store()[0].reshape(rows * cols, 5)
+        trained = fit.store()[0]
     assert np.flatnonzero((trained == 0.0).all(axis=1)).tolist() == [min(ties)]
 
 
@@ -660,13 +664,13 @@ def test_kernel_uniform_is_numpys_uniform(seed, path, stream, exp):
     som = _init_map(path, 1.0, 1, np.arange(6), _run(x, params), params)
     try:
         weights = som.fit.store()[0]
-        assert weights.tobytes() == want.reshape(2, 2, 10).tobytes()
+        assert weights.tobytes() == want.tobytes()
         som.fit.train(stream)
         got_w, got_mqe = som.fit.store()[:2]
     finally:
         som.fit.close()
-    want_w, want_mqe = train_map_online(weights, x, seed, path, stream, params.lam,
-                                        params.alpha0, exp=exp)
+    want_w, want_mqe = train_map_online(weights.reshape(2, 2, 10), x, seed, path, stream,
+                                        params.lam, params.alpha0, exp=exp)
     assert got_w.tobytes() == want_w.tobytes()
     assert got_mqe.tobytes() == want_mqe.tobytes()
 
@@ -709,17 +713,16 @@ def test_train_streams_match_numpy_across_blocks(exp):
 
 
 def _grown(weights, samples):
-    """A map at ``weights`` after an alpha0 = 0 cycle on ``samples``,
-    which leaves the weights as they are, then one insertion and another
-    such cycle, which assigns the grown map: the first cycle's unit errors
-    and the grown weights."""
+    """A map at the ``(rows, cols, dim)`` grid ``weights`` after an
+    alpha0 = 0 cycle on ``samples``, which leaves the weights as they are,
+    then one insertion and another such cycle, which assigns the grown
+    map: the first cycle's unit errors and the grown weights, as a grid."""
     with _fit(weights, np.asarray(samples, dtype=float), GhsomParams(lam=1, alpha0=0.0)) as fit:
         unit_mqe = fit.store()[1]
-        shape = fit.grow()
+        rows, cols = fit.grow()
         fit.train(2)
         grown = fit.store()[0]
-    assert grown.shape[:2] == shape
-    return unit_mqe, grown
+    return unit_mqe, grown.reshape(rows, cols, -1)
 
 
 def test_grow_inserts_column_between_error_and_neighbor():
@@ -729,7 +732,7 @@ def test_grow_inserts_column_between_error_and_neighbor():
     w[1, 0, 0] = 1.0
     w[1, 1, 0] = 9.0
     unit_mqe, grown = _grown(w, [[-5.0]])
-    assert unit_mqe.tolist() == [[5.0, 0.0], [0.0, 0.0]]  # error unit (0,0)
+    assert unit_mqe.tolist() == [5.0, 0.0, 0.0, 0.0]  # error unit (0,0)
     assert grown.shape[:2] == (2, 3)
     assert grown[0, 1, 0] == 5.0  # mean of 0 and 10
     assert grown[1, 1, 0] == 5.0  # mean of 1 and 9
@@ -744,7 +747,7 @@ def test_grow_inserts_row_when_vertical_neighbor_wins():
     w[1, 0, 0] = 20.0  # below (0,0), much farther than right
     w[1, 1, 0] = 2.0
     unit_mqe, grown = _grown(w, [[-5.0]])
-    assert unit_mqe.tolist() == [[5.0, 0.0], [0.0, 0.0]]
+    assert unit_mqe.tolist() == [5.0, 0.0, 0.0, 0.0]
     assert grown.shape[:2] == (3, 2)
     assert grown[1, 0, 0] == 10.0
 
@@ -755,7 +758,7 @@ def test_grow_tie_prefers_column():
     w[1, 0] = [0.0, 3.0]  # below (0,0), distance 3
     # the sample is as near (1,1) as (0,0), and goes to the first
     unit_mqe, grown = _grown(w, [[-1.0, -1.0]])
-    assert unit_mqe.tolist() == [[math.sqrt(2.0), 0.0], [0.0, 0.0]]
+    assert unit_mqe.tolist() == [math.sqrt(2.0), 0.0, 0.0, 0.0]
     assert grown.shape[:2] == (2, 3)
 
 
@@ -763,7 +766,7 @@ def test_grow_error_unit_tie_row_major():
     w = np.random.default_rng(3).normal(size=(2, 2, 2))
     # a sample on every unit: all errors tie at 0, and argmax picks (0,0)
     unit_mqe, grown = _grown(w, w.reshape(4, 2))
-    assert unit_mqe.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert unit_mqe.tolist() == [0.0, 0.0, 0.0, 0.0]
     assert grown.shape[0] * grown.shape[1] == 6
     assert grown.tobytes() == grow_numpy(w, unit_mqe).tobytes()
 
@@ -788,7 +791,7 @@ def test_grow_matches_numpy_insertion_bitwise(seed):
         extra = flat[sorted({e, rows * cols - 1})] + offset
         unit_mqe, grown = _grown(weights, np.concatenate([flat, extra]))
         assert int(np.argmax(unit_mqe)) == e
-        assert unit_mqe.flat[e] == unit_mqe.flat[-1] > 0.0
+        assert unit_mqe[e] == unit_mqe[-1] > 0.0
         want = grow_numpy(weights, unit_mqe)
         assert grown.tobytes() == want.tobytes()
         axes.add(grown.shape[0] - rows)
@@ -810,7 +813,7 @@ def test_grow_neighbor_distance_is_numpy_pairwise_sum(dim):
         # a sample next to (0,0) (and (1,1), which it loses to) makes
         # (0,0) the error unit
         unit_mqe, grown = _grown(w, np.full((1, dim), -1e-100))
-        assert int(np.argmax(unit_mqe)) == 0 and unit_mqe[0, 0] > 0.0
+        assert int(np.argmax(unit_mqe)) == 0 and unit_mqe[0] > 0.0
         want = (3, 2) if below > right else (2, 3)  # a tie keeps the column
         assert grown.shape[:2] == want
         picks.add(want)
@@ -825,18 +828,18 @@ def test_grow_rejects_nan_weights():
 def test_expand_refines_units_at_threshold_with_four_samples_in_row_major_order():
     m = _random_matrix(16, 2, seed=3)
     routed = np.array([9, 2, 14, 5, 0, 11, 7, 3, 12, 1, 8, 6, 15, 4])
-    som = SomMap(2, 3, np.zeros((2, 3, 2)), 1.0, 1, "", routed)
+    som = SomMap(2, 3, np.zeros((6, 2)), 1.0, 1, "", routed)
     # units in row-major order hold 4, 3, 0, 1, 5 and 1 samples
     flat = np.array([0, 1, 4, 0, 1, 3, 4, 0, 4, 1, 4, 0, 4, 5])
     som.units = flat
     # at or above tau2 * mqe0 = 0.25: units 0, 1, 3, 4 (unit 1 too few
     # samples, unit 3 one sample); unit 5 has samples but error 0.0
-    som.unit_mqe = np.array([[0.25, 0.9, 0.0], [0.5, 0.3, 0.0]])
+    som.unit_mqe = np.array([0.25, 0.9, 0.0, 0.5, 0.3, 0.0])
     params = GhsomParams(tau2=0.25, lam=2, max_depth=2)
     tree = GhsomTree(np.zeros(2), 1.0, som, params, [f"s{i}" for i in range(16)], ["f0", "f1"])
     expand_hierarchy(tree, som, _run(m.values, params), params)
-    assert list(som.children) == [(0, 0), (1, 1)]
-    first, second = som.children[(0, 0)], som.children[(1, 1)]
+    assert list(som.children) == [0, 4]
+    first, second = som.children[0], som.children[4]
     assert first.sample_indices.tolist() == [9, 5, 3, 6]  # in routed order
     assert second.sample_indices.tolist() == [14, 7, 12, 8, 15]
     assert (first.path, first.depth, first.parent_mqe) == ("0x0", 2, 0.25)
@@ -861,13 +864,13 @@ def test_initial_weights_are_numpys_mean_plus_scaled_noise(n, dim):
     x = data[routed]
     path = "1x0-0x1"
     noise = _numpy_stream(2**32 + 9, 0, path).uniform(-INIT_NOISE, INIT_NOISE, size=4 * dim)
-    want = x.mean(axis=0) + noise.reshape(2, 2, -1) * x.std(axis=0)
+    want = x.mean(axis=0) + noise.reshape(4, -1) * x.std(axis=0)
     params = GhsomParams(rng_seed=2**32 + 9)
     som = _init_map(path, 1.0, 3, routed, _run(data, params), params)
     weights, unit_mqe, units = som.fit.store()
     som.fit.close()
     assert weights.tobytes() == want.tobytes()
-    assert unit_mqe.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert unit_mqe.tolist() == [0.0, 0.0, 0.0, 0.0]
     assert units.tolist() == [0] * n
     assert np.bincount(units, minlength=4).tolist() == [n, 0, 0, 0]
 
@@ -880,20 +883,21 @@ def _fit_cycles(data, params, parent_mqe, cycles, exp):
     n = len(data)
     som = _init_map("0x1", parent_mqe, 2, np.arange(n), _run(data, params), params)
     fit = som.fit
-    weights = fit.store()[0]
+    grid = fit.store()[0].reshape(2, 2, -1)
     seen = []
     for cycle in range(cycles):
         if cycle:
             assert fit.grow() == (fit.head.rows, fit.head.cols)
-            weights = grow_numpy(weights, unit_mqe)
+            grid = grow_numpy(grid, unit_mqe)
         stream = 1 + cycle * params.lam
         fit.train(stream)
-        want_w, want_mqe = train_map_online(weights, data, params.rng_seed, "0x1", stream,
+        want_w, want_mqe = train_map_online(grid, data, params.rng_seed, "0x1", stream,
                                             params.lam, params.alpha0, exp=exp)
         weights, unit_mqe, units = fit.store()
         assert weights.tobytes() == want_w.tobytes()
         assert unit_mqe.tobytes() == want_mqe.tobytes()
-        rows, cols = weights.shape[:2]
+        rows, cols = fit.head.rows, fit.head.cols
+        grid = weights.reshape(rows, cols, -1)
         stored = SomMap(rows, cols, weights, parent_mqe, 2, "0x1", np.arange(n))
         stored.unit_mqe, stored.units = unit_mqe, units
         assert fit.head.mqe == stored.mqe
@@ -995,9 +999,8 @@ def test_store_after_an_insertion_waits_for_the_next_cycle():
         weights, unit_mqe, units = fit.store()
     finally:
         fit.close()
-    rows, cols = weights.shape[:2]
-    assert rows * cols == 6 and unit_mqe.shape == (rows, cols)
-    d = cdist(data, weights.reshape(6, 2))
+    assert weights.shape == (6, 2) and unit_mqe.shape == (6,)
+    d = cdist(data, weights)
     assert units.tolist() == d.argmin(axis=1).tolist()
     assert np.bincount(units, minlength=6).tolist() == np.bincount(
         d.argmin(axis=1), minlength=6).tolist()
@@ -1046,9 +1049,9 @@ def test_fitted_tree_holds_no_fit_context_and_no_views(nested_matrix):
         assert som.fit is None
         for a in (som.weights, som.unit_mqe, som.units):
             assert a.base is None and a.flags.owndata
-        assert som.weights.shape == (som.rows, som.cols, nested_matrix.n_attributes
+        assert som.weights.shape == (som.rows * som.cols, nested_matrix.n_attributes
                                      if som is not capped else 2)
-        assert som.unit_mqe.shape == (som.rows, som.cols)
+        assert som.unit_mqe.shape == (som.rows * som.cols,)
 
 
 def test_failed_fit_closes_its_context(monkeypatch):
@@ -1098,7 +1101,7 @@ out["capped"] = tree_to_json(run_ghsom(matrix(8, 2, 6), GhsomParams(tau1=1e-9, t
 m = matrix(60, 3, 5)
 params = GhsomParams(lam=40, rng_seed=2**64 + 5)
 fit = _kernel.Fit(_run(m.values, params), np.arange(60), 9, 11,
-                  np.random.default_rng(5).normal(size=(9, 11, 3)), path="1x0-0x2",
+                  np.random.default_rng(5).normal(size=(99, 3)), path="1x0-0x2",
                   threshold=0.0, max_units=240)
 fit.train(81)
 som = SomMap(9, 11, None, 1.0, 2, "1x0-0x2", np.arange(60))
@@ -1238,9 +1241,7 @@ def som_depth(tree, path):
 def test_assignment_oracle_recheck(blob_matrix, blob_tree):
     for som in blob_tree.iter_maps():
         for k, g in enumerate(som.sample_indices):
-            assert (som.bmu_rows[k], som.bmu_cols[k]) == best_matching_unit(
-                som, blob_matrix.values[g]
-            )
+            assert som.units[k] == best_matching_unit(som, blob_matrix.values[g])
 
 
 def test_every_sample_at_exactly_one_leaf(blob_matrix, blob_tree):
@@ -1296,7 +1297,7 @@ def test_partition_groups_like_dict_of_lists(n, k, seed):
 
 
 def test_find_cluster_internal_unit_unions_leaves(nested_tree):
-    internal = [nested_tree.root.unit_path(*cell) for cell in sorted(nested_tree.root.children)]
+    internal = [nested_tree.root.unit_path(u) for u in sorted(nested_tree.root.children)]
     assert internal, "nested data must grow a second level"
     part = leaf_partition(nested_tree)
     for path in internal:
@@ -1395,7 +1396,7 @@ def test_child_map_above_its_units_error_warns(caplog, depth, parent_mqe, warns)
 def test_empty_units_do_not_enter_map_mqe():
     som = _fresh_map(np.zeros((2, 2, 1)), [0, 1])
     som.units = np.array([0, 1])
-    som.unit_mqe = np.array([[2.0, 4.0], [99.0, 99.0]])  # bottom units unoccupied
+    som.unit_mqe = np.array([2.0, 4.0, 99.0, 99.0])  # bottom units unoccupied
     assert som.mqe == 3.0
 
 
@@ -1404,14 +1405,15 @@ def test_empty_units_do_not_enter_map_mqe():
 # fit that grows (on a seed of two entropy words), a nested fit, and the
 # growth-capped noise map. Then, recorded before each map fit got one
 # kernel context: the ``repr`` of a 3x3 sweep's rows over small noisy
-# blobs whose tau2 = 0.05 cells grow a capped map, and a fit with a fixed
-# sigma0 and the parent's error as the depth reference
+# blobs whose tau2 = 0.05 cells grow a capped map. Then, recorded while a
+# map still held its weights and errors as (rows, cols) grids: a nested
+# fit with a fixed sigma0
 GOLDEN_TREES = {
     "root_only": "723a6be1fbfc38150182b4714b01bc7d0732c8cdbaa9b336929d1f29d7d9aec6",
     "nested": "504145cc22a07ccd1d84050ae7acdd035cc848da6609cb5f1397c176e78b1336",
     "capped_noise": "55e00125907745397e36011cbec53387c313cea307916fe4cefe53ec308d8ae5",
     "sweep_noisy": "f8483ac6d7919d5c8cf07ace1d4aca24328f6399c955ac4a0ef1e711ac3b8295",
-    "sigma0_parent": "317544a648c67461c027301051495f97ef850824a7c75f89ff1f80d19c0c55c8",
+    "sigma0": "a7c9f86f855af91885d0b8624f6bb8f4141462522a8495f7653e4ff6c806991c",
 }
 
 
@@ -1430,9 +1432,9 @@ def test_fitted_trees_match_golden_digests(case, blob_matrix, nested_matrix):
     elif case == "nested":
         tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, rng_seed=0))
         assert tree.depth() == 2
-    elif case == "sigma0_parent":
+    elif case == "sigma0":
         tree = run_ghsom(nested_matrix, GhsomParams(tau1=0.2, tau2=0.1, lam=10, sigma0=1.3,
-                                                    depth_reference="parent", rng_seed=0))
+                                                    rng_seed=0))
     elif case == "sweep_noisy":
         m = nested_blobs(n_coarse=4, n_sub=3, per_sub=5, dim=4, spread=0.25, seed=1)
         grid = sweep(m, GhsomParams(lam=10, rng_seed=5), (0.6, 0.45, 0.3), (0.2, 0.1, 0.05),
@@ -1475,12 +1477,10 @@ def test_golden_digests_hold_under_numpys_other_exp_loops(disabled):
 # ---------------------------------------------------------------- pruning
 
 
-@pytest.mark.parametrize("depth_reference", ["global", "parent"])
 @pytest.mark.parametrize("max_depth", [10, 2])
 @pytest.mark.parametrize("tau1", [0.6, 0.3])
-def test_prune_equals_direct_fit_bytewise(nested_matrix, depth_reference, max_depth, tau1):
-    base = GhsomParams(tau1=tau1, lam=5, rng_seed=2, max_depth=max_depth,
-                       depth_reference=depth_reference)
+def test_prune_equals_direct_fit_bytewise(nested_matrix, max_depth, tau1):
+    base = GhsomParams(tau1=tau1, lam=5, rng_seed=2, max_depth=max_depth)
     deep = run_ghsom(nested_matrix, replace(base, tau2=0.05))
     deep_text = tree_to_json(deep)
     removed = 0
@@ -1517,6 +1517,43 @@ def test_prune_leaves_no_reference_cycle(blob_tree):
 def test_prune_rejects_tau2_below_fitted(blob_tree):
     with pytest.raises(ValueError, match="can only raise tau2"):
         prune(blob_tree, blob_tree.params.tau2 / 2)
+
+
+def _doc_map(depth, parent_mqe, units):
+    """A 2x2 map of a tree document whose units, in row-major order, are
+    given as ``(mqe, assigned sample ids, child map or None)``."""
+    return {"rows": 2, "cols": 2, "depth": depth, "parent_mqe": parent_mqe,
+            "units": [{"row": u // 2, "col": u % 2, "weight": [float(u)], "mqe": mqe,
+                       "assigned": assigned, "child": child}
+                      for u, (mqe, assigned, child) in enumerate(units)]}
+
+
+def test_survivors_drop_every_map_under_a_dropped_map():
+    # root unit A (0x0) has a child map, whose unit B (0x0-0x0) has its
+    # own; at tau2 = 0.4, A's error is below tau2 * mqe0 and B's at or
+    # above it, so the cut drops A's child map and B's with it, although
+    # B alone still reaches the threshold
+    ids = [f"s{i}" for i in range(8)]
+    b_map = _doc_map(3, 0.5, [(0.0, [sid], None) for sid in ids[:4]])
+    a_map = _doc_map(2, 0.3, [(0.5, ids[:4], b_map), (0.0, ids[4:5], None),
+                              (0.0, ids[5:6], None), (0.0, [], None)])
+    root = _doc_map(1, 1.0, [(0.3, ids[:6], a_map), (0.0, ids[6:7], None),
+                             (0.0, ids[7:8], None), (0.0, [], None)])
+    params = {**asdict(GhsomParams(tau2=0.1, lam=1)), "depth_reference": "global"}
+    tree = tree_from_json(json.dumps({
+        "format": "ghsom-tree/1", "params": params, "sample_ids": ids,
+        "attribute_names": ["f0"], "w0": [0.0], "mqe0": 1.0, "root": root}))
+    tau2 = 0.4
+    assert 0.3 < tau2 * tree.mqe0 <= 0.5
+    flat = FlatTree(tree)
+    assert [som.path for som in flat.maps] == ["", "0x0", "0x0-0x0"]
+    assert flat.survivors(0.3) == [True, True, True]
+    assert flat.survivors(tau2) == [True, False, False]
+    pruned = prune(tree, tau2)
+    assert [som.path for som in pruned.iter_maps()] == [""]
+    leaves = ["0x0"] * 6 + ["1x0", "0x1"]
+    assert flat.partition(flat.survivors(tau2)).clusters == leaves
+    assert leaf_partition(pruned).clusters == leaves
 
 
 # ---------------------------------------------------------------- serialization
@@ -1576,6 +1613,38 @@ def test_tree_json_rejects_units_that_do_not_tile_the_grid(nested_tree, fault, w
     else:
         units[-1]["col"] = som["cols"]
     with pytest.raises(ValueError, match=f"map {re.escape(name)}: units do not tile"):
+        tree_from_json(json.dumps(doc))
+
+
+def test_tree_json_writes_the_global_depth_reference_last(blob_tree):
+    # tau2 multiplies the layer-0 error, and the document says so for
+    # readers of the format
+    doc = json.loads(tree_to_json(blob_tree))
+    assert list(doc["params"]) == [f.name for f in fields(GhsomParams)] + ["depth_reference"]
+    assert doc["params"]["depth_reference"] == "global"
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("missing", "params: missing key 'tau1'"),
+    ("unknown", "params: unknown key 'depth'"),
+    ("renamed", "params: missing key 'tau1', unknown key 'tau_1'"),
+    ("list", "params must be an object, got list"),
+    ("parent", "params: depth_reference must be 'global', got 'parent'"),
+], ids=["missing", "unknown", "renamed", "list", "parent"])
+def test_tree_json_rejects_params_other_than_written(blob_tree, fault, message):
+    doc = json.loads(tree_to_json(blob_tree))
+    params = doc["params"]
+    if fault == "missing":
+        del params["tau1"]
+    elif fault == "unknown":
+        params["depth"] = 3
+    elif fault == "renamed":
+        params["tau_1"] = params.pop("tau1")
+    elif fault == "list":
+        doc["params"] = list(params.values())
+    else:
+        params["depth_reference"] = "parent"
+    with pytest.raises(ValueError, match=re.escape(message)):
         tree_from_json(json.dumps(doc))
 
 

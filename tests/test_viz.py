@@ -50,7 +50,8 @@ def test_coordinates_worked_example_exact(worked):
 
 
 def _bare_map(rows, cols, depth, path):
-    som = SomMap(rows, cols, np.zeros((rows, cols, 1)), 1.0, depth, path, np.array([], dtype=np.intp))
+    som = SomMap(rows, cols, np.zeros((rows * cols, 1)), 1.0, depth, path,
+                 np.array([], dtype=np.intp))
     return som
 
 
@@ -72,9 +73,9 @@ def _ancestor_rects(tree):
         wi, hi = w / som.cols, h / som.rows
         for r in range(som.rows):
             for c in range(som.cols):
-                path = som.unit_path(r, c)
-                rects[path] = (x + wi * c, y + hi * r, wi, hi)
-                child = som.children.get((r, c))
+                u = r * som.cols + c
+                rects[som.unit_path(u)] = (x + wi * c, y + hi * r, wi, hi)
+                child = som.children.get(u)
                 if child is not None:
                     walk(child, x + wi * c, y + hi * r, wi, hi)
 
@@ -119,8 +120,8 @@ def test_siblings_closer_than_corresponding_cross_cell_leaves():
     # same-parent pair sits closer than any pair occupying the same
     # within-cell position in different layer-1 cells
     root = _bare_map(2, 2, 1, "")
-    root.children[(0, 0)] = _bare_map(2, 2, 2, "0x0")
-    root.children[(0, 1)] = _bare_map(2, 2, 2, "1x0")
+    root.children[0] = _bare_map(2, 2, 2, "0x0")
+    root.children[1] = _bare_map(2, 2, 2, "1x0")
     tree = _bare_tree(root)
     coords = {c.cluster: c for c in leaf_coordinates(tree)}
 
@@ -402,10 +403,10 @@ def _tree_with_empty_unit(rows=2, cols=2):
         labels=["u"] * n,
         label_name="lab",
     )
-    som = SomMap(rows, cols, rng.normal(size=(rows, cols, 2)), 1.0, 1, "", np.arange(n))
+    som = SomMap(rows, cols, rng.normal(size=(rows * cols, 2)), 1.0, 1, "", np.arange(n))
     # units (0, 0), (0, 1) and (1, 0), row-major, hold 3 samples each
     som.units = np.array([0] * 3 + [1] * 3 + [cols] * 3)
-    som.unit_mqe = np.zeros((rows, cols))
+    som.unit_mqe = np.zeros(rows * cols)
     tree = GhsomTree(
         w0=values.mean(axis=0),
         mqe0=1.0,
