@@ -121,7 +121,10 @@ the nearest of those and ties to even, found by Ryū (Adams, PLDI 2018)
 with tables of powers of 5 that the tests derive from Python's
 integers. The text is in Python's layout: ``1.0``, ``-0.0``, ``0.0001``,
 ``1e-05``, ``1e+16``, ``5e-324``, with an exponent for a magnitude below
-1e-4 or from 1e16.
+1e-4 or from 1e16. ``data.save_csv`` writes its numbers with it, and
+``ghsom.tree_to_json`` each map's weights, one call per map; ``json``
+writes a finite float as the same ``repr()``, so a document keeps the
+text ``json`` alone would write.
 
 The library is built with ``cc`` on first use and cached under
 ``$XDG_CACHE_HOME/ghsomkit`` (default ``~/.cache/ghsomkit``), named by

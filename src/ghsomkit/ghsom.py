@@ -670,19 +670,27 @@ def dumps_stable(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), default=_json_default)
 
 
-def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:
+def _map_to_dict(tree: GhsomTree, som: SomMap, rows: list[str]) -> dict:
+    """The map as a dict for ``dumps_stable``. Where the kernel writes the
+    map's weights, each unit's weight is ``""`` and its row's text (numbers
+    after a leading ",") goes to ``rows``, in the order of the document."""
+    text = None
+    if som.weights.dtype == np.float64 and np.isfinite(som.weights).all():
+        text = _kernel.format_rows(som.weights).split("\n")
     units = []
     for u, assigned in enumerate(som.members()):
         row, col = divmod(u, som.cols)
         child = som.children.get(u)
+        if text is not None:
+            rows.append(text[u])
         units.append(
             {
                 "row": row,
                 "col": col,
-                "weight": som.weights[u],
+                "weight": som.weights[u] if text is None else "",
                 "mqe": float(som.unit_mqe[u]),
                 "assigned": [tree.sample_ids[i] for i in assigned],
-                "child": _map_to_dict(tree, child) if child is not None else None,
+                "child": _map_to_dict(tree, child, rows) if child is not None else None,
             }
         )
     return {
@@ -696,25 +704,47 @@ def _map_to_dict(tree: GhsomTree, som: SomMap) -> dict:
 
 def tree_to_json(tree: GhsomTree) -> str:
     """The tree as a ``ghsom-tree/1`` document, whose ``params`` end with
-    ``"depth_reference": "global"``: ``tau2`` multiplies the layer-0 error."""
-    return dumps_stable({
+    ``"depth_reference": "global"``: ``tau2`` multiplies the layer-0 error.
+
+    The text is ``dumps_stable``'s, but for how the weights, the bulk of
+    the document, are written: the kernel's ``format_rows`` writes each
+    map's in one call, as the ``repr()`` that ``json`` writes too, and
+    each row's text replaces its unit's ``"weight":""``. ``json`` escapes
+    every '"' within a string, so that text can only be a key named
+    "weight" and an empty string, and no key but a unit's has that name.
+    ``json`` writes the structure, the strings and every other number.
+    A map whose weights are not float64, or hold a NaN or an infinity,
+    keeps ``json``'s spelling of them (``NaN``, ``Infinity``): only a
+    loaded document or a hand-built map can hold such weights, since a
+    fit rejects data at a scale that would give them.
+    """
+    rows: list[str] = []
+    root = _map_to_dict(tree, tree.root, rows)
+    head, *tails = dumps_stable({
         "format": "ghsom-tree/1",
         "params": {**asdict(tree.params), "depth_reference": "global"},
         "sample_ids": tree.sample_ids,
         "attribute_names": tree.attribute_names,
         "w0": tree.w0,
         "mqe0": tree.mqe0,
-        "root": _map_to_dict(tree, tree.root),
-    })
+        "root": root,
+    }).split('"weight":""')
+    return head + "".join([f'"weight":[{row[1:]}]{tail}' for row, tail in zip(rows, tails)])
 
 
-def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> SomMap:
+def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int],
+                   dim: int) -> SomMap:
     rows, cols = d["rows"], d["cols"]
     name = path or "<root>"
     units = sorted(d["units"], key=lambda u: (u["row"], u["col"]))
     cells = [(u["row"], u["col"]) for u in units]
     if cells != [divmod(k, cols) for k in range(rows * cols)]:
         raise ValueError(f"map {name}: units do not tile its {rows}x{cols} grid")
+    for u in units:
+        w = u["weight"]
+        if not (type(w) is list and len(w) == dim and set(map(type, w)) <= {int, float}):
+            raise ValueError(f"map {name}: unit ({u['row']}, {u['col']}) weight is not "
+                             f"a list of {dim} numbers")
     weights = np.array([u["weight"] for u in units], dtype=np.float64)
     try:
         members = [id_index[sid] for u in units for sid in u["assigned"]]
@@ -725,7 +755,7 @@ def _map_from_dict(d: dict, path: str, depth: int, id_index: dict[str, int]) -> 
     som.unit_mqe = np.array([u["mqe"] for u in units], dtype=np.float64)
     for u, (unit, assigned) in enumerate(zip(units, som.members())):
         if unit["child"] is not None:
-            child = _map_from_dict(unit["child"], som.unit_path(u), depth + 1, id_index)
+            child = _map_from_dict(unit["child"], som.unit_path(u), depth + 1, id_index, dim)
             # a loaded map lists its samples by unit, so compare as sets
             if not np.array_equal(np.sort(child.sample_indices), np.sort(assigned)):
                 raise ValueError(f"map {child.path}: routes other samples than its unit")
@@ -744,9 +774,11 @@ def tree_from_json(text: str) -> GhsomTree:
     ``depth_reference`` ``"global"``, and pass ``GhsomParams.validate``.
     Every map's units must tile its grid: one unit for each ``(row, col)``
     with ``0 <= row < rows`` and ``0 <= col < cols``, in any order; each
-    unit may assign only samples the tree lists; the root must route
-    every sample exactly once, and each child map exactly the samples of
-    its unit. Otherwise a ``ValueError`` names the field, key or map.
+    unit's weight must be a list of as many numbers as there are
+    attribute names, and each unit may assign only samples the tree
+    lists; the root must route every sample exactly once, and each child
+    map exactly the samples of its unit. Otherwise a ``ValueError`` names
+    the field, key or map (and a unit by its ``(row, col)``).
     """
     d = json.loads(text)
     if d.get("format") != "ghsom-tree/1":
@@ -764,7 +796,7 @@ def tree_from_json(text: str) -> GhsomTree:
     params.validate()
     sample_ids = list(d["sample_ids"])
     id_index = {sid: i for i, sid in enumerate(sample_ids)}
-    root = _map_from_dict(d["root"], "", 1, id_index)
+    root = _map_from_dict(d["root"], "", 1, id_index, len(d["attribute_names"]))
     if not np.array_equal(np.sort(root.sample_indices), np.arange(len(sample_ids))):
         raise ValueError("map <root>: does not route every sample exactly once")
     return GhsomTree(

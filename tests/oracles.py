@@ -542,3 +542,45 @@ def save_csv_rows(m, path):
         else:
             for sid, row, label in zip(m.sample_ids, m.values, m.labels):
                 writer.writerow([sid, *row.tolist(), label])
+
+
+def tree_to_json_reference(tree):
+    """Reference ``tree_to_json``: the whole document in one ``json.dumps``,
+    every array through ``.tolist()``, so each float is its ``repr`` (or
+    ``NaN`` / ``Infinity``). The writer the package used before it wrote
+    the weights in the kernel, kept verbatim."""
+    import dataclasses
+    import json
+
+    import numpy as np
+
+    def default(obj):
+        if isinstance(obj, (np.ndarray, np.generic)):
+            return obj.tolist()
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    def map_to_dict(som):
+        units = []
+        for u, assigned in enumerate(som.members()):
+            row, col = divmod(u, som.cols)
+            child = som.children.get(u)
+            units.append({
+                "row": row,
+                "col": col,
+                "weight": som.weights[u],
+                "mqe": float(som.unit_mqe[u]),
+                "assigned": [tree.sample_ids[i] for i in assigned],
+                "child": map_to_dict(child) if child is not None else None,
+            })
+        return {"rows": som.rows, "cols": som.cols, "depth": som.depth,
+                "parent_mqe": som.parent_mqe, "units": units}
+
+    return json.dumps({
+        "format": "ghsom-tree/1",
+        "params": {**dataclasses.asdict(tree.params), "depth_reference": "global"},
+        "sample_ids": tree.sample_ids,
+        "attribute_names": tree.attribute_names,
+        "w0": tree.w0,
+        "mqe0": tree.mqe0,
+        "root": map_to_dict(tree.root),
+    }, separators=(",", ":"), default=default)

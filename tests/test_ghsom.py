@@ -59,6 +59,7 @@ from oracles import (
     leaf_labels,
     leaf_units,
     train_map_online,
+    tree_to_json_reference,
 )
 
 # a block of training steps holds about this many table entries
@@ -1714,6 +1715,141 @@ def test_tree_json_with_17_digit_floats_loads_bitwise(blob_tree):
     assert back.w0.tobytes() == blob_tree.w0.tobytes()
     assert back.mqe0 == blob_tree.mqe0
     assert tree_to_json(back) == text
+
+
+def _weights_doc(weights, sample_ids=("s0", "s1", "s2", "s3"), attribute_names=None):
+    """A tree document over four samples: a 2x2 root whose unit (0, 1)
+    has a 2x2 child map. ``weights`` gives the 8 units' weight rows, the
+    root's first, in row-major order."""
+    dim = len(weights[0])
+    a, b, c, d = sample_ids
+    child = _doc_map(2, 0.5, [(0.0, [b], None), (0.0, [], None), (0.0, [], None),
+                              (0.0, [c], None)])
+    root = _doc_map(1, 1.0, [(0.0, [a], None), (0.5, [b, c], child), (0.0, [], None),
+                             (0.0, [d], None)])
+    for unit, row in zip(root["units"] + child["units"], weights, strict=True):
+        unit["weight"] = list(row)
+    params = {**asdict(GhsomParams(tau2=0.1, lam=1)), "depth_reference": "global"}
+    names = [f"f{j}" for j in range(dim)] if attribute_names is None else attribute_names
+    return {"format": "ghsom-tree/1", "params": params, "sample_ids": list(sample_ids),
+            "attribute_names": names, "w0": [0.5] * dim, "mqe0": 1.0, "root": root}
+
+
+def _weights_text(*args, **kwargs):
+    return json.dumps(_weights_doc(*args, **kwargs), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("fault", ["every root weight short", "one child weight short",
+                                   "one weight long", "string", "bool", "not a list"])
+def test_tree_json_rejects_weights_that_are_not_one_number_per_attribute(fault):
+    doc = _weights_doc([[1.0, 2.0, 3.0]] * 8)
+    root, child = doc["root"], doc["root"]["units"][1]["child"]
+    name, unit = "<root>", root["units"][0]
+    if fault == "every root weight short":
+        for u in root["units"]:
+            u["weight"].pop()
+    elif fault == "one child weight short":
+        name, unit = "1x0", child["units"][3]
+        unit["weight"].pop()
+    elif fault == "one weight long":
+        unit = root["units"][2]
+        unit["weight"].append(4.0)
+    elif fault == "string":
+        unit["weight"][1] = "2.0"
+    elif fault == "bool":
+        unit["weight"][1] = True
+    else:
+        unit["weight"] = 1.0
+    message = f"map {name}: unit ({unit['row']}, {unit['col']}) weight is not a list of 3 numbers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tree_from_json(json.dumps(doc))
+
+
+def _of_bits(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# doubles whose text is easiest to get wrong: the zeros, subnormals, the
+# largest magnitude, repr's switches to an exponent below 1e-4 and from
+# 1e16, and values that need 17 significant digits
+_AWKWARD_DOUBLES = [
+    0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e-4, 0.0001000000000000001, 9.999999999999999e-05, 1e-5,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, 1234567890123456.7, 12345678901234567.0,
+    0.30000000000000004, 1 / 3, 2 / 3, 0.1, 1.0, 123.0,
+]
+_AWKWARD_DOUBLES += [math.nextafter(x, y) for x in (1e-4, 1e16) for y in (0.0, math.inf)]
+_AWKWARD_DOUBLES += [-x for x in _AWKWARD_DOUBLES]
+
+_FINITE_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_of_bits).filter(math.isfinite),
+    st.sampled_from(_AWKWARD_DOUBLES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.lists(_FINITE_DOUBLES, min_size=dim, max_size=dim),
+                         min_size=8, max_size=8)))
+def test_tree_json_writes_any_finite_weight_as_the_reference_property(weights):
+    # the kernel writes these weights; each map of the text is the
+    # reference's, and reads back bit for bit
+    text = _weights_text(weights)
+    tree = tree_from_json(text)
+    assert tree_to_json(tree) == tree_to_json_reference(tree) == text
+    back = tree_from_json(tree_to_json(tree))
+    got = np.concatenate([som.weights for som in back.iter_maps()])
+    assert got.tobytes() == np.array(weights, dtype=np.float64).tobytes()
+
+
+def test_tree_json_writes_awkward_weights_as_the_reference():
+    weights = np.resize(_AWKWARD_DOUBLES, (8, -(-len(_AWKWARD_DOUBLES) // 8)))
+    text = _weights_text(weights.tolist())
+    tree = tree_from_json(text)
+    assert tree_to_json(tree) == tree_to_json_reference(tree) == text
+    assert np.concatenate([som.weights for som in tree.iter_maps()]).tobytes() == \
+        weights.tobytes()
+
+
+# sample ids and attribute names that json must escape, or that spell the
+# weight key the writer splices at
+_AWKWARD_NAMES = ['"', "\\", "x\\", '"weight":"', '"weight":""', '\\"weight":""',
+                  '","weight":"",', "\x00\x01\x1f\n\t\x7f", "é ü 名前 😀", ""]
+
+
+def test_tree_json_splices_weights_whatever_the_names():
+    ids = [f"{name}{i}" for i, name in enumerate(_AWKWARD_NAMES[:4])]
+    text = _weights_text([[0.5 * u, -1.0 / 3] for u in range(8)], ids, _AWKWARD_NAMES[4:6])
+    tree = tree_from_json(text)
+    assert tree_to_json(tree) == tree_to_json_reference(tree) == text
+    # and a fitted tree, whose maps hold every id
+    m = gaussian_blobs(n_clusters=2, per_cluster=5, dim=len(_AWKWARD_NAMES), seed=3)
+    m = DataMatrix(m.values, [f"{_AWKWARD_NAMES[i]}{i}" for i in range(10)], _AWKWARD_NAMES)
+    fitted = run_ghsom(m, GhsomParams(tau1=0.3, tau2=0.1, lam=5, rng_seed=0))
+    text = tree_to_json(fitted)
+    assert text == tree_to_json_reference(fitted)
+    back = tree_from_json(text)
+    assert (back.sample_ids, back.attribute_names) == (m.sample_ids, _AWKWARD_NAMES)
+    for a, b in zip(fitted.iter_maps(), back.iter_maps(), strict=True):
+        assert b.weights.tobytes() == a.weights.tobytes()
+
+
+def test_tree_json_keeps_json_spelling_for_non_finite_weights():
+    # a loaded map with NaN and infinite weights takes json's path, whose
+    # spelling reads back; the finite child map takes the kernel's
+    weights = [[math.nan, 1.0], [math.inf, -math.inf], [0.1, -0.0], [1e16, 5e-324]]
+    weights += [[0.5, 2.0]] * 4
+    text = _weights_text(weights)
+    assert '"weight":[NaN,1.0]' in text and '"weight":[Infinity,-Infinity]' in text
+    tree = tree_from_json(text)
+    assert tree_to_json(tree) == tree_to_json_reference(tree) == text
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_tree_json_writes_weights_of_other_dtypes_as_the_reference(dtype):
+    tree = tree_from_json(_weights_text([[0.1 * u, 3.0 * u] for u in range(8)]))
+    tree.root.weights = tree.root.weights.astype(dtype)
+    assert tree_to_json(tree) == tree_to_json_reference(tree)
 
 
 @settings(max_examples=15, deadline=None)
